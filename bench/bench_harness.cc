@@ -10,9 +10,7 @@
  *  - event_queue_mixed_cancel: schedule/cancel/fire interleaved (the
  *    pattern periodic tasks + batch completions produce).
  *  - token_tick_8: one RCKM token period for a GPU hosting 8 instances.
- *  - sched_micro_3200: synthetic 3,200-instance placement on 4,000 GPUs
- *    (the bench_sched_micro workload, self-timed so the harness has no
- *    Google Benchmark dependency).
+ *  - sched_micro_3200: synthetic 3,200-instance placement on 4,000 GPUs.
  *  - fig17_placement: the paper's Fig 17 large-scale pass — 3,200
  *    instances with the 2:2:6 train:LLM-inf:inf mix under the Dilu
  *    scheduler (placement only, as in the paper).

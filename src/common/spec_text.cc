@@ -1,7 +1,9 @@
 #include "common/spec_text.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 namespace dilu::spec_text {
@@ -17,8 +19,15 @@ FormatTime(TimeUs t)
 std::string
 FormatDouble(double v)
 {
+  // The shortest %g precision from 6 up that reads back as the same
+  // double: values %g prints exactly keep their familiar form, and no
+  // printed spec describes a different run than the one it came from.
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
+  for (int precision = 6; precision < 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 
@@ -101,7 +110,8 @@ ParseDouble(const std::string& tok, double* out)
   try {
     std::size_t used = 0;
     const double v = std::stod(tok, &used);
-    if (used != tok.size()) return false;
+    // nan/inf slip past every `x <= 0.0`-style range check.
+    if (used != tok.size() || !std::isfinite(v)) return false;
     *out = v;
   } catch (...) {
     return false;

@@ -19,7 +19,10 @@ namespace dilu::spec_text {
 /** Render a time with the densest exact suffix (1500000 -> "1500ms"). */
 std::string FormatTime(TimeUs t);
 
-/** Render a double without trailing zeros ("2.5", "80"). */
+/**
+ * Render a double without trailing zeros ("2.5", "80") in the fewest
+ * significant digits (at least 6) that parse back to the same value.
+ */
 std::string FormatDouble(double v);
 
 /**
@@ -35,7 +38,7 @@ bool ParseInt(const std::string& tok, std::int32_t* out);
 /** Parse a whole-token non-negative uint64 (seeds). */
 bool ParseUint64(const std::string& tok, std::uint64_t* out);
 
-/** Parse a whole-token double ("2.5"). */
+/** Parse a whole-token finite double ("2.5"; nan/inf are rejected). */
 bool ParseDouble(const std::string& tok, double* out);
 
 /** Strip "prefix" ("fn=", "rps=", "x") from `tok`; empty on mismatch. */

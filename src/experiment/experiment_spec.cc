@@ -479,8 +479,8 @@ ParseDeployLine(std::istringstream& toks, int line_no, DeploySpec* d,
     if (d->fn.workers != 1 || d->fn.target_iterations > 0
         || d->fn.checkpoint_every > 0 || d->fn.checkpoint_save_cost > 0) {
       return Fail(error, line_no,
-                  "workers/iterations/checkpoint keys need the "
-                  "'training' word");
+                  "workers/iterations/checkpoint keys apply to "
+                  "training deploys only (add the 'training' word)");
     }
   } else {
     if (d->provision > 0 || !d->scaler.empty() || d->fn.shards != 1) {

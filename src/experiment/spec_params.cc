@@ -1,40 +1,16 @@
 #include "experiment/spec_params.h"
 
-#include <initializer_list>
+#include <algorithm>
+#include <iterator>
+#include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/spec_text.h"
 
 namespace dilu::experiment {
 
 namespace {
-
-using spec_text::ParseDouble;
-using spec_text::ParseInt;
-using spec_text::ParseTime;
-
-bool
-OneOf(const std::string& v, std::initializer_list<const char*> allowed)
-{
-  for (const char* a : allowed) {
-    if (v == a) return true;
-  }
-  return false;
-}
-
-bool
-ParseOnOff(const std::string& tok, bool* out)
-{
-  if (tok == "on") {
-    *out = true;
-    return true;
-  }
-  if (tok == "off") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
 
 bool
 FailPath(std::string* error, const std::string& path,
@@ -44,339 +20,118 @@ FailPath(std::string* error, const std::string& path,
   return false;
 }
 
+/** The token a path edits: `key=` on the index-th `directive` line. */
+struct Edit {
+  std::string directive;  ///< "cluster", "deploy", "workload" or "run"
+  std::size_t index = 0;
+  std::string key;  ///< "" edits the operand of the line's `for`
+};
+
 /**
- * Split "deploy[3].provision" into index 3 and key "provision".
- * `head` is the part before '[' ("deploy" / "workload").
+ * Map a path to its token: a key of the `cluster` line, of the i-th
+ * `deploy` / `workload` line (`duration` is the workload's `for`
+ * window), or the `run for` operand.
  */
 bool
-SplitIndexed(const std::string& path, const std::string& head,
-             std::size_t limit, std::size_t* index, std::string* key,
-             std::string* error)
+Locate(const std::string& path, Edit* edit, std::string* error)
 {
-  const std::size_t open = head.size();
-  const std::size_t close = path.find(']', open);
-  if (path.compare(0, open, head) != 0 || open >= path.size()
-      || path[open] != '[' || close == std::string::npos
-      || close + 1 >= path.size() || path[close + 1] != '.') {
+  const std::string head = path.substr(0, path.find('['));
+  if (head == "deploy" || head == "workload") {
+    const std::size_t close = path.find(']');
+    std::int32_t i = -1;
+    if (close == std::string::npos || close + 2 >= path.size()
+        || path[close + 1] != '.'
+        || !spec_text::ParseInt(path.substr(head.size() + 1,
+                                            close - head.size() - 1),
+                                &i)
+        || i < 0) {
+      return FailPath(error, path,
+                      "want " + head + "[<index >= 0>].<key>");
+    }
+    std::string key = path.substr(close + 2);
+    if (head == "workload" && key == "duration") key.clear();
+    *edit = {head, static_cast<std::size_t>(i), key};
+    return true;
+  }
+  const std::string cluster_key = spec_text::StripPrefix(path, "cluster.");
+  *edit = cluster_key.empty() ? Edit{"run", 0, ""}
+                              : Edit{"cluster", 0, cluster_key};
+  if (!cluster_key.empty() || path == "run.for") return true;
+  return FailPath(error, path,
+                  "unknown parameter path (want cluster.<key>, "
+                  "deploy[i].<key>, workload[i].<key>, "
+                  "chaos.intensity or run.for)");
+}
+
+using Line = std::vector<std::string>;
+
+/**
+ * Splice `value` into `spec->ToText()` and re-parse, so the loader is
+ * the one validator of every key, value and cross-key rule. The key's
+ * token is replaced or appended — before the `for` window on a
+ * workload line, whose leading `fn=` and kind are positional.
+ */
+bool
+ApplyEdit(ExperimentSpec* spec, const std::string& path, const Edit& edit,
+          const std::string& value, std::string* error)
+{
+  std::vector<Line> lines;
+  std::size_t target = 0;  // 0 = absent: `experiment` is always line 0
+  std::size_t seen = 0;
+  std::istringstream in(spec->ToText());
+  for (std::string text; std::getline(in, text);) {
+    std::istringstream toks(text);
+    lines.emplace_back(std::istream_iterator<std::string>(toks),
+                       std::istream_iterator<std::string>());
+    if (!lines.back().empty() && lines.back().front() == edit.directive
+        && seen++ == edit.index) {
+      target = lines.size() - 1;
+    }
+  }
+  if (target == 0 && (edit.directive == "deploy"
+                      || edit.directive == "workload")) {
     return FailPath(error, path,
-                    "want " + head + "[<index>].<key>");
+                    "index " + std::to_string(edit.index)
+                        + " out of range (base has " + std::to_string(seen)
+                        + ")");
   }
-  std::int32_t i = 0;
-  if (!ParseInt(path.substr(open + 1, close - open - 1), &i) || i < 0) {
-    return FailPath(error, path, "index must be a non-negative int");
+  if (target == 0) {  // the optional `cluster` / `run` line
+    const bool cluster = edit.directive == "cluster";
+    target = cluster ? 1 : lines.size();
+    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(target),
+                 cluster ? Line{"cluster"} : Line{"run", "for", value});
   }
-  if (static_cast<std::size_t>(i) >= limit) {
+  Line& line = lines[target];
+  const auto window = std::find(line.begin(), line.end(), "for");
+  const std::string prefix = edit.key + "=";
+  const auto at =
+      edit.key.empty()
+          ? window + 1
+          : std::find_if(line.begin() + (edit.directive == "workload" ? 3 : 1),
+                         window, [&](const std::string& t) {
+                           return t.compare(0, prefix.size(), prefix) == 0;
+                         });
+  const std::string token = edit.key.empty() ? value : prefix + value;
+  if (at == window) {
+    line.insert(window, token);
+  } else {
+    *at = token;
+  }
+  std::ostringstream text;
+  for (const Line& l : lines) {
+    for (const std::string& tok : l) text << tok << ' ';
+    text << '\n';
+  }
+  ExperimentSpec parsed;
+  std::string parse_error;
+  if (!ExperimentSpec::Parse(text.str(), &parsed, &parse_error)) {
+    // Drop the loader's "line N: ": it counts lines of the edited
+    // text, which no file holds.
     return FailPath(error, path,
-                    "index " + std::to_string(i)
-                        + " out of range (base has "
-                        + std::to_string(limit) + ")");
+                    parse_error.substr(parse_error.find(": ") + 2));
   }
-  *index = static_cast<std::size_t>(i);
-  *key = path.substr(close + 2);
+  *spec = std::move(parsed);
   return true;
-}
-
-bool
-ApplyClusterParam(ExperimentSpec* spec, const std::string& path,
-                  const std::string& key, const std::string& value,
-                  std::string* error)
-{
-  ClusterSection& c = spec->cluster();
-  std::int32_t i = 0;
-  bool b = false;
-  // Mirrors ParseClusterLine's keys and validation (experiment_spec.cc).
-  if (key == "nodes" || key == "gpus_per_node") {
-    if (!ParseInt(value, &i) || i <= 0) {
-      return FailPath(error, path, "wants a positive int");
-    }
-    (key == "nodes" ? c.nodes : c.gpus_per_node) = i;
-    return true;
-  }
-  if (key == "preset") {
-    if (!OneOf(value, {"dilu", "exclusive", "mps-l", "mps-r", "tgs",
-                       "fastgs", "infless-l", "infless-r"})) {
-      return FailPath(error, path, "unknown preset '" + value + "'");
-    }
-    c.preset = value;
-    return true;
-  }
-  if (key == "scheduler") {
-    if (!OneOf(value, {"dilu", "exclusive", "static"})) {
-      return FailPath(error, path, "unknown scheduler '" + value + "'");
-    }
-    c.scheduler = value;
-    return true;
-  }
-  if (key == "sharing") {
-    if (!OneOf(value, {"dilu", "static", "tgs", "fastgs"})) {
-      return FailPath(error, path, "unknown sharing '" + value + "'");
-    }
-    c.sharing = value;
-    return true;
-  }
-  if (key == "quota_mode") {
-    if (!OneOf(value, {"dilu", "limit", "request", "full"})) {
-      return FailPath(error, path, "unknown quota_mode '" + value + "'");
-    }
-    c.quota_mode = value;
-    return true;
-  }
-  if (key == "recovery") {
-    if (!OneOf(value, {"joint", "greedy"})) {
-      return FailPath(error, path, "unknown recovery '" + value + "'");
-    }
-    c.recovery = value;
-    return true;
-  }
-  if (key == "warm_starts" || key == "rc" || key == "wa") {
-    if (!ParseOnOff(value, &b)) {
-      return FailPath(error, path, "wants on|off");
-    }
-    if (key == "warm_starts") {
-      c.warm_starts = b;
-    } else if (key == "rc") {
-      c.resource_complementarity = b;
-    } else {
-      c.workload_affinity = b;
-    }
-    return true;
-  }
-  if (key == "seed") {
-    return FailPath(error, path,
-                    "the sweep's seed axis owns per-run seeding");
-  }
-  return FailPath(error, path, "unknown cluster key '" + key + "'");
-}
-
-bool
-ApplyDeployParam(ExperimentSpec* spec, const std::string& path,
-                 const std::string& value, std::string* error)
-{
-  std::size_t index = 0;
-  std::string key;
-  if (!SplitIndexed(path, "deploy", spec->deploys().size(), &index, &key,
-                    error)) {
-    return false;
-  }
-  DeploySpec& d = spec->deploys()[index];
-  const bool training = d.fn.type == TaskType::kTraining;
-  std::int32_t i = 0;
-  TimeUs t = 0;
-  // Mirrors ParseDeployLine's keys, validation and the per-task-type
-  // applicability checks (experiment_spec.cc).
-  const auto want_training = [&](bool want) {
-    if (training == want) return true;
-    FailPath(error, path,
-             want ? "applies to training deploys only"
-                  : "applies to inference deploys only");
-    return false;
-  };
-  if (key == "provision") {
-    if (!want_training(false)) return false;
-    if (!ParseInt(value, &i) || i < 0) {
-      return FailPath(error, path, "wants an int >= 0");
-    }
-    d.provision = i;
-    return true;
-  }
-  if (key == "scaler") {
-    if (!want_training(false)) return false;
-    if (!OneOf(value, {"dilu-lazy", "eager", "keep-alive"})) {
-      return FailPath(error, path, "unknown scaler '" + value + "'");
-    }
-    d.scaler = value;
-    return true;
-  }
-  if (key == "shards") {
-    if (!want_training(false)) return false;
-    if (!ParseInt(value, &i) || i < 1) {
-      return FailPath(error, path, "wants an int >= 1");
-    }
-    d.fn.shards = i;
-    return true;
-  }
-  if (key == "class") {
-    if (!want_training(false)) return false;
-    ServiceClass sc = ServiceClass::kStandard;
-    if (!ParseServiceClass(value, &sc)) {
-      return FailPath(error, path,
-                      "wants critical|standard|best_effort");
-    }
-    d.fn.admission_class = sc;
-    return true;
-  }
-  if (key == "queue_cap" || key == "retries") {
-    if (!want_training(false)) return false;
-    const int floor = key == "queue_cap" ? 1 : 0;
-    if (!ParseInt(value, &i) || i < floor) {
-      return FailPath(error, path,
-                      "wants an int >= " + std::to_string(floor));
-    }
-    (key == "queue_cap" ? d.fn.queue_cap : d.fn.retry_budget) = i;
-    return true;
-  }
-  if (key == "backoff" || key == "deadline") {
-    if (!want_training(false)) return false;
-    if (!ParseTime(value, &t) || t <= 0) {
-      return FailPath(error, path, "wants a time > 0");
-    }
-    (key == "backoff" ? d.fn.retry_backoff : d.fn.deadline) = t;
-    return true;
-  }
-  if (key == "workers") {
-    if (!want_training(true)) return false;
-    if (!ParseInt(value, &i) || i < 1) {
-      return FailPath(error, path, "wants an int >= 1");
-    }
-    d.fn.workers = i;
-    return true;
-  }
-  if (key == "iterations") {
-    if (!want_training(true)) return false;
-    if (!ParseInt(value, &i) || i < 0) {
-      return FailPath(error, path, "wants an int >= 0");
-    }
-    d.fn.target_iterations = i;
-    return true;
-  }
-  if (key == "checkpoint_every" || key == "save_cost") {
-    if (!want_training(true)) return false;
-    if (!ParseTime(value, &t) || t <= 0) {
-      return FailPath(error, path, "wants a time > 0");
-    }
-    (key == "checkpoint_every" ? d.fn.checkpoint_every
-                               : d.fn.checkpoint_save_cost) = t;
-    return true;
-  }
-  if (key == "start") {
-    if (!want_training(true)) return false;
-    if (!ParseTime(value, &t)) {
-      return FailPath(error, path, "wants a time (e.g. 10s)");
-    }
-    d.start = t;
-    return true;
-  }
-  if (key == "model" || key == "name") {
-    return FailPath(error, path,
-                    "sweeping the function identity would compare "
-                    "different workloads, not policies");
-  }
-  return FailPath(error, path, "unknown deploy key '" + key + "'");
-}
-
-bool
-ApplyWorkloadParam(ExperimentSpec* spec, const std::string& path,
-                   const std::string& value, std::string* error)
-{
-  std::size_t index = 0;
-  std::string key;
-  if (!SplitIndexed(path, "workload", spec->workloads().size(), &index,
-                    &key, error)) {
-    return false;
-  }
-  WorkloadSpec& w = spec->workloads()[index];
-  double x = 0.0;
-  std::int32_t i = 0;
-  TimeUs t = 0;
-  // Mirrors ParseWorkloadLine's keys, validation and kind
-  // applicability (experiment_spec.cc).
-  const auto want_kind = [&](std::initializer_list<ArrivalKind> ks) {
-    for (const ArrivalKind k : ks) {
-      if (w.kind == k) return true;
-    }
-    FailPath(error, path,
-             std::string("does not apply to kind '") + ToString(w.kind)
-                 + "'");
-    return false;
-  };
-  const std::initializer_list<ArrivalKind> kOpenKinds = {
-      ArrivalKind::kConstant, ArrivalKind::kPoisson, ArrivalKind::kGamma,
-      ArrivalKind::kBursty,   ArrivalKind::kPeriodic,
-      ArrivalKind::kSporadic};
-  if (key == "rps") {
-    if (!want_kind(kOpenKinds)) return false;
-    if (!ParseDouble(value, &x) || x <= 0.0) {
-      return FailPath(error, path, "wants a double > 0");
-    }
-    w.rps = x;
-    return true;
-  }
-  if (key == "cv" || key == "scale") {
-    if (!want_kind({key == "cv" ? ArrivalKind::kGamma
-                                : ArrivalKind::kBursty})) {
-      return false;
-    }
-    if (!ParseDouble(value, &x) || x <= 0.0) {
-      return FailPath(error, path, "wants a double > 0");
-    }
-    (key == "cv" ? w.cv : w.scale) = x;
-    return true;
-  }
-  if (key == "len" || key == "gap") {
-    if (!want_kind({ArrivalKind::kBursty})) return false;
-    if (!ParseTime(value, &t) || t <= 0) {
-      return FailPath(error, path, "wants a time > 0");
-    }
-    (key == "len" ? w.burst_len : w.burst_gap) = t;
-    return true;
-  }
-  if (key == "amplitude" || key == "active") {
-    if (!want_kind({key == "amplitude" ? ArrivalKind::kPeriodic
-                                       : ArrivalKind::kSporadic})) {
-      return false;
-    }
-    if (!ParseDouble(value, &x) || x <= 0.0 || x > 1.0) {
-      return FailPath(error, path, "wants a double in (0, 1]");
-    }
-    (key == "amplitude" ? w.amplitude : w.active) = x;
-    return true;
-  }
-  if (key == "period" || key == "spike") {
-    if (!want_kind({key == "period" ? ArrivalKind::kPeriodic
-                                    : ArrivalKind::kSporadic})) {
-      return false;
-    }
-    if (!ParseTime(value, &t) || t <= 0) {
-      return FailPath(error, path, "wants a time > 0");
-    }
-    (key == "period" ? w.period : w.spike) = t;
-    return true;
-  }
-  if (key == "clients") {
-    if (!want_kind({ArrivalKind::kClosed})) return false;
-    if (!ParseInt(value, &i) || i < 1) {
-      return FailPath(error, path, "wants an int >= 1");
-    }
-    w.clients = i;
-    return true;
-  }
-  if (key == "think") {
-    if (!want_kind({ArrivalKind::kClosed})) return false;
-    if (!ParseTime(value, &t) || t <= 0) {
-      return FailPath(error, path, "wants a time > 0");
-    }
-    w.think = t;
-    return true;
-  }
-  if (key == "start" || key == "warmup") {
-    if (!ParseTime(value, &t)) {
-      return FailPath(error, path, "wants a time (e.g. 10s)");
-    }
-    (key == "start" ? w.start : w.warmup) = t;
-    return true;
-  }
-  if (key == "duration") {
-    if (!ParseTime(value, &t) || t <= 0) {
-      return FailPath(error, path, "wants a time > 0");
-    }
-    w.duration = t;
-    return true;
-  }
-  if (key == "seed") {
-    return FailPath(error, path,
-                    "the sweep's seed axis owns per-run seeding");
-  }
-  return FailPath(error, path, "unknown workload key '" + key + "'");
 }
 
 /**
@@ -393,22 +148,17 @@ ApplyChaosIntensity(ExperimentSpec* spec, const std::string& path,
                     const std::string& value, std::string* error)
 {
   double intensity = 0.0;
-  if (!ParseDouble(value, &intensity) || intensity <= 0.0) {
+  if (!spec_text::ParseDouble(value, &intensity) || intensity <= 0.0) {
     return FailPath(error, path, "wants a double > 0");
   }
   chaos::ScenarioSpec scaled(spec->chaos().name());
   for (chaos::ScenarioEvent e : spec->chaos().events()) {
-    switch (e.kind) {
-      case chaos::FaultKind::kTrafficSurge:
-        e.magnitude *= intensity;
-        break;
-      case chaos::FaultKind::kOverload:
-      case chaos::FaultKind::kColdStartInflation:
-      case chaos::FaultKind::kStorageBrownout:
-        e.magnitude = 1.0 + (e.magnitude - 1.0) * intensity;
-        break;
-      default:
-        break;
+    if (e.kind == chaos::FaultKind::kTrafficSurge) {
+      e.magnitude *= intensity;
+    } else if (e.kind == chaos::FaultKind::kOverload
+               || e.kind == chaos::FaultKind::kColdStartInflation
+               || e.kind == chaos::FaultKind::kStorageBrownout) {
+      e.magnitude = 1.0 + (e.magnitude - 1.0) * intensity;
     }
     scaled.Add(e);
   }
@@ -422,32 +172,29 @@ bool
 ApplyParam(ExperimentSpec* spec, const std::string& path,
            const std::string& value, std::string* error)
 {
-  const std::string cluster_key =
-      spec_text::StripPrefix(path, "cluster.");
-  if (!cluster_key.empty()) {
-    return ApplyClusterParam(spec, path, cluster_key, value, error);
-  }
-  if (path.compare(0, 7, "deploy[") == 0) {
-    return ApplyDeployParam(spec, path, value, error);
-  }
-  if (path.compare(0, 9, "workload[") == 0) {
-    return ApplyWorkloadParam(spec, path, value, error);
-  }
   if (path == "chaos.intensity") {
     return ApplyChaosIntensity(spec, path, value, error);
   }
-  if (path == "run.for") {
-    TimeUs t = 0;
-    if (!spec_text::ParseTime(value, &t) || t <= 0) {
-      return FailPath(error, path, "wants a time > 0");
-    }
-    spec->RunFor(t);
-    return true;
+  Edit edit;
+  if (!Locate(path, &edit, error)) return false;
+  if (edit.key == "seed" && edit.directive != "deploy") {
+    return FailPath(error, path, "the sweep's seed axis owns per-run seeding");
   }
-  return FailPath(error, path,
-                  "unknown parameter path (want cluster.<key>, "
-                  "deploy[i].<key>, workload[i].<key>, "
-                  "chaos.intensity or run.for)");
+  if (edit.directive == "deploy"
+      && (edit.key == "model" || edit.key == "name")) {
+    return FailPath(error, path,
+                    "sweeping the function identity would compare "
+                    "different workloads, not policies");
+  }
+  // A splice must stay one token: "20 start=5s" would smuggle in a
+  // second key, and a '#' would comment out the rest of the line.
+  const char* kBreaks = " \t\n\v\f\r#";
+  if (value.empty() || value.find_first_of(kBreaks) != std::string::npos
+      || edit.key.find_first_of(kBreaks) != std::string::npos) {
+    return FailPath(error, path,
+                    "value must be one token (no whitespace or '#')");
+  }
+  return ApplyEdit(spec, path, edit, value, error);
 }
 
 }  // namespace dilu::experiment

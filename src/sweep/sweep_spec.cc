@@ -1,6 +1,8 @@
 #include "sweep/sweep_spec.h"
 
+#include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/spec_text.h"
@@ -39,6 +41,13 @@ ParseSeedsLine(std::istringstream& toks, int line_no, SweepSpec* spec,
     if (toks >> rest) {
       return Fail(error, line_no, "unexpected trailing '" + rest + "'");
     }
+  }
+  // Run k is seeded base + k; a wrap to 0 would read as "no override".
+  if (base > std::numeric_limits<std::uint64_t>::max()
+                 - static_cast<std::uint64_t>(n - 1)) {
+    return Fail(error, line_no,
+                "seeds base=" + std::to_string(base) + " + "
+                    + std::to_string(n - 1) + " overflows a uint64 seed");
   }
   spec->Seeds(n, base);
   return true;

@@ -226,6 +226,7 @@ TEST(Scenario, ParseRejectsMalformedLines)
       "at 10s fail_gpu -3",          // negative target
       "at 10s explode 1",            // unknown verb
       "at 10s surge fn=0 rps=0 for 5s",   // non-positive rate
+      "at 10s surge fn=0 rps=nan for 5s",  // non-finite rate
       "at 10s inflate_coldstart 2.5 for 5s",  // missing x prefix
       "at 10s surge fn=0 rps=10 for 5s extra",  // trailing garbage
       "fail_gpu 0",                  // missing 'at'

@@ -94,6 +94,20 @@ TEST(ExperimentSpecText, RoundTripIsByteIdentical)
   EXPECT_EQ(parsed.export_prefix(), "/tmp/dilu_exp_roundtrip");
   ASSERT_TRUE(parsed.cluster().recovery.has_value());
   EXPECT_EQ(*parsed.cluster().recovery, "greedy");
+
+  // Doubles print in as many digits as they need: the printed spec
+  // must describe the same run, not one rounded to 6 digits.
+  ExperimentSpec precise("precise");
+  precise.AddInference("bert-base");
+  precise.AddPoisson(0, 12.3456789, Sec(10));
+  precise.chaos().Overload(Sec(1), 0, 10.0 / 3.0, Sec(2));
+  const std::string precise_text = precise.ToText();
+  ASSERT_TRUE(ExperimentSpec::Parse(precise_text, &parsed, &error))
+      << error << "\n" << precise_text;
+  EXPECT_EQ(parsed.ToText(), precise_text);
+  EXPECT_EQ(parsed.workloads()[0].rps, 12.3456789) << precise_text;
+  EXPECT_EQ(parsed.chaos().events()[0].magnitude, 10.0 / 3.0)
+      << precise_text;
 }
 
 TEST(ExperimentSpecText, AcceptsCommentsAndBlankLines)
@@ -127,6 +141,12 @@ TEST(ExperimentSpecText, RejectsBadLinesWithLineNumbers)
       "deploy model=bert-base\nworkload fn=0 poisson rps=30",  // no 'for'
       "deploy model=bert-base\nworkload fn=0 warp rps=3 for 5s",  // kind
       "deploy model=bert-base\nworkload fn=0 poisson rps=-1 for 5s",
+      // Non-finite numbers slip past `x <= 0` range checks.
+      "deploy model=bert-base\nworkload fn=0 poisson rps=nan for 5s",
+      "deploy model=bert-base\nworkload fn=0 poisson rps=inf for 5s",
+      "deploy model=bert-base\nworkload fn=0 periodic rps=5 "
+      "amplitude=nan for 5s",
+      "storage gc=nan",
       "deploy model=bert-base\nchaos at 5s surge fn=3 rps=10 for 2s",
       "deploy model=bert-base\nchaos at 5s checkpoint_every fn=0 every=5s",
       "deploy model=bert-base training\nworkload fn=0 poisson rps=9 for 5s",

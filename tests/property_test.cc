@@ -19,7 +19,7 @@ namespace {
 
 /** Invariant: arbiter grants never exceed device capacity. */
 class CapacityInvariantTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(CapacityInvariantTest, GrantsSumWithinCapacity)
 {
@@ -149,7 +149,7 @@ INSTANTIATE_TEST_SUITE_P(AllModels, SloMonotoneTest,
  *  latency is non-negative, across presets and load levels (no request
  *  is lost or double-counted through scaling/termination paths). */
 class ConservationTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(ConservationTest, RequestsConserved)
 {
@@ -157,7 +157,7 @@ TEST_P(ConservationTest, RequestsConserved)
   core::System system(core::SystemConfig::Preset(preset));
   const FunctionId fn = system.DeployInference("bert-base");
   system.Provision(fn, 2);
-  if (std::string(preset) == "dilu") system.EnableCoScaling(fn);
+  if (preset == "dilu") system.EnableCoScaling(fn);
   system.DrivePoisson(fn, rps, Sec(20));
   // Count completions independently of the metrics hub.
   std::int64_t completions = 0;

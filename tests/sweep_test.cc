@@ -17,11 +17,13 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "chaos/scenario.h"
+#include "common/spec_text.h"
 #include "common/types.h"
 #include "experiment/experiment.h"
 #include "experiment/experiment_spec.h"
@@ -140,6 +142,9 @@ TEST(SweepSpec, ParseRejectsMalformedSpecsWithLineNumbers)
       {"sweep s\nbase q\nrequire warp <= 5\n", "unknown metric"},
       {"sweep s\nbase q\nrequire p99_ms <= 1.2x\n", "x baseline"},
       {"sweep s\nbase q\nrequire shed <= -1\n", "bound >= 0"},
+      {"sweep s\nbase q\nrequire shed <= nan\n", "bound >= 0"},
+      {"sweep s\nbase q\nseeds 2 base=18446744073709551615\n",
+       "overflows"},
       {"sweep s\nbase q\nrequire shed <= 5 junk\n", "trailing"},
       {"sweep s extra\n", "trailing"},
       {"sweep s\nbase q\nexplode\n", "unknown directive"},
@@ -263,6 +268,155 @@ TEST(SpecParams, RunForAndUnknownPaths)
   EXPECT_FALSE(ApplyParam(&spec, "run.for", "0s", &error));
   EXPECT_FALSE(ApplyParam(&spec, "nonsense.path", "1", &error));
   EXPECT_NE(error.find("unknown parameter path"), std::string::npos);
+}
+
+TEST(SpecParams, RejectionsNameThePathAndKeepTheSpec)
+{
+  ExperimentSpec spec = TinyBase();
+  const std::string before = spec.ToText();
+  std::string error;
+  // Spliced into the text, these would add a second key or comment out
+  // the rest of the line.
+  for (const char* value : {"20 start=5s", "20#", "20\tstart=5s", ""}) {
+    SCOPED_TRACE(value);
+    EXPECT_FALSE(ApplyParam(&spec, "workload[0].rps", value, &error));
+    EXPECT_EQ(error.find("workload[0].rps: "), 0u) << error;
+    EXPECT_NE(error.find("one token"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(ApplyParam(&spec, "cluster.nodes=2 rc", "off", &error));
+  // A loader rejection carries the loader's reason, minus the line
+  // number of the edited text.
+  EXPECT_FALSE(ApplyParam(&spec, "cluster.nodes", "0", &error));
+  EXPECT_EQ(error, "cluster.nodes: nodes must be a positive int");
+  EXPECT_FALSE(ApplyParam(&spec, "workload[0].rps", "nan", &error));
+  EXPECT_EQ(error, "workload[0].rps: rps must be > 0");
+  // fn= and the arrival kind are positional, not sweepable keys.
+  EXPECT_FALSE(ApplyParam(&spec, "workload[0].fn", "0", &error));
+  EXPECT_NE(error.find("unknown workload key"), std::string::npos);
+  EXPECT_EQ(spec.ToText(), before);
+}
+
+using Tokens = std::vector<std::string>;
+
+std::vector<Tokens>
+SplitTokens(const std::string& text)
+{
+  std::vector<Tokens> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream toks(line);
+    Tokens t;
+    for (std::string tok; toks >> tok;) t.push_back(tok);
+    lines.push_back(t);
+  }
+  return lines;
+}
+
+std::string
+JoinTokens(const std::vector<Tokens>& lines)
+{
+  std::string text;
+  for (const Tokens& t : lines) {
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      text += (i == 0 ? "" : " ") + t[i];
+    }
+    text += "\n";
+  }
+  return text;
+}
+
+/**
+ * Values to try in place of `value`, none a grammar default (a default
+ * would drop the token from the canonical text).
+ */
+std::vector<std::string>
+OtherValues(const std::string& value)
+{
+  TimeUs t = 0;
+  std::int32_t i = 0;
+  double x = 0.0;
+  if (spec_text::ParseTime(value, &t)) {
+    return {spec_text::FormatTime(t + Ms(1))};
+  }
+  if (spec_text::ParseInt(value, &i)) return {std::to_string(i + 1)};
+  if (spec_text::ParseDouble(value, &x)) {
+    return {spec_text::FormatDouble(x * 0.9)};
+  }
+  return {"off",       "on",        "greedy",     "joint",  "static",
+          "exclusive", "tgs",       "fastgs",     "limit",  "request",
+          "full",      "eager",     "keep-alive", "dilu-lazy",
+          "best_effort", "critical", "dilu"};
+}
+
+// The loader is the only validator: for every sweepable token of every
+// gallery spec, re-applying its own value is the identity and applying
+// another accepted value changes that token and nothing else.
+TEST(SpecParams, GalleryTokensEditInPlace)
+{
+  int edits = 0;
+  for (const experiment::GalleryEntry& entry :
+       experiment::ListGallery(DILU_EXPERIMENTS_DIR, ".exp")) {
+    SCOPED_TRACE(entry.name);
+    ExperimentSpec base;
+    std::string error;
+    ASSERT_TRUE(ExperimentSpec::Parse(ReadFileOrEmpty(entry.path), &base,
+                                      &error))
+        << error;
+    const std::string text = base.ToText();
+    const std::vector<Tokens> lines = SplitTokens(text);
+    ASSERT_EQ(JoinTokens(lines), text);
+    std::map<std::string, int> seen;
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+      const std::string& head = lines[l][0];
+      if (head != "cluster" && head != "deploy" && head != "workload"
+          && head != "run") {
+        continue;
+      }
+      const std::string prefix =
+          head == "cluster" || head == "run"
+              ? head + "."
+              : head + "[" + std::to_string(seen[head]++) + "].";
+      for (std::size_t t = head == "workload" ? 3 : 1;
+           t < lines[l].size(); ++t) {
+        std::size_t at = t;
+        std::string key;
+        std::string value;
+        const bool operand = lines[l][t] == "for";
+        if (operand) {
+          key = head == "run" ? "for" : "duration";
+          at = ++t;
+          value = lines[l][at];
+        } else {
+          const std::size_t eq = lines[l][t].find('=');
+          if (eq == std::string::npos) continue;  // the `training` word
+          key = lines[l][t].substr(0, eq);
+          value = lines[l][t].substr(eq + 1);
+        }
+        if (key == "seed" || key == "model" || key == "name") continue;
+        const std::string path = prefix + key;
+        SCOPED_TRACE(path + " " + value);
+        ExperimentSpec same = base;
+        ASSERT_TRUE(ApplyParam(&same, path, value, &error)) << error;
+        EXPECT_EQ(same.ToText(), text);
+
+        bool changed = false;
+        for (const std::string& other : OtherValues(value)) {
+          ExperimentSpec edited = base;
+          if (other == value || !ApplyParam(&edited, path, other, &error)) {
+            continue;
+          }
+          std::vector<Tokens> expected = lines;
+          expected[l][at] = operand ? other : key + "=" + other;
+          EXPECT_EQ(edited.ToText(), JoinTokens(expected));
+          changed = true;
+          break;
+        }
+        EXPECT_TRUE(changed) << "no other value was accepted";
+        ++edits;
+      }
+    }
+  }
+  EXPECT_GE(edits, 100) << "experiments/ gallery went missing?";
 }
 
 // --- expansion -------------------------------------------------------
