@@ -613,8 +613,8 @@ ClusterRuntime::SampleCluster()
   s.mem_fragmentation = state_.MemoryFragmentation();
   double util = 0.0;
   int active = 0;
-  for (std::size_t g = 0; g < gpu_group_->gpu_count(); ++g) {
-    const gpusim::Gpu& gpu = gpu_group_->gpu(static_cast<GpuId>(g));
+  for (const GpuId g : gpu_group_->live_gpus()) {
+    const gpusim::Gpu& gpu = gpu_group_->gpu(g);
     if (gpu.occupied()) {
       ++active;
       util += gpu.used_share();

@@ -382,6 +382,14 @@ ParseDeployLine(std::istringstream& toks, int line_no, DeploySpec* d,
   bool have_model = false;
   bool have_class = false;
   bool have_backoff = false;
+  // A key's presence, not its value, makes it wrong on the other task
+  // type: `workers=1` on an inference deploy is a typo, not a no-op.
+  bool have_workers = false;
+  bool have_iterations = false;
+  bool have_start = false;
+  bool have_provision = false;
+  bool have_retries = false;
+  bool have_shards = false;
   while (toks >> tok) {
     std::string v;
     std::int32_t i = 0;
@@ -401,16 +409,19 @@ ParseDeployLine(std::istringstream& toks, int line_no, DeploySpec* d,
         return Fail(error, line_no, "shards must be >= 1");
       }
       d->fn.shards = i;
+      have_shards = true;
     } else if (!(v = StripPrefix(tok, "workers=")).empty()) {
       if (!ParseInt(v, &i) || i < 1) {
         return Fail(error, line_no, "workers must be >= 1");
       }
       d->fn.workers = i;
+      have_workers = true;
     } else if (!(v = StripPrefix(tok, "iterations=")).empty()) {
       if (!ParseInt(v, &i) || i < 0) {
         return Fail(error, line_no, "iterations must be >= 0");
       }
       d->fn.target_iterations = i;
+      have_iterations = true;
     } else if (!(v = StripPrefix(tok, "checkpoint_every=")).empty()) {
       if (!ParseTime(v, &t) || t <= 0) {
         return Fail(error, line_no, "checkpoint_every wants a time > 0");
@@ -426,6 +437,7 @@ ParseDeployLine(std::istringstream& toks, int line_no, DeploySpec* d,
         return Fail(error, line_no, "provision must be >= 0");
       }
       d->provision = i;
+      have_provision = true;
     } else if (!(v = StripPrefix(tok, "scaler=")).empty()) {
       if (!OneOf(v, {"dilu-lazy", "eager", "keep-alive"})) {
         return Fail(error, line_no, "unknown scaler '" + v + "'");
@@ -447,6 +459,7 @@ ParseDeployLine(std::istringstream& toks, int line_no, DeploySpec* d,
         return Fail(error, line_no, "retries must be >= 0");
       }
       d->fn.retry_budget = i;
+      have_retries = true;
     } else if (!(v = StripPrefix(tok, "backoff=")).empty()) {
       if (!ParseTime(v, &t) || t <= 0) {
         return Fail(error, line_no, "backoff wants a time > 0");
@@ -463,6 +476,7 @@ ParseDeployLine(std::istringstream& toks, int line_no, DeploySpec* d,
         return Fail(error, line_no, "start wants a time (e.g. 10s)");
       }
       d->start = t;
+      have_start = true;
     } else {
       return Fail(error, line_no, "unknown deploy key '" + tok + "'");
     }
@@ -471,25 +485,25 @@ ParseDeployLine(std::istringstream& toks, int line_no, DeploySpec* d,
     return Fail(error, line_no, "deploy needs model=<catalog-name>");
   }
   if (d->fn.type == TaskType::kInference) {
-    if (d->start > 0) {
+    if (have_start) {
       return Fail(error, line_no,
                   "start= applies to training deploys only "
                   "(inference provisions at t=0)");
     }
-    if (d->fn.workers != 1 || d->fn.target_iterations > 0
-        || d->fn.checkpoint_every > 0 || d->fn.checkpoint_save_cost > 0) {
+    if (have_workers || have_iterations || d->fn.checkpoint_every > 0
+        || d->fn.checkpoint_save_cost > 0) {
       return Fail(error, line_no,
                   "workers/iterations/checkpoint keys apply to "
                   "training deploys only (add the 'training' word)");
     }
   } else {
-    if (d->provision > 0 || !d->scaler.empty() || d->fn.shards != 1) {
+    if (have_provision || !d->scaler.empty() || have_shards) {
       return Fail(error, line_no,
                   "provision/scaler/shards apply to inference deploys "
                   "only");
     }
     if (have_class || have_backoff || d->fn.queue_cap > 0
-        || d->fn.retry_budget > 0 || d->fn.deadline > 0) {
+        || have_retries || d->fn.deadline > 0) {
       return Fail(error, line_no,
                   "class/queue_cap/retries/backoff/deadline apply to "
                   "inference deploys only");

@@ -83,12 +83,6 @@ Gpu::RecordQuantum(TimeUs now)
 }
 
 double
-Gpu::AverageUtilization(TimeUs now) const
-{
-  return utilization_.Average(now);
-}
-
-double
 Gpu::UtilizationIntegral(TimeUs now) const
 {
   return utilization_.Integral(now);

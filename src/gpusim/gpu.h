@@ -68,6 +68,14 @@ class GpuClient {
    * non-SLO-sensitive clients may return 0.
    */
   virtual double KlcInflation() const;
+
+ private:
+  friend class GpuGroup;
+  /**
+   * Engine-owned: set while the quantum's FinishQuantum list already
+   * holds this client (an O(1) dedupe); false between quanta.
+   */
+  bool finish_queued_ = false;
 };
 
 /** One instance's attachment to one GPU. */
@@ -138,9 +146,6 @@ class Gpu {
 
   /** Record the post-arbitration utilization for this quantum. */
   void RecordQuantum(TimeUs now);
-
-  /** Time-weighted average compute utilization since attach. */
-  double AverageUtilization(TimeUs now) const;
 
   /**
    * Integral of granted share over time (share-microseconds),

@@ -50,15 +50,20 @@ GpuGroup::Attach(GpuId id, const Attachment& att)
   Gpu& g = gpu(id);
   g.Attach(att);
   arbiters_[id]->OnAttach(g, att);
+  const auto at = std::lower_bound(live_.begin(), live_.end(), id);
+  if (at == live_.end() || *at != id) live_.insert(at, id);
 }
 
 void
 GpuGroup::DetachEverywhere(InstanceId instance)
 {
-  for (std::size_t i = 0; i < gpus_.size(); ++i) {
-    if (gpus_[i]->Has(instance)) {
-      arbiters_[i]->OnDetach(*gpus_[i], instance);
-      gpus_[i]->Detach(instance);
+  // Every GPU holding an attachment is live; the emptied ones stay
+  // listed until the next quantum's phase 5.
+  for (const GpuId id : live_) {
+    Gpu& g = *gpus_[id];
+    if (g.Has(instance)) {
+      arbiters_[id]->OnDetach(g, instance);
+      g.Detach(instance);
     }
   }
 }
@@ -82,39 +87,49 @@ void
 GpuGroup::Tick()
 {
   // Phase 1: demands.
-  for (auto& g : gpus_) {
-    for (Attachment& a : g->attachments()) {
+  for (const GpuId id : live_) {
+    for (Attachment& a : gpus_[id]->attachments()) {
       a.demand = std::clamp(a.client->ComputeDemand(a.slot), 0.0, 1.0);
       a.granted = 0.0;
     }
   }
   // Phase 2: per-GPU arbitration.
   const TimeUs now = sim_->now();
-  for (std::size_t i = 0; i < gpus_.size(); ++i) {
-    if (!gpus_[i]->attachments().empty()) {
-      arbiters_[i]->Resolve(*gpus_[i], now);
-    }
+  for (const GpuId id : live_) {
+    if (gpus_[id]->occupied()) arbiters_[id]->Resolve(*gpus_[id], now);
   }
   // Phase 3: deliver grants.
-  for (auto& g : gpus_) {
-    for (Attachment& a : g->attachments()) {
+  for (const GpuId id : live_) {
+    for (Attachment& a : gpus_[id]->attachments()) {
       a.client->OnGrant(a.slot, a.granted);
     }
   }
-  // Phase 4: advance each distinct client exactly once.
-  std::vector<GpuClient*> clients;
-  for (auto& g : gpus_) {
-    for (Attachment& a : g->attachments()) {
-      if (std::find(clients.begin(), clients.end(), a.client)
-          == clients.end()) {
-        clients.push_back(a.client);
+  // Phase 4: advance each distinct client exactly once, in first-seen
+  // order. Callbacks may Attach (a newly live GPU is recorded below) or
+  // detach.
+  finishing_.clear();
+  for (const GpuId id : live_) {
+    for (Attachment& a : gpus_[id]->attachments()) {
+      if (!a.client->finish_queued_) {
+        a.client->finish_queued_ = true;
+        finishing_.push_back(a.client);
       }
     }
   }
-  for (GpuClient* c : clients) c->FinishQuantum(quantum_);
+  for (GpuClient* c : finishing_) {
+    c->finish_queued_ = false;
+    c->FinishQuantum(quantum_);
+  }
 
-  // Phase 5: utilization accounting.
-  for (auto& g : gpus_) g->RecordQuantum(now);
+  // Phase 5: utilization accounting. An unattached GPU records its
+  // 0-share sample and leaves the live list: with a last value of 0 its
+  // integral is exact without further samples.
+  std::size_t kept = 0;
+  for (const GpuId id : live_) {
+    gpus_[id]->RecordQuantum(now);
+    if (gpus_[id]->occupied()) live_[kept++] = id;
+  }
+  live_.resize(kept);
 }
 
 }  // namespace dilu::gpusim

@@ -29,6 +29,9 @@ using ArbiterFactory = std::function<std::unique_ptr<ShareArbiter>(GpuId)>;
  * Per quantum: (1) collect demands from every attachment, (2) run each
  * GPU's arbiter, (3) deliver grants, (4) let each distinct client
  * advance its in-flight work once, (5) record utilization.
+ *
+ * Every phase walks only the live GPUs (see live_gpus()), so a quantum
+ * costs O(occupied GPUs + their attachments), not O(fleet).
  */
 class GpuGroup {
  public:
@@ -49,11 +52,23 @@ class GpuGroup {
 
   ShareArbiter& arbiter(GpuId id);
 
-  /** Attach an instance shard to a GPU (notifies the arbiter). */
+  /**
+   * Attach an instance shard to a GPU (notifies the arbiter). Safe from
+   * a FinishQuantum callback; not from ComputeDemand or OnGrant.
+   */
   void Attach(GpuId id, const Attachment& att);
 
   /** Detach an instance from every GPU it occupies. */
   void DetachEverywhere(InstanceId instance);
+
+  /**
+   * The GPUs the quantum engine walks, in ascending id order: every GPU
+   * holding an attachment, plus each GPU emptied since the last quantum
+   * until that quantum records its idle (0-share) sample. A GPU joins
+   * in Attach; after its idle sample its utilization integral is final
+   * until the next Attach, so it needs no further samples.
+   */
+  const std::vector<GpuId>& live_gpus() const { return live_; }
 
   TimeUs quantum() const { return quantum_; }
 
@@ -71,6 +86,8 @@ class GpuGroup {
   TimeUs quantum_;
   std::vector<std::unique_ptr<Gpu>> gpus_;
   std::vector<std::unique_ptr<ShareArbiter>> arbiters_;
+  std::vector<GpuId> live_;             ///< sorted ascending
+  std::vector<GpuClient*> finishing_;   ///< phase-4 scratch, reused
   bool started_ = false;
 };
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Steady-state allocation tests for the event core.
+ * Steady-state allocation tests for the event core and the GPU quantum
+ * engine.
  *
  * The acceptance bar for the hot-path overhaul: EventQueue::ScheduleAt,
  * Cancel and RunOne perform ZERO heap allocations in steady state for
@@ -14,9 +15,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
+#include "gpusim/gpu_group.h"
+#include "rckm/token_manager.h"
 #include "sim/event_queue.h"
+#include "sim/simulation.h"
 
 namespace {
 
@@ -113,3 +119,67 @@ TEST(EventQueueAlloc, OversizedCapturesStillWorkViaHeapFallback)
 
 }  // namespace
 }  // namespace dilu::sim
+
+namespace dilu::gpusim {
+namespace {
+
+/** A client that always wants the same share and does no work. */
+class StubClient : public GpuClient {
+ public:
+  explicit StubClient(InstanceId id) : id_(id) {}
+  InstanceId client_id() const override { return id_; }
+  double ComputeDemand(int /*slot*/) override { return 0.3; }
+  void OnGrant(int /*slot*/, double share) override { granted_ += share; }
+  void FinishQuantum(TimeUs /*quantum*/) override { ++quanta_; }
+  int quanta() const { return quanta_; }
+
+ private:
+  InstanceId id_;
+  double granted_ = 0.0;
+  int quanta_ = 0;
+};
+
+TEST(GpuGroupAlloc, SteadyStateTickIsAllocationFree)
+{
+  sim::Simulation sim;
+  GpuGroup group(&sim, [](GpuId) {
+    return std::make_unique<rckm::DiluArbiter>();
+  });
+  constexpr int kGpus = 4;
+  for (int g = 0; g < kGpus; ++g) group.AddGpu(40.0);
+  // Three collocated clients per GPU; the last one also spans GPU 0, so
+  // the phase-4 dedupe sees a repeat every quantum.
+  std::vector<std::unique_ptr<StubClient>> clients;
+  for (int g = 0; g < kGpus; ++g) {
+    for (int k = 0; k < 3; ++k) {
+      clients.push_back(std::make_unique<StubClient>(
+          static_cast<InstanceId>(clients.size())));
+      Attachment att;
+      att.client = clients.back().get();
+      att.id = clients.back()->client_id();
+      att.quota = SmQuota{0.3, 0.6};
+      att.memory_gb = 2.0;
+      group.Attach(static_cast<GpuId>(g), att);
+    }
+  }
+  Attachment span;
+  span.client = clients.back().get();
+  span.id = clients.back()->client_id();
+  span.slot = 1;
+  span.quota = SmQuota{0.3, 0.6};
+  span.memory_gb = 2.0;
+  group.Attach(0, span);
+
+  // Warm-up: arbiter scratch and the engine's client list reach their
+  // high-water marks.
+  for (int i = 0; i < 100; ++i) group.TickOnce();
+
+  const std::size_t baseline = g_allocations;
+  for (int i = 0; i < 1000; ++i) group.TickOnce();
+  EXPECT_EQ(g_allocations, baseline)
+      << "GpuGroup::TickOnce allocated in steady state";
+  for (const auto& c : clients) EXPECT_EQ(c->quanta(), 1100);
+}
+
+}  // namespace
+}  // namespace dilu::gpusim

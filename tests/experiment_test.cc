@@ -179,6 +179,13 @@ TEST(ExperimentSpecText, RejectsBadLinesWithLineNumbers)
       "deploy model=bert-base training queue_cap=8",     // training deploy
       "deploy model=bert-base training retries=1",       // training deploy
       "deploy model=bert-base training backoff=1s",      // training deploy
+      // Default values too: the key, not its value, is misplaced.
+      "deploy model=bert-base workers=1",                // training key
+      "deploy model=bert-base iterations=0",             // training key
+      "deploy model=bert-base start=0s",                 // training key
+      "deploy model=bert-base training provision=0",     // inference key
+      "deploy model=bert-base training retries=0",       // inference key
+      "deploy model=bert-base training shards=1",        // inference key
       // New chaos verbs cross-validate their fn reference.
       "deploy model=bert-base\nchaos at 5s overload fn=3 x4 for 2s",
       "deploy model=bert-base training\n"

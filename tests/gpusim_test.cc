@@ -1,7 +1,12 @@
 /** @file Unit tests for the GPU substrate (device, arbiters, engine). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "gpusim/gpu.h"
 #include "gpusim/gpu_group.h"
@@ -195,6 +200,163 @@ TEST(GpuGroup, PeriodicTickRunsOnSimulation)
   group.Start();
   sim.RunUntil(Ms(50));
   EXPECT_EQ(c.quanta(), 10);  // 50 ms / 5 ms
+}
+
+/** A StaticArbiter that counts its Resolve calls. */
+class CountingArbiter : public StaticArbiter {
+ public:
+  explicit CountingArbiter(int* resolves) : resolves_(resolves) {}
+  void Resolve(Gpu& gpu, TimeUs now) override {
+    ++*resolves_;
+    StaticArbiter::Resolve(gpu, now);
+  }
+
+ private:
+  int* resolves_;
+};
+
+/** Logs each FinishQuantum by name, then runs an optional hook. */
+class LoggingClient : public FakeClient {
+ public:
+  LoggingClient(InstanceId id, std::string name,
+                std::vector<std::string>* log)
+      : FakeClient(id), name_(std::move(name)), log_(log) {}
+  void FinishQuantum(TimeUs q) override {
+    FakeClient::FinishQuantum(q);
+    log_->push_back(name_);
+    if (on_finish) on_finish();
+  }
+
+  std::function<void()> on_finish;
+
+ private:
+  std::string name_;
+  std::vector<std::string>* log_;
+};
+
+/** A 4,096-GPU group whose arbiters count Resolve calls. */
+struct CountingFleet {
+  explicit CountingFleet(int gpus = 4096)
+      : group(&sim, [this](GpuId) {
+          return std::make_unique<CountingArbiter>(&resolves);
+        })
+  {
+    for (int g = 0; g < gpus; ++g) group.AddGpu(40.0);
+  }
+
+  sim::Simulation sim;
+  int resolves = 0;
+  GpuGroup group;
+};
+
+TEST(GpuGroupLive, TickResolvesOnlyOccupiedGpus)
+{
+  CountingFleet f;
+  std::vector<std::unique_ptr<FakeClient>> clients;
+  std::vector<GpuId> hosts;
+  for (int i = 0; i < 44; ++i) {
+    // Attach out of id order: the live list must still come out sorted.
+    const GpuId g = static_cast<GpuId>((i * 1031) % 4096);
+    clients.push_back(std::make_unique<FakeClient>(i, 0.3));
+    f.group.Attach(g, MakeAttachment(clients.back().get(), 0.5));
+    hosts.push_back(g);
+  }
+  std::sort(hosts.begin(), hosts.end());
+  EXPECT_EQ(f.group.live_gpus(), hosts);
+  for (int tick = 1; tick <= 10; ++tick) {
+    f.group.TickOnce();
+    EXPECT_EQ(f.resolves, 44 * tick);
+  }
+  EXPECT_EQ(f.group.live_gpus(), hosts);
+  for (const auto& c : clients) EXPECT_EQ(c->quanta(), 10);
+}
+
+TEST(GpuGroupLive, DetachedGpuRecordsOneIdleQuantumThenFreezes)
+{
+  CountingFleet f;
+  FakeClient c(1, 0.5);
+  f.group.Attach(5, MakeAttachment(&c, 1.0));
+  f.group.Start();
+  f.sim.RunUntil(Ms(22));  // ticks at 5, 10, 15, 20 ms
+  f.group.DetachEverywhere(1);
+  // Emptied, but listed until its idle sample is recorded.
+  EXPECT_EQ(f.group.live_gpus(), std::vector<GpuId>{5});
+  EXPECT_DOUBLE_EQ(f.group.gpu(5).used_share(), 0.5);
+
+  f.sim.RunUntil(Ms(25));  // the one idle quantum
+  EXPECT_TRUE(f.group.live_gpus().empty());
+  EXPECT_DOUBLE_EQ(f.group.gpu(5).used_share(), 0.0);
+  const double integral = f.group.gpu(5).UtilizationIntegral(Ms(25));
+  EXPECT_DOUBLE_EQ(integral, 0.5 * static_cast<double>(Ms(20)));
+
+  const int resolves = f.resolves;
+  f.sim.RunUntil(Sec(1));
+  EXPECT_EQ(f.resolves, resolves);
+  EXPECT_DOUBLE_EQ(f.group.gpu(5).UtilizationIntegral(Sec(1)), integral);
+  EXPECT_EQ(c.quanta(), 4);
+}
+
+TEST(GpuGroupLive, MultiSlotClientFinishesOncePerTickInFirstSeenOrder)
+{
+  CountingFleet f;
+  std::vector<std::string> log;
+  LoggingClient a(1, "a", &log);
+  LoggingClient b(2, "b", &log);
+  LoggingClient c(3, "c", &log);
+  f.group.Attach(10, MakeAttachment(&a, 0.3, 4.0, 0, /*slot=*/0));
+  f.group.Attach(7, MakeAttachment(&b, 0.3));
+  f.group.Attach(3, MakeAttachment(&a, 0.3, 4.0, 0, /*slot=*/1));
+  f.group.Attach(3, MakeAttachment(&c, 0.3));
+  for (int tick = 0; tick < 3; ++tick) f.group.TickOnce();
+  // Walked by ascending GPU id: GPU 3 shows a then c, GPU 7 shows b,
+  // and GPU 10's second sighting of a is deduplicated.
+  const std::vector<std::string> want = {"a", "c", "b", "a", "c",
+                                         "b", "a", "c", "b"};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(f.resolves, 9);
+}
+
+TEST(GpuGroupLive, FinishQuantumMayAttachAndDetach)
+{
+  CountingFleet f;
+  std::vector<std::string> log;
+  LoggingClient grower(1, "grower", &log);
+  LoggingClient leaver(2, "leaver", &log);
+  FakeClient low(3, 0.2);
+  FakeClient high(4, 0.2);
+  f.group.Attach(100, MakeAttachment(&grower, 0.5));
+  f.group.Attach(200, MakeAttachment(&leaver, 0.5));
+  // grower attaches fresh GPUs on both sides of the walk in phase 4.
+  bool grown = false;
+  grower.on_finish = [&] {
+    if (grown) return;
+    grown = true;
+    Attachment lo = MakeAttachment(&low, 0.25);
+    lo.granted = 0.25;
+    Attachment hi = MakeAttachment(&high, 0.125);
+    hi.granted = 0.125;
+    f.group.Attach(50, lo);
+    f.group.Attach(300, hi);
+  };
+  leaver.on_finish = [&] { f.group.DetachEverywhere(2); };
+  f.group.TickOnce();
+
+  // The GPUs attached in phase 4 are recorded in phase 5 of the same
+  // tick; the GPU emptied in phase 4 records 0 and leaves at once.
+  EXPECT_EQ(f.group.live_gpus(), (std::vector<GpuId>{50, 100, 300}));
+  EXPECT_DOUBLE_EQ(f.group.gpu(50).used_share(), 0.25);
+  EXPECT_DOUBLE_EQ(f.group.gpu(300).used_share(), 0.125);
+  EXPECT_DOUBLE_EQ(f.group.gpu(200).used_share(), 0.0);
+  EXPECT_EQ(f.resolves, 2);
+  EXPECT_EQ(low.quanta(), 0);
+
+  f.group.TickOnce();
+  EXPECT_EQ(f.resolves, 5);
+  EXPECT_EQ(low.quanta(), 1);
+  EXPECT_EQ(high.quanta(), 1);
+  EXPECT_EQ(leaver.quanta(), 1);
+  EXPECT_EQ(grower.quanta(), 2);
+  EXPECT_DOUBLE_EQ(f.group.gpu(50).used_share(), 0.2);
 }
 
 TEST(Gpu, UtilizationRecording)

@@ -290,6 +290,11 @@ TEST(SpecParams, RejectionsNameThePathAndKeepTheSpec)
   EXPECT_EQ(error, "cluster.nodes: nodes must be a positive int");
   EXPECT_FALSE(ApplyParam(&spec, "workload[0].rps", "nan", &error));
   EXPECT_EQ(error, "workload[0].rps: rps must be > 0");
+  // A default value still puts the key on the wrong task type.
+  EXPECT_FALSE(ApplyParam(&spec, "deploy[0].workers", "1", &error));
+  EXPECT_EQ(error,
+            "deploy[0].workers: workers/iterations/checkpoint keys apply "
+            "to training deploys only (add the 'training' word)");
   // fn= and the arrival kind are positional, not sweepable keys.
   EXPECT_FALSE(ApplyParam(&spec, "workload[0].fn", "0", &error));
   EXPECT_NE(error.find("unknown workload key"), std::string::npos);
