@@ -3,8 +3,8 @@
  * Sharded-core scaling bench (BENCH_04.json, docs/PARALLELISM.md): one
  * churn/placement-heavy 50k-GPU serverless fleet — 6,250 nodes x 8
  * GPUs, 256 autoscaled inference functions under bursty arrivals,
- * ~1M requests — run through the sharded driver at shards=8 and
- * threads in {1, 2, 4, 8}. Reports wall clock per thread count and the
+ * ~1M requests — partitioned into shards=8 and run on threads in
+ * {1, 2, 4, 8}. Reports wall clock per thread count and the
  * speedup over threads=1, and self-checks the determinism contract:
  * every thread count must serialize the byte-identical report (the
  * bench FAILS, exit 1, if any run diverges).
@@ -27,7 +27,7 @@
 #endif
 
 #include "bench_util.h"
-#include "experiment/sharded_experiment.h"
+#include "experiment/experiment.h"
 
 namespace {
 
@@ -115,7 +115,7 @@ RunOnce(const Scenario& sc, const dilu::bench::CliOptions& opts,
   experiment::ShardOptions sh;
   sh.shards = sc.shards;
   sh.threads = threads;
-  experiment::ShardedExperiment exp(std::move(spec), ropts, sh);
+  experiment::Experiment exp(std::move(spec), ropts, sh);
 
   const auto start = Clock::now();
   const experiment::ExperimentResult result = exp.Run();

@@ -52,26 +52,6 @@ ChaosEngine::Arm()
 }
 
 void
-ChaosEngine::PrepareDeferred()
-{
-  if (armed_) return;
-  armed_ = true;
-  sorted_ = spec_.Sorted();
-  outcomes_.resize(sorted_.size());
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    outcomes_[i].event = sorted_[i];
-  }
-}
-
-void
-ChaosEngine::Deliver(std::size_t index)
-{
-  DILU_CHECK(armed_);
-  DILU_CHECK(index < sorted_.size());
-  Inject(index);
-}
-
-void
 ChaosEngine::Inject(std::size_t index)
 {
   const ScenarioEvent& e = sorted_[index];

@@ -95,22 +95,6 @@ class ChaosEngine {
    */
   void Arm();
 
-  /**
-   * Sharded-mode alternative to Arm(): sort the scenario and size the
-   * outcome table *without* scheduling anything. The sharded
-   * experiment driver owns the timeline — it releases each event
-   * through the owning shard's mailbox at the right barrier and the
-   * delivery callback calls Deliver(). Idempotent; exclusive with
-   * Arm() (whichever runs first wins).
-   */
-  void PrepareDeferred();
-
-  /**
-   * Inject sorted event `index` at the current simulation time — the
-   * mailbox delivery callback for PrepareDeferred mode.
-   */
-  void Deliver(std::size_t index);
-
   const ScenarioSpec& spec() const { return spec_; }
 
   /** Per-event outcomes, in injection order. */
@@ -120,8 +104,9 @@ class ChaosEngine {
   ChaosVerdict Verdict() const;
 
   /**
-   * Verdict over an arbitrary outcome set — the sharded driver merges
-   * per-shard outcomes into one fleet-wide list and scores it here.
+   * Verdict over an arbitrary outcome set — the experiment driver
+   * merges per-shard outcomes into one fleet-wide list and scores it
+   * here.
    */
   static ChaosVerdict VerdictOf(const std::vector<FaultOutcome>& outcomes);
 

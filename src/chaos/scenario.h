@@ -134,7 +134,7 @@ class ScenarioSpec {
   /**
    * Append a fully formed event. The builder verbs above are the
    * normal authoring path; this exists for drivers that transform an
-   * existing spec — the sharded experiment splits a fleet scenario
+   * existing spec — the experiment driver splits a fleet scenario
    * into per-shard sub-scenarios with remapped node/GPU/function ids.
    */
   ScenarioSpec& Add(ScenarioEvent e)

@@ -92,7 +92,11 @@ ParseInt(const std::string& tok, std::int32_t* out)
 bool
 ParseUint64(const std::string& tok, std::uint64_t* out)
 {
-  if (tok.empty() || tok[0] == '-') return false;
+  // stoull skips leading blanks and negates a '-' sign, so " -5" would
+  // wrap to 2^64 - 5: insist the token starts with a digit.
+  if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0]))) {
+    return false;
+  }
   try {
     std::size_t used = 0;
     const unsigned long long v = std::stoull(tok, &used);

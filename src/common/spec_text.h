@@ -35,7 +35,7 @@ bool ParseTime(const std::string& tok, TimeUs* out);
 /** Parse a whole-token int32 ("12"). */
 bool ParseInt(const std::string& tok, std::int32_t* out);
 
-/** Parse a whole-token non-negative uint64 (seeds). */
+/** Parse a whole-token uint64 of digits only, no sign (seeds). */
 bool ParseUint64(const std::string& tok, std::uint64_t* out);
 
 /** Parse a whole-token finite double ("2.5"; nan/inf are rejected). */

@@ -7,6 +7,7 @@
 
 #include "cluster/trace_export.h"
 #include "common/logging.h"
+#include "common/work_pool.h"
 #include "fabric/fabric.h"
 #include "workload/arrival.h"
 #include "workload/azure_traces.h"
@@ -20,6 +21,9 @@ WorkloadStreamSeed(std::uint64_t base, std::size_t index)
       + (static_cast<std::uint64_t>(index) + 1) * 0x100000001B3ull;
 }
 
+namespace {
+
+/** SystemConfig from preset + spec overrides (+ CLI seed override). */
 core::SystemConfig
 BuildSystemConfig(const ClusterSection& c, const FabricSection& fab,
                   std::uint64_t seed_override)
@@ -49,8 +53,6 @@ BuildSystemConfig(const ClusterSection& c, const FabricSection& fab,
   if (fab.nic_burst) cl.fabric.nic_burst_gb = *fab.nic_burst;
   return cfg;
 }
-
-namespace {
 
 /** Envelope seconds covering a workload's warmup + duration. */
 int
@@ -114,6 +116,9 @@ BuildArrivalProcess(const WorkloadSpec& w, std::uint64_t stream_seed)
   Fatal("unreachable arrival kind");
 }
 
+namespace {
+
+/** One function's measured outcome, read out of its runtime. */
 FunctionResult
 CollectFunctionResult(const cluster::ClusterRuntime& rt, FunctionId id)
 {
@@ -152,8 +157,6 @@ CollectFunctionResult(const cluster::ClusterRuntime& rt, FunctionId id)
   }
   return fr;
 }
-
-namespace {
 
 void
 AppendJson(std::string* out, const char* fmt, ...)
@@ -204,28 +207,187 @@ EscapeJson(const std::string& s)
   return out;
 }
 
+/**
+ * Cluster seed of shard `s` under global seed `base`. Shard 0 keeps
+ * the base seed, so a one-shard run is the unpartitioned fleet; the
+ * others get distinct mixes (scheduler tie-breaks and recovery jitter
+ * stay decorrelated across shards), deliberately different in form
+ * from WorkloadStreamSeed so shard seeds and stream seeds cannot
+ * collide.
+ */
+std::uint64_t
+ShardSeed(std::uint64_t base, int shard)
+{
+  if (shard == 0) return base;
+  return base * 0x9E3779B97F4A7C15ull
+      ^ (static_cast<std::uint64_t>(shard) + 1) * 0xD6E8FEB86659FD93ull;
+}
+
+/** Does this verb hit the whole fleet (copied to every shard)? */
+bool
+IsBroadcast(chaos::FaultKind kind)
+{
+  return kind == chaos::FaultKind::kColdStartInflation
+      || kind == chaos::FaultKind::kStorageBrownout;
+}
+
+/** Does this verb target a GPU id? */
+bool
+TargetsGpu(chaos::FaultKind kind)
+{
+  switch (kind) {
+    case chaos::FaultKind::kGpuFail:
+    case chaos::FaultKind::kGpuRecover:
+    case chaos::FaultKind::kGpuDegrade:
+    case chaos::FaultKind::kGpuStraggle:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/** Does this verb target a node id (incl. the node's NIC)? */
+bool
+TargetsNode(chaos::FaultKind kind)
+{
+  switch (kind) {
+    case chaos::FaultKind::kNodeFail:
+    case chaos::FaultKind::kNodeRecover:
+    case chaos::FaultKind::kNodeDrain:
+    case chaos::FaultKind::kNodeUndrain:
+    case chaos::FaultKind::kLinkFail:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
-Experiment::Experiment(ExperimentSpec spec, RunOptions opts)
-    : spec_(std::move(spec)), opts_(std::move(opts))
+Experiment::Experiment(ExperimentSpec spec, RunOptions opts,
+                       ShardOptions shard_opts)
+    : spec_(std::move(spec)),
+      opts_(std::move(opts)),
+      threads_(shard_opts.threads)
 {
-  core::SystemConfig cfg =
+  const core::SystemConfig base =
       BuildSystemConfig(spec_.cluster(), spec_.fabric(), opts_.seed);
-  seed_ = cfg.cluster.seed;
-  system_ = std::make_unique<core::System>(cfg);
-  for (const DeploySpec& d : spec_.deploys()) {
-    fn_ids_.push_back(system_->Deploy(d.fn));
+  seed_ = base.cluster.seed;
+  gpus_per_node_ = base.cluster.gpus_per_node;
+  const int total_nodes = base.cluster.nodes;
+  DILU_CHECK(total_nodes >= 1);
+  const int n = std::max(1, std::min(shard_opts.shards, total_nodes));
+  if (n != shard_opts.shards) {
+    DILU_WARN << "shards clamped to " << n << " (fleet has "
+              << total_nodes << " nodes)";
+  }
+
+  // Contiguous balanced node blocks: shard s owns
+  // [first_node, first_node + nodes).
+  shards_.resize(static_cast<std::size_t>(n));
+  const int per = total_nodes / n;
+  const int rem = total_nodes % n;
+  NodeId next = 0;
+  for (int s = 0; s < n; ++s) {
+    Shard& sh = shards_[static_cast<std::size_t>(s)];
+    sh.first_node = next;
+    sh.nodes = per + (s < rem ? 1 : 0);
+    next += sh.nodes;
+    core::SystemConfig cfg = base;
+    cfg.cluster.nodes = sh.nodes;
+    cfg.cluster.seed = ShardSeed(seed_, s);
+    sh.system = std::make_unique<core::System>(cfg);
+  }
+
+  // Home deploy index i on shard i % n, preserving deploy order
+  // within each shard (local function ids are local deploy indexes).
+  for (std::size_t i = 0; i < spec_.deploys().size(); ++i) {
+    const int s = static_cast<int>(i % static_cast<std::size_t>(n));
+    Shard& sh = shards_[static_cast<std::size_t>(s)];
+    homes_.emplace_back(s, sh.fn_ids.size());
+    sh.fn_ids.push_back(sh.system->Deploy(spec_.deploys()[i].fn));
   }
 }
 
 Experiment::~Experiment() = default;
 
+cluster::ClusterRuntime&
+Experiment::runtime(int s)
+{
+  DILU_CHECK(s >= 0 && s < shard_count());
+  return shards_[static_cast<std::size_t>(s)].system->runtime();
+}
+
+int
+Experiment::OwnerOfNode(NodeId node) const
+{
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& sh = shards_[s];
+    if (node >= sh.first_node && node < sh.first_node + sh.nodes) {
+      return static_cast<int>(s);
+    }
+  }
+  Fatal("chaos event targets node " + std::to_string(node)
+        + " outside the fleet");
+}
+
+void
+Experiment::SplitChaos()
+{
+  // Walk the scenario in time order and copy each event into its
+  // owning shard's sub-scenario with local target ids (fleet-wide
+  // verbs go to every shard). Every sub-scenario is then already in
+  // its engine's (stable, by time) order, so a copy's insertion index
+  // is its outcome index; one shard receives the scenario unchanged.
+  for (chaos::ScenarioEvent e : spec_.chaos().Sorted()) {
+    std::vector<std::pair<int, std::size_t>>& copies =
+        chaos_copies_.emplace_back();
+    std::vector<int> targets;
+    if (IsBroadcast(e.kind)) {
+      for (int s = 0; s < shard_count(); ++s) targets.push_back(s);
+    } else if (TargetsGpu(e.kind)) {
+      DILU_CHECK(e.target >= 0);
+      const int s = OwnerOfNode(e.target / gpus_per_node_);
+      e.target -= shards_[static_cast<std::size_t>(s)].first_node
+          * gpus_per_node_;
+      targets.push_back(s);
+    } else if (TargetsNode(e.kind)) {
+      const int s = OwnerOfNode(e.target);
+      e.target -= shards_[static_cast<std::size_t>(s)].first_node;
+      targets.push_back(s);
+    } else {
+      // Function-targeted verb (checkpoint / surge / overload /
+      // throttle): the function's home shard, with the global deploy
+      // index remapped to the shard-local function id.
+      const auto fi = static_cast<std::size_t>(e.function);
+      DILU_CHECK(fi < homes_.size());
+      const auto [s, local] = homes_[fi];
+      e.function = shards_[static_cast<std::size_t>(s)].fn_ids[local];
+      targets.push_back(s);
+    }
+    for (const int s : targets) {
+      Shard& sh = shards_[static_cast<std::size_t>(s)];
+      copies.emplace_back(s, sh.scenario.events().size());
+      sh.scenario.Add(e);
+    }
+  }
+  for (Shard& sh : shards_) {
+    sh.scenario.set_name(spec_.chaos().name());
+  }
+}
+
 void
 Experiment::ArmWorkload(std::size_t index)
 {
   const WorkloadSpec& w = spec_.workloads()[index];
-  cluster::ClusterRuntime& rt = system_->runtime();
-  const FunctionId fn = fn_ids_[static_cast<std::size_t>(w.fn)];
+  const auto fi = static_cast<std::size_t>(w.fn);
+  DILU_CHECK(fi < homes_.size());
+  const auto [s, local] = homes_[fi];
+  Shard& sh = shards_[static_cast<std::size_t>(s)];
+  cluster::ClusterRuntime& rt = sh.system->runtime();
+  const FunctionId fn = sh.fn_ids[local];
+  // Global seed + global workload index: the stream is identical at
+  // any shard count.
   const std::uint64_t stream =
       w.seed ? *w.seed : WorkloadStreamSeed(seed_, index);
   const TimeUs until = w.end();
@@ -262,17 +424,21 @@ Experiment::Run()
   DILU_CHECK(!ran_);
   ran_ = true;
 
-  // Provision warm capacity, enable co-scaling, submit training.
+  // Provision warm capacity, enable co-scaling, submit training — in
+  // global deploy order.
   for (std::size_t i = 0; i < spec_.deploys().size(); ++i) {
     const DeploySpec& d = spec_.deploys()[i];
-    const FunctionId fn = fn_ids_[i];
+    const auto [s, local] = homes_[i];
+    const Shard& sh = shards_[static_cast<std::size_t>(s)];
+    core::System* sys = sh.system.get();
+    const FunctionId fn = sh.fn_ids[local];
     if (d.fn.type == TaskType::kInference) {
-      if (d.provision > 0) system_->Provision(fn, d.provision);
-      if (!d.scaler.empty()) system_->EnableCoScaling(fn, d.scaler);
+      if (d.provision > 0) sys->Provision(fn, d.provision);
+      if (!d.scaler.empty()) sys->EnableCoScaling(fn, d.scaler);
     } else {
       // Cold submission at `start` (0 fires as the clock begins).
-      system_->runtime().simulation().Post(
-          d.start, [this, fn] { system_->StartTraining(fn, true); });
+      sys->runtime().simulation().Post(
+          d.start, [sys, fn] { sys->StartTraining(fn, true); });
     }
   }
 
@@ -280,22 +446,36 @@ Experiment::Run()
     ArmWorkload(i);
   }
 
-  if (!spec_.chaos().empty()) {
-    engine_ = std::make_unique<chaos::ChaosEngine>(&system_->runtime(),
-                                                   spec_.chaos());
-    engine_->Arm();
+  SplitChaos();
+  for (Shard& sh : shards_) {
+    if (sh.scenario.empty()) continue;
+    sh.engine = std::make_unique<chaos::ChaosEngine>(
+        &sh.system->runtime(), sh.scenario);
+    sh.engine->Arm();
   }
 
-  system_->RunFor(spec_.EffectiveRunFor());
+  // Shards share nothing, so each runs to the horizon as one task.
+  const TimeUs horizon = spec_.EffectiveRunFor();
+  ParallelFor(shards_.size(), threads_, [this, horizon](std::size_t s) {
+    shards_[s].system->RunFor(horizon);
+  });
+  if (probe_) probe_(horizon);
 
   ExperimentResult result = Collect();
   const std::string& prefix = opts_.export_prefix.empty()
       ? spec_.export_prefix()
       : opts_.export_prefix;
   if (!prefix.empty()) {
-    result.export_ok = cluster::ExportAll(system_->runtime(), prefix);
-    if (!result.export_ok) {
-      DILU_WARN << "trace export to prefix '" << prefix << "' failed";
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const std::string shard_prefix = shards_.size() == 1
+          ? prefix
+          : prefix + "_s" + std::to_string(s);
+      if (!cluster::ExportAll(shards_[s].system->runtime(),
+                              shard_prefix)) {
+        result.export_ok = false;
+        DILU_WARN << "trace export to prefix '" << shard_prefix
+                  << "' failed";
+      }
     }
   }
   return result;
@@ -304,45 +484,98 @@ Experiment::Run()
 ExperimentResult
 Experiment::Collect() const
 {
-  const cluster::ClusterRuntime& rt = system_->runtime();
-  const cluster::MetricsHub& hub = rt.metrics();
-
   ExperimentResult r;
   r.experiment = spec_.name();
   r.seed = seed_;
   r.run_for_s = ToSec(spec_.EffectiveRunFor());
 
-  for (const FunctionId id : fn_ids_) {
-    FunctionResult fr = CollectFunctionResult(rt, id);
+  for (std::size_t i = 0; i < spec_.deploys().size(); ++i) {
+    const auto [s, local] = homes_[i];
+    const Shard& sh = shards_[static_cast<std::size_t>(s)];
+    FunctionResult fr = CollectFunctionResult(sh.system->runtime(),
+                                              sh.fn_ids[local]);
     r.total_completed += fr.completed;
     r.total_dropped += fr.dropped;
     r.functions.push_back(std::move(fr));
   }
 
-  if (engine_) r.chaos = engine_->Verdict();
+  // Chaos verdict: merge each event's per-shard copies into one
+  // fleet-wide outcome (a broadcast verb injected on N shards is still
+  // ONE fault; it recovers when the last shard recovers), then score
+  // the merged list with the engine's own scorer.
+  if (!chaos_copies_.empty()) {
+    const std::vector<chaos::ScenarioEvent> events =
+        spec_.chaos().Sorted();
+    std::vector<chaos::FaultOutcome> merged;
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      chaos::FaultOutcome out;
+      out.event = events[e];
+      bool all_recovered = true;
+      TimeUs last_recovery = -1;
+      for (const auto& [s, local] : chaos_copies_[e]) {
+        const chaos::FaultOutcome& o =
+            shards_[static_cast<std::size_t>(s)].engine->outcomes()[local];
+        if (!o.injected) continue;
+        out.injected = true;
+        out.displaced += o.displaced;
+        if (o.recovered_at < 0) {
+          all_recovered = false;
+        } else {
+          last_recovery = std::max(last_recovery, o.recovered_at);
+        }
+      }
+      if (out.injected && all_recovered) out.recovered_at = last_recovery;
+      merged.push_back(out);
+    }
+    r.chaos = chaos::ChaosEngine::VerdictOf(merged);
+  }
 
-  if (const fabric::FabricPlane* fp = rt.fabric()) {
+  for (const Shard& sh : shards_) {
+    const fabric::FabricPlane* fp = sh.system->runtime().fabric();
+    if (fp == nullptr) continue;
     const fabric::FabricTotals& t = fp->totals();
     r.fabric_enabled = true;
-    r.fabric_storage_transfers = t.storage_transfers;
-    r.fabric_network_transfers = t.network_transfers;
-    r.fabric_storage_gb = t.storage_gb;
-    r.fabric_network_gb = t.network_gb;
-    r.fabric_stall_s = ToSec(t.stall_us);
-    r.fabric_max_queue = t.max_queue;
+    r.fabric_storage_transfers += t.storage_transfers;
+    r.fabric_network_transfers += t.network_transfers;
+    r.fabric_storage_gb += t.storage_gb;
+    r.fabric_network_gb += t.network_gb;
+    r.fabric_stall_s += ToSec(t.stall_us);
+    r.fabric_max_queue = std::max(r.fabric_max_queue, t.max_queue);
   }
 
-  r.max_gpus = rt.max_active_gpus();
-  const auto& samples = hub.samples();
-  for (const cluster::ClusterSample& s : samples) {
-    r.avg_gpus += s.active_gpus;
+  // Cluster aggregates: integer counters merge exactly (so the
+  // serialized report is bit-stable at any thread count); max_gpus is
+  // the sum of per-shard peaks — an upper bound on the fleet-wide
+  // concurrent peak, and exact whenever occupancy is flat. The serving
+  // counters of every function sum into one FunctionMetrics, whose
+  // SVR / availability formulas are the ones MetricsHub's Overall*
+  // apply to a single shard's sums.
+  std::int64_t active_sum = 0;
+  std::size_t sample_count = 0;
+  cluster::FunctionMetrics fleet;
+  for (const Shard& sh : shards_) {
+    const cluster::ClusterRuntime& rt = sh.system->runtime();
+    const cluster::MetricsHub& hub = rt.metrics();
+    r.max_gpus += rt.max_active_gpus();
+    for (const cluster::ClusterSample& cs : hub.samples()) {
+      active_sum += cs.active_gpus;
+    }
+    sample_count = std::max(sample_count, hub.samples().size());
+    r.gpu_seconds += hub.total_gpu_seconds();
+    r.total_shed += hub.TotalShed();
+    r.total_cold_starts += hub.TotalColdStarts();
+    for (const auto& [id, m] : hub.functions()) {
+      fleet.completed += m.completed;
+      fleet.violations += m.violations;
+      fleet.dropped += m.dropped;
+      fleet.shed_admission += m.shed_admission;
+      fleet.shed_retry += m.shed_retry;
+    }
   }
-  r.avg_gpus /= std::max<std::size_t>(1, samples.size());
-  r.gpu_seconds = hub.total_gpu_seconds();
-  r.total_shed = hub.TotalShed();
-  r.total_cold_starts = hub.TotalColdStarts();
-  r.overall_svr_percent = hub.OverallSvrPercent();
-  r.overall_availability_percent = hub.OverallAvailabilityPercent();
+  r.avg_gpus = static_cast<double>(active_sum)
+      / static_cast<double>(std::max<std::size_t>(1, sample_count));
+  r.overall_svr_percent = fleet.SvrPercent();
+  r.overall_availability_percent = fleet.AvailabilityPercent();
   return r;
 }
 

@@ -12,15 +12,33 @@
  * iterations / restarts / checkpoint costs / JCT; chaos TTR verdict;
  * cluster occupancy) and export traces when the spec asks for them.
  *
+ * Sharding (docs/PARALLELISM.md): the fleet may be partitioned into N
+ * independent shards, each an ordinary System run to the horizon as
+ * one task of the work pool (common/work_pool.h):
+ *   - nodes: split into contiguous balanced blocks; shard s owns its
+ *     block's nodes, GPUs, instances, gateway, scheduler and fabric;
+ *   - functions: deploy index i is homed on shard i % N, together
+ *     with its workload pumps, scaler loop and training job;
+ *   - chaos: each event is remapped into the sub-scenario of the shard
+ *     that owns its target (fleet-wide verbs go to every shard), and
+ *     each shard's engine arms its own sub-scenario.
+ * Nothing crosses a shard boundary while the shards run. One shard is
+ * the whole fleet under the spec's own seed and scenario, so shards=1
+ * is the reference semantics every golden pins; N >= 2 is a different
+ * but equally valid system whose reports are comparable at the same
+ * shard count only.
+ *
  * Deterministic: the result's JSON serialization is byte-identical
- * across runs of the same spec + seed (the experiment-smoke CI job
- * diffs exactly that).
+ * across runs of the same spec + seed + shard count, at any thread
+ * count (the experiment-smoke CI job diffs exactly that).
  */
 #ifndef DILU_EXPERIMENT_EXPERIMENT_H_
 #define DILU_EXPERIMENT_EXPERIMENT_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos_engine.h"
@@ -103,33 +121,18 @@ struct ExperimentResult {
   std::string ToJson() const;
 };
 
-// --- shared assembly helpers --------------------------------------
-// Used by Experiment and by the sharded driver (ShardedExperiment),
-// which must build per-shard systems / workload streams / per-function
-// results with exactly the same recipe so shards=1 and shards=N report
-// through identical code paths.
-
-/** SystemConfig from preset + spec overrides (+ CLI seed override). */
-core::SystemConfig BuildSystemConfig(const ClusterSection& c,
-                                     const FabricSection& fab,
-                                     std::uint64_t seed_override);
-
 /**
  * Seed of workload stream `index` under cluster seed `base`: stable,
  * well-mixed, and disjoint from the chaos-surge streams (which derive
- * from the event index inside the chaos engine). The sharded driver
- * passes the *global* workload index, so a stream's seed does not
- * depend on the shard count.
+ * from the event index inside the chaos engine). The driver passes the
+ * *global* workload index, so a stream's seed does not depend on the
+ * shard count.
  */
 std::uint64_t WorkloadStreamSeed(std::uint64_t base, std::size_t index);
 
 /** The arrival process a WorkloadSpec describes, seeded. */
 std::unique_ptr<workload::ArrivalProcess> BuildArrivalProcess(
     const WorkloadSpec& w, std::uint64_t stream_seed);
-
-/** One function's measured outcome, read out of its runtime. */
-FunctionResult CollectFunctionResult(const cluster::ClusterRuntime& rt,
-                                     FunctionId id);
 
 /** Run-time knobs that are not part of the spec. */
 struct RunOptions {
@@ -139,15 +142,22 @@ struct RunOptions {
   std::string export_prefix;
 };
 
+/** How the fleet is partitioned and how many threads run it. */
+struct ShardOptions {
+  int shards = 1;   ///< requested shards (clamped to the node count)
+  int threads = 1;  ///< worker threads (clamped to [1, shards])
+};
+
 /** One executable instance of a spec (single-shot). */
 class Experiment {
  public:
   /**
-   * Builds the cluster and deploys the spec's functions (ids are the
-   * deploy indexes). Workloads, chaos and the clock do not move until
-   * Run().
+   * Builds the (per-shard) clusters and deploys the spec's functions;
+   * with one shard the function ids are the deploy indexes. Workloads,
+   * chaos and the clock do not move until Run().
    */
-  explicit Experiment(ExperimentSpec spec, RunOptions opts = {});
+  explicit Experiment(ExperimentSpec spec, RunOptions opts = {},
+                      ShardOptions shard_opts = {});
   ~Experiment();
 
   Experiment(const Experiment&) = delete;
@@ -155,28 +165,56 @@ class Experiment {
 
   /**
    * Execute the whole pipeline; callable once. Exports traces when the
-   * spec (or RunOptions) names a prefix.
+   * spec (or RunOptions) names a prefix; with several shards, shard k's
+   * slice of the fleet goes under the prefix plus "_s<k>".
    */
   ExperimentResult Run();
 
   const ExperimentSpec& spec() const { return spec_; }
+  int shard_count() const { return static_cast<int>(shards_.size()); }
 
-  /** The underlying cluster, for inspection (fault logs, series). */
-  cluster::ClusterRuntime& runtime() { return system_->runtime(); }
+  /** Shard `s`'s cluster, for inspection (fault logs, series, audits). */
+  cluster::ClusterRuntime& runtime(int s = 0);
 
-  /** Chaos engine outcomes; null when the spec embeds no scenario. */
-  const chaos::ChaosEngine* engine() const { return engine_.get(); }
+  /**
+   * Test probe: called once with the horizon after every shard
+   * finished, before collection. Set before Run().
+   */
+  void set_barrier_probe(std::function<void(TimeUs)> probe)
+  {
+    probe_ = std::move(probe);
+  }
 
  private:
+  struct Shard {
+    std::unique_ptr<core::System> system;
+    std::unique_ptr<chaos::ChaosEngine> engine;
+    chaos::ScenarioSpec scenario;    ///< remapped sub-scenario
+    std::vector<FunctionId> fn_ids;  ///< by local deploy order
+    NodeId first_node = 0;
+    int nodes = 0;
+  };
+
+  int OwnerOfNode(NodeId node) const;
+  void SplitChaos();
   void ArmWorkload(std::size_t index);
   ExperimentResult Collect() const;
 
   ExperimentSpec spec_;
   RunOptions opts_;
-  std::uint64_t seed_ = 0;  ///< effective cluster seed
-  std::unique_ptr<core::System> system_;
-  std::unique_ptr<chaos::ChaosEngine> engine_;
-  std::vector<FunctionId> fn_ids_;  ///< by deploy index
+  int threads_ = 1;
+  std::uint64_t seed_ = 0;  ///< effective global seed (reported)
+  int gpus_per_node_ = 0;
+  std::vector<Shard> shards_;
+  /** deploy index -> (home shard, local deploy index). */
+  std::vector<std::pair<int, std::size_t>> homes_;
+  /**
+   * Per chaos event in time order: its (shard, local index) copies —
+   * the shard sub-scenarios are built in time order, so a copy's
+   * insertion index is its index in that shard engine's outcomes.
+   */
+  std::vector<std::vector<std::pair<int, std::size_t>>> chaos_copies_;
+  std::function<void(TimeUs)> probe_;
   bool ran_ = false;
 };
 

@@ -1,120 +1,18 @@
 /**
  * @file
- * Sharded experiment driver: the same declarative spec the single-
- * threaded Experiment runs, partitioned across N shards and advanced
- * on a worker pool (docs/PARALLELISM.md).
- *
- * Partitioning (the shard ownership map):
- *   - nodes: split into contiguous balanced blocks; shard s owns its
- *     block's nodes, GPUs, instances, gateway, scheduler and fabric;
- *   - functions: deploy index i is homed on shard i % N, together
- *     with its workload pumps, scaler loop and training job;
- *   - chaos: each event is delivered to the shard that owns its
- *     target (fleet-wide verbs are broadcast to every shard) through
- *     the shard's mailbox at the right time barrier.
- *
- * Workload stream seeds derive from the *global* seed and *global*
- * workload index, so a function sees the same arrival sequence at any
- * shard count. Per-shard cluster seeds are distinct mixes of the
- * global seed, so scheduler tie-breaks stay decorrelated.
- *
- * shards=1 is NOT this class — callers (dilu_run, tests) use the
- * legacy Experiment for it, which keeps every existing golden
- * byte-for-byte. For N >= 2 the partitioned fleet is a different (but
- * equally valid) system than the monolith: results are only
- * comparable across runs / thread counts at the SAME shard count —
- * and for those, byte-identical.
+ * Former name of the sharded driver, kept for perfbench/ — its only
+ * includer, which is frozen as the benchmark's source. Experiment is
+ * the one driver at every shard count; new code includes
+ * "experiment/experiment.h" and uses it directly.
  */
 #ifndef DILU_EXPERIMENT_SHARDED_EXPERIMENT_H_
 #define DILU_EXPERIMENT_SHARDED_EXPERIMENT_H_
 
-#include <cstddef>
-#include <functional>
-#include <memory>
-#include <utility>
-#include <vector>
-
 #include "experiment/experiment.h"
-#include "sim/shard.h"
 
 namespace dilu::experiment {
 
-/** Execution knobs of the sharded driver. */
-struct ShardOptions {
-  int shards = 1;   ///< requested shards (clamped to the node count)
-  int threads = 1;  ///< worker threads (clamped to [1, shards])
-  /** Time-barrier window; cross-shard effects land at its edges. */
-  TimeUs barrier = Ms(100);
-};
-
-/** One executable sharded instance of a spec (single-shot). */
-class ShardedExperiment {
- public:
-  ShardedExperiment(ExperimentSpec spec, RunOptions opts,
-                    ShardOptions shard_opts);
-  ~ShardedExperiment();
-
-  ShardedExperiment(const ShardedExperiment&) = delete;
-  ShardedExperiment& operator=(const ShardedExperiment&) = delete;
-
-  /**
-   * Execute the pipeline; callable once. Trace exports append "_s<k>"
-   * to the prefix per shard (shard k's slice of the fleet).
-   */
-  ExperimentResult Run();
-
-  const ExperimentSpec& spec() const { return spec_; }
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-
-  /** Shard `s`'s cluster, for inspection (tests audit invariants). */
-  cluster::ClusterRuntime& runtime(int s);
-
-  /**
-   * Test probe: called at every time barrier (all shards quiescent at
-   * the barrier time) with the window start. Set before Run().
-   */
-  void set_barrier_probe(std::function<void(TimeUs)> probe)
-  {
-    probe_ = std::move(probe);
-  }
-
- private:
-  struct Shard {
-    std::unique_ptr<core::System> system;
-    std::unique_ptr<chaos::ChaosEngine> engine;
-    chaos::ScenarioSpec scenario;       ///< remapped sub-scenario
-    std::vector<FunctionId> fn_ids;     ///< by local deploy order
-    NodeId first_node = 0;
-    int nodes = 0;
-  };
-  /** One chaos delivery: global event -> (shard, local sorted idx). */
-  struct ChaosDelivery {
-    TimeUs at = 0;
-    int shard = 0;
-    std::size_t local_index = 0;
-    std::size_t global_index = 0;  ///< position in the global sort
-  };
-
-  int OwnerOfNode(NodeId node) const;
-  int OwnerOfGpu(GpuId gpu) const;
-  void SplitChaos();
-  void ArmWorkload(std::size_t index);
-  ExperimentResult Collect() const;
-
-  ExperimentSpec spec_;
-  RunOptions opts_;
-  ShardOptions shard_opts_;
-  std::uint64_t seed_ = 0;  ///< effective global seed (reported)
-  int gpus_per_node_ = 0;
-  std::vector<Shard> shards_;
-  /** deploy index -> (home shard, local deploy index). */
-  std::vector<std::pair<int, std::size_t>> homes_;
-  std::vector<ChaosDelivery> deliveries_;  ///< sorted by (at, global)
-  /** deliveries_ grouped per global event (verdict de-duplication). */
-  std::vector<std::vector<std::size_t>> event_deliveries_;
-  std::function<void(TimeUs)> probe_;
-  bool ran_ = false;
-};
+using ShardedExperiment = Experiment;
 
 }  // namespace dilu::experiment
 

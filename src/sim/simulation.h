@@ -51,14 +51,11 @@ class Simulation {
   /**
    * Post `fn` to run at `when` (>= now) on this simulation's queue.
    *
-   * This is the shard-local half of the sharded core's mailbox
-   * discipline (docs/PARALLELISM.md): every Simulation is one shard's
-   * clock, so a post from the owning shard needs no barrier hand-off
-   * and schedules directly. Cross-shard effects must go through
-   * ShardedSimulation::Post instead, which drains them into the target
-   * shard's queue at the next time barrier. Layer code above sim/
-   * should call Post rather than queue().ScheduleAt so dilu_lint's
-   * event-schedule rule can keep raw scheduling confined to sim/.
+   * Every Simulation is one shard's clock (docs/PARALLELISM.md), and
+   * shards share nothing while they run, so a post always targets the
+   * poster's own shard. Layer code above sim/ should call Post rather
+   * than queue().ScheduleAt so dilu_lint's event-schedule rule can keep
+   * raw scheduling confined to sim/.
    */
   EventId Post(TimeUs when, EventCallback fn)
   {

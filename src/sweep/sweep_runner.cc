@@ -1,11 +1,9 @@
 #include "sweep/sweep_runner.h"
 
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/spec_text.h"
-#include "experiment/sharded_experiment.h"
+#include "common/work_pool.h"
 #include "experiment/spec_params.h"
 
 namespace dilu::sweep {
@@ -103,53 +101,20 @@ ExpandSweep(const SweepSpec& sweep,
 std::vector<experiment::ExperimentResult>
 ExecuteSweep(const SweepMatrix& matrix, int threads)
 {
+  // Each result lands in its run's pre-sized slot (no two tasks share
+  // one) and is read only after the pool returned: determinism lives
+  // in the slot order, not the schedule.
   std::vector<experiment::ExperimentResult> results(matrix.runs.size());
-  if (matrix.runs.empty()) return results;
-  const int n = static_cast<int>(matrix.runs.size());
-  if (threads < 1) threads = 1;
-  if (threads > n) threads = n;
-
-  // Work-pulling pool: the cursor hands out runs first-come (which
-  // thread gets which run is a race), every result lands in its run's
-  // pre-sized slot (no two threads share one), and the caller reads
-  // the slots only after every worker joined. Determinism lives in the
-  // slot order, not the schedule.
-  std::mutex mu;
-  std::size_t next = 0;
-  const auto worker = [&] {
-    for (;;) {
-      std::size_t i = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (next >= matrix.runs.size()) return;
-        i = next++;
-      }
-      const SweepRun& run = matrix.runs[i];
-      experiment::RunOptions opts;
-      opts.seed = run.seed;
-      if (run.shards > 1) {
-        // One worker thread per run already saturates the pool;
-        // nesting the sharded driver's own pool would oversubscribe.
-        experiment::ShardOptions shard_opts;
-        shard_opts.shards = run.shards;
-        shard_opts.threads = 1;
-        experiment::ShardedExperiment exp(run.spec, opts, shard_opts);
-        results[i] = exp.Run();
-      } else {
-        experiment::Experiment exp(run.spec, opts);
-        results[i] = exp.Run();
-      }
-    }
-  };
-
-  if (threads == 1) {
-    worker();
-    return results;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
+  ParallelFor(matrix.runs.size(), threads, [&](std::size_t i) {
+    const SweepRun& run = matrix.runs[i];
+    experiment::RunOptions opts;
+    opts.seed = run.seed;
+    // One pool task per run already saturates the pool, so a sharded
+    // cell runs its shards inline rather than nesting a second pool.
+    experiment::Experiment exp(run.spec, opts,
+                               experiment::ShardOptions{run.shards, 1});
+    results[i] = exp.Run();
+  });
   return results;
 }
 

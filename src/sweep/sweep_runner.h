@@ -9,15 +9,13 @@
  * trace-export prefix (a thousand runs must not write a thousand trace
  * trees) and fans out into `seeds` repetitions under seeds
  * `seed_base + k`. The pseudo-axis `run.shards` is intercepted here —
- * it selects the sharded driver for the cell instead of mutating the
- * spec.
+ * it sets the cell's shard count instead of mutating the spec.
  *
- * Execution pulls runs off a shared cursor onto N worker threads
- * (mutex-guarded, the ShardedSimulation pool shape) but stores each
- * result into its run's own slot; which thread runs which cell is a
- * race, the report never is — aggregation reads the slots in matrix
- * order after every worker has joined, so the output is byte-identical
- * at any thread count.
+ * Execution runs one experiment per task of the work pool
+ * (common/work_pool.h) and stores each result into its run's own slot;
+ * which thread runs which cell is a race, the report never is —
+ * aggregation reads the slots in matrix order after every task
+ * finished, so the output is byte-identical at any thread count.
  */
 #ifndef DILU_SWEEP_SWEEP_RUNNER_H_
 #define DILU_SWEEP_SWEEP_RUNNER_H_
@@ -39,7 +37,7 @@ struct SweepRun {
   int rep = 0;            ///< seed repetition within the cell
   std::uint64_t seed = 0;            ///< seed_base + rep
   std::vector<std::string> values;   ///< one per axis, sweep order
-  int shards = 1;  ///< > 1: execute through the sharded driver
+  int shards = 1;  ///< ShardOptions::shards of the run
   experiment::ExperimentSpec spec;   ///< base + axis values applied
 };
 

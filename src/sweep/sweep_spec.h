@@ -32,8 +32,8 @@ struct SweepAxis {
   /**
    * ApplyParam path into the base spec (`cluster.recovery`,
    * `workload[0].rps`, `chaos.intensity`, ...) or the runner-owned
-   * pseudo-path `run.shards` (executes the cell through the sharded
-   * driver with that shard count).
+   * pseudo-path `run.shards` (executes the cell partitioned into that
+   * many shards).
    */
   std::string path;
   /** Spec-format value tokens, in sweep order; first = baseline. */

@@ -1,12 +1,22 @@
-/** @file Unit tests for the common module (stats, random, types). */
+/**
+ * @file Unit tests for the common module (stats, random, types, spec
+ * tokens, work pool).
+ */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/spec_text.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "common/work_pool.h"
 
 namespace dilu {
 namespace {
@@ -270,6 +280,60 @@ TEST(Logging, MacroIsSafeInUnbracedIfElse)
   DILU_ERROR << "side effect: " << ++evaluated;
   EXPECT_EQ(evaluated, 0);
   Logger::set_level(saved);
+}
+
+TEST(SpecText, Uint64IsDigitsOnly)
+{
+  std::uint64_t v = 0;
+  EXPECT_TRUE(spec_text::ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, 18446744073709551615ull);
+  // Trailing garbage, words, signs, blanks and overflow all fail, and
+  // a failed parse leaves the output alone.
+  for (const char* bad : {"12x", "abc", "", "-5", " -5", "+5", " 5",
+                          "18446744073709551616"}) {
+    v = 7;
+    EXPECT_FALSE(spec_text::ParseUint64(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u) << "'" << bad << "'";
+  }
+}
+
+TEST(WorkPool, RunsEveryIndexExactlyOnce)
+{
+  for (const std::size_t n : {0u, 1u, 7u}) {
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " threads="
+                                        << threads);
+      std::vector<std::atomic<int>> runs(n);
+      ParallelFor(n, threads, [&](std::size_t i) {
+        ASSERT_LT(i, n);
+        ++runs[i];
+      });
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1);
+    }
+  }
+}
+
+TEST(WorkPool, OneThreadRunsInlineInIndexOrder)
+{
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  ParallelFor(5, 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(WorkPool, TaskExceptionReachesTheCaller)
+{
+  for (const int threads : {1, 4}) {
+    EXPECT_THROW(ParallelFor(7, threads,
+                             [](std::size_t i) {
+                               if (i == 3) throw std::runtime_error("x");
+                             }),
+                 std::runtime_error)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -205,10 +205,9 @@ TEST(LintRules, EventScheduleScopedToSrcOutsideSimAndRuntime)
   EXPECT_EQ(in_cluster, (std::set<P>{{"event-schedule", 8},
                                      {"event-schedule", 9}}));
   // The sim core, the runtime layer, and tests are all exempt —
-  // including the sharded core's shard.{h,cc}, whose mailbox drain
-  // IS the sanctioned scheduling site:
+  // Simulation::Post itself is the sanctioned scheduling site:
   EXPECT_TRUE(Lint("bad_schedule.cc", "src/sim/x.cc").empty());
-  EXPECT_TRUE(Lint("bad_schedule.cc", "src/sim/shard.cc").empty());
+  EXPECT_TRUE(Lint("bad_schedule.cc", "src/sim/simulation.cc").empty());
   EXPECT_TRUE(Lint("bad_schedule.cc", "src/runtime/x.cc").empty());
   EXPECT_TRUE(Lint("bad_schedule.cc", "tests/x.cc").empty());
 }

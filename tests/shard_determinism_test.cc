@@ -4,11 +4,12 @@
  * bar): the three CI-smoke specs — chaos_burst, overload_shed and
  * fabric_contention — must serialize byte-identically across reruns
  * AND across worker-thread counts at every shard count. shards=1 is
- * the legacy single-threaded Experiment (the reference semantics);
- * shards>=2 is the partitioned fleet, a different but equally valid
- * system whose reports are only compared at the same shard count.
- * Shard requests above the spec's node count clamp (fabric_contention
- * has 2 nodes), which is itself part of the contract under test.
+ * the reference semantics every golden pins, whatever the thread
+ * count; shards>=2 is the partitioned fleet, a different but equally
+ * valid system whose reports are only compared at the same shard
+ * count. Shard requests above the spec's node count clamp
+ * (fabric_contention has 2 nodes), which is itself part of the
+ * contract under test.
  */
 #include <gtest/gtest.h>
 
@@ -16,13 +17,16 @@
 #include <sstream>
 #include <string>
 
-#include "experiment/sharded_experiment.h"
+#include "experiment/experiment.h"
 
 namespace dilu {
 namespace {
 
 #ifndef DILU_EXPERIMENTS_DIR
 #error "tests/CMakeLists.txt must define DILU_EXPERIMENTS_DIR"
+#endif
+#ifndef DILU_GOLDEN_DIR
+#error "tests/CMakeLists.txt must define DILU_GOLDEN_DIR"
 #endif
 
 std::string
@@ -53,10 +57,8 @@ RunSharded(const std::string& name, int shards, int threads)
 {
   experiment::RunOptions opts;
   opts.seed = 1;  // the CI smoke's invocation: dilu_run --seed 1
-  experiment::ShardOptions sh;
-  sh.shards = shards;
-  sh.threads = threads;
-  experiment::ShardedExperiment exp(LoadSpec(name), opts, sh);
+  experiment::Experiment exp(LoadSpec(name), opts,
+                             experiment::ShardOptions{shards, threads});
   return exp.Run().ToJson();
 }
 
@@ -64,8 +66,8 @@ class ShardDeterminism : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ShardDeterminism, LegacyDriverIsRerunStable)
 {
-  // The shards=1 row of the grid: dilu_run routes it through the
-  // legacy Experiment, so this is plain two-run byte-equality.
+  // The default options (one shard, one thread): plain two-run
+  // byte-equality.
   experiment::RunOptions opts;
   opts.seed = 1;
   experiment::Experiment run1(LoadSpec(GetParam()), opts);
@@ -75,7 +77,7 @@ TEST_P(ShardDeterminism, LegacyDriverIsRerunStable)
 
 TEST_P(ShardDeterminism, ShardedRunsAreThreadAndRerunInvariant)
 {
-  for (const int shards : {2, 4}) {
+  for (const int shards : {1, 2, 4}) {
     SCOPED_TRACE(::testing::Message() << "shards " << shards);
     const std::string reference = RunSharded(GetParam(), shards, 1);
     EXPECT_FALSE(reference.empty());
@@ -85,6 +87,20 @@ TEST_P(ShardDeterminism, ShardedRunsAreThreadAndRerunInvariant)
         << "threads=4 rerun diverged";
     EXPECT_EQ(RunSharded(GetParam(), shards, 1), reference)
         << "threads=1 rerun diverged";
+  }
+}
+
+TEST(ShardDeterminism, OneShardOnFourThreadsMatchesTheGoldens)
+{
+  // One shard is the whole fleet under the spec's own seed and
+  // scenario, so on any thread count it must reproduce the goldens the
+  // plain run pins (overload_test / fabric_test, --seed 1).
+  for (const char* name : {"overload_shed", "fabric_contention"}) {
+    SCOPED_TRACE(name);
+    const std::string golden = ReadFileOrEmpty(
+        std::string(DILU_GOLDEN_DIR) + "/" + name + "_golden.json");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(RunSharded(std::string(name) + ".exp", 1, 4), golden);
   }
 }
 

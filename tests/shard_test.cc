@@ -1,29 +1,23 @@
 /**
  * @file
- * Sharded parallel simulation core tests (docs/PARALLELISM.md): the
- * mailbox's (when, source, seq) total order and barrier-floor clamp,
- * cross-shard post delivery semantics, thread-count and rerun
- * invariance of the barrier driver, the engineered shard-islands spec
- * whose sharded report must equal the legacy single-threaded one
- * byte-for-byte, and a randomized cross-shard chaos storm audited with
- * AuditFleet/AuditFabric at every time barrier.
+ * Sharded-driver tests (docs/PARALLELISM.md): the engineered
+ * shard-islands spec, whose sharded report must equal the one-shard
+ * report byte-for-byte, and a randomized chaos storm across shard
+ * boundaries in which every shard audits itself (AuditFleet /
+ * AuditFabric) from periodic events on its own clock.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <functional>
-#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "experiment/sharded_experiment.h"
+#include "experiment/experiment.h"
 #include "invariant_audit.h"
-#include "sim/shard.h"
 
 namespace dilu {
 namespace {
@@ -31,179 +25,6 @@ namespace {
 #ifndef DILU_EXPERIMENTS_DIR
 #error "tests/CMakeLists.txt must define DILU_EXPERIMENTS_DIR"
 #endif
-
-using sim::ShardedSimulation;
-using sim::ShardMailbox;
-using sim::ShardPost;
-using sim::Simulation;
-
-// --- mailbox ordering --------------------------------------------------
-
-TEST(ShardMailbox, DrainsInWhenSourceSeqOrder)
-{
-  // Push in an adversarial order: ties on `when` break by source, ties
-  // on (when, source) by seq — never by arrival order.
-  ShardMailbox mb;
-  std::vector<int> fired;
-  const auto tag = [&fired](int t) { return [&fired, t] { fired.push_back(t); }; };
-  mb.Push(ShardPost{Ms(20), 1, 7, tag(5)});
-  mb.Push(ShardPost{Ms(10), 2, 0, tag(3)});
-  mb.Push(ShardPost{Ms(10), 0, 9, tag(1)});
-  mb.Push(ShardPost{Ms(10), 2, 1, tag(4)});
-  mb.Push(ShardPost{Ms(10), 1, 3, tag(2)});
-  mb.Push(ShardPost{Ms(5), 3, 2, tag(0)});
-
-  sim::EventQueue q;
-  mb.DrainInto(&q, 0);
-  EXPECT_TRUE(mb.empty());
-  while (q.RunOne()) {
-  }
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(ShardMailbox, ClampsPastDuePostsToTheFloor)
-{
-  // A post whose `when` predates the barrier being opened cannot
-  // rewind the shard: it is delivered at the floor, still in
-  // (when, source, seq) order relative to its peers.
-  ShardMailbox mb;
-  std::vector<std::pair<int, TimeUs>> fired;
-  sim::EventQueue q;
-  const auto tag = [&fired, &q](int t) {
-    return [&fired, &q, t] { fired.emplace_back(t, q.now()); };
-  };
-  mb.Push(ShardPost{Ms(10), 0, 0, tag(0)});   // past due
-  mb.Push(ShardPost{Ms(40), 0, 1, tag(1)});   // past due, later when
-  mb.Push(ShardPost{Ms(250), 0, 2, tag(2)});  // in the future
-
-  q.RunUntil(Ms(100));  // the shard already advanced to the barrier
-  mb.DrainInto(&q, Ms(100));
-  q.RunUntil(Ms(300));
-
-  ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[0], (std::pair<int, TimeUs>{0, Ms(100)}));
-  EXPECT_EQ(fired[1], (std::pair<int, TimeUs>{1, Ms(100)}));
-  EXPECT_EQ(fired[2], (std::pair<int, TimeUs>{2, Ms(250)}));
-}
-
-// --- barrier driver delivery semantics ---------------------------------
-
-TEST(ShardedSimulation, CoordinatorPostsFireAtTheirTimestamps)
-{
-  Simulation a;
-  Simulation b;
-  ShardedSimulation ssim({&a, &b}, 1, Ms(100));
-
-  std::vector<TimeUs> fired_a;
-  std::vector<TimeUs> fired_b;
-  ssim.Post(0, Ms(250), [&] { fired_a.push_back(a.now()); });
-  ssim.Post(1, Ms(50), [&] { fired_b.push_back(b.now()); });
-  ssim.Post(1, Ms(555), [&] { fired_b.push_back(b.now()); });
-  ssim.RunUntil(Sec(1));
-
-  EXPECT_EQ(ssim.now(), Sec(1));
-  EXPECT_EQ(a.now(), Sec(1));
-  EXPECT_EQ(b.now(), Sec(1));
-  EXPECT_EQ(fired_a, (std::vector<TimeUs>{Ms(250)}));
-  EXPECT_EQ(fired_b, (std::vector<TimeUs>{Ms(50), Ms(555)}));
-}
-
-TEST(ShardedSimulation, CrossShardPostsLandAtTheNextBarrier)
-{
-  Simulation a;
-  Simulation b;
-  ShardedSimulation ssim({&a, &b}, 1, Ms(100));
-
-  // Shard 0, mid-window at t=150ms, posts to shard 1 for t=160ms —
-  // inside the same window, which shard 1 may already have finished.
-  // The effect is clamped forward to the next barrier (t=200ms).
-  std::vector<TimeUs> fired;
-  a.Post(Ms(150), [&] {
-    ssim.Post(1, Ms(160), [&] { fired.push_back(b.now()); },
-              /*source=*/0);
-    ssim.Post(1, Ms(470), [&] { fired.push_back(b.now()); },
-              /*source=*/0);
-  });
-  ssim.RunUntil(Sec(1));
-
-  EXPECT_EQ(fired, (std::vector<TimeUs>{Ms(200), Ms(470)}));
-}
-
-TEST(ShardedSimulation, FinalWindowPostsAreNotLost)
-{
-  // A cross-shard post issued during the very last window would rot in
-  // the mailbox without the final drain after the loop; it must fire
-  // at the deadline instead.
-  Simulation a;
-  Simulation b;
-  ShardedSimulation ssim({&a, &b}, 1, Ms(100));
-  std::vector<TimeUs> fired;
-  a.Post(Ms(950), [&] {
-    ssim.Post(1, Ms(990), [&] { fired.push_back(b.now()); },
-              /*source=*/0);
-  });
-  ssim.RunUntil(Sec(1));
-  EXPECT_EQ(fired, (std::vector<TimeUs>{Sec(1)}));
-}
-
-// --- determinism across thread counts and reruns -----------------------
-
-/**
- * A scripted cross-shard storm on bare Simulations: every shard runs a
- * local metronome that posts work to other shards, and each delivery
- * appends (time, source, tick) to the receiving shard's private log.
- * The logs — one writer each — are the observable event order.
- */
-std::vector<std::vector<std::string>>
-RunScriptedStorm(int shards, int threads)
-{
-  std::vector<std::unique_ptr<Simulation>> sims;
-  std::vector<Simulation*> raw;
-  for (int s = 0; s < shards; ++s) {
-    sims.push_back(std::make_unique<Simulation>());
-    raw.push_back(sims.back().get());
-  }
-  ShardedSimulation ssim(raw, threads, Ms(100));
-
-  std::vector<std::vector<std::string>> logs(
-      static_cast<std::size_t>(shards));
-  // Metronomes: shard s ticks every (7 + s) ms and posts to the two
-  // neighbouring shards, once for "now" (clamps to the next barrier)
-  // and once for a future window.
-  for (int s = 0; s < shards; ++s) {
-    Simulation* my = raw[s];
-    const std::function<void(int)> tick = [&, s, my](int n) {
-      for (int d = 1; d <= 2; ++d) {
-        const int target = (s + d) % shards;
-        ssim.Post(target, my->now() + Ms(40) * d,
-                  [&logs, target, s, n, t = raw[target]] {
-                    logs[static_cast<std::size_t>(target)].push_back(
-                        std::to_string(t->now()) + " from " +
-                        std::to_string(s) + " tick " + std::to_string(n));
-                  },
-                  /*source=*/s);
-      }
-    };
-    // Schedule 40 ticks up front (recursive rescheduling would need
-    // shared state; a fixed script is just as good a storm).
-    for (int n = 0; n < 40; ++n) {
-      my->Post(Ms(7 + s) * (n + 1), [tick, n] { tick(n); });
-    }
-  }
-  ssim.RunUntil(Sec(2));
-  return logs;
-}
-
-TEST(ShardedSimulation, StormIsInvariantAcrossThreadCountsAndReruns)
-{
-  const auto reference = RunScriptedStorm(4, 1);
-  std::size_t total = 0;
-  for (const auto& log : reference) total += log.size();
-  EXPECT_EQ(total, 4u * 40u * 2u) << "every post must be delivered";
-  EXPECT_EQ(RunScriptedStorm(4, 1), reference) << "rerun diverged";
-  EXPECT_EQ(RunScriptedStorm(4, 2), reference) << "threads=2 diverged";
-  EXPECT_EQ(RunScriptedStorm(4, 4), reference) << "threads=4 diverged";
-}
 
 // --- the engineered islands spec ---------------------------------------
 
@@ -234,21 +55,18 @@ TEST(ShardedExperiment, IslandsSpecMatchesLegacyByteForByte)
   // shard_islands.exp is engineered so its four single-function
   // islands coincide exactly with the shards=4 partition: nothing ever
   // crosses a shard boundary, so the merged sharded report must equal
-  // the legacy single-threaded report byte-for-byte. This is the same
+  // the one-shard report byte-for-byte. This is the same
   // diff the CI experiment-smoke job performs via dilu_run.
   experiment::Experiment legacy(LoadSpec("shard_islands.exp"));
   const std::string want = legacy.Run().ToJson();
 
-  experiment::ShardOptions sh;
-  sh.shards = 4;
-  sh.threads = 4;
-  experiment::ShardedExperiment sharded(LoadSpec("shard_islands.exp"), {},
-                                        sh);
+  experiment::Experiment sharded(LoadSpec("shard_islands.exp"), {},
+                                 experiment::ShardOptions{4, 4});
   EXPECT_EQ(sharded.Run().ToJson(), want)
       << "an island-aligned partition must merge losslessly";
 }
 
-// --- randomized cross-shard chaos storm with per-barrier audits --------
+// --- randomized chaos storm across shards, audited in every shard -----
 
 /**
  * Generate a storm spec: a 6-node mixed fleet (two scaled inference
@@ -313,7 +131,19 @@ MakeStormSpecText(std::uint64_t seed)
   return out.str();
 }
 
-TEST(ShardedExperiment, RandomizedStormAuditsCleanAtEveryBarrier)
+/** One shard's cross-layer invariants, at its current time. */
+void
+AuditShard(cluster::ClusterRuntime& rt, int shard)
+{
+  SCOPED_TRACE(::testing::Message()
+               << "shard " << shard << " at " << rt.now() << "us");
+  testing::AuditFleet(rt.state(), rt);
+  if (rt.fabric() != nullptr) {
+    testing::AuditFabric(*rt.fabric(), rt.now());
+  }
+}
+
+TEST(ShardedExperiment, RandomizedStormAuditsCleanInEveryShard)
 {
   const std::string text = MakeStormSpecText(0xD11Du);
   experiment::ExperimentSpec spec;
@@ -321,33 +151,32 @@ TEST(ShardedExperiment, RandomizedStormAuditsCleanAtEveryBarrier)
   ASSERT_TRUE(experiment::ExperimentSpec::Parse(text, &spec, &error))
       << error << "\n" << text;
 
-  experiment::ShardOptions sh;
-  sh.shards = 3;
-  sh.threads = 4;
-  sh.barrier = Ms(500);  // every barrier is audited; keep the count sane
-  experiment::ShardedExperiment exp(spec, {}, sh);
-  int barriers = 0;
-  exp.set_barrier_probe([&](TimeUs at) {
-    ++barriers;
-    SCOPED_TRACE(::testing::Message() << "barrier at " << at << "us");
-    for (int s = 0; s < exp.shard_count(); ++s) {
-      SCOPED_TRACE(::testing::Message() << "shard " << s);
-      cluster::ClusterRuntime& rt = exp.runtime(s);
-      testing::AuditFleet(rt.state(), rt);
-      if (rt.fabric() != nullptr) {
-        testing::AuditFabric(*rt.fabric(), rt.now());
-      }
-    }
+  experiment::Experiment exp(spec, {}, experiment::ShardOptions{3, 4});
+  // Each shard audits itself every 500 ms from an event on its own
+  // clock: the audit runs on whichever worker advances that shard and
+  // writes only that shard's counter.
+  std::vector<int> audits(static_cast<std::size_t>(exp.shard_count()), 0);
+  for (int s = 0; s < exp.shard_count(); ++s) {
+    cluster::ClusterRuntime& rt = exp.runtime(s);
+    int& count = audits[static_cast<std::size_t>(s)];
+    rt.simulation().SchedulePeriodic(Ms(500), Ms(500), [&rt, &count, s] {
+      ++count;
+      AuditShard(rt, s);
+    });
+  }
+  exp.set_barrier_probe([&exp](TimeUs) {
+    for (int s = 0; s < exp.shard_count(); ++s) AuditShard(exp.runtime(s), s);
   });
   const std::string first = exp.Run().ToJson();
-  EXPECT_GE(barriers, 80) << "probe must run at every 500ms barrier";
+  for (int s = 0; s < exp.shard_count(); ++s) {
+    EXPECT_GE(audits[static_cast<std::size_t>(s)], 80)
+        << "shard " << s << " must audit every 500ms of its 40s run";
+  }
 
-  // The same storm, rerun at a different thread count, byte-identical.
+  // The same storm, unaudited and on one thread, byte-identical.
   experiment::ExperimentSpec spec2;
   ASSERT_TRUE(experiment::ExperimentSpec::Parse(text, &spec2, &error));
-  experiment::ShardOptions sh2 = sh;
-  sh2.threads = 1;
-  experiment::ShardedExperiment again(spec2, {}, sh2);
+  experiment::Experiment again(spec2, {}, experiment::ShardOptions{3, 1});
   EXPECT_EQ(again.Run().ToJson(), first)
       << "storm must not depend on the worker count";
 }

@@ -3,7 +3,7 @@
  * dilu_run: execute a declarative experiment spec.
  *
  *   dilu_run <spec.exp> [--seed N] [--out FILE] [--export PREFIX]
- *            [--shards N] [--threads N] [--barrier-ms N] [--print]
+ *            [--shards N] [--threads N] [--print]
  *   dilu_run --list [DIR]
  *
  *  --seed N         override the spec's cluster seed (all derived
@@ -12,11 +12,10 @@
  *                   instead of stdout
  *  --export PREFIX  write the trace CSVs under PREFIX (overrides the
  *                   spec's `export` line; sharded runs append _s<k>)
- *  --shards N       partition the fleet into N shards (default 1 =
- *                   the single-threaded driver; see
+ *  --shards N       partition the fleet into N independent shards
+ *                   (default 1 = the whole fleet; see
  *                   docs/PARALLELISM.md)
- *  --threads N      worker threads for the sharded driver (default 1)
- *  --barrier-ms N   time-barrier window in ms (default 100)
+ *  --threads N      worker threads running the shards (default 1)
  *  --print          print the canonical spec text and exit (lint /
  *                   round-trip check; no simulation)
  *  --list [DIR]     list the `.exp` gallery under DIR (default
@@ -24,21 +23,23 @@
  *                   description, and exit
  *
  * Two runs of the same spec + seed emit byte-identical JSON (the CI
- * experiment-smoke job diffs exactly that); a sharded run's JSON is
- * additionally byte-identical at any --threads value. Parse errors
- * carry the offending line number and exit 2; see docs/EXPERIMENTS.md
- * for the grammar and the checked-in gallery under experiments/.
+ * experiment-smoke job diffs exactly that), at any --threads value.
+ * Numeric flags must be whole numbers (--seed 12x is a usage error).
+ * Usage and parse errors exit 2 (spec errors carry the offending line
+ * number), an unreadable spec or unwritable --out exits 1; see
+ * docs/EXPERIMENTS.md for the grammar and the checked-in gallery under
+ * experiments/.
  */
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/spec_text.h"
 #include "experiment/experiment.h"
 #include "experiment/gallery.h"
-#include "experiment/sharded_experiment.h"
 
 namespace {
 
@@ -50,10 +51,20 @@ Usage(const char* argv0)
   std::fprintf(stderr,
                "usage: %s <spec.exp> [--seed N] [--out FILE] "
                "[--export PREFIX] [--shards N] [--threads N] "
-               "[--barrier-ms N] [--print]\n"
+               "[--print]\n"
                "       %s --list [DIR]\n",
                argv0, argv0);
   return 2;
+}
+
+/** A whole-string positive int flag value ("4x", "0" and overflow fail). */
+bool
+ParsePositive(const char* text, int* out)
+{
+  std::int32_t v = 0;
+  if (!spec_text::ParseInt(text, &v) || v < 1) return false;
+  *out = v;
+  return true;
 }
 
 int
@@ -81,7 +92,6 @@ main(int argc, char** argv)
   std::uint64_t seed = 0;
   int shards = 1;
   int threads = 1;
-  long barrier_ms = 100;
   bool print_only = false;
   if (argc >= 2 && std::strcmp(argv[1], "--list") == 0) {
     if (argc > 3) return Usage(argv[0]);
@@ -89,18 +99,11 @@ main(int argc, char** argv)
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(
-          std::strtoull(argv[++i], nullptr, 10));
+      if (!spec_text::ParseUint64(argv[++i], &seed)) return Usage(argv[0]);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-      if (shards < 1) return Usage(argv[0]);
+      if (!ParsePositive(argv[++i], &shards)) return Usage(argv[0]);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) return Usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--barrier-ms") == 0
-               && i + 1 < argc) {
-      barrier_ms = std::atol(argv[++i]);
-      if (barrier_ms < 1) return Usage(argv[0]);
+      if (!ParsePositive(argv[++i], &threads)) return Usage(argv[0]);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--export") == 0 && i + 1 < argc) {
@@ -138,32 +141,18 @@ main(int argc, char** argv)
 
   std::fprintf(stderr,
                "running experiment '%s' (%zu deploys, %zu workloads, "
-               "%zu chaos events, horizon %.0fs)\n",
+               "%zu chaos events, horizon %.0fs; %d shards, "
+               "%d threads)\n",
                spec.name().c_str(), spec.deploys().size(),
                spec.workloads().size(), spec.chaos().events().size(),
-               ToSec(spec.EffectiveRunFor()));
+               ToSec(spec.EffectiveRunFor()), shards, threads);
 
   experiment::RunOptions opts;
   opts.seed = seed;
   if (export_prefix != nullptr) opts.export_prefix = export_prefix;
-  experiment::ExperimentResult result;
-  if (shards <= 1) {
-    // The single-threaded driver IS the reference semantics: every
-    // golden was recorded through it, so shards=1 never routes
-    // through the sharded core.
-    experiment::Experiment exp(std::move(spec), opts);
-    result = exp.Run();
-  } else {
-    experiment::ShardOptions sh;
-    sh.shards = shards;
-    sh.threads = threads;
-    sh.barrier = Ms(barrier_ms);
-    std::fprintf(stderr, "sharded driver: %d shards, %d threads, "
-                 "%ldms barriers\n", shards, threads, barrier_ms);
-    experiment::ShardedExperiment exp(std::move(spec), opts, sh);
-    result = exp.Run();
-  }
-  const std::string json = result.ToJson();
+  experiment::Experiment exp(std::move(spec), opts,
+                             experiment::ShardOptions{shards, threads});
+  const std::string json = exp.Run().ToJson();
 
   if (out_path != nullptr) {
     std::FILE* f = std::fopen(out_path, "w");
@@ -171,8 +160,11 @@ main(int argc, char** argv)
       std::fprintf(stderr, "cannot open %s\n", out_path);
       return 1;
     }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
+    const bool written = std::fputs(json.c_str(), f) != EOF;
+    if (std::fclose(f) != 0 || !written) {
+      std::fprintf(stderr, "cannot write %s\n", out_path);
+      return 1;
+    }
     std::fprintf(stderr, "wrote %s\n", out_path);
   } else {
     std::fputs(json.c_str(), stdout);

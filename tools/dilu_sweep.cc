@@ -8,7 +8,9 @@
  *   dilu_sweep --list [DIR]
  *   dilu_sweep --metrics
  *
- *  --threads N    worker threads for the run matrix (default 1)
+ *  --threads N    worker threads for the run matrix (default 1; a
+ *                 whole positive number, anything else is a usage
+ *                 error)
  *  --out FILE     write the JSON report (dilu-sweep/1) to FILE instead
  *                 of stdout, plus the per-cell table next to it as
  *                 <FILE minus .json>_cells.csv
@@ -27,13 +29,14 @@
  * JSON and CSV at any --threads value (the CI sweep-gate job diffs
  * exactly that); see docs/SWEEP.md for the grammar and semantics.
  */
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/spec_text.h"
 #include "experiment/experiment_spec.h"
 #include "experiment/gallery.h"
 #include "sweep/sweep_runner.h"
@@ -98,8 +101,11 @@ WriteFile(const std::string& path, const std::string& content)
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return false;
   }
-  std::fputs(content.c_str(), f);
-  std::fclose(f);
+  const bool written = std::fputs(content.c_str(), f) != EOF;
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
   std::fprintf(stderr, "wrote %s\n", path.c_str());
   return true;
 }
@@ -127,8 +133,11 @@ main(int argc, char** argv)
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) return Usage(argv[0]);
+      std::int32_t n = 0;
+      if (!spec_text::ParseInt(argv[++i], &n) || n < 1) {
+        return Usage(argv[0]);
+      }
+      threads = n;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--exp-dir") == 0 && i + 1 < argc) {

@@ -42,9 +42,8 @@ const std::vector<RuleInfo> kRules = {
      "headers need #pragma once or an #ifndef guard"},
     {"event-schedule", "src/ except src/sim/ and src/runtime/",
      "direct EventQueue::ScheduleAt/ScheduleAfter outside the sim core; "
-     "cross-shard events must go through mailboxes in the sharded core "
-     "(suppress with the mailbox-migration reason if this site is an "
-     "arming entry point)"},
+     "layer code schedules through Simulation::Post on its own shard's "
+     "clock"},
     {"seed-zero", "everywhere except the sanctioned legacy-seed sites",
      "`seed == 0` sentinel comparisons (0 = legacy per-suite seeds / "
      "spec-owned seed) are only sanctioned in "
@@ -751,10 +750,9 @@ Linter::LintFile(const std::string& path, const std::string& content,
   }
 
   // --- event-schedule -------------------------------------------------
-  // Raw queue scheduling lives only in src/sim/ (including the sharded
-  // core's shard.{h,cc} mailboxes) and src/runtime/. Layer code posts
-  // through Simulation::Post (shard-local) or ShardedSimulation::Post
-  // (cross-shard mailbox); see docs/PARALLELISM.md.
+  // Raw queue scheduling lives only in src/sim/ and src/runtime/.
+  // Layer code posts through Simulation::Post, which is always its own
+  // shard's clock; see docs/PARALLELISM.md.
   if (StartsWith(path, "src/") && !StartsWith(path, "src/sim/")
       && !StartsWith(path, "src/runtime/")) {
     for (const char* w : {"ScheduleAt", "ScheduleAfter"}) {
@@ -764,8 +762,7 @@ Linter::LintFile(const std::string& path, const std::string& content,
         if (after < code.size() && code[after] == '(') {
           emit(at, "event-schedule",
                std::string(w) + " outside sim/+runtime/: use "
-               "Simulation::Post (shard-local) or "
-               "ShardedSimulation::Post (cross-shard mailbox)");
+               "Simulation::Post");
         }
       }
     }

@@ -23,9 +23,8 @@
  *                     are skipped entirely below the active level)
  *   include-guard     every header opens with a guard / pragma once
  *   event-schedule    no direct EventQueue::ScheduleAt/ScheduleAfter
- *                     outside src/sim/ + src/runtime/ (groundwork for
- *                     the sharded core: cross-shard events will go
- *                     through mailboxes)
+ *                     outside src/sim/ + src/runtime/ (layer code
+ *                     posts through Simulation::Post)
  *   seed-zero         `seed == 0` sentinel comparisons only in the
  *                     sanctioned legacy-seed sites (exception list)
  *
