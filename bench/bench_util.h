@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec_text.h"
 #include "core/system.h"
 #include "profiler/inference_profiler.h"
 #include "profiler/training_profiler.h"
@@ -44,9 +45,9 @@ struct CliOptions {
 };
 
 /**
- * Parse the shared flags (every unknown argument is a usage error).
- * `default_seed` seeds --seed when absent. Returns false after
- * printing usage.
+ * Parse the shared flags (every unknown argument, and a --seed that is
+ * not a whole unsigned number, is a usage error). `default_seed` seeds
+ * --seed when absent. Returns false after printing usage.
  */
 inline bool
 ParseCli(int argc, char** argv, CliOptions* opts,
@@ -56,9 +57,9 @@ ParseCli(int argc, char** argv, CliOptions* opts,
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       opts->quick = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opts->seed = static_cast<std::uint64_t>(
-          std::strtoull(argv[++i], nullptr, 10));
+    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc
+               && spec_text::ParseUint64(argv[i + 1], &opts->seed)) {
+      ++i;
       opts->seed_given = true;
     } else if (std::strcmp(argv[i], "--legacy-seeds") == 0) {
       opts->legacy_seeds = true;

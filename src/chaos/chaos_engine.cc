@@ -13,17 +13,6 @@ namespace {
  *  enough that TTR resolution is far below any real cold start). */
 constexpr TimeUs kWatchPeriod = Ms(500);
 
-std::string
-Describe(const ScenarioEvent& e)
-{
-  std::string d = ToString(e.kind);
-  if (e.target >= 0) d += " " + std::to_string(e.target);
-  if (e.kind == FaultKind::kTrafficSurge || IsShedding(e.kind)) {
-    d += " fn=" + std::to_string(e.function);
-  }
-  return d;
-}
-
 }  // namespace
 
 ChaosEngine::ChaosEngine(cluster::ClusterRuntime* runtime,
@@ -43,7 +32,7 @@ ChaosEngine::Arm()
   for (std::size_t i = 0; i < sorted_.size(); ++i) {
     outcomes_[i].event = sorted_[i];
     if (sorted_[i].at < rt_->now()) {
-      DILU_WARN << "chaos event '" << Describe(sorted_[i])
+      DILU_WARN << "chaos event '" << FormatEventLine(sorted_[i])
                 << "' scheduled in the past; skipped";
       continue;
     }

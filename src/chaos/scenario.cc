@@ -1,33 +1,127 @@
 #include "chaos/scenario.h"
 
 #include <algorithm>
-#include <sstream>
+#include <iterator>
+#include <limits>
 
 #include "common/spec_text.h"
 
 namespace dilu::chaos {
 
+namespace {
+
+using spec_text::Fail;
+using spec_text::FormatDouble;
+using spec_text::FormatTime;
+using spec_text::ParseDouble;
+using spec_text::ParseInt;
+using spec_text::ParseTime;
+using spec_text::StripPrefix;
+
+/** What follows a verb's operand and magnitude. */
+enum class Window {
+  kNone,
+  kFor,    ///< `for <time>` (ScenarioEvent::duration)
+  kEvery,  ///< `every=<time>` then an optional `save=<time>`
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/**
+ * One verb of the event grammar, "at <time> <verb> <operand>
+ * [<magnitude>] [<window>]". The row is the single statement of how
+ * the verb reads, prints and routes: ParseEventLine, FormatEventLine,
+ * the experiment loader's fn= cross-check and the sharded driver's
+ * event routing all read it.
+ */
+struct Verb {
+  FaultKind kind;
+  const char* word;
+  Operand operand;
+  /** Spelling before the magnitude ("x", "rps=", "rate="); null = none. */
+  const char* magnitude = nullptr;
+  /** The magnitude must lie strictly inside (lo, hi). */
+  double lo = 0.0;
+  double hi = kInf;
+  Window window = Window::kNone;
+  /** "<verb> needs <usage>": a bad fn=, magnitude or every= operand. */
+  const char* usage = nullptr;
+  /** "<verb> <range>": an out-of-range magnitude (null = usage). */
+  const char* range = nullptr;
+  /** Operand::kFunction: the task type the named deploy must have. */
+  TaskType task = TaskType::kInference;
+};
+
+/** One row per FaultKind, in enum order. */
+constexpr Verb kVerbs[] = {
+    {FaultKind::kGpuFail, "fail_gpu", Operand::kGpu},
+    {FaultKind::kGpuRecover, "recover_gpu", Operand::kGpu},
+    {FaultKind::kNodeFail, "fail_node", Operand::kNode},
+    {FaultKind::kNodeRecover, "recover_node", Operand::kNode},
+    {FaultKind::kNodeDrain, "drain_node", Operand::kNode},
+    {FaultKind::kNodeUndrain, "undrain_node", Operand::kNode},
+    {FaultKind::kGpuDegrade, "degrade_gpu", Operand::kGpu, "x", 0.0, 1.0,
+     Window::kNone, "x<factor> (e.g. x0.6 / x2.5)",
+     "capacity must be in (0, 1)"},
+    {FaultKind::kGpuStraggle, "straggle", Operand::kGpu, "x", 1.0, kInf,
+     Window::kNone, "x<factor> (e.g. x0.6 / x2.5)",
+     "factor must be > 1 (e.g. x2.5)"},
+    {FaultKind::kCheckpointEvery, "checkpoint_every", Operand::kFunction,
+     nullptr, 0.0, kInf, Window::kEvery, "fn=<id> every=<time>", nullptr,
+     TaskType::kTraining},
+    {FaultKind::kColdStartInflation, "inflate_coldstart", Operand::kFleet,
+     "x", 0.0, kInf, Window::kFor, "x<factor> (e.g. x2.5)"},
+    {FaultKind::kTrafficSurge, "surge", Operand::kFunction, "rps=", 0.0,
+     kInf, Window::kFor, "fn=<id> rps=<rate> (both positive)"},
+    {FaultKind::kOverload, "overload", Operand::kFunction, "x", 1.0, kInf,
+     Window::kFor, "fn=<id> x<factor> (factor > 1)"},
+    {FaultKind::kThrottleAdmit, "throttle_admit", Operand::kFunction,
+     "rate=", 0.0, kInf, Window::kFor, "fn=<id> rate=<req/s> (positive)"},
+    {FaultKind::kLinkFail, "fail_link", Operand::kNode, nullptr, 0.0, kInf,
+     Window::kFor},
+    {FaultKind::kStorageBrownout, "storage_brownout", Operand::kFleet, "x",
+     1.0, kInf, Window::kFor, "x<factor> (factor > 1)"},
+};
+
+/** One row per kind, in order; every operand that can be bad has usage. */
+constexpr bool
+WellFormed()
+{
+  int i = 0;
+  for (const Verb& v : kVerbs) {
+    if (static_cast<int>(v.kind) != i++) return false;
+    const bool needs_usage = v.operand == Operand::kFunction
+        || v.magnitude != nullptr || v.window == Window::kEvery;
+    if (needs_usage && v.usage == nullptr) return false;
+  }
+  return i == static_cast<int>(FaultKind::kStorageBrownout) + 1;
+}
+static_assert(WellFormed(), "kVerbs: one row per FaultKind, in enum order");
+
+const Verb&
+RowOf(FaultKind kind)
+{
+  return kVerbs[static_cast<int>(kind)];
+}
+
+}  // namespace
+
 const char*
 ToString(FaultKind kind)
 {
-  switch (kind) {
-    case FaultKind::kGpuFail: return "fail_gpu";
-    case FaultKind::kGpuRecover: return "recover_gpu";
-    case FaultKind::kNodeFail: return "fail_node";
-    case FaultKind::kNodeRecover: return "recover_node";
-    case FaultKind::kNodeDrain: return "drain_node";
-    case FaultKind::kNodeUndrain: return "undrain_node";
-    case FaultKind::kGpuDegrade: return "degrade_gpu";
-    case FaultKind::kGpuStraggle: return "straggle";
-    case FaultKind::kCheckpointEvery: return "checkpoint_every";
-    case FaultKind::kColdStartInflation: return "inflate_coldstart";
-    case FaultKind::kTrafficSurge: return "surge";
-    case FaultKind::kOverload: return "overload";
-    case FaultKind::kThrottleAdmit: return "throttle_admit";
-    case FaultKind::kLinkFail: return "fail_link";
-    case FaultKind::kStorageBrownout: return "storage_brownout";
-  }
-  return "?";
+  return RowOf(kind).word;
+}
+
+Operand
+OperandOf(FaultKind kind)
+{
+  return RowOf(kind).operand;
+}
+
+TaskType
+FunctionTaskOf(FaultKind kind)
+{
+  return RowOf(kind).task;
 }
 
 bool
@@ -59,183 +153,98 @@ IsFabric(FaultKind kind)
 ScenarioSpec&
 ScenarioSpec::FailGpu(TimeUs at, GpuId gpu)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kGpuFail;
-  e.target = gpu;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kGpuFail, gpu});
 }
 
 ScenarioSpec&
 ScenarioSpec::RecoverGpu(TimeUs at, GpuId gpu)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kGpuRecover;
-  e.target = gpu;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kGpuRecover, gpu});
 }
 
 ScenarioSpec&
 ScenarioSpec::FailNode(TimeUs at, NodeId node)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kNodeFail;
-  e.target = node;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kNodeFail, node});
 }
 
 ScenarioSpec&
 ScenarioSpec::RecoverNode(TimeUs at, NodeId node)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kNodeRecover;
-  e.target = node;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kNodeRecover, node});
 }
 
 ScenarioSpec&
 ScenarioSpec::DrainNode(TimeUs at, NodeId node)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kNodeDrain;
-  e.target = node;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kNodeDrain, node});
 }
 
 ScenarioSpec&
 ScenarioSpec::UndrainNode(TimeUs at, NodeId node)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kNodeUndrain;
-  e.target = node;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kNodeUndrain, node});
 }
 
 ScenarioSpec&
 ScenarioSpec::DegradeGpu(TimeUs at, GpuId gpu, double capacity)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kGpuDegrade;
-  e.target = gpu;
-  e.magnitude = capacity;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kGpuDegrade, gpu, kInvalidFunction, capacity});
 }
 
 ScenarioSpec&
 ScenarioSpec::StraggleGpu(TimeUs at, GpuId gpu, double factor)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kGpuStraggle;
-  e.target = gpu;
-  e.magnitude = factor;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kGpuStraggle, gpu, kInvalidFunction, factor});
 }
 
 ScenarioSpec&
 ScenarioSpec::CheckpointEvery(TimeUs at, FunctionId fn, TimeUs every,
                               TimeUs save_cost)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kCheckpointEvery;
-  e.function = fn;
-  e.duration = every;
-  e.save_cost = save_cost;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kCheckpointEvery, -1, fn, 0.0, every, save_cost});
 }
 
 ScenarioSpec&
 ScenarioSpec::InflateColdStarts(TimeUs at, double factor, TimeUs duration)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kColdStartInflation;
-  e.magnitude = factor;
-  e.duration = duration;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kColdStartInflation, -1, kInvalidFunction,
+              factor, duration});
 }
 
 ScenarioSpec&
 ScenarioSpec::Surge(TimeUs at, FunctionId fn, double extra_rps,
                     TimeUs duration)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kTrafficSurge;
-  e.function = fn;
-  e.magnitude = extra_rps;
-  e.duration = duration;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kTrafficSurge, -1, fn, extra_rps, duration});
 }
 
 ScenarioSpec&
 ScenarioSpec::Overload(TimeUs at, FunctionId fn, double factor,
                        TimeUs duration)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kOverload;
-  e.function = fn;
-  e.magnitude = factor;
-  e.duration = duration;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kOverload, -1, fn, factor, duration});
 }
 
 ScenarioSpec&
 ScenarioSpec::ThrottleAdmit(TimeUs at, FunctionId fn, double rate,
                             TimeUs duration)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kThrottleAdmit;
-  e.function = fn;
-  e.magnitude = rate;
-  e.duration = duration;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kThrottleAdmit, -1, fn, rate, duration});
 }
 
 ScenarioSpec&
 ScenarioSpec::FailLink(TimeUs at, NodeId node, TimeUs duration)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kLinkFail;
-  e.target = node;
-  e.duration = duration;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kLinkFail, node, kInvalidFunction, 0.0,
+              duration});
 }
 
 ScenarioSpec&
 ScenarioSpec::StorageBrownout(TimeUs at, double factor, TimeUs duration)
 {
-  ScenarioEvent e;
-  e.at = at;
-  e.kind = FaultKind::kStorageBrownout;
-  e.magnitude = factor;
-  e.duration = duration;
-  events_.push_back(e);
-  return *this;
+  return Add({at, FaultKind::kStorageBrownout, -1, kInvalidFunction, factor,
+              duration});
 }
 
 std::vector<ScenarioEvent>
@@ -252,256 +261,110 @@ ScenarioSpec::Sorted() const
 std::string
 FormatEventLine(const ScenarioEvent& e)
 {
-  using spec_text::FormatDouble;
-  using spec_text::FormatTime;
-  std::ostringstream out;
-  out << "at " << FormatTime(e.at) << " " << ToString(e.kind);
-  switch (e.kind) {
-    case FaultKind::kGpuFail:
-    case FaultKind::kGpuRecover:
-    case FaultKind::kNodeFail:
-    case FaultKind::kNodeRecover:
-    case FaultKind::kNodeDrain:
-    case FaultKind::kNodeUndrain:
-      out << " " << e.target;
-      break;
-    case FaultKind::kGpuDegrade:
-    case FaultKind::kGpuStraggle:
-      out << " " << e.target << " x" << FormatDouble(e.magnitude);
-      break;
-    case FaultKind::kCheckpointEvery:
-      out << " fn=" << e.function << " every=" << FormatTime(e.duration);
-      if (e.save_cost > 0) out << " save=" << FormatTime(e.save_cost);
-      break;
-    case FaultKind::kColdStartInflation:
-      out << " x" << FormatDouble(e.magnitude) << " for "
-          << FormatTime(e.duration);
-      break;
-    case FaultKind::kTrafficSurge:
-      out << " fn=" << e.function << " rps=" << FormatDouble(e.magnitude)
-          << " for " << FormatTime(e.duration);
-      break;
-    case FaultKind::kOverload:
-      out << " fn=" << e.function << " x" << FormatDouble(e.magnitude)
-          << " for " << FormatTime(e.duration);
-      break;
-    case FaultKind::kThrottleAdmit:
-      out << " fn=" << e.function << " rate=" << FormatDouble(e.magnitude)
-          << " for " << FormatTime(e.duration);
-      break;
-    case FaultKind::kLinkFail:
-      out << " " << e.target << " for " << FormatTime(e.duration);
-      break;
-    case FaultKind::kStorageBrownout:
-      out << " x" << FormatDouble(e.magnitude) << " for "
-          << FormatTime(e.duration);
-      break;
+  const Verb& v = RowOf(e.kind);
+  std::string out = "at " + FormatTime(e.at) + " " + v.word;
+  switch (v.operand) {
+    case Operand::kGpu:
+    case Operand::kNode: out += " " + std::to_string(e.target); break;
+    case Operand::kFunction: out += " fn=" + std::to_string(e.function); break;
+    case Operand::kFleet: break;
   }
-  return out.str();
+  if (v.magnitude != nullptr) {
+    out += std::string(" ") + v.magnitude + FormatDouble(e.magnitude);
+  }
+  if (v.window == Window::kFor) out += " for " + FormatTime(e.duration);
+  if (v.window == Window::kEvery) {
+    out += " every=" + FormatTime(e.duration);
+    if (e.save_cost > 0) out += " save=" + FormatTime(e.save_cost);
+  }
+  return out;
 }
 
 std::string
 ScenarioSpec::ToText() const
 {
-  std::ostringstream out;
-  out << "scenario " << (name_.empty() ? "unnamed" : name_) << "\n";
-  for (const ScenarioEvent& e : events_) {
-    out << FormatEventLine(e) << "\n";
-  }
-  return out.str();
+  std::string out = "scenario " + (name_.empty() ? "unnamed" : name_) + "\n";
+  for (const ScenarioEvent& e : events_) out += FormatEventLine(e) + "\n";
+  return out;
 }
 
 bool
-ScenarioSpec::ParseEventLine(const std::string& line, int line_no,
+ScenarioSpec::ParseEventLine(std::string_view line, int line_no,
                              ScenarioSpec* spec, std::string* error)
 {
-  using spec_text::Fail;
-  using spec_text::ParseDouble;
-  using spec_text::ParseInt;
-  using spec_text::ParseTime;
-  using spec_text::StripPrefix;
-
-  std::istringstream toks(line);
-  std::string tok;
-  if (!(toks >> tok) || tok != "at") {
+  spec_text::Tokens toks(line);
+  std::string_view at;
+  std::string_view time;
+  std::string_view word;
+  if (!toks.Next(&at) || at != "at" || !toks.Next(&time)
+      || !toks.Next(&word)) {
     return Fail(error, line_no, "expected 'at <time> <verb> ...'");
   }
-  std::string time_tok;
-  std::string verb;
-  if (!(toks >> time_tok >> verb)) {
-    return Fail(error, line_no, "expected 'at <time> <verb> ...'");
-  }
-  TimeUs at = 0;
-  if (!ParseTime(time_tok, &at)) {
+  ScenarioEvent e;
+  if (!ParseTime(time, &e.at)) {
     return Fail(error, line_no,
-                "bad time '" + time_tok + "' (want <int>us|ms|s)");
+                "bad time '" + std::string(time) + "' (want <int>us|ms|s)");
   }
-
-  const auto parse_target = [&](std::int32_t* target) {
-    std::string t;
-    return (toks >> t) && ParseInt(t, target) && *target >= 0;
+  const Verb* v = std::find_if(
+      std::begin(kVerbs), std::end(kVerbs),
+      [word](const Verb& row) { return word == row.word; });
+  if (v == std::end(kVerbs)) {
+    return Fail(error, line_no, "unknown verb '" + std::string(word) + "'");
+  }
+  e.kind = v->kind;
+  // Every operand rejection names the verb first.
+  const auto fail = [&](const std::string& what) {
+    return Fail(error, line_no, std::string(word) + what);
   };
-  const auto parse_window = [&](TimeUs* dur) {
-    std::string kw;
-    std::string t;
-    return (toks >> kw >> t) && kw == "for" && ParseTime(t, dur);
-  };
+  const auto usage = [&] { return fail(std::string(" needs ") + v->usage); };
 
-  std::int32_t target = -1;
-  if (verb == "fail_gpu" || verb == "recover_gpu" || verb == "fail_node"
-      || verb == "recover_node" || verb == "drain_node"
-      || verb == "undrain_node") {
-    if (!parse_target(&target)) {
-      return Fail(error, line_no, verb + " needs a non-negative id");
-    }
-    if (verb == "fail_gpu") spec->FailGpu(at, target);
-    if (verb == "recover_gpu") spec->RecoverGpu(at, target);
-    if (verb == "fail_node") spec->FailNode(at, target);
-    if (verb == "recover_node") spec->RecoverNode(at, target);
-    if (verb == "drain_node") spec->DrainNode(at, target);
-    if (verb == "undrain_node") spec->UndrainNode(at, target);
-  } else if (verb == "degrade_gpu" || verb == "straggle") {
-    std::string factor_tok;
-    double factor = 0.0;
-    if (!parse_target(&target)) {
-      return Fail(error, line_no, verb + " needs a non-negative id");
-    }
-    if (!(toks >> factor_tok)
-        || !ParseDouble(StripPrefix(factor_tok, "x"), &factor)) {
-      return Fail(error, line_no,
-                  verb + " needs x<factor> (e.g. x0.6 / x2.5)");
-    }
-    if (verb == "degrade_gpu") {
-      if (factor <= 0.0 || factor >= 1.0) {
-        return Fail(error, line_no,
-                    "degrade_gpu capacity must be in (0, 1)");
+  std::string_view tok;
+  switch (v->operand) {
+    case Operand::kGpu:
+    case Operand::kNode:
+      if (!toks.Next(&tok) || !ParseInt(tok, &e.target) || e.target < 0) {
+        return fail(" needs a non-negative id");
       }
-      spec->DegradeGpu(at, target, factor);
-    } else {
-      if (factor <= 1.0) {
-        return Fail(error, line_no,
-                    "straggle factor must be > 1 (e.g. x2.5)");
+      break;
+    case Operand::kFunction:
+      if (!toks.Next(&tok) || !ParseInt(StripPrefix(tok, "fn="), &e.function)
+          || e.function < 0) {
+        return usage();
       }
-      spec->StraggleGpu(at, target, factor);
+      break;
+    case Operand::kFleet: break;
+  }
+  if (v->magnitude != nullptr) {
+    if (!toks.Next(&tok)
+        || !ParseDouble(StripPrefix(tok, v->magnitude), &e.magnitude)) {
+      return usage();
     }
-  } else if (verb == "checkpoint_every") {
-    std::string fn_tok;
-    std::string every_tok;
-    std::int32_t fn = -1;
-    TimeUs every = 0;
-    if (!(toks >> fn_tok >> every_tok)
-        || !ParseInt(StripPrefix(fn_tok, "fn="), &fn) || fn < 0
-        || !ParseTime(StripPrefix(every_tok, "every="), &every)
-        || every <= 0) {
-      return Fail(error, line_no,
-                  "checkpoint_every needs fn=<id> every=<time>");
+    if (e.magnitude <= v->lo || e.magnitude >= v->hi) {
+      if (v->range == nullptr) return usage();
+      return fail(std::string(" ") + v->range);
+    }
+  }
+  if (v->window == Window::kFor) {
+    std::string_view kw;
+    if (!toks.Next(&kw) || kw != "for" || !toks.Next(&tok)
+        || !ParseTime(tok, &e.duration)) {
+      return fail(" needs 'for <time>'");
+    }
+  }
+  if (v->window == Window::kEvery) {
+    if (!toks.Next(&tok) || !ParseTime(StripPrefix(tok, "every="), &e.duration)
+        || e.duration <= 0) {
+      return usage();
     }
     // Optional save=<time>: the snapshot pauses the job this long.
-    TimeUs save = 0;
-    std::string save_tok;
-    if (toks >> save_tok) {
-      if (!ParseTime(StripPrefix(save_tok, "save="), &save) || save <= 0) {
-        return Fail(error, line_no,
-                    "checkpoint_every save=<time> must be positive");
-      }
+    if (toks.Next(&tok)
+        && (!ParseTime(StripPrefix(tok, "save="), &e.save_cost)
+            || e.save_cost <= 0)) {
+      return fail(" save=<time> must be positive");
     }
-    spec->CheckpointEvery(at, fn, every, save);
-  } else if (verb == "inflate_coldstart") {
-    std::string factor_tok;
-    double factor = 0.0;
-    TimeUs dur = 0;
-    if (!(toks >> factor_tok)
-        || !ParseDouble(StripPrefix(factor_tok, "x"), &factor)
-        || factor <= 0.0) {
-      return Fail(error, line_no,
-                  "inflate_coldstart needs x<factor> (e.g. x2.5)");
-    }
-    if (!parse_window(&dur)) {
-      return Fail(error, line_no, "inflate_coldstart needs 'for <time>'");
-    }
-    spec->InflateColdStarts(at, factor, dur);
-  } else if (verb == "surge") {
-    std::string fn_tok;
-    std::string rps_tok;
-    std::int32_t fn = -1;
-    double rps = 0.0;
-    TimeUs dur = 0;
-    if (!(toks >> fn_tok >> rps_tok)
-        || !ParseInt(StripPrefix(fn_tok, "fn="), &fn) || fn < 0
-        || !ParseDouble(StripPrefix(rps_tok, "rps="), &rps)
-        || rps <= 0.0) {
-      return Fail(error, line_no,
-                  "surge needs fn=<id> rps=<rate> (both positive)");
-    }
-    if (!parse_window(&dur)) {
-      return Fail(error, line_no, "surge needs 'for <time>'");
-    }
-    spec->Surge(at, fn, rps, dur);
-  } else if (verb == "overload") {
-    std::string fn_tok;
-    std::string factor_tok;
-    std::int32_t fn = -1;
-    double factor = 0.0;
-    TimeUs dur = 0;
-    if (!(toks >> fn_tok >> factor_tok)
-        || !ParseInt(StripPrefix(fn_tok, "fn="), &fn) || fn < 0
-        || !ParseDouble(StripPrefix(factor_tok, "x"), &factor)
-        || factor <= 1.0) {
-      return Fail(error, line_no,
-                  "overload needs fn=<id> x<factor> (factor > 1)");
-    }
-    if (!parse_window(&dur)) {
-      return Fail(error, line_no, "overload needs 'for <time>'");
-    }
-    spec->Overload(at, fn, factor, dur);
-  } else if (verb == "throttle_admit") {
-    std::string fn_tok;
-    std::string rate_tok;
-    std::int32_t fn = -1;
-    double rate = 0.0;
-    TimeUs dur = 0;
-    if (!(toks >> fn_tok >> rate_tok)
-        || !ParseInt(StripPrefix(fn_tok, "fn="), &fn) || fn < 0
-        || !ParseDouble(StripPrefix(rate_tok, "rate="), &rate)
-        || rate <= 0.0) {
-      return Fail(error, line_no,
-                  "throttle_admit needs fn=<id> rate=<req/s> (positive)");
-    }
-    if (!parse_window(&dur)) {
-      return Fail(error, line_no, "throttle_admit needs 'for <time>'");
-    }
-    spec->ThrottleAdmit(at, fn, rate, dur);
-  } else if (verb == "fail_link") {
-    TimeUs dur = 0;
-    if (!parse_target(&target)) {
-      return Fail(error, line_no, "fail_link needs a non-negative id");
-    }
-    if (!parse_window(&dur)) {
-      return Fail(error, line_no, "fail_link needs 'for <time>'");
-    }
-    spec->FailLink(at, target, dur);
-  } else if (verb == "storage_brownout") {
-    std::string factor_tok;
-    double factor = 0.0;
-    TimeUs dur = 0;
-    if (!(toks >> factor_tok)
-        || !ParseDouble(StripPrefix(factor_tok, "x"), &factor)
-        || factor <= 1.0) {
-      return Fail(error, line_no,
-                  "storage_brownout needs x<factor> (factor > 1)");
-    }
-    if (!parse_window(&dur)) {
-      return Fail(error, line_no, "storage_brownout needs 'for <time>'");
-    }
-    spec->StorageBrownout(at, factor, dur);
-  } else {
-    return Fail(error, line_no, "unknown verb '" + verb + "'");
   }
-  // Reject trailing garbage so typos fail loudly.
-  std::string rest;
-  if (toks >> rest) {
-    return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-  }
+  if (!spec_text::AtEnd(toks, line_no, error)) return false;
+  spec->Add(e);
   return true;
 }
 
@@ -510,30 +373,18 @@ ScenarioSpec::Parse(const std::string& text, ScenarioSpec* out,
                     std::string* error)
 {
   ScenarioSpec spec;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    line = spec_text::StripComment(line);
-    std::istringstream toks(line);
-    std::string tok;
-    if (!(toks >> tok)) continue;  // blank (or comment-only) line
-    if (tok == "scenario") {
-      std::string name;
-      if (!(toks >> name)) {
-        return spec_text::Fail(error, line_no, "scenario needs a name");
-      }
-      std::string rest;
-      if (toks >> rest) {
-        return spec_text::Fail(error, line_no,
-                               "unexpected trailing '" + rest + "'");
-      }
-      spec.set_name(name);
-      continue;
-    }
-    if (!ParseEventLine(line, line_no, &spec, error)) return false;
-  }
+  const bool ok = spec_text::ForEachLine(
+      text, nullptr, [&](int line_no, spec_text::Tokens& toks) {
+        const std::string_view line = toks.rest();
+        std::string_view first;
+        toks.Next(&first);
+        if (first != "scenario") {
+          return ParseEventLine(line, line_no, &spec, error);
+        }
+        return spec_text::OneWord(toks, line_no, "scenario needs a name",
+                                  &spec.name_, error);
+      });
+  if (!ok) return false;
   if (out != nullptr) *out = std::move(spec);
   return true;
 }

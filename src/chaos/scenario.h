@@ -17,6 +17,7 @@
 #define DILU_CHAOS_SCENARIO_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -44,6 +45,24 @@ enum class FaultKind {
 
 /** Scenario-format verb for `kind` (e.g. "fail_node"). */
 const char* ToString(FaultKind kind);
+
+/** What a verb's operand names. */
+enum class Operand {
+  kGpu,       ///< a GPU id ("fail_gpu 3")
+  kNode,      ///< a node id, incl. the node's NIC ("fail_link 0 ...")
+  kFunction,  ///< a deploy index ("surge fn=0 ...")
+  kFleet,     ///< nothing: the event hits the whole fleet
+};
+
+/** The operand `kind`'s verb takes (the sharded driver routes by it). */
+Operand OperandOf(FaultKind kind);
+
+/**
+ * For Operand::kFunction verbs, the task type the named deploy must
+ * have (surge / overload / throttle_admit: inference; checkpoint_every:
+ * training).
+ */
+TaskType FunctionTaskOf(FaultKind kind);
 
 /** True for events that displace instances (TTR is measured for them). */
 bool IsDisruptive(FaultKind kind);
@@ -185,10 +204,9 @@ class ScenarioSpec {
    * under its own `chaos` directive and reuses the grammar through
    * this; `line_no` is the caller's line number, so errors point at the
    * real file location. On failure returns false with a line-numbered
-   * `*error` (a trailing-garbage failure may leave the event appended —
-   * callers discard the spec on any failure).
+   * `*error` and leaves `*spec` as it was.
    */
-  static bool ParseEventLine(const std::string& line, int line_no,
+  static bool ParseEventLine(std::string_view line, int line_no,
                              ScenarioSpec* spec, std::string* error);
 
  private:

@@ -32,7 +32,7 @@ FormatDouble(double v)
 }
 
 bool
-ParseTime(const std::string& tok, TimeUs* out)
+ParseTime(std::string_view tok, TimeUs* out)
 {
   std::size_t i = 0;
   while (i < tok.size()
@@ -40,8 +40,8 @@ ParseTime(const std::string& tok, TimeUs* out)
     ++i;
   }
   if (i == 0 || i == tok.size()) return false;
-  const std::string digits = tok.substr(0, i);
-  const std::string suffix = tok.substr(i);
+  const std::string digits(tok.substr(0, i));
+  const std::string_view suffix = tok.substr(i);
   TimeUs value = 0;
   try {
     value = static_cast<TimeUs>(std::stoll(digits));
@@ -70,11 +70,11 @@ ParseTime(const std::string& tok, TimeUs* out)
 }
 
 bool
-ParseInt(const std::string& tok, std::int32_t* out)
+ParseInt(std::string_view tok, std::int32_t* out)
 {
   try {
     std::size_t used = 0;
-    const long long v = std::stoll(tok, &used);
+    const long long v = std::stoll(std::string(tok), &used);
     if (used != tok.size()) return false;
     // Out-of-range values must error, not silently truncate: a
     // mutated "fn=4294967296" is a parse failure, not fn=0.
@@ -90,7 +90,7 @@ ParseInt(const std::string& tok, std::int32_t* out)
 }
 
 bool
-ParseUint64(const std::string& tok, std::uint64_t* out)
+ParseUint64(std::string_view tok, std::uint64_t* out)
 {
   // stoull skips leading blanks and negates a '-' sign, so " -5" would
   // wrap to 2^64 - 5: insist the token starts with a digit.
@@ -99,7 +99,7 @@ ParseUint64(const std::string& tok, std::uint64_t* out)
   }
   try {
     std::size_t used = 0;
-    const unsigned long long v = std::stoull(tok, &used);
+    const unsigned long long v = std::stoull(std::string(tok), &used);
     if (used != tok.size()) return false;
     *out = static_cast<std::uint64_t>(v);
   } catch (...) {
@@ -109,11 +109,11 @@ ParseUint64(const std::string& tok, std::uint64_t* out)
 }
 
 bool
-ParseDouble(const std::string& tok, double* out)
+ParseDouble(std::string_view tok, double* out)
 {
   try {
     std::size_t used = 0;
-    const double v = std::stod(tok, &used);
+    const double v = std::stod(std::string(tok), &used);
     // nan/inf slip past every `x <= 0.0`-style range check.
     if (used != tok.size() || !std::isfinite(v)) return false;
     *out = v;
@@ -123,21 +123,30 @@ ParseDouble(const std::string& tok, double* out)
   return true;
 }
 
-std::string
-StripPrefix(const std::string& tok, const std::string& prefix)
+std::string_view
+StripPrefix(std::string_view tok, std::string_view prefix)
 {
-  if (tok.size() <= prefix.size()
-      || tok.compare(0, prefix.size(), prefix) != 0) {
-    return "";
+  if (tok.size() <= prefix.size() || tok.substr(0, prefix.size()) != prefix) {
+    return {};
   }
   return tok.substr(prefix.size());
 }
 
-std::string
-StripComment(const std::string& line)
+bool
+Tokens::Next(std::string_view* tok)
 {
-  const std::size_t hash = line.find('#');
-  return hash == std::string::npos ? line : line.substr(0, hash);
+  // The blanks `std::istream >> std::string` skips in the C locale.
+  constexpr std::string_view kBlanks = " \t\n\v\f\r";
+  const std::size_t begin = rest_.find_first_not_of(kBlanks);
+  if (begin == std::string_view::npos) {
+    rest_ = {};
+    return false;
+  }
+  const std::size_t end = std::min(rest_.find_first_of(kBlanks, begin),
+                                    rest_.size());
+  *tok = rest_.substr(begin, end - begin);
+  rest_ = rest_.substr(end);
+  return true;
 }
 
 bool
@@ -147,6 +156,25 @@ Fail(std::string* error, int line, const std::string& msg)
     *error = "line " + std::to_string(line) + ": " + msg;
   }
   return false;
+}
+
+bool
+AtEnd(Tokens& toks, int line, std::string* error)
+{
+  std::string_view rest;
+  if (!toks.Next(&rest)) return true;
+  return Fail(error, line, "unexpected trailing '" + std::string(rest) + "'");
+}
+
+bool
+OneWord(Tokens& toks, int line, const char* missing, std::string* out,
+        std::string* error)
+{
+  std::string_view word;
+  if (!toks.Next(&word)) return Fail(error, line, missing);
+  if (!AtEnd(toks, line, error)) return false;
+  *out = std::string(word);
+  return true;
 }
 
 }  // namespace dilu::spec_text

@@ -1,16 +1,20 @@
 /**
  * @file
- * Shared primitives for the line-oriented declarative spec formats
- * (chaos scenarios, experiment specs): time/number round-tripping and
- * comment handling. Both loaders follow the same discipline — canonical
- * printing, lenient-but-loud parsing with line-numbered errors — so the
- * token grammar lives in one place.
+ * Shared primitives for the line-oriented declarative spec formats —
+ * chaos scenarios (also embedded as `chaos` lines), experiment specs
+ * (.exp) and sweeps (.sweep): the comment-stripping line loop and its
+ * tokeniser, time/number round-tripping and line-numbered errors. All
+ * three loaders follow the same discipline — canonical printing,
+ * lenient-but-loud parsing with line-numbered errors — so the token
+ * grammar lives in one place.
  */
 #ifndef DILU_COMMON_SPEC_TEXT_H_
 #define DILU_COMMON_SPEC_TEXT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 
@@ -30,30 +34,79 @@ std::string FormatDouble(double v);
  * years (1e9 s) are rejected so unit scaling cannot overflow and
  * small sums of parsed times stay far from the int64 edge.
  */
-bool ParseTime(const std::string& tok, TimeUs* out);
+bool ParseTime(std::string_view tok, TimeUs* out);
 
 /** Parse a whole-token int32 ("12"). */
-bool ParseInt(const std::string& tok, std::int32_t* out);
+bool ParseInt(std::string_view tok, std::int32_t* out);
 
 /** Parse a whole-token uint64 of digits only, no sign (seeds). */
-bool ParseUint64(const std::string& tok, std::uint64_t* out);
+bool ParseUint64(std::string_view tok, std::uint64_t* out);
 
 /** Parse a whole-token finite double ("2.5"; nan/inf are rejected). */
-bool ParseDouble(const std::string& tok, double* out);
+bool ParseDouble(std::string_view tok, double* out);
 
 /** Strip "prefix" ("fn=", "rps=", "x") from `tok`; empty on mismatch. */
-std::string StripPrefix(const std::string& tok, const std::string& prefix);
+std::string_view StripPrefix(std::string_view tok, std::string_view prefix);
+
+/** The whitespace-separated tokens of one spec line, read in order. */
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+
+  /** Store the next token in `*tok`; false at the end of the line. */
+  bool Next(std::string_view* tok);
+
+  /** What is left of the line (hand it to a nested grammar). */
+  std::string_view rest() const { return rest_; }
+
+ private:
+  std::string_view rest_;
+};
 
 /**
- * Truncate `line` at the first '#': everything from it to the end of
- * the line is a comment. Both whole-line comments and trailing ones
- * ("at 10s fail_node 1  # node zero dies") parse cleanly; '#' can
- * therefore not appear inside a name or operand.
+ * Run `fn(line_no, toks)` over every line of `text` that still holds a
+ * token once its comment is cut (everything from the first '#' on, so
+ * whole-line and trailing comments both parse cleanly and '#' can not
+ * appear inside a name or operand); `toks` reads the line from its
+ * first token. Stops at the first line `fn` rejects and returns false;
+ * `*lines` (when non-null) ends as the number of the last line read.
  */
-std::string StripComment(const std::string& line);
+template <typename Fn>
+bool
+ForEachLine(std::string_view text, int* lines, Fn&& fn)
+{
+  int line_no = 0;
+  bool ok = true;
+  for (std::size_t pos = 0; ok && pos < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    ++line_no;
+    Tokens toks(line.substr(0, line.find('#')));
+    Tokens probe = toks;
+    std::string_view first;
+    if (probe.Next(&first)) ok = fn(line_no, toks);
+  }
+  if (lines != nullptr) *lines = line_no;
+  return ok;
+}
 
 /** Record "line N: msg" into `*error` (when non-null); returns false. */
 bool Fail(std::string* error, int line, const std::string& msg);
+
+/**
+ * The line must be used up: fails with "unexpected trailing '<tok>'"
+ * when a token is left, so typos fail loudly.
+ */
+bool AtEnd(Tokens& toks, int line, std::string* error);
+
+/**
+ * Read the single word a directive takes ("experiment <name>", "base
+ * <experiment>"): fails with `missing` when there is none and as
+ * AtEnd does when more follow.
+ */
+bool OneWord(Tokens& toks, int line, const char* missing, std::string* out,
+             std::string* error);
 
 }  // namespace dilu::spec_text
 

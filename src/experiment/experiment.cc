@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 
 #include "cluster/trace_export.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/work_pool.h"
 #include "fabric/fabric.h"
@@ -158,55 +157,6 @@ CollectFunctionResult(const cluster::ClusterRuntime& rt, FunctionId id)
   return fr;
 }
 
-void
-AppendJson(std::string* out, const char* fmt, ...)
-#if defined(__GNUC__)
-    __attribute__((format(printf, 2, 3)))
-#endif
-    ;
-
-void
-AppendJson(std::string* out, const char* fmt, ...)
-{
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out->append(buf);
-}
-
-/**
- * JSON string escaping for names that flow in from specs (a `name=`
- * value may contain '"' or '\'); appended outside AppendJson's fixed
- * buffer so long names cannot truncate the record.
- */
-std::string
-EscapeJson(const std::string& s)
-{
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  return out;
-}
-
 /**
  * Cluster seed of shard `s` under global seed `base`. Shard 0 keeps
  * the base seed, so a one-shard run is the unpartitioned fleet; the
@@ -221,45 +171,6 @@ ShardSeed(std::uint64_t base, int shard)
   if (shard == 0) return base;
   return base * 0x9E3779B97F4A7C15ull
       ^ (static_cast<std::uint64_t>(shard) + 1) * 0xD6E8FEB86659FD93ull;
-}
-
-/** Does this verb hit the whole fleet (copied to every shard)? */
-bool
-IsBroadcast(chaos::FaultKind kind)
-{
-  return kind == chaos::FaultKind::kColdStartInflation
-      || kind == chaos::FaultKind::kStorageBrownout;
-}
-
-/** Does this verb target a GPU id? */
-bool
-TargetsGpu(chaos::FaultKind kind)
-{
-  switch (kind) {
-    case chaos::FaultKind::kGpuFail:
-    case chaos::FaultKind::kGpuRecover:
-    case chaos::FaultKind::kGpuDegrade:
-    case chaos::FaultKind::kGpuStraggle:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/** Does this verb target a node id (incl. the node's NIC)? */
-bool
-TargetsNode(chaos::FaultKind kind)
-{
-  switch (kind) {
-    case chaos::FaultKind::kNodeFail:
-    case chaos::FaultKind::kNodeRecover:
-    case chaos::FaultKind::kNodeDrain:
-    case chaos::FaultKind::kNodeUndrain:
-    case chaos::FaultKind::kLinkFail:
-      return true;
-    default:
-      return false;
-  }
 }
 
 }  // namespace
@@ -343,27 +254,34 @@ Experiment::SplitChaos()
     std::vector<std::pair<int, std::size_t>>& copies =
         chaos_copies_.emplace_back();
     std::vector<int> targets;
-    if (IsBroadcast(e.kind)) {
-      for (int s = 0; s < shard_count(); ++s) targets.push_back(s);
-    } else if (TargetsGpu(e.kind)) {
-      DILU_CHECK(e.target >= 0);
-      const int s = OwnerOfNode(e.target / gpus_per_node_);
-      e.target -= shards_[static_cast<std::size_t>(s)].first_node
-          * gpus_per_node_;
-      targets.push_back(s);
-    } else if (TargetsNode(e.kind)) {
-      const int s = OwnerOfNode(e.target);
-      e.target -= shards_[static_cast<std::size_t>(s)].first_node;
-      targets.push_back(s);
-    } else {
-      // Function-targeted verb (checkpoint / surge / overload /
-      // throttle): the function's home shard, with the global deploy
-      // index remapped to the shard-local function id.
-      const auto fi = static_cast<std::size_t>(e.function);
-      DILU_CHECK(fi < homes_.size());
-      const auto [s, local] = homes_[fi];
-      e.function = shards_[static_cast<std::size_t>(s)].fn_ids[local];
-      targets.push_back(s);
+    switch (chaos::OperandOf(e.kind)) {
+      case chaos::Operand::kFleet:
+        for (int s = 0; s < shard_count(); ++s) targets.push_back(s);
+        break;
+      case chaos::Operand::kGpu: {
+        DILU_CHECK(e.target >= 0);
+        const int s = OwnerOfNode(e.target / gpus_per_node_);
+        e.target -= shards_[static_cast<std::size_t>(s)].first_node
+            * gpus_per_node_;
+        targets.push_back(s);
+        break;
+      }
+      case chaos::Operand::kNode: {
+        const int s = OwnerOfNode(e.target);
+        e.target -= shards_[static_cast<std::size_t>(s)].first_node;
+        targets.push_back(s);
+        break;
+      }
+      case chaos::Operand::kFunction: {
+        // The function's home shard, with the global deploy index
+        // remapped to the shard-local function id.
+        const auto fi = static_cast<std::size_t>(e.function);
+        DILU_CHECK(fi < homes_.size());
+        const auto [s, local] = homes_[fi];
+        e.function = shards_[static_cast<std::size_t>(s)].fn_ids[local];
+        targets.push_back(s);
+        break;
+      }
     }
     for (const int s : targets) {
       Shard& sh = shards_[static_cast<std::size_t>(s)];

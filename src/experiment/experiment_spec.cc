@@ -1,7 +1,9 @@
 #include "experiment/experiment_spec.h"
 
 #include <algorithm>
-#include <sstream>
+#include <iterator>
+#include <limits>
+#include <type_traits>
 
 #include "common/spec_text.h"
 #include "models/model_catalog.h"
@@ -11,25 +13,24 @@ namespace dilu::experiment {
 using spec_text::Fail;
 using spec_text::FormatDouble;
 using spec_text::FormatTime;
-using spec_text::ParseDouble;
-using spec_text::ParseInt;
-using spec_text::ParseTime;
-using spec_text::ParseUint64;
-using spec_text::StripPrefix;
+using spec_text::Tokens;
+
+namespace {
+
+/** Spec-format keyword of each ArrivalKind, in enum order. */
+constexpr const char* kKindWords[] = {
+    "constant", "poisson", "gamma", "bursty", "periodic", "sporadic", "closed",
+};
+static_assert(std::size(kKindWords)
+                  == static_cast<std::size_t>(ArrivalKind::kClosed) + 1,
+              "kKindWords needs one word per ArrivalKind");
+
+}  // namespace
 
 const char*
 ToString(ArrivalKind kind)
 {
-  switch (kind) {
-    case ArrivalKind::kConstant: return "constant";
-    case ArrivalKind::kPoisson: return "poisson";
-    case ArrivalKind::kGamma: return "gamma";
-    case ArrivalKind::kBursty: return "bursty";
-    case ArrivalKind::kPeriodic: return "periodic";
-    case ArrivalKind::kSporadic: return "sporadic";
-    case ArrivalKind::kClosed: return "closed";
-  }
-  return "?";
+  return kKindWords[static_cast<int>(kind)];
 }
 
 DeploySpec&
@@ -58,38 +59,21 @@ ExperimentSpec::AddTraining(const std::string& model, int workers,
 WorkloadSpec&
 ExperimentSpec::AddConstant(int fn, double rps, TimeUs duration)
 {
-  WorkloadSpec w;
-  w.fn = fn;
-  w.kind = ArrivalKind::kConstant;
-  w.rps = rps;
-  w.duration = duration;
-  workloads_.push_back(w);
-  return workloads_.back();
+  return AddTrace(fn, ArrivalKind::kConstant, rps, duration);
 }
 
 WorkloadSpec&
 ExperimentSpec::AddPoisson(int fn, double rps, TimeUs duration)
 {
-  WorkloadSpec w;
-  w.fn = fn;
-  w.kind = ArrivalKind::kPoisson;
-  w.rps = rps;
-  w.duration = duration;
-  workloads_.push_back(w);
-  return workloads_.back();
+  return AddTrace(fn, ArrivalKind::kPoisson, rps, duration);
 }
 
 WorkloadSpec&
 ExperimentSpec::AddGamma(int fn, double rps, double cv, TimeUs duration)
 {
-  WorkloadSpec w;
-  w.fn = fn;
-  w.kind = ArrivalKind::kGamma;
-  w.rps = rps;
+  WorkloadSpec& w = AddTrace(fn, ArrivalKind::kGamma, rps, duration);
   w.cv = cv;
-  w.duration = duration;
-  workloads_.push_back(w);
-  return workloads_.back();
+  return w;
 }
 
 WorkloadSpec&
@@ -146,546 +130,587 @@ ExperimentSpec::EffectiveRunFor() const
   return last + Sec(5);
 }
 
-std::string
-ExperimentSpec::ToText() const
-{
-  std::ostringstream out;
-  out << "experiment " << (name_.empty() ? "unnamed" : name_) << "\n";
-
-  {
-    std::ostringstream c;
-    const ClusterSection& k = cluster_;
-    if (k.nodes) c << " nodes=" << *k.nodes;
-    if (k.gpus_per_node) c << " gpus_per_node=" << *k.gpus_per_node;
-    if (k.preset != "dilu") c << " preset=" << k.preset;
-    if (k.scheduler) c << " scheduler=" << *k.scheduler;
-    if (k.sharing) c << " sharing=" << *k.sharing;
-    if (k.quota_mode) c << " quota_mode=" << *k.quota_mode;
-    if (k.recovery) c << " recovery=" << *k.recovery;
-    if (k.warm_starts) {
-      c << " warm_starts=" << (*k.warm_starts ? "on" : "off");
-    }
-    if (k.resource_complementarity) {
-      c << " rc=" << (*k.resource_complementarity ? "on" : "off");
-    }
-    if (k.workload_affinity) {
-      c << " wa=" << (*k.workload_affinity ? "on" : "off");
-    }
-    if (k.seed) c << " seed=" << *k.seed;
-    const std::string body = c.str();
-    if (!body.empty()) out << "cluster" << body << "\n";
-  }
-
-  if (fabric_.storage) {
-    out << "storage";
-    if (fabric_.storage_bw) out << " bw=" << FormatDouble(*fabric_.storage_bw);
-    if (fabric_.storage_gc) out << " gc=" << FormatDouble(*fabric_.storage_gc);
-    if (fabric_.storage_devices) out << " devices=" << *fabric_.storage_devices;
-    out << "\n";
-  }
-  if (fabric_.nic) {
-    out << "nic";
-    if (fabric_.nic_rate) out << " rate=" << FormatDouble(*fabric_.nic_rate);
-    if (fabric_.nic_burst) out << " burst=" << FormatDouble(*fabric_.nic_burst);
-    out << "\n";
-  }
-
-  for (const DeploySpec& d : deploys_) {
-    out << "deploy model=" << d.fn.model;
-    if (!d.fn.name.empty()) out << " name=" << d.fn.name;
-    if (d.fn.type == TaskType::kTraining) {
-      out << " training";
-      if (d.fn.workers != 1) out << " workers=" << d.fn.workers;
-      if (d.fn.target_iterations > 0) {
-        out << " iterations=" << d.fn.target_iterations;
-      }
-      if (d.fn.checkpoint_every > 0) {
-        out << " checkpoint_every=" << FormatTime(d.fn.checkpoint_every);
-      }
-      if (d.fn.checkpoint_save_cost > 0) {
-        out << " save_cost=" << FormatTime(d.fn.checkpoint_save_cost);
-      }
-      if (d.start > 0) out << " start=" << FormatTime(d.start);
-    } else {
-      if (d.fn.shards != 1) out << " shards=" << d.fn.shards;
-      if (d.provision > 0) out << " provision=" << d.provision;
-      if (!d.scaler.empty()) out << " scaler=" << d.scaler;
-      if (d.fn.admission_class != ServiceClass::kStandard) {
-        out << " class=" << ToString(d.fn.admission_class);
-      }
-      if (d.fn.queue_cap > 0) out << " queue_cap=" << d.fn.queue_cap;
-      if (d.fn.retry_budget > 0) out << " retries=" << d.fn.retry_budget;
-      if (d.fn.retry_backoff != Ms(100)) {
-        out << " backoff=" << FormatTime(d.fn.retry_backoff);
-      }
-      if (d.fn.deadline > 0) out << " deadline=" << FormatTime(d.fn.deadline);
-    }
-    out << "\n";
-  }
-
-  for (const WorkloadSpec& w : workloads_) {
-    out << "workload fn=" << w.fn << " " << ToString(w.kind);
-    switch (w.kind) {
-      case ArrivalKind::kConstant:
-      case ArrivalKind::kPoisson:
-        out << " rps=" << FormatDouble(w.rps);
-        break;
-      case ArrivalKind::kGamma:
-        out << " rps=" << FormatDouble(w.rps) << " cv="
-            << FormatDouble(w.cv);
-        break;
-      case ArrivalKind::kBursty:
-        out << " rps=" << FormatDouble(w.rps);
-        if (w.scale != 4.0) out << " scale=" << FormatDouble(w.scale);
-        if (w.burst_len != Sec(30)) {
-          out << " len=" << FormatTime(w.burst_len);
-        }
-        if (w.burst_gap != Sec(90)) {
-          out << " gap=" << FormatTime(w.burst_gap);
-        }
-        break;
-      case ArrivalKind::kPeriodic:
-        out << " rps=" << FormatDouble(w.rps);
-        if (w.amplitude != 0.8) {
-          out << " amplitude=" << FormatDouble(w.amplitude);
-        }
-        if (w.period != Sec(120)) out << " period=" << FormatTime(w.period);
-        break;
-      case ArrivalKind::kSporadic:
-        out << " rps=" << FormatDouble(w.rps);
-        if (w.active != 0.15) out << " active=" << FormatDouble(w.active);
-        if (w.spike != Sec(8)) out << " spike=" << FormatTime(w.spike);
-        break;
-      case ArrivalKind::kClosed:
-        out << " clients=" << w.clients << " think=" << FormatTime(w.think);
-        break;
-    }
-    if (w.seed) out << " seed=" << *w.seed;
-    if (w.start > 0) out << " start=" << FormatTime(w.start);
-    if (w.warmup > 0) out << " warmup=" << FormatTime(w.warmup);
-    out << " for " << FormatTime(w.duration) << "\n";
-  }
-
-  for (const chaos::ScenarioEvent& e : chaos_.events()) {
-    out << "chaos " << chaos::FormatEventLine(e) << "\n";
-  }
-
-  if (run_for_ > 0) out << "run for " << FormatTime(run_for_) << "\n";
-  if (!export_prefix_.empty()) out << "export " << export_prefix_ << "\n";
-  return out.str();
-}
-
 namespace {
 
-bool
-OneOf(const std::string& v, std::initializer_list<const char*> allowed)
+// --- the key grammar ---------------------------------------------------
+//
+// Every `key=value` of the cluster, storage, nic, deploy and workload
+// lines is one Key row below: its spelling, value type, bound and
+// rejection message, the field it lives in and the contexts it applies
+// to. Parse and ToText both walk the rows, so a key is stated once and
+// printed order is row order. A key is printed when it is set and
+// differs from the default-constructed section (or always, for keys
+// without a meaningful default).
+
+/** A key's value type: how its token is read, checked and printed. */
+enum class Type {
+  kInt,       ///< int32 within `range`
+  kSeed,      ///< uint64, digits only
+  kDouble,    ///< finite double within `range`
+  kTime,      ///< <int>us|ms|s within `range`
+  kOnOff,     ///< on | off
+  kWord,      ///< one of `words` (any word when null)
+  kModel,     ///< a model catalog name
+  kClass,     ///< critical | standard | best_effort
+  kTraining,  ///< the bare word `training`: no `=value`
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** [lo, hi], or (lo, hi] when `open`. */
+struct Range {
+  double lo = -kInf;
+  bool open = false;
+  double hi = kInf;
+
+  bool Has(double v) const { return (open ? v > lo : v >= lo) && v <= hi; }
+};
+
+constexpr Range kPositive{0.0, true};
+constexpr Range kNonNegative{0.0, false};
+constexpr Range kFraction{0.0, true, 1.0};
+
+/** A parsed value, in the member its Type uses. */
+struct Value {
+  std::int64_t i = 0;   ///< kInt, kTime, kOnOff, kClass, kTraining
+  std::uint64_t u = 0;  ///< kSeed
+  double d = 0.0;       ///< kDouble
+  std::string_view s;   ///< kWord, kModel
+};
+
+template <typename T>
+void
+Load(T* field, const Value& v)
 {
-  for (const char* a : allowed) {
-    if (v == a) return true;
+  if constexpr (std::is_same_v<T, std::string>) {
+    *field = std::string(v.s);
+  } else if constexpr (std::is_same_v<T, double>) {
+    *field = v.d;
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    *field = v.u;
+  } else {
+    *field = static_cast<T>(v.i);  // ints, times, bool and enums
   }
-  return false;
 }
 
-/** Parse "on" / "off" into bool. */
-bool
-ParseOnOff(const std::string& tok, bool* out)
+template <typename T>
+void
+Load(std::optional<T>* field, const Value& v)
 {
-  if (tok == "on") {
-    *out = true;
-    return true;
-  }
-  if (tok == "off") {
-    *out = false;
-    return true;
-  }
-  return false;
+  Load(&field->emplace(), v);
 }
 
+template <typename T>
 bool
-ParseClusterLine(std::istringstream& toks, int line_no,
-                 ClusterSection* cluster, std::string* error)
+Save(const T& field, Value* v)
 {
-  std::string tok;
-  while (toks >> tok) {
-    std::string v;
-    std::int32_t i = 0;
-    std::uint64_t u = 0;
-    bool b = false;
-    if (!(v = StripPrefix(tok, "nodes=")).empty()) {
-      if (!ParseInt(v, &i) || i <= 0) {
-        return Fail(error, line_no, "nodes must be a positive int");
-      }
-      cluster->nodes = i;
-    } else if (!(v = StripPrefix(tok, "gpus_per_node=")).empty()) {
-      if (!ParseInt(v, &i) || i <= 0) {
-        return Fail(error, line_no, "gpus_per_node must be a positive int");
-      }
-      cluster->gpus_per_node = i;
-    } else if (!(v = StripPrefix(tok, "preset=")).empty()) {
-      if (!OneOf(v, {"dilu", "exclusive", "mps-l", "mps-r", "tgs",
-                     "fastgs", "infless-l", "infless-r"})) {
-        return Fail(error, line_no, "unknown preset '" + v + "'");
-      }
-      cluster->preset = v;
-    } else if (!(v = StripPrefix(tok, "scheduler=")).empty()) {
-      if (!OneOf(v, {"dilu", "exclusive", "static"})) {
-        return Fail(error, line_no, "unknown scheduler '" + v + "'");
-      }
-      cluster->scheduler = v;
-    } else if (!(v = StripPrefix(tok, "sharing=")).empty()) {
-      if (!OneOf(v, {"dilu", "static", "tgs", "fastgs"})) {
-        return Fail(error, line_no, "unknown sharing '" + v + "'");
-      }
-      cluster->sharing = v;
-    } else if (!(v = StripPrefix(tok, "quota_mode=")).empty()) {
-      if (!OneOf(v, {"dilu", "limit", "request", "full"})) {
-        return Fail(error, line_no, "unknown quota_mode '" + v + "'");
-      }
-      cluster->quota_mode = v;
-    } else if (!(v = StripPrefix(tok, "recovery=")).empty()) {
-      if (!OneOf(v, {"joint", "greedy"})) {
-        return Fail(error, line_no, "unknown recovery '" + v + "'");
-      }
-      cluster->recovery = v;
-    } else if (!(v = StripPrefix(tok, "warm_starts=")).empty()) {
-      if (!ParseOnOff(v, &b)) {
-        return Fail(error, line_no, "warm_starts wants on|off");
-      }
-      cluster->warm_starts = b;
-    } else if (!(v = StripPrefix(tok, "rc=")).empty()) {
-      if (!ParseOnOff(v, &b)) {
-        return Fail(error, line_no, "rc wants on|off");
-      }
-      cluster->resource_complementarity = b;
-    } else if (!(v = StripPrefix(tok, "wa=")).empty()) {
-      if (!ParseOnOff(v, &b)) {
-        return Fail(error, line_no, "wa wants on|off");
-      }
-      cluster->workload_affinity = b;
-    } else if (!(v = StripPrefix(tok, "seed=")).empty()) {
-      if (!ParseUint64(v, &u)) {
-        return Fail(error, line_no, "seed must be a non-negative int");
-      }
-      cluster->seed = u;
-    } else {
-      return Fail(error, line_no, "unknown cluster key '" + tok + "'");
-    }
+  if constexpr (std::is_same_v<T, std::string>) {
+    v->s = field;
+  } else if constexpr (std::is_same_v<T, double>) {
+    v->d = field;
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    v->u = field;
+  } else {
+    v->i = static_cast<std::int64_t>(field);
   }
   return true;
 }
 
+template <typename T>
 bool
-ParseDeployLine(std::istringstream& toks, int line_no, DeploySpec* d,
-                std::string* error)
+Save(const std::optional<T>& field, Value* v)
 {
-  std::string tok;
-  bool have_model = false;
-  bool have_class = false;
-  bool have_backoff = false;
-  // A key's presence, not its value, makes it wrong on the other task
-  // type: `workers=1` on an inference deploy is a typo, not a no-op.
-  bool have_workers = false;
-  bool have_iterations = false;
-  bool have_start = false;
-  bool have_provision = false;
-  bool have_retries = false;
-  bool have_shards = false;
-  while (toks >> tok) {
-    std::string v;
-    std::int32_t i = 0;
-    TimeUs t = 0;
-    if (tok == "training") {
-      d->fn.type = TaskType::kTraining;
-    } else if (!(v = StripPrefix(tok, "model=")).empty()) {
-      if (!models::HasModel(v)) {
-        return Fail(error, line_no, "unknown model '" + v + "'");
-      }
-      d->fn.model = v;
-      have_model = true;
-    } else if (!(v = StripPrefix(tok, "name=")).empty()) {
-      d->fn.name = v;
-    } else if (!(v = StripPrefix(tok, "shards=")).empty()) {
-      if (!ParseInt(v, &i) || i < 1) {
-        return Fail(error, line_no, "shards must be >= 1");
-      }
-      d->fn.shards = i;
-      have_shards = true;
-    } else if (!(v = StripPrefix(tok, "workers=")).empty()) {
-      if (!ParseInt(v, &i) || i < 1) {
-        return Fail(error, line_no, "workers must be >= 1");
-      }
-      d->fn.workers = i;
-      have_workers = true;
-    } else if (!(v = StripPrefix(tok, "iterations=")).empty()) {
-      if (!ParseInt(v, &i) || i < 0) {
-        return Fail(error, line_no, "iterations must be >= 0");
-      }
-      d->fn.target_iterations = i;
-      have_iterations = true;
-    } else if (!(v = StripPrefix(tok, "checkpoint_every=")).empty()) {
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "checkpoint_every wants a time > 0");
-      }
-      d->fn.checkpoint_every = t;
-    } else if (!(v = StripPrefix(tok, "save_cost=")).empty()) {
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "save_cost wants a time > 0");
-      }
-      d->fn.checkpoint_save_cost = t;
-    } else if (!(v = StripPrefix(tok, "provision=")).empty()) {
-      if (!ParseInt(v, &i) || i < 0) {
-        return Fail(error, line_no, "provision must be >= 0");
-      }
-      d->provision = i;
-      have_provision = true;
-    } else if (!(v = StripPrefix(tok, "scaler=")).empty()) {
-      if (!OneOf(v, {"dilu-lazy", "eager", "keep-alive"})) {
-        return Fail(error, line_no, "unknown scaler '" + v + "'");
-      }
-      d->scaler = v;
-    } else if (!(v = StripPrefix(tok, "class=")).empty()) {
-      if (!ParseServiceClass(v, &d->fn.admission_class)) {
-        return Fail(error, line_no,
-                    "class wants critical|standard|best_effort");
-      }
-      have_class = true;
-    } else if (!(v = StripPrefix(tok, "queue_cap=")).empty()) {
-      if (!ParseInt(v, &i) || i < 1) {
-        return Fail(error, line_no, "queue_cap must be >= 1");
-      }
-      d->fn.queue_cap = i;
-    } else if (!(v = StripPrefix(tok, "retries=")).empty()) {
-      if (!ParseInt(v, &i) || i < 0) {
-        return Fail(error, line_no, "retries must be >= 0");
-      }
-      d->fn.retry_budget = i;
-      have_retries = true;
-    } else if (!(v = StripPrefix(tok, "backoff=")).empty()) {
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "backoff wants a time > 0");
-      }
-      d->fn.retry_backoff = t;
-      have_backoff = true;
-    } else if (!(v = StripPrefix(tok, "deadline=")).empty()) {
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "deadline wants a time > 0");
-      }
-      d->fn.deadline = t;
-    } else if (!(v = StripPrefix(tok, "start=")).empty()) {
-      if (!ParseTime(v, &t)) {
-        return Fail(error, line_no, "start wants a time (e.g. 10s)");
-      }
-      d->start = t;
-      have_start = true;
-    } else {
-      return Fail(error, line_no, "unknown deploy key '" + tok + "'");
-    }
-  }
-  if (!have_model) {
-    return Fail(error, line_no, "deploy needs model=<catalog-name>");
-  }
-  if (d->fn.type == TaskType::kInference) {
-    if (have_start) {
-      return Fail(error, line_no,
-                  "start= applies to training deploys only "
-                  "(inference provisions at t=0)");
-    }
-    if (have_workers || have_iterations || d->fn.checkpoint_every > 0
-        || d->fn.checkpoint_save_cost > 0) {
-      return Fail(error, line_no,
-                  "workers/iterations/checkpoint keys apply to "
-                  "training deploys only (add the 'training' word)");
-    }
-  } else {
-    if (have_provision || !d->scaler.empty() || have_shards) {
-      return Fail(error, line_no,
-                  "provision/scaler/shards apply to inference deploys "
-                  "only");
-    }
-    if (have_class || have_backoff || d->fn.queue_cap > 0
-        || have_retries || d->fn.deadline > 0) {
-      return Fail(error, line_no,
-                  "class/queue_cap/retries/backoff/deadline apply to "
-                  "inference deploys only");
-    }
-  }
-  return true;
+  return field && Save(*field, v);
 }
 
-bool
-ParseWorkloadLine(std::istringstream& toks, int line_no, WorkloadSpec* w,
-                  std::string* error)
+/** Reads and writes one field of section S; false = unset. */
+template <typename S>
+struct Access {
+  void (*load)(S& s, const Value& v);
+  bool (*save)(const S& s, Value* v);
+};
+
+template <typename M>
+struct ClassOf;
+template <typename C, typename T>
+struct ClassOf<T C::*> {
+  using type = C;
+};
+
+/** The field at member path `First.Rest...` (e.g. &DeploySpec::fn, then
+ *  &FunctionSpec::workers). */
+template <auto First, auto... Rest>
+constexpr Access<typename ClassOf<decltype(First)>::type>
+Field()
 {
-  std::string tok;
-  std::string v;
-  std::int32_t i = 0;
-  if (!(toks >> tok) || (v = StripPrefix(tok, "fn=")).empty()
-      || !ParseInt(v, &i) || i < 0) {
-    return Fail(error, line_no,
-                "workload needs fn=<deploy-index> first");
-  }
-  w->fn = i;
-  if (!(toks >> tok)) {
-    return Fail(error, line_no, "workload needs an arrival kind");
-  }
-  if (tok == "constant") {
-    w->kind = ArrivalKind::kConstant;
-  } else if (tok == "poisson") {
-    w->kind = ArrivalKind::kPoisson;
-  } else if (tok == "gamma") {
-    w->kind = ArrivalKind::kGamma;
-  } else if (tok == "bursty") {
-    w->kind = ArrivalKind::kBursty;
-  } else if (tok == "periodic") {
-    w->kind = ArrivalKind::kPeriodic;
-  } else if (tok == "sporadic") {
-    w->kind = ArrivalKind::kSporadic;
-  } else if (tok == "closed") {
-    w->kind = ArrivalKind::kClosed;
-  } else {
-    return Fail(error, line_no, "unknown arrival kind '" + tok + "'");
-  }
+  using S = typename ClassOf<decltype(First)>::type;
+  return {
+      [](S& s, const Value& v) { Load(&((s.*First) .* ... .* Rest), v); },
+      [](const S& s, Value* v) {
+        return Save(((s.*First) .* ... .* Rest), v);
+      }};
+}
 
-  // A key that belongs to a different arrival kind is a typo'd spec
-  // (e.g. `poisson cv=2`); storing-and-ignoring it would silently run
-  // different semantics than the author wrote, so reject it loudly.
-  const auto requires_kind = [&](const char* key,
-                                 std::initializer_list<ArrivalKind> ks) {
-    for (const ArrivalKind k : ks) {
-      if (w->kind == k) return true;
-    }
-    Fail(error, line_no,
-         std::string(key) + " does not apply to kind '"
-             + ToString(w->kind) + "'");
-    return false;
-  };
-  const std::initializer_list<ArrivalKind> kOpenKinds = {
-      ArrivalKind::kConstant, ArrivalKind::kPoisson, ArrivalKind::kGamma,
-      ArrivalKind::kBursty,   ArrivalKind::kPeriodic,
-      ArrivalKind::kSporadic};
+/** One key of the lines that fill section S. */
+template <typename S>
+struct Key {
+  std::string_view name;
+  Type type;
+  Access<S> field;
+  /** The rejection for a bad value (kWord / kModel: "unknown <name>"). */
+  const char* msg = nullptr;
+  Range range{};
+  /** kWord: the allowed words, space-separated. */
+  const char* words = nullptr;
+  /**
+   * The contexts the key applies to, as a bitmask over the deploy's
+   * TaskType or the workload's ArrivalKind; 0 = all of them.
+   */
+  unsigned when = 0;
+  /** Deploy keys: kMisplaced entry reported on the other task type. */
+  int misplaced = 0;
+  /** Printed even when equal to the default. */
+  bool always = false;
+};
 
-  bool have_for = false;
-  while (toks >> tok) {
-    double x = 0.0;
-    TimeUs t = 0;
-    std::uint64_t u = 0;
-    if (tok == "for") {
-      if (!(toks >> tok) || !ParseTime(tok, &t) || t <= 0) {
-        return Fail(error, line_no, "'for' wants a time > 0");
-      }
-      w->duration = t;
-      have_for = true;
-      if (toks >> tok) {
-        return Fail(error, line_no,
-                    "unexpected trailing '" + tok + "' ('for <time>' "
-                    "ends the line)");
-      }
+template <typename E>
+constexpr unsigned
+Bit(E e)
+{
+  return 1u << static_cast<unsigned>(e);
+}
+
+const Key<ClusterSection> kClusterKeys[] = {
+    {"nodes", Type::kInt, Field<&ClusterSection::nodes>(),
+     "nodes must be a positive int", kPositive},
+    {"gpus_per_node", Type::kInt, Field<&ClusterSection::gpus_per_node>(),
+     "gpus_per_node must be a positive int", kPositive},
+    {"preset", Type::kWord, Field<&ClusterSection::preset>(), nullptr, {},
+     "dilu exclusive mps-l mps-r tgs fastgs infless-l infless-r"},
+    {"scheduler", Type::kWord, Field<&ClusterSection::scheduler>(), nullptr,
+     {}, "dilu exclusive static"},
+    {"sharing", Type::kWord, Field<&ClusterSection::sharing>(), nullptr, {},
+     "dilu static tgs fastgs"},
+    {"quota_mode", Type::kWord, Field<&ClusterSection::quota_mode>(),
+     nullptr, {}, "dilu limit request full"},
+    {"recovery", Type::kWord, Field<&ClusterSection::recovery>(), nullptr,
+     {}, "joint greedy"},
+    {"warm_starts", Type::kOnOff, Field<&ClusterSection::warm_starts>(),
+     "warm_starts wants on|off"},
+    {"rc", Type::kOnOff,
+     Field<&ClusterSection::resource_complementarity>(), "rc wants on|off"},
+    {"wa", Type::kOnOff, Field<&ClusterSection::workload_affinity>(),
+     "wa wants on|off"},
+    {"seed", Type::kSeed, Field<&ClusterSection::seed>(),
+     "seed must be a non-negative int"},
+};
+
+const Key<FabricSection> kStorageKeys[] = {
+    {"bw", Type::kDouble, Field<&FabricSection::storage_bw>(),
+     "storage bw must be > 0 (GB/s)", kPositive},
+    {"gc", Type::kDouble, Field<&FabricSection::storage_gc>(),
+     "storage gc duty must be in [0, 0.9]", {0.0, false, 0.9}},
+    {"devices", Type::kInt, Field<&FabricSection::storage_devices>(),
+     "storage devices must be >= 1", kPositive},
+};
+
+const Key<FabricSection> kNicKeys[] = {
+    {"rate", Type::kDouble, Field<&FabricSection::nic_rate>(),
+     "nic rate must be > 0 (GB/s)", kPositive},
+    {"burst", Type::kDouble, Field<&FabricSection::nic_burst>(),
+     "nic burst must be > 0 (GB)", kPositive},
+};
+
+/**
+ * Why a key is misplaced on a deploy of the other task type, in the
+ * order they are reported. A key's presence, not its value, is the
+ * mistake: `workers=1` on an inference deploy is a typo, not a no-op.
+ */
+const char* const kMisplaced[] = {
+    "start= applies to training deploys only (inference provisions at t=0)",
+    "workers/iterations/checkpoint keys apply to training deploys only "
+    "(add the 'training' word)",
+    "provision/scaler/shards apply to inference deploys only",
+    "class/queue_cap/retries/backoff/deadline apply to inference deploys "
+    "only",
+};
+
+constexpr unsigned kTrainingOnly = Bit(TaskType::kTraining);
+constexpr unsigned kInferenceOnly = Bit(TaskType::kInference);
+using core::FunctionSpec;
+
+const Key<DeploySpec> kDeployKeys[] = {
+    {"model", Type::kModel, Field<&DeploySpec::fn, &FunctionSpec::model>(),
+     nullptr, {}, nullptr, 0, 0, true},
+    {"name", Type::kWord, Field<&DeploySpec::fn, &FunctionSpec::name>()},
+    {"training", Type::kTraining,
+     Field<&DeploySpec::fn, &FunctionSpec::type>()},
+    {"workers", Type::kInt, Field<&DeploySpec::fn, &FunctionSpec::workers>(),
+     "workers must be >= 1", kPositive, nullptr, kTrainingOnly, 1},
+    {"iterations", Type::kInt,
+     Field<&DeploySpec::fn, &FunctionSpec::target_iterations>(),
+     "iterations must be >= 0", kNonNegative, nullptr, kTrainingOnly, 1},
+    {"checkpoint_every", Type::kTime,
+     Field<&DeploySpec::fn, &FunctionSpec::checkpoint_every>(),
+     "checkpoint_every wants a time > 0", kPositive, nullptr, kTrainingOnly,
+     1},
+    {"save_cost", Type::kTime,
+     Field<&DeploySpec::fn, &FunctionSpec::checkpoint_save_cost>(),
+     "save_cost wants a time > 0", kPositive, nullptr, kTrainingOnly, 1},
+    {"start", Type::kTime, Field<&DeploySpec::start>(),
+     "start wants a time (e.g. 10s)", {}, nullptr, kTrainingOnly, 0},
+    {"shards", Type::kInt, Field<&DeploySpec::fn, &FunctionSpec::shards>(),
+     "shards must be >= 1", kPositive, nullptr, kInferenceOnly, 2},
+    {"provision", Type::kInt, Field<&DeploySpec::provision>(),
+     "provision must be >= 0", kNonNegative, nullptr, kInferenceOnly, 2},
+    {"scaler", Type::kWord, Field<&DeploySpec::scaler>(), nullptr, {},
+     "dilu-lazy eager keep-alive", kInferenceOnly, 2},
+    {"class", Type::kClass,
+     Field<&DeploySpec::fn, &FunctionSpec::admission_class>(),
+     "class wants critical|standard|best_effort", {}, nullptr,
+     kInferenceOnly, 3},
+    {"queue_cap", Type::kInt,
+     Field<&DeploySpec::fn, &FunctionSpec::queue_cap>(),
+     "queue_cap must be >= 1", kPositive, nullptr, kInferenceOnly, 3},
+    {"retries", Type::kInt,
+     Field<&DeploySpec::fn, &FunctionSpec::retry_budget>(),
+     "retries must be >= 0", kNonNegative, nullptr, kInferenceOnly, 3},
+    {"backoff", Type::kTime,
+     Field<&DeploySpec::fn, &FunctionSpec::retry_backoff>(),
+     "backoff wants a time > 0", kPositive, nullptr, kInferenceOnly, 3},
+    {"deadline", Type::kTime,
+     Field<&DeploySpec::fn, &FunctionSpec::deadline>(),
+     "deadline wants a time > 0", kPositive, nullptr, kInferenceOnly, 3},
+};
+
+constexpr unsigned kOpenLoop = Bit(ArrivalKind::kConstant)
+    | Bit(ArrivalKind::kPoisson) | Bit(ArrivalKind::kGamma)
+    | Bit(ArrivalKind::kBursty) | Bit(ArrivalKind::kPeriodic)
+    | Bit(ArrivalKind::kSporadic);
+constexpr unsigned kGamma = Bit(ArrivalKind::kGamma);
+constexpr unsigned kBursty = Bit(ArrivalKind::kBursty);
+constexpr unsigned kPeriodic = Bit(ArrivalKind::kPeriodic);
+constexpr unsigned kSporadic = Bit(ArrivalKind::kSporadic);
+constexpr unsigned kClosed = Bit(ArrivalKind::kClosed);
+
+const Key<WorkloadSpec> kWorkloadKeys[] = {
+    {"rps", Type::kDouble, Field<&WorkloadSpec::rps>(), "rps must be > 0",
+     kPositive, nullptr, kOpenLoop, 0, true},
+    {"cv", Type::kDouble, Field<&WorkloadSpec::cv>(), "cv must be > 0",
+     kPositive, nullptr, kGamma, 0, true},
+    {"scale", Type::kDouble, Field<&WorkloadSpec::scale>(),
+     "scale must be > 0", kPositive, nullptr, kBursty},
+    {"len", Type::kTime, Field<&WorkloadSpec::burst_len>(),
+     "len wants a time > 0", kPositive, nullptr, kBursty},
+    {"gap", Type::kTime, Field<&WorkloadSpec::burst_gap>(),
+     "gap wants a time > 0", kPositive, nullptr, kBursty},
+    {"amplitude", Type::kDouble, Field<&WorkloadSpec::amplitude>(),
+     "amplitude must be in (0, 1]", kFraction, nullptr, kPeriodic},
+    {"period", Type::kTime, Field<&WorkloadSpec::period>(),
+     "period wants a time > 0", kPositive, nullptr, kPeriodic},
+    {"active", Type::kDouble, Field<&WorkloadSpec::active>(),
+     "active must be in (0, 1]", kFraction, nullptr, kSporadic},
+    {"spike", Type::kTime, Field<&WorkloadSpec::spike>(),
+     "spike wants a time > 0", kPositive, nullptr, kSporadic},
+    {"clients", Type::kInt, Field<&WorkloadSpec::clients>(),
+     "clients must be >= 1", kPositive, nullptr, kClosed, 0, true},
+    {"think", Type::kTime, Field<&WorkloadSpec::think>(),
+     "think wants a time > 0", kPositive, nullptr, kClosed, 0, true},
+    {"seed", Type::kSeed, Field<&WorkloadSpec::seed>(),
+     "seed must be a non-negative int"},
+    {"start", Type::kTime, Field<&WorkloadSpec::start>(),
+     "start wants a time (e.g. 10s)"},
+    {"warmup", Type::kTime, Field<&WorkloadSpec::warmup>(),
+     "warmup wants a time (e.g. 10s)"},
+};
+
+template <typename S>
+bool
+Applies(const Key<S>& k, unsigned context)
+{
+  return k.when == 0 || (k.when & context) != 0;
+}
+
+/** Is `word` one of the space-separated `words`? */
+bool
+IsOneOf(std::string_view word, std::string_view words)
+{
+  for (std::size_t pos = 0; pos <= words.size();) {
+    const std::size_t end = std::min(words.find(' ', pos), words.size());
+    if (words.substr(pos, end - pos) == word) return true;
+    pos = end + 1;
+  }
+  return false;
+}
+
+/**
+ * The row `tok` names — `name=<non-empty value>`, or the bare word of a
+ * kTraining key — with the value in `*value`; null when none does.
+ */
+template <typename S, std::size_t N>
+const Key<S>*
+Find(const Key<S> (&keys)[N], std::string_view tok, std::string_view* value)
+{
+  const std::size_t eq = tok.find('=');
+  const bool bare = eq == std::string_view::npos;
+  if (!bare && eq + 1 == tok.size()) return nullptr;
+  const std::string_view name = tok.substr(0, eq);
+  *value = bare ? std::string_view() : tok.substr(eq + 1);
+  for (const Key<S>& k : keys) {
+    if (k.name == name && (k.type == Type::kTraining) == bare) return &k;
+  }
+  return nullptr;
+}
+
+/** Parse `value` as `k`'s type, check its bound and store it in `*s`. */
+template <typename S>
+bool
+Set(const Key<S>& k, std::string_view value, S* s, int line_no,
+    std::string* error)
+{
+  Value v;
+  bool ok = true;
+  switch (k.type) {
+    case Type::kInt: {
+      std::int32_t i = 0;
+      ok = spec_text::ParseInt(value, &i) && k.range.Has(i);
+      v.i = i;
       break;
     }
-    if (!(v = StripPrefix(tok, "rps=")).empty()) {
-      if (!requires_kind("rps=", kOpenKinds)) return false;
-      if (!ParseDouble(v, &x) || x <= 0.0) {
-        return Fail(error, line_no, "rps must be > 0");
-      }
-      w->rps = x;
-    } else if (!(v = StripPrefix(tok, "cv=")).empty()) {
-      if (!requires_kind("cv=", {ArrivalKind::kGamma})) return false;
-      if (!ParseDouble(v, &x) || x <= 0.0) {
-        return Fail(error, line_no, "cv must be > 0");
-      }
-      w->cv = x;
-    } else if (!(v = StripPrefix(tok, "scale=")).empty()) {
-      if (!requires_kind("scale=", {ArrivalKind::kBursty})) return false;
-      if (!ParseDouble(v, &x) || x <= 0.0) {
-        return Fail(error, line_no, "scale must be > 0");
-      }
-      w->scale = x;
-    } else if (!(v = StripPrefix(tok, "len=")).empty()) {
-      if (!requires_kind("len=", {ArrivalKind::kBursty})) return false;
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "len wants a time > 0");
-      }
-      w->burst_len = t;
-    } else if (!(v = StripPrefix(tok, "gap=")).empty()) {
-      if (!requires_kind("gap=", {ArrivalKind::kBursty})) return false;
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "gap wants a time > 0");
-      }
-      w->burst_gap = t;
-    } else if (!(v = StripPrefix(tok, "amplitude=")).empty()) {
-      if (!requires_kind("amplitude=", {ArrivalKind::kPeriodic})) {
-        return false;
-      }
-      if (!ParseDouble(v, &x) || x <= 0.0 || x > 1.0) {
-        return Fail(error, line_no, "amplitude must be in (0, 1]");
-      }
-      w->amplitude = x;
-    } else if (!(v = StripPrefix(tok, "period=")).empty()) {
-      if (!requires_kind("period=", {ArrivalKind::kPeriodic})) {
-        return false;
-      }
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "period wants a time > 0");
-      }
-      w->period = t;
-    } else if (!(v = StripPrefix(tok, "active=")).empty()) {
-      if (!requires_kind("active=", {ArrivalKind::kSporadic})) {
-        return false;
-      }
-      if (!ParseDouble(v, &x) || x <= 0.0 || x > 1.0) {
-        return Fail(error, line_no, "active must be in (0, 1]");
-      }
-      w->active = x;
-    } else if (!(v = StripPrefix(tok, "spike=")).empty()) {
-      if (!requires_kind("spike=", {ArrivalKind::kSporadic})) {
-        return false;
-      }
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "spike wants a time > 0");
-      }
-      w->spike = t;
-    } else if (!(v = StripPrefix(tok, "clients=")).empty()) {
-      if (!requires_kind("clients=", {ArrivalKind::kClosed})) {
-        return false;
-      }
-      if (!ParseInt(v, &i) || i < 1) {
-        return Fail(error, line_no, "clients must be >= 1");
-      }
-      w->clients = i;
-    } else if (!(v = StripPrefix(tok, "think=")).empty()) {
-      if (!requires_kind("think=", {ArrivalKind::kClosed})) {
-        return false;
-      }
-      if (!ParseTime(v, &t) || t <= 0) {
-        return Fail(error, line_no, "think wants a time > 0");
-      }
-      w->think = t;
-    } else if (!(v = StripPrefix(tok, "seed=")).empty()) {
-      if (!ParseUint64(v, &u)) {
-        return Fail(error, line_no, "seed must be a non-negative int");
-      }
-      w->seed = u;
-    } else if (!(v = StripPrefix(tok, "start=")).empty()) {
-      if (!ParseTime(v, &t)) {
-        return Fail(error, line_no, "start wants a time (e.g. 10s)");
-      }
-      w->start = t;
-    } else if (!(v = StripPrefix(tok, "warmup=")).empty()) {
-      if (!ParseTime(v, &t)) {
-        return Fail(error, line_no, "warmup wants a time (e.g. 10s)");
-      }
-      w->warmup = t;
-    } else {
-      return Fail(error, line_no, "unknown workload key '" + tok + "'");
+    case Type::kSeed: ok = spec_text::ParseUint64(value, &v.u); break;
+    case Type::kDouble:
+      ok = spec_text::ParseDouble(value, &v.d) && k.range.Has(v.d);
+      break;
+    case Type::kTime:
+      ok = spec_text::ParseTime(value, &v.i)
+          && k.range.Has(static_cast<double>(v.i));
+      break;
+    case Type::kOnOff:
+      ok = value == "on" || value == "off";
+      v.i = value == "on" ? 1 : 0;
+      break;
+    case Type::kWord:
+      ok = k.words == nullptr || IsOneOf(value, k.words);
+      v.s = value;
+      break;
+    case Type::kModel:
+      ok = models::HasModel(std::string(value));
+      v.s = value;
+      break;
+    case Type::kClass: {
+      ServiceClass c = ServiceClass::kStandard;
+      ok = ParseServiceClass(std::string(value), &c);
+      v.i = static_cast<std::int64_t>(c);
+      break;
     }
+    case Type::kTraining:
+      v.i = static_cast<std::int64_t>(TaskType::kTraining);
+      break;
   }
-  if (!have_for) {
-    return Fail(error, line_no, "workload needs a 'for <time>' window");
+  if (!ok) {
+    return Fail(error, line_no,
+                k.msg != nullptr ? std::string(k.msg)
+                                 : "unknown " + std::string(k.name) + " '"
+                                       + std::string(value) + "'");
+  }
+  k.field.load(*s, v);
+  return true;
+}
+
+/**
+ * `k`'s value in `s` as printed; false when unset. A kTraining key's
+ * text is only compared with the default: its bare word is printed.
+ */
+template <typename S>
+bool
+Text(const Key<S>& k, const S& s, std::string* text)
+{
+  Value v;
+  if (!k.field.save(s, &v)) return false;
+  switch (k.type) {
+    case Type::kInt:
+    case Type::kTraining: *text = std::to_string(v.i); break;
+    case Type::kSeed: *text = std::to_string(v.u); break;
+    case Type::kDouble: *text = FormatDouble(v.d); break;
+    case Type::kTime: *text = FormatTime(v.i); break;
+    case Type::kOnOff: *text = v.i != 0 ? "on" : "off"; break;
+    case Type::kWord:
+    case Type::kModel: *text = std::string(v.s); break;
+    case Type::kClass:
+      *text = ToString(static_cast<ServiceClass>(v.i));
+      break;
   }
   return true;
+}
+
+/** Append " name=value" for every key of `s` that applies to `context`
+ *  and is set to a non-default value (or is printed always). */
+template <typename S, std::size_t N>
+void
+AppendKeys(std::string* out, const Key<S> (&keys)[N], const S& s,
+           unsigned context)
+{
+  static const S kDefault{};
+  std::string text;
+  std::string fallback;
+  for (const Key<S>& k : keys) {
+    if (!Applies(k, context) || !Text(k, s, &text)) continue;
+    if (!k.always && Text(k, kDefault, &fallback) && text == fallback) {
+      continue;
+    }
+    *out += ' ';
+    *out += k.name;
+    if (k.type != Type::kTraining) *out += '=' + text;
+  }
+}
+
+/**
+ * Read every remaining token of a `directive` line as one of `keys`,
+ * setting a bit of `*seen` (when non-null) per row present. With
+ * `list`, an unknown key's rejection names the accepted ones.
+ */
+template <typename S, std::size_t N>
+bool
+ParseKeys(Tokens& toks, const Key<S> (&keys)[N], const char* directive,
+          bool list, S* s, int line_no, std::string* error,
+          std::uint32_t* seen = nullptr)
+{
+  static_assert(N <= 32, "`*seen` has one bit per key");
+  std::string_view tok;
+  std::string_view value;
+  while (toks.Next(&tok)) {
+    const Key<S>* k = Find(keys, tok, &value);
+    if (k == nullptr) {
+      std::string msg = std::string("unknown ") + directive + " key '"
+          + std::string(tok) + "'";
+      if (list) {
+        for (const Key<S>& known : keys) {
+          msg += &known == keys ? " (want " : "/";
+          msg += std::string(known.name) + "=";
+        }
+        msg += ")";
+      }
+      return Fail(error, line_no, msg);
+    }
+    if (!Set(*k, value, s, line_no, error)) return false;
+    if (seen != nullptr) *seen |= 1u << (k - keys);
+  }
+  return true;
+}
+
+bool
+ParseDeployLine(Tokens& toks, int line_no, DeploySpec* d, std::string* error)
+{
+  std::uint32_t seen = 0;
+  if (!ParseKeys(toks, kDeployKeys, "deploy", false, d, line_no, error,
+                 &seen)) {
+    return false;
+  }
+  if ((seen & 1u) == 0) {  // kDeployKeys[0] is model=
+    return Fail(error, line_no, "deploy needs model=<catalog-name>");
+  }
+  const int none = static_cast<int>(std::size(kMisplaced));
+  int misplaced = none;
+  for (std::size_t i = 0; i < std::size(kDeployKeys); ++i) {
+    const Key<DeploySpec>& k = kDeployKeys[i];
+    if ((seen >> i & 1u) != 0 && !Applies(k, Bit(d->fn.type))) {
+      misplaced = std::min(misplaced, k.misplaced);
+    }
+  }
+  if (misplaced != none) return Fail(error, line_no, kMisplaced[misplaced]);
+  return true;
+}
+
+bool
+ParseWorkloadLine(Tokens& toks, int line_no, WorkloadSpec* w,
+                  std::string* error)
+{
+  std::string_view tok;
+  if (!toks.Next(&tok)
+      || !spec_text::ParseInt(spec_text::StripPrefix(tok, "fn="), &w->fn)
+      || w->fn < 0) {
+    return Fail(error, line_no, "workload needs fn=<deploy-index> first");
+  }
+  if (!toks.Next(&tok)) {
+    return Fail(error, line_no, "workload needs an arrival kind");
+  }
+  const auto* kind = std::find(std::begin(kKindWords), std::end(kKindWords),
+                               tok);
+  if (kind == std::end(kKindWords)) {
+    return Fail(error, line_no,
+                "unknown arrival kind '" + std::string(tok) + "'");
+  }
+  w->kind = static_cast<ArrivalKind>(kind - kKindWords);
+
+  std::string_view value;
+  while (toks.Next(&tok)) {
+    if (tok == "for") {
+      if (!toks.Next(&tok) || !spec_text::ParseTime(tok, &w->duration)
+          || w->duration <= 0) {
+        return Fail(error, line_no, "'for' wants a time > 0");
+      }
+      if (toks.Next(&tok)) {
+        return Fail(error, line_no,
+                    "unexpected trailing '" + std::string(tok)
+                        + "' ('for <time>' ends the line)");
+      }
+      return true;
+    }
+    const Key<WorkloadSpec>* k = Find(kWorkloadKeys, tok, &value);
+    if (k == nullptr) {
+      return Fail(error, line_no,
+                  "unknown workload key '" + std::string(tok) + "'");
+    }
+    // A key of another arrival kind is a typo'd spec (e.g. `poisson
+    // cv=2`); storing-and-ignoring it would silently run different
+    // semantics than the author wrote, so reject it loudly.
+    if (!Applies(*k, Bit(w->kind))) {
+      return Fail(error, line_no,
+                  std::string(k->name) + "= does not apply to kind '"
+                      + ToString(w->kind) + "'");
+    }
+    if (!Set(*k, value, w, line_no, error)) return false;
+  }
+  return Fail(error, line_no, "workload needs a 'for <time>' window");
 }
 
 }  // namespace
+
+std::string
+ExperimentSpec::ToText() const
+{
+  std::string out =
+      "experiment " + (name_.empty() ? "unnamed" : name_) + "\n";
+  std::string cluster;
+  AppendKeys(&cluster, kClusterKeys, cluster_, 0);
+  if (!cluster.empty()) out += "cluster" + cluster + "\n";
+  if (fabric_.storage) {
+    out += "storage";
+    AppendKeys(&out, kStorageKeys, fabric_, 0);
+    out += "\n";
+  }
+  if (fabric_.nic) {
+    out += "nic";
+    AppendKeys(&out, kNicKeys, fabric_, 0);
+    out += "\n";
+  }
+  for (const DeploySpec& d : deploys_) {
+    out += "deploy";
+    AppendKeys(&out, kDeployKeys, d, Bit(d.fn.type));
+    out += "\n";
+  }
+  for (const WorkloadSpec& w : workloads_) {
+    out += "workload fn=" + std::to_string(w.fn) + " " + ToString(w.kind);
+    AppendKeys(&out, kWorkloadKeys, w, Bit(w.kind));
+    out += " for " + FormatTime(w.duration) + "\n";
+  }
+  for (const chaos::ScenarioEvent& e : chaos_.events()) {
+    out += "chaos " + chaos::FormatEventLine(e) + "\n";
+  }
+  if (run_for_ > 0) out += "run for " + FormatTime(run_for_) + "\n";
+  if (!export_prefix_.empty()) out += "export " + export_prefix_ + "\n";
+  return out;
+}
 
 bool
 ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
@@ -694,126 +719,64 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
   ExperimentSpec spec;
   std::vector<int> workload_lines;  // for end-of-parse validation
   std::vector<int> chaos_lines;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    line = spec_text::StripComment(line);
-    std::istringstream toks(line);
-    std::string tok;
-    if (!(toks >> tok)) continue;  // blank (or comment-only) line
-    if (tok == "experiment") {
-      std::string name;
-      if (!(toks >> name)) {
-        return Fail(error, line_no, "experiment needs a name");
-      }
-      std::string rest;
-      if (toks >> rest) {
-        return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-      }
-      spec.set_name(name);
-    } else if (tok == "cluster") {
-      if (!ParseClusterLine(toks, line_no, &spec.cluster_, error)) {
-        return false;
-      }
-    } else if (tok == "storage") {
-      spec.fabric_.storage = true;
-      std::string key;
-      while (toks >> key) {
-        std::string v;
-        double x = 0.0;
-        std::int32_t i = 0;
-        if (!(v = StripPrefix(key, "bw=")).empty()) {
-          if (!ParseDouble(v, &x) || x <= 0.0) {
-            return Fail(error, line_no, "storage bw must be > 0 (GB/s)");
-          }
-          spec.fabric_.storage_bw = x;
-        } else if (!(v = StripPrefix(key, "gc=")).empty()) {
-          if (!ParseDouble(v, &x) || x < 0.0 || x > 0.9) {
-            return Fail(error, line_no,
-                        "storage gc duty must be in [0, 0.9]");
-          }
-          spec.fabric_.storage_gc = x;
-        } else if (!(v = StripPrefix(key, "devices=")).empty()) {
-          if (!ParseInt(v, &i) || i < 1) {
-            return Fail(error, line_no, "storage devices must be >= 1");
-          }
-          spec.fabric_.storage_devices = i;
-        } else {
-          return Fail(error, line_no,
-                      "unknown storage key '" + key
-                          + "' (want bw=/gc=/devices=)");
+  const bool ok = spec_text::ForEachLine(
+      text, nullptr, [&](int line_no, Tokens& toks) {
+        std::string_view directive;
+        toks.Next(&directive);
+        if (directive == "experiment") {
+          return spec_text::OneWord(toks, line_no,
+                                    "experiment needs a name", &spec.name_,
+                                    error);
         }
-      }
-    } else if (tok == "nic") {
-      spec.fabric_.nic = true;
-      std::string key;
-      while (toks >> key) {
-        std::string v;
-        double x = 0.0;
-        if (!(v = StripPrefix(key, "rate=")).empty()) {
-          if (!ParseDouble(v, &x) || x <= 0.0) {
-            return Fail(error, line_no, "nic rate must be > 0 (GB/s)");
-          }
-          spec.fabric_.nic_rate = x;
-        } else if (!(v = StripPrefix(key, "burst=")).empty()) {
-          if (!ParseDouble(v, &x) || x <= 0.0) {
-            return Fail(error, line_no, "nic burst must be > 0 (GB)");
-          }
-          spec.fabric_.nic_burst = x;
-        } else {
-          return Fail(error, line_no,
-                      "unknown nic key '" + key + "' (want rate=/burst=)");
+        if (directive == "cluster") {
+          return ParseKeys(toks, kClusterKeys, "cluster", false,
+                           &spec.cluster_, line_no, error);
         }
-      }
-    } else if (tok == "deploy") {
-      DeploySpec d;
-      if (!ParseDeployLine(toks, line_no, &d, error)) return false;
-      spec.deploys_.push_back(std::move(d));
-    } else if (tok == "workload") {
-      WorkloadSpec w;
-      if (!ParseWorkloadLine(toks, line_no, &w, error)) return false;
-      spec.workloads_.push_back(w);
-      workload_lines.push_back(line_no);
-    } else if (tok == "chaos") {
-      std::string rest;
-      std::getline(toks, rest);
-      if (!chaos::ScenarioSpec::ParseEventLine(rest, line_no,
-                                               &spec.chaos_, error)) {
-        return false;
-      }
-      chaos_lines.push_back(line_no);
-    } else if (tok == "run") {
-      std::string kw;
-      std::string t;
-      TimeUs dur = 0;
-      if (!(toks >> kw >> t) || kw != "for" || !ParseTime(t, &dur)
-          || dur <= 0) {
-        return Fail(error, line_no, "expected 'run for <time>'");
-      }
-      std::string rest;
-      if (toks >> rest) {
-        return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-      }
-      spec.run_for_ = dur;
-    } else if (tok == "export") {
-      std::string prefix;
-      if (!(toks >> prefix)) {
-        return Fail(error, line_no, "export needs a path prefix");
-      }
-      std::string rest;
-      if (toks >> rest) {
-        return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-      }
-      spec.export_prefix_ = prefix;
-    } else {
-      return Fail(error, line_no,
-                  "unknown directive '" + tok
-                      + "' (want experiment/cluster/storage/nic/deploy/"
-                        "workload/chaos/run/export)");
-    }
-  }
+        if (directive == "storage") {
+          spec.fabric_.storage = true;
+          return ParseKeys(toks, kStorageKeys, "storage", true,
+                           &spec.fabric_, line_no, error);
+        }
+        if (directive == "nic") {
+          spec.fabric_.nic = true;
+          return ParseKeys(toks, kNicKeys, "nic", true, &spec.fabric_,
+                           line_no, error);
+        }
+        if (directive == "deploy") {
+          return ParseDeployLine(toks, line_no,
+                                 &spec.deploys_.emplace_back(), error);
+        }
+        if (directive == "workload") {
+          workload_lines.push_back(line_no);
+          return ParseWorkloadLine(toks, line_no,
+                                   &spec.workloads_.emplace_back(), error);
+        }
+        if (directive == "chaos") {
+          chaos_lines.push_back(line_no);
+          return chaos::ScenarioSpec::ParseEventLine(toks.rest(), line_no,
+                                                     &spec.chaos_, error);
+        }
+        if (directive == "run") {
+          std::string_view kw;
+          std::string_view t;
+          if (!toks.Next(&kw) || kw != "for" || !toks.Next(&t)
+              || !spec_text::ParseTime(t, &spec.run_for_)
+              || spec.run_for_ <= 0) {
+            return Fail(error, line_no, "expected 'run for <time>'");
+          }
+          return spec_text::AtEnd(toks, line_no, error);
+        }
+        if (directive == "export") {
+          return spec_text::OneWord(toks, line_no,
+                                    "export needs a path prefix",
+                                    &spec.export_prefix_, error);
+        }
+        return Fail(error, line_no,
+                    "unknown directive '" + std::string(directive)
+                        + "' (want experiment/cluster/storage/nic/deploy/"
+                          "workload/chaos/run/export)");
+      });
+  if (!ok) return false;
 
   // Cross-line validation: references resolve against the deploy list,
   // reported with the referencing line's number.
@@ -850,35 +813,24 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
   for (std::size_t i = 0; i < events.size(); ++i) {
     const chaos::ScenarioEvent& e = events[i];
     const int at = chaos_lines[i];
+    const std::string verb = chaos::ToString(e.kind);
     if (chaos::IsFabric(e.kind) && !spec.fabric_.enabled()) {
       return Fail(error, at,
-                  std::string(chaos::ToString(e.kind))
-                      + " needs a storage/nic line (the fabric is "
-                        "disabled)");
+                  verb + " needs a storage/nic line (the fabric is "
+                         "disabled)");
     }
-    if (e.kind == chaos::FaultKind::kTrafficSurge
-        || e.kind == chaos::FaultKind::kCheckpointEvery
-        || chaos::IsShedding(e.kind)) {
-      if (e.function >= n_deploys) {
-        return Fail(error, at,
-                    "chaos fn=" + std::to_string(e.function)
-                        + " has no matching deploy");
-      }
-      if (e.kind == chaos::FaultKind::kTrafficSurge
-          && fn_type(e.function) != TaskType::kInference) {
-        return Fail(error, at, "surge targets a training deploy");
-      }
-      if (e.kind == chaos::FaultKind::kCheckpointEvery
-          && fn_type(e.function) != TaskType::kTraining) {
-        return Fail(error, at,
-                    "checkpoint_every targets an inference deploy");
-      }
-      if (chaos::IsShedding(e.kind)
-          && fn_type(e.function) != TaskType::kInference) {
-        return Fail(error, at,
-                    std::string(chaos::ToString(e.kind))
-                        + " targets a training deploy");
-      }
+    if (chaos::OperandOf(e.kind) != chaos::Operand::kFunction) continue;
+    if (e.function >= n_deploys) {
+      return Fail(error, at,
+                  "chaos fn=" + std::to_string(e.function)
+                      + " has no matching deploy");
+    }
+    const TaskType other = fn_type(e.function);
+    if (other != chaos::FunctionTaskOf(e.kind)) {
+      return Fail(error, at,
+                  verb + " targets "
+                      + (other == TaskType::kInference ? "an " : "a ")
+                      + ToString(other) + " deploy");
     }
   }
 

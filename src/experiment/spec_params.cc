@@ -53,7 +53,7 @@ Locate(const std::string& path, Edit* edit, std::string* error)
     *edit = {head, static_cast<std::size_t>(i), key};
     return true;
   }
-  const std::string cluster_key = spec_text::StripPrefix(path, "cluster.");
+  const std::string cluster_key(spec_text::StripPrefix(path, "cluster."));
   *edit = cluster_key.empty() ? Edit{"run", 0, ""}
                               : Edit{"cluster", 0, cluster_key};
   if (!cluster_key.empty() || path == "run.for") return true;

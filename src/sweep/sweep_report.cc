@@ -1,9 +1,9 @@
 #include "sweep/sweep_report.h"
 
-#include <cstdarg>
 #include <cstdio>
 
 #include "common/csv.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/stats.h"
 
@@ -111,51 +111,6 @@ constexpr MetricDef kMetrics[] = {
 
 constexpr std::size_t kMetricCount =
     sizeof(kMetrics) / sizeof(kMetrics[0]);
-
-void
-AppendJson(std::string* out, const char* fmt, ...)
-#if defined(__GNUC__)
-    __attribute__((format(printf, 2, 3)))
-#endif
-    ;
-
-void
-AppendJson(std::string* out, const char* fmt, ...)
-{
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out->append(buf);
-}
-
-/** JSON escaping for names / axis values that flow in from specs. */
-std::string
-EscapeJson(const std::string& s)
-{
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  return out;
-}
 
 /** "%.6f"-formatted cell for the CSV rendering. */
 std::string

@@ -17,30 +17,25 @@ using spec_text::FormatDouble;
 using spec_text::ParseDouble;
 using spec_text::ParseInt;
 using spec_text::ParseUint64;
-using spec_text::StripComment;
 using spec_text::StripPrefix;
+using spec_text::Tokens;
 
 bool
-ParseSeedsLine(std::istringstream& toks, int line_no, SweepSpec* spec,
-               std::string* error)
+ParseSeedsLine(Tokens& toks, int line_no, SweepSpec* spec, std::string* error)
 {
-  std::string tok;
+  std::string_view tok;
   std::int32_t n = 0;
-  if (!(toks >> tok) || !ParseInt(tok, &n) || n < 1) {
+  if (!toks.Next(&tok) || !ParseInt(tok, &n) || n < 1) {
     return Fail(error, line_no, "seeds wants a count >= 1");
   }
   std::uint64_t base = 1;
-  if (toks >> tok) {
-    const std::string v = StripPrefix(tok, "base=");
-    if (v.empty() || !ParseUint64(v, &base) || base < 1) {
+  if (toks.Next(&tok)) {
+    if (!ParseUint64(StripPrefix(tok, "base="), &base) || base < 1) {
       return Fail(error, line_no,
                   "seeds takes base=<seed >= 1> (0 would mean \"no "
                   "override\" to the experiment driver)");
     }
-    std::string rest;
-    if (toks >> rest) {
-      return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-    }
+    if (!spec_text::AtEnd(toks, line_no, error)) return false;
   }
   // Run k is seeded base + k; a wrap to 0 would read as "no override".
   if (base > std::numeric_limits<std::uint64_t>::max()
@@ -54,21 +49,20 @@ ParseSeedsLine(std::istringstream& toks, int line_no, SweepSpec* spec,
 }
 
 bool
-ParseAxisLine(std::istringstream& toks, int line_no, SweepSpec* spec,
-              std::string* error)
+ParseAxisLine(Tokens& toks, int line_no, SweepSpec* spec, std::string* error)
 {
-  std::string path;
-  if (!(toks >> path)) {
+  std::string_view tok;
+  if (!toks.Next(&tok)) {
     return Fail(error, line_no, "axis needs a parameter path");
   }
+  const std::string path(tok);
   for (const SweepAxis& a : spec->axes()) {
     if (a.path == path) {
       return Fail(error, line_no, "duplicate axis '" + path + "'");
     }
   }
   std::vector<std::string> values;
-  std::string v;
-  while (toks >> v) values.push_back(v);
+  while (toks.Next(&tok)) values.emplace_back(tok);
   if (values.empty()) {
     return Fail(error, line_no,
                 "axis '" + path + "' needs at least one value");
@@ -87,16 +81,17 @@ ParseAxisLine(std::istringstream& toks, int line_no, SweepSpec* spec,
 }
 
 bool
-ParseRequireLine(std::istringstream& toks, int line_no, SweepSpec* spec,
+ParseRequireLine(Tokens& toks, int line_no, SweepSpec* spec,
                  std::string* error)
 {
-  std::string metric;
-  std::string op_tok;
-  std::string value_tok;
-  if (!(toks >> metric >> op_tok >> value_tok)) {
+  std::string_view tok;
+  std::string_view op_tok;
+  std::string_view value_tok;
+  if (!toks.Next(&tok) || !toks.Next(&op_tok) || !toks.Next(&value_tok)) {
     return Fail(error, line_no,
                 "expected 'require <metric> <=|>= <value>[x baseline]'");
   }
+  const std::string metric(tok);
   if (!IsSweepMetric(metric)) {
     return Fail(error, line_no,
                 "unknown metric '" + metric
@@ -108,15 +103,15 @@ ParseRequireLine(std::istringstream& toks, int line_no, SweepSpec* spec,
   } else if (op_tok == ">=") {
     op = ThresholdOp::kGe;
   } else {
-    return Fail(error, line_no, "require wants <= or >=, got '" + op_tok
-                + "'");
+    return Fail(error, line_no,
+                "require wants <= or >=, got '" + std::string(op_tok) + "'");
   }
   bool relative = false;
   if (!value_tok.empty() && value_tok.back() == 'x') {
     relative = true;
-    value_tok.pop_back();
-    std::string baseline;
-    if (!(toks >> baseline) || baseline != "baseline") {
+    value_tok.remove_suffix(1);
+    std::string_view baseline;
+    if (!toks.Next(&baseline) || baseline != "baseline") {
       return Fail(error, line_no,
                   "a relative bound reads '<value>x baseline'");
     }
@@ -125,10 +120,7 @@ ParseRequireLine(std::istringstream& toks, int line_no, SweepSpec* spec,
   if (!ParseDouble(value_tok, &value) || value < 0.0) {
     return Fail(error, line_no, "require wants a bound >= 0");
   }
-  std::string rest;
-  if (toks >> rest) {
-    return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-  }
+  if (!spec_text::AtEnd(toks, line_no, error)) return false;
   spec->Require(metric, op, value, relative);
   return true;
 }
@@ -206,59 +198,40 @@ SweepSpec::Parse(const std::string& text, SweepSpec* out,
   bool have_name = false;
   bool have_base = false;
   bool have_seeds = false;
-  std::istringstream in(text);
-  std::string line;
   int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    line = StripComment(line);
-    std::istringstream toks(line);
-    std::string tok;
-    if (!(toks >> tok)) continue;  // blank (or comment-only) line
-    if (tok == "sweep") {
-      if (have_name) {
-        return Fail(error, line_no, "duplicate sweep line");
-      }
-      std::string name;
-      if (!(toks >> name)) {
-        return Fail(error, line_no, "sweep needs a name");
-      }
-      std::string rest;
-      if (toks >> rest) {
-        return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-      }
-      spec.name_ = name;
-      have_name = true;
-    } else if (tok == "base") {
-      if (have_base) {
-        return Fail(error, line_no, "duplicate base line");
-      }
-      std::string base;
-      if (!(toks >> base)) {
-        return Fail(error, line_no, "base needs an experiment name");
-      }
-      std::string rest;
-      if (toks >> rest) {
-        return Fail(error, line_no, "unexpected trailing '" + rest + "'");
-      }
-      spec.base_ = base;
-      have_base = true;
-    } else if (tok == "seeds") {
-      if (have_seeds) {
-        return Fail(error, line_no, "duplicate seeds line");
-      }
-      if (!ParseSeedsLine(toks, line_no, &spec, error)) return false;
-      have_seeds = true;
-    } else if (tok == "axis") {
-      if (!ParseAxisLine(toks, line_no, &spec, error)) return false;
-    } else if (tok == "require") {
-      if (!ParseRequireLine(toks, line_no, &spec, error)) return false;
-    } else {
-      return Fail(error, line_no,
-                  "unknown directive '" + tok
-                      + "' (want sweep/base/seeds/axis/require)");
-    }
-  }
+  const bool ok = spec_text::ForEachLine(
+      text, &line_no, [&](int line, Tokens& toks) {
+        std::string_view directive;
+        toks.Next(&directive);
+        if (directive == "sweep") {
+          if (have_name) return Fail(error, line, "duplicate sweep line");
+          have_name = true;
+          return spec_text::OneWord(toks, line, "sweep needs a name",
+                                    &spec.name_, error);
+        }
+        if (directive == "base") {
+          if (have_base) return Fail(error, line, "duplicate base line");
+          have_base = true;
+          return spec_text::OneWord(toks, line,
+                                    "base needs an experiment name",
+                                    &spec.base_, error);
+        }
+        if (directive == "seeds") {
+          if (have_seeds) return Fail(error, line, "duplicate seeds line");
+          have_seeds = true;
+          return ParseSeedsLine(toks, line, &spec, error);
+        }
+        if (directive == "axis") {
+          return ParseAxisLine(toks, line, &spec, error);
+        }
+        if (directive == "require") {
+          return ParseRequireLine(toks, line, &spec, error);
+        }
+        return Fail(error, line,
+                    "unknown directive '" + std::string(directive)
+                        + "' (want sweep/base/seeds/axis/require)");
+      });
+  if (!ok) return false;
   if (!have_name) {
     return Fail(error, line_no, "a sweep needs a 'sweep <name>' line");
   }

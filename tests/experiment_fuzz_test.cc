@@ -1,11 +1,13 @@
 /**
  * @file
  * Fuzz-style tests for the experiment text loader, mirroring
- * scenario_fuzz_test.cc: randomly generated valid specs (covering
- * every directive, arrival kind and cluster override) must round-trip
+ * scenario_fuzz_test.cc: randomly generated valid specs must round-trip
  * parse -> print -> parse byte-identically, and randomly mutated specs
  * must fail with a line-numbered error — never crash, never be
- * silently mis-parsed.
+ * silently mis-parsed. The generator draws every directive, every key
+ * of every line (cluster, storage, nic, both deploy task types, all
+ * seven arrival kinds) and all fifteen chaos verbs, each fn-targeted
+ * verb aimed at a deploy of the task type it requires.
  *
  * Everything draws from a fixed-seed Rng, so a failure reproduces
  * exactly; crank kRounds locally for a longer soak.
@@ -24,6 +26,7 @@ namespace {
 using experiment::ArrivalKind;
 using experiment::DeploySpec;
 using experiment::ExperimentSpec;
+using experiment::FabricSection;
 using experiment::WorkloadSpec;
 
 constexpr int kRounds = 150;
@@ -68,9 +71,21 @@ RandomSpec(Rng& rng)
     spec.cluster().gpus_per_node = static_cast<int>(rng.UniformInt(1, 8));
   }
   if (rng.UniformInt(0, 2) == 0) {
-    const char* presets[] = {"dilu", "exclusive", "mps-l", "tgs",
-                             "infless-l"};
-    spec.cluster().preset = presets[rng.UniformInt(0, 4)];
+    const char* presets[] = {"dilu",  "exclusive", "mps-l",     "mps-r",
+                             "tgs",   "fastgs",    "infless-l", "infless-r"};
+    spec.cluster().preset = presets[rng.UniformInt(0, 7)];
+  }
+  if (rng.UniformInt(0, 2) == 0) {
+    const char* schedulers[] = {"dilu", "exclusive", "static"};
+    spec.cluster().scheduler = schedulers[rng.UniformInt(0, 2)];
+  }
+  if (rng.UniformInt(0, 2) == 0) {
+    const char* sharings[] = {"dilu", "static", "tgs", "fastgs"};
+    spec.cluster().sharing = sharings[rng.UniformInt(0, 3)];
+  }
+  if (rng.UniformInt(0, 2) == 0) {
+    const char* modes[] = {"dilu", "limit", "request", "full"};
+    spec.cluster().quota_mode = modes[rng.UniformInt(0, 3)];
   }
   if (rng.UniformInt(0, 2) == 0) {
     spec.cluster().recovery =
@@ -80,11 +95,34 @@ RandomSpec(Rng& rng)
     spec.cluster().resource_complementarity = rng.UniformInt(0, 1) == 0;
   }
   if (rng.UniformInt(0, 2) == 0) {
+    spec.cluster().workload_affinity = rng.UniformInt(0, 1) == 0;
+  }
+  if (rng.UniformInt(0, 2) == 0) {
     spec.cluster().warm_starts = rng.UniformInt(0, 1) == 0;
   }
   if (rng.UniformInt(0, 1) == 0) {
     spec.cluster().seed =
         static_cast<std::uint64_t>(rng.UniformInt(0, 1 << 20));
+  }
+
+  // --- fabric tiers (each line, and each of its keys, optional) ---
+  FabricSection& fabric = spec.fabric();
+  if (rng.UniformInt(0, 2) == 0) {
+    fabric.storage = true;
+    if (rng.UniformInt(0, 1) == 0) {
+      fabric.storage_bw = RandomFactor(rng, 0, 16);
+    }
+    if (rng.UniformInt(0, 1) == 0) {
+      fabric.storage_gc = 0.25 * static_cast<double>(rng.UniformInt(0, 3));
+    }
+    if (rng.UniformInt(0, 1) == 0) {
+      fabric.storage_devices = static_cast<int>(rng.UniformInt(1, 4));
+    }
+  }
+  if (rng.UniformInt(0, 2) == 0) {
+    fabric.nic = true;
+    if (rng.UniformInt(0, 1) == 0) fabric.nic_rate = RandomFactor(rng, 0, 50);
+    if (rng.UniformInt(0, 1) == 0) fabric.nic_burst = RandomFactor(rng, 0, 4);
   }
 
   // --- deployments ---
@@ -119,6 +157,19 @@ RandomSpec(Rng& rng)
       if (rng.UniformInt(0, 3) == 0) {
         d.fn.name = "fn" + std::to_string(i);
       }
+      if (rng.UniformInt(0, 2) == 0) {
+        d.fn.admission_class = rng.UniformInt(0, 1) == 0
+                                   ? ServiceClass::kCritical
+                                   : ServiceClass::kBestEffort;
+      }
+      if (rng.UniformInt(0, 2) == 0) {
+        d.fn.queue_cap = static_cast<int>(rng.UniformInt(1, 256));
+      }
+      if (rng.UniformInt(0, 2) == 0) {
+        d.fn.retry_budget = static_cast<int>(rng.UniformInt(1, 4));
+      }
+      if (rng.UniformInt(0, 2) == 0) d.fn.retry_backoff = RandomTime(rng);
+      if (rng.UniformInt(0, 2) == 0) d.fn.deadline = RandomTime(rng);
       inference_fns.push_back(i);
     }
   }
@@ -181,36 +232,68 @@ RandomSpec(Rng& rng)
     }
   }
 
-  // --- chaos events (targets constrained to valid fn references) ---
-  const int events = static_cast<int>(rng.UniformInt(0, 6));
+  // --- chaos events: every verb; fn-targeted ones name a deploy of the
+  // task type they require, fabric ones only run with a fabric line.
+  const auto pick = [&rng](const std::vector<int>& fns) {
+    return fns[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(fns.size()) - 1))];
+  };
+  chaos::ScenarioSpec& chaos = spec.chaos();
+  const int events = static_cast<int>(rng.UniformInt(0, 8));
   for (int i = 0; i < events; ++i) {
     const TimeUs at = RandomTime(rng);
     const auto target = static_cast<std::int32_t>(rng.UniformInt(0, 15));
-    switch (rng.UniformInt(0, 5)) {
-      case 0: spec.chaos().FailGpu(at, target); break;
-      case 1: spec.chaos().FailNode(at, target); break;
-      case 2: spec.chaos().DrainNode(at, target); break;
-      case 3:
-        spec.chaos().DegradeGpu(
-            at, target, 0.25 * static_cast<double>(rng.UniformInt(1, 3)));
+    switch (rng.UniformInt(0, 14)) {
+      case 0: chaos.FailGpu(at, target); break;
+      case 1: chaos.RecoverGpu(at, target); break;
+      case 2: chaos.FailNode(at, target); break;
+      case 3: chaos.RecoverNode(at, target); break;
+      case 4: chaos.DrainNode(at, target); break;
+      case 5: chaos.UndrainNode(at, target); break;
+      case 6:
+        chaos.DegradeGpu(at, target,
+                         0.25 * static_cast<double>(rng.UniformInt(1, 3)));
         break;
-      case 4:
-        if (!inference_fns.empty()) {
-          spec.chaos().Surge(
-              at,
-              inference_fns[static_cast<std::size_t>(rng.UniformInt(
-                  0, static_cast<std::int64_t>(inference_fns.size()) - 1))],
-              RandomFactor(rng, 0.0, 200.0), RandomTime(rng));
+      case 7:
+        chaos.StraggleGpu(at, target, RandomFactor(rng, 1.0, 8.0));
+        break;
+      case 8:
+        if (!training_fns.empty()) {
+          chaos.CheckpointEvery(
+              at, pick(training_fns), RandomTime(rng),
+              rng.UniformInt(0, 1) == 0 ? 0 : RandomTime(rng));
         }
         break;
+      case 9:
+        chaos.InflateColdStarts(at, RandomFactor(rng, 0.0, 10.0),
+                                RandomTime(rng));
+        break;
+      case 10:
+        if (!inference_fns.empty()) {
+          chaos.Surge(at, pick(inference_fns), RandomFactor(rng, 0.0, 200.0),
+                      RandomTime(rng));
+        }
+        break;
+      case 11:
+        if (!inference_fns.empty()) {
+          chaos.Overload(at, pick(inference_fns),
+                         RandomFactor(rng, 1.0, 16.0), RandomTime(rng));
+        }
+        break;
+      case 12:
+        if (!inference_fns.empty()) {
+          chaos.ThrottleAdmit(at, pick(inference_fns),
+                              RandomFactor(rng, 0.0, 500.0),
+                              RandomTime(rng));
+        }
+        break;
+      case 13:
+        if (fabric.enabled()) chaos.FailLink(at, target, RandomTime(rng));
+        break;
       default:
-        if (!training_fns.empty()) {
-          spec.chaos().CheckpointEvery(
-              at,
-              training_fns[static_cast<std::size_t>(rng.UniformInt(
-                  0, static_cast<std::int64_t>(training_fns.size()) - 1))],
-              RandomTime(rng),
-              rng.UniformInt(0, 1) == 0 ? 0 : RandomTime(rng));
+        if (fabric.enabled()) {
+          chaos.StorageBrownout(at, RandomFactor(rng, 1.0, 8.0),
+                                RandomTime(rng));
         }
         break;
     }

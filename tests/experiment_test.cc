@@ -230,6 +230,31 @@ TEST(ExperimentSpecText, GalleryParsesAndCanonicalizes)
   EXPECT_GE(specs, 5) << "experiments/ gallery went missing?";
 }
 
+// tests/golden/every_key.exp pins the canonical printer to a recorded
+// text: one spec setting every directive, key and chaos verb to a
+// non-default value. Unlike the fuzz round-trips, which only compare
+// the printer with itself, this catches a change in key order,
+// spelling or default omission.
+TEST(ExperimentSpecText, EveryKeyGoldenIsCanonical)
+{
+  std::ifstream in(std::string(DILU_GOLDEN_DIR) + "/every_key.exp");
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+
+  ExperimentSpec spec;
+  std::string error;
+  ASSERT_TRUE(ExperimentSpec::Parse(text.str(), &spec, &error)) << error;
+  EXPECT_EQ(spec.ToText(), text.str());
+  for (int k = 0; k <= static_cast<int>(chaos::FaultKind::kStorageBrownout);
+       ++k) {
+    const std::string verb =
+        std::string(" ") + chaos::ToString(static_cast<chaos::FaultKind>(k))
+        + " ";
+    EXPECT_NE(text.str().find(verb), std::string::npos) << verb;
+  }
+}
+
 // --- the driver ------------------------------------------------------
 
 /** Small chaos spec: fast enough for a unit test, still end to end. */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Fuzz-style tests for the chaos scenario text loader: randomly
- * generated valid specs (covering every verb, including the degraded /
- * checkpoint ones) must round-trip parse -> print -> parse
+ * generated valid specs (drawing all fifteen verbs, each with its
+ * operand, magnitude and window) must round-trip parse -> print -> parse
  * byte-identically, and randomly mutated lines must fail with a
  * line-numbered error — never crash, never be silently mis-parsed.
  *
@@ -53,7 +53,7 @@ RandomSpec(Rng& rng)
   for (int i = 0; i < events; ++i) {
     const TimeUs at = RandomTime(rng);
     const auto target = static_cast<std::int32_t>(rng.UniformInt(0, 63));
-    switch (rng.UniformInt(0, 12)) {
+    switch (rng.UniformInt(0, 14)) {
       case 0: spec.FailGpu(at, target); break;
       case 1: spec.RecoverGpu(at, target); break;
       case 2: spec.FailNode(at, target); break;
@@ -86,6 +86,13 @@ RandomSpec(Rng& rng)
       case 11:
         spec.ThrottleAdmit(at, target, RandomFactor(rng, 0.0, 500.0),
                            RandomTime(rng) + Ms(1));
+        break;
+      case 12:
+        spec.FailLink(at, target, RandomTime(rng) + Ms(1));
+        break;
+      case 13:
+        spec.StorageBrownout(at, RandomFactor(rng, 1.0, 8.0),
+                             RandomTime(rng) + Ms(1));
         break;
       default:
         spec.Surge(at, target, RandomFactor(rng, 0.0, 200.0),
@@ -121,6 +128,7 @@ TEST(ScenarioFuzz, RandomValidSpecsRoundTripByteIdentically)
       EXPECT_EQ(a.function, b.function);
       EXPECT_DOUBLE_EQ(a.magnitude, b.magnitude);
       EXPECT_EQ(a.duration, b.duration);
+      EXPECT_EQ(a.save_cost, b.save_cost);
     }
   }
 }
