@@ -93,14 +93,16 @@ GpuGroup::Tick()
       a.granted = 0.0;
     }
   }
-  // Phase 2: per-GPU arbitration.
+  // Phases 2 and 3: per-GPU arbitration, then that GPU's grants. One
+  // walk is safe: OnGrant only stores the share, and no arbiter reads
+  // it. Phase 1 must stay separate: a multi-GPU instance's slot-0
+  // ComputeDemand may start the batch another GPU's arbiter inspects.
   const TimeUs now = sim_->now();
   for (const GpuId id : live_) {
-    if (gpus_[id]->occupied()) arbiters_[id]->Resolve(*gpus_[id], now);
-  }
-  // Phase 3: deliver grants.
-  for (const GpuId id : live_) {
-    for (Attachment& a : gpus_[id]->attachments()) {
+    Gpu& g = *gpus_[id];
+    if (!g.occupied()) continue;
+    arbiters_[id]->Resolve(g, now);
+    for (Attachment& a : g.attachments()) {
       a.client->OnGrant(a.slot, a.granted);
     }
   }

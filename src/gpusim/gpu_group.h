@@ -27,8 +27,9 @@ using ArbiterFactory = std::function<std::unique_ptr<ShareArbiter>(GpuId)>;
  * Owns all GPUs in the simulated cluster and the quantum loop.
  *
  * Per quantum: (1) collect demands from every attachment, (2) run each
- * GPU's arbiter, (3) deliver grants, (4) let each distinct client
- * advance its in-flight work once, (5) record utilization.
+ * GPU's arbiter and (3) deliver its grants in the same walk, (4) let
+ * each distinct client advance its in-flight work once, (5) record
+ * utilization.
  *
  * Every phase walks only the live GPUs (see live_gpus()), so a quantum
  * costs O(occupied GPUs + their attachments), not O(fleet).

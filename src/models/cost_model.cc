@@ -20,7 +20,13 @@ double
 InferenceSpeed(const ModelProfile& m, int batch, SmRate s)
 {
   if (s <= 0.0) return 0.0;
-  const SmRate sat = SaturationShare(m, batch);
+  return InferenceSpeed(m, SaturationShare(m, batch), s);
+}
+
+double
+InferenceSpeed(const ModelProfile& m, SmRate sat, SmRate s)
+{
+  if (s <= 0.0) return 0.0;
   if (s >= sat) {
     // Residual, nearly-flat gain above saturation: at s = 1 the model is
     // `post_sat_slope` faster than at s = sat (normalized).

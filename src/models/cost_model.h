@@ -30,6 +30,9 @@ SmRate SaturationShare(const ModelProfile& m, int batch);
  */
 double InferenceSpeed(const ModelProfile& m, int batch, SmRate s);
 
+/** InferenceSpeed for a batch whose SaturationShare `sat` is known. */
+double InferenceSpeed(const ModelProfile& m, SmRate sat, SmRate s);
+
 /** Full-speed (share >= saturation) batch-B iteration time. */
 TimeUs InferenceIterationFull(const ModelProfile& m, int batch);
 

@@ -8,29 +8,19 @@ void
 KlcMonitor::Record(int bucket, TimeUs klc)
 {
   if (klc <= 0) return;
+  TimeUs& bucket_min =
+      min_by_bucket_.try_emplace(bucket, klc).first->second;
+  bucket_min = std::min(bucket_min, klc);
   current_ = klc;
-  current_bucket_ = bucket;
-  auto it = min_by_bucket_.find(bucket);
-  if (it == min_by_bucket_.end()) {
-    min_by_bucket_[bucket] = klc;
-  } else {
-    it->second = std::min(it->second, klc);
-  }
-}
-
-TimeUs
-KlcMonitor::minimum() const
-{
-  auto it = min_by_bucket_.find(current_bucket_);
-  return it == min_by_bucket_.end() ? 0 : it->second;
+  floor_ = bucket_min;
 }
 
 double
 KlcMonitor::Inflation() const
 {
-  const TimeUs t_min = minimum();
-  if (t_min <= 0 || current_ <= 0) return 0.0;
-  return static_cast<double>(current_ - t_min) / static_cast<double>(t_min);
+  if (floor_ <= 0) return 0.0;
+  return static_cast<double>(current_ - floor_)
+      / static_cast<double>(floor_);
 }
 
 void
@@ -38,7 +28,7 @@ KlcMonitor::Reset()
 {
   min_by_bucket_.clear();
   current_ = 0;
-  current_bucket_ = -1;
+  floor_ = 0;
 }
 
 }  // namespace dilu::rckm

@@ -41,15 +41,18 @@ class KlcMonitor {
   TimeUs current() const { return current_; }
 
   /** Minimum recorded duration for the current bucket (0 before data). */
-  TimeUs minimum() const;
+  TimeUs minimum() const { return floor_; }
 
   /** Forget history (e.g. after migration or a long idle gap). */
   void Reset();
 
  private:
+  /** Per-bucket minima; touched only by Record and Reset. */
   std::map<int, TimeUs> min_by_bucket_;
   TimeUs current_ = 0;
-  int current_bucket_ = -1;
+  /** The current bucket's minimum, cached so the per-quantum readers
+   *  (Inflation, minimum) never search the map. */
+  TimeUs floor_ = 0;
 };
 
 }  // namespace dilu::rckm

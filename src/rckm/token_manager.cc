@@ -28,22 +28,25 @@ TokenManager::TokenManager(TokenManagerConfig config)
   DILU_CHECK(config_.rate_window <= 63);
 }
 
-int
-TokenManager::EnsureSlot(InstanceId id)
+TokenManager::PerInstance&
+TokenManager::RecordAt(std::size_t i, InstanceId id)
 {
-  auto it = slot_of_.find(id);
-  if (it != slot_of_.end()) return it->second;
-  int slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<int>(slots_.size());
-    slots_.emplace_back();
+  if (i < records_.size() && records_[i].id == id) return records_[i];
+  // Attach/detach churn or a first sighting: scan the (collocation-
+  // sized) list and move the record into place, so the next period
+  // hits at position i again.
+  auto it = std::find_if(records_.begin(), records_.end(),
+                         [id](const PerInstance& r) { return r.id == id; });
+  if (it == records_.end()) {
+    records_.push_back(PerInstance{id});
+    it = records_.end() - 1;
   }
-  slots_[static_cast<std::size_t>(slot)] = PerInstance{};
-  slot_of_.emplace(id, slot);
-  return slot;
+  const auto at = records_.begin() + static_cast<std::ptrdiff_t>(i);
+  // Records before position i belong to samples[0..i), and an instance
+  // is sampled at most once per period.
+  DILU_CHECK(it >= at);
+  std::rotate(at, it, it + 1);
+  return *at;
 }
 
 const std::vector<TokenGrant>&
@@ -52,23 +55,22 @@ TokenManager::Tick(const std::vector<InstanceSample>& samples)
   const std::uint64_t window_mask_all =
       (1ull << static_cast<unsigned>(config_.rate_window)) - 1;
 
+  // Pass 1 or pass 2 writes every grant, so no clearing is needed.
+  grants_.resize(samples.size());
+
   // Shift rate windows with the latest kernel execution rates
   // (Algorithm 2 line 11). The window only ever answers "was anything
   // launched?", so one bit per period suffices; busy_instances_ tracks
   // mask transitions to keep the co-runner-idle test O(1).
-  grants_.clear();
-  grants_.resize(samples.size());
-  sample_slots_.clear();
-  for (const InstanceSample& s : samples) {
-    const int slot = EnsureSlot(s.id);
-    PerInstance& st = slots_[static_cast<std::size_t>(slot)];
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const InstanceSample& s = samples[i];
+    PerInstance& st = RecordAt(i, s.id);
     const bool was_busy = st.window_mask != 0;
     st.window_mask = ((st.window_mask << 1)
                       | (s.blocks_launched != 0.0 ? 1u : 0u))
         & window_mask_all;
     const bool is_busy = st.window_mask != 0;
     busy_instances_ += (is_busy ? 1 : 0) - (was_busy ? 1 : 0);
-    sample_slots_.push_back(slot);
   }
 
   // Pass 1: SLO-sensitive instances drive the global state. Each branch
@@ -82,7 +84,7 @@ TokenManager::Tick(const std::vector<InstanceSample>& samples)
     const InstanceSample& s = samples[i];
     if (!s.slo_sensitive) continue;
     any_slo = true;
-    PerInstance& st = slots_[static_cast<std::size_t>(sample_slots_[i])];
+    PerInstance& st = records_[i];
     const double max_t = config_.max_tokens;
     double issue;
     ScalingState proposed;
@@ -164,7 +166,7 @@ TokenManager::Tick(const std::vector<InstanceSample>& samples)
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const InstanceSample& s = samples[i];
     if (s.slo_sensitive) continue;
-    PerInstance& st = slots_[static_cast<std::size_t>(sample_slots_[i])];
+    PerInstance& st = records_[i];
     const double max_t = config_.max_tokens;
     double issue;
     if (solo || state_ == ScalingState::kNone) {
@@ -219,13 +221,11 @@ TokenManager::Tick(const std::vector<InstanceSample>& samples)
 void
 TokenManager::Forget(InstanceId id)
 {
-  auto it = slot_of_.find(id);
-  if (it != slot_of_.end()) {
-    PerInstance& st = slots_[static_cast<std::size_t>(it->second)];
-    if (st.window_mask != 0) --busy_instances_;
-    st = PerInstance{};
-    free_slots_.push_back(it->second);
-    slot_of_.erase(it);
+  auto it = std::find_if(records_.begin(), records_.end(),
+                         [id](const PerInstance& r) { return r.id == id; });
+  if (it != records_.end()) {
+    if (it->window_mask != 0) --busy_instances_;
+    records_.erase(it);  // stable: survivors keep attachment order
   }
   if (emergency_owner_ == id) {
     emergency_owner_ = kInvalidInstance;

@@ -15,18 +15,19 @@
  *
  * Hot-path design: `Tick` runs once per 5 ms quantum per GPU for the
  * whole simulated fleet, so its state is flat and allocation-free in
- * steady state — per-instance records live in index-stable slots
- * (reused via a free list), the rate windows are fixed-size bit rings
- * (one bit per period: "launched anything"), and the grant list is a
- * reused vector aligned with the input samples. Heap traffic occurs
- * only when an instance is first seen.
+ * steady state — per-instance records are kept in the GPU's attachment
+ * order (attach appends, detach erases stably), so sample i finds its
+ * record at position i with one id compare; the rate windows are
+ * fixed-size bit rings (one bit per period: "launched anything"), and
+ * the grant list is a reused vector aligned with the input samples.
+ * Heap traffic occurs only when the record count passes its high-water
+ * mark.
  */
 #ifndef DILU_RCKM_TOKEN_MANAGER_H_
 #define DILU_RCKM_TOKEN_MANAGER_H_
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -94,7 +95,9 @@ class TokenManager {
 
   /**
    * Issue token budgets for all instances on the GPU for this period.
-   * `samples` must contain every currently attached instance.
+   * `samples` must contain every currently attached instance, once
+   * each, in a stable order (the attachment order); a reordered or
+   * changed sample list costs one linear scan per moved instance.
    * @return grants aligned index-for-index with `samples` (grant i is
    *   for samples[i]; the id is repeated for convenience). The storage
    *   is owned by the manager and reused by the next Tick.
@@ -111,19 +114,9 @@ class TokenManager {
   /** Total tokens issued since construction (Fig 14 accounting). */
   double total_tokens_issued() const { return total_issued_; }
 
-  /**
-   * Test-only: rehash the id -> slot index to at least `buckets`
-   * buckets, perturbing its iteration order the way a different hash
-   * seed would. Grants must be unaffected — the map is point-query
-   * only; the hash-order regression test proves it.
-   */
-  void PerturbHashOrderForTests(std::size_t buckets)
-  {
-    slot_of_.rehash(buckets);
-  }
-
  private:
   struct PerInstance {
+    InstanceId id = kInvalidInstance;
     /** Bit i set = launched kernels i periods ago (bit ring, newest in
      *  bit 0, masked to config_.rate_window bits). */
     std::uint64_t window_mask = 0;
@@ -134,8 +127,8 @@ class TokenManager {
     bool suppressed = false;
   };
 
-  /** Slot for `id`, allocating (free list first) on first sight. */
-  int EnsureSlot(InstanceId id);
+  /** Record for `id`, moved to position `i` (created on first sight). */
+  PerInstance& RecordAt(std::size_t i, InstanceId id);
 
   /** True when the instance launched nothing across its window. */
   static bool WindowIdle(const PerInstance& s) { return s.window_mask == 0; }
@@ -150,15 +143,13 @@ class TokenManager {
   ScalingState state_ = ScalingState::kNone;
   InstanceId emergency_owner_ = kInvalidInstance;
   double emergency_inflation_ = 0.0;
-  /** Index-stable per-instance slots + id -> slot lookup. */
-  std::vector<PerInstance> slots_;
-  std::unordered_map<InstanceId, int> slot_of_;
-  std::vector<int> free_slots_;
+  /** Per-instance records; after a Tick, record i is samples[i]'s.
+   *  Records of instances absent from that Tick follow them. */
+  std::vector<PerInstance> records_;
   /** Count of tracked instances with a non-idle window (maintained on
    *  every mask transition so OthersIdle is O(1)). */
   int busy_instances_ = 0;
-  /** Per-Tick scratch (reused; steady state: no allocation). */
-  std::vector<int> sample_slots_;  ///< slot per sample, index-aligned
+  /** Per-Tick output (reused; steady state: no allocation). */
   std::vector<TokenGrant> grants_;
   double total_issued_ = 0.0;
 };

@@ -12,7 +12,6 @@
 #define DILU_RUNTIME_BATCHER_H_
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "workload/request.h"
@@ -25,17 +24,25 @@ class Batcher {
   /** Append a request (called at dispatch time). */
   void Push(workload::Request* req);
 
-  /** Extract up to `max_batch` requests in arrival order. */
-  std::vector<workload::Request*> PopBatch(int max_batch);
+  /**
+   * Move up to `max_batch` requests, in arrival order, onto the end of
+   * `*out` (a caller-owned vector, reused across batches).
+   */
+  void PopBatch(int max_batch, std::vector<workload::Request*>* out);
 
-  std::size_t size() const { return queue_.size(); }
-  bool empty() const { return queue_.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   /** Oldest queued arrival time, or -1 when empty. */
   TimeUs OldestArrival() const;
 
  private:
-  std::deque<workload::Request*> queue_;
+  /** FIFO ring over a power-of-two buffer that only grows: a queue
+   *  below its high-water mark never allocates (a std::deque allocates
+   *  a block every 64 pushes). */
+  std::vector<workload::Request*> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace dilu::runtime

@@ -7,13 +7,32 @@
 
 namespace dilu::runtime {
 
+namespace {
+
+/**
+ * SLO-aware batching wait (INFless/BATCH style): a request may wait for
+ * co-batching as long as wait + 1.2x the full-batch execution time
+ * still fits the SLO. Keeps instances idle between batches at light
+ * load, which is what lets collocated tasks reclaim the SMs.
+ */
+TimeUs
+BatchWaitBudget(const models::ModelProfile& model, int ibs)
+{
+  const TimeUs slo = static_cast<TimeUs>(model.slo_ms * 1000.0);
+  const TimeUs exec = models::InferenceIterationFull(model, ibs) * 12 / 10;
+  return std::max<TimeUs>(0, slo - exec);
+}
+
+}  // namespace
+
 InferenceInstance::InferenceInstance(InstanceId id, FunctionId function,
                                      const models::ModelProfile* model,
                                      int ibs, sim::Simulation* sim,
                                      TimeUs extra_latency_per_iter)
     : Instance(id, function, model, TaskType::kInference, sim),
       ibs_(ibs),
-      extra_latency_per_iter_(extra_latency_per_iter)
+      extra_latency_per_iter_(extra_latency_per_iter),
+      wait_budget_(BatchWaitBudget(*model, ibs))
 {
   DILU_CHECK(ibs >= 1);
   granted_.assign(1, 0.0);
@@ -32,11 +51,7 @@ void
 InferenceInstance::TakeQueued(std::vector<workload::Request*>* out)
 {
   DILU_CHECK(out != nullptr);
-  while (!batcher_.empty()) {
-    std::vector<workload::Request*> rest =
-        batcher_.PopBatch(static_cast<int>(batcher_.size()));
-    out->insert(out->end(), rest.begin(), rest.end());
-  }
+  batcher_.PopBatch(static_cast<int>(batcher_.size()), out);
 }
 
 void
@@ -55,25 +70,12 @@ InferenceInstance::FailAndDrain(std::vector<workload::Request*>* out)
   Instance::Terminate();  // no flush: the work was lost, not finished
 }
 
-TimeUs
-InferenceInstance::BatchWaitBudget() const
-{
-  // SLO-aware batching wait (INFless/BATCH style): a request may wait
-  // for co-batching as long as wait + 1.2x the full-batch execution
-  // time still fits the SLO. Keeps instances idle between batches at
-  // light load, which is what lets collocated tasks reclaim the SMs.
-  const TimeUs slo = static_cast<TimeUs>(model_->slo_ms * 1000.0);
-  const TimeUs exec =
-      models::InferenceIterationFull(*model_, ibs_) * 12 / 10;
-  return std::max<TimeUs>(0, slo - exec);
-}
-
 void
 InferenceInstance::MaybeStartBatch()
 {
   if (in_flight_ || !running() || batcher_.empty()) return;
   if (static_cast<int>(batcher_.size()) < ibs_) {
-    const TimeUs deadline = batcher_.OldestArrival() + BatchWaitBudget();
+    const TimeUs deadline = batcher_.OldestArrival() + wait_budget_;
     if (sim_->now() < deadline) return;  // keep collecting the batch
   }
   // Adaptive burst batching: the profiled IBS is the steady-state
@@ -85,18 +87,20 @@ InferenceInstance::MaybeStartBatch()
   if (static_cast<int>(batcher_.size()) >= 2 * ibs_) {
     limit = std::min(2 * ibs_, model_->max_batch);
   }
-  batch_ = batcher_.PopBatch(limit);
+  batcher_.PopBatch(limit, &batch_);
   DILU_CHECK(!batch_.empty());
   for (workload::Request* r : batch_) r->started = sim_->now();
   in_flight_ = true;
   progress_ = 0.0;
   batch_started_ = sim_->now();
+  const int batch = static_cast<int>(batch_.size());
+  const TimeUs ideal = models::InferenceIterationFull(*model_, batch);
+  batch_sat_ = models::SaturationShare(*model_, batch);
+  batch_ideal_ = static_cast<double>(ideal);
   // Seed the KLC floor with the model's contention-free iteration time
   // so inflation is measured against the ideal, not the first (possibly
   // already contended) observation.
-  klc_.Record(static_cast<int>(batch_.size()),
-              models::InferenceIterationFull(
-                  *model_, static_cast<int>(batch_.size())));
+  klc_.Record(batch, ideal);
 }
 
 double
@@ -110,9 +114,7 @@ InferenceInstance::ComputeDemand(int slot)
   if (!in_flight_ || !running()) return 0.0;
   // Each pipeline shard hosts 1/shard_count of the model; demand is the
   // batch's saturation share spread across shards.
-  const double sat = models::SaturationShare(
-      *model_, static_cast<int>(batch_.size()));
-  return sat / static_cast<double>(shard_count_);
+  return batch_sat_ / static_cast<double>(shard_count_);
 }
 
 void
@@ -131,26 +133,23 @@ InferenceInstance::FinishQuantum(TimeUs quantum)
     std::fill(granted_.begin(), granted_.end(), 0.0);
     return;
   }
-  const int batch = static_cast<int>(batch_.size());
   // Pipeline lockstep: the aggregate effective share is bounded by the
   // slowest shard.
   const double min_grant =
       *std::min_element(granted_.begin(), granted_.end());
   const double aggregate =
       min_grant * static_cast<double>(shard_count_);
-  const double speed = models::InferenceSpeed(*model_, batch, aggregate);
+  const double speed =
+      models::InferenceSpeed(*model_, batch_sat_, aggregate);
   if (speed <= 0.0) {
     std::fill(granted_.begin(), granted_.end(), 0.0);
     return;
   }
-  const double t_full =
-      static_cast<double>(models::InferenceIterationFull(*model_, batch));
-  const double rate = speed / t_full;  // progress per microsecond
+  const double rate = speed / batch_ideal_;  // progress per microsecond
   const double needed = 1.0 - progress_;
   const double dt_to_done = needed / rate;
 
-  const double sat = models::SaturationShare(*model_, batch);
-  const double used_share = std::min(min_grant * shard_count_, sat);
+  const double used_share = std::min(min_grant * shard_count_, batch_sat_);
   if (dt_to_done <= static_cast<double>(quantum)) {
     // Completes within this quantum: interpolate the exact moment.
     for (std::size_t s = 0; s < blocks_last_.size(); ++s) {
@@ -210,11 +209,8 @@ InferenceInstance::KlcInflation() const
   if (in_flight_ && progress_ > 0.1) {
     const double elapsed =
         static_cast<double>(sim_->now() - batch_started_);
-    const double ideal = static_cast<double>(
-        models::InferenceIterationFull(*model_,
-                                       static_cast<int>(batch_.size())));
-    if (ideal > 0.0) {
-      projected = std::max(0.0, elapsed / progress_ / ideal - 1.0);
+    if (batch_ideal_ > 0.0) {
+      projected = std::max(0.0, elapsed / progress_ / batch_ideal_ - 1.0);
     }
   }
   return std::max(projected, klc_.Inflation());
@@ -230,15 +226,13 @@ InferenceInstance::Terminate()
   // Same for queued-but-unbatched requests: every dispatched request
   // must eventually read done == true, or downstream owners (metrics,
   // the runtime's request pruning) would wait on it forever.
-  while (!batcher_.empty()) {
-    std::vector<workload::Request*> rest =
-        batcher_.PopBatch(static_cast<int>(batcher_.size()));
-    for (workload::Request* r : rest) {
-      r->started = sim_->now();
-      r->completed = sim_->now();
-      r->done = true;
-      if (sink_) sink_(*r);
-    }
+  std::vector<workload::Request*> rest;
+  batcher_.PopBatch(static_cast<int>(batcher_.size()), &rest);
+  for (workload::Request* r : rest) {
+    r->started = sim_->now();
+    r->completed = sim_->now();
+    r->done = true;
+    if (sink_) sink_(*r);
   }
   Instance::Terminate();
 }

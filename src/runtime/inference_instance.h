@@ -88,21 +88,23 @@ class InferenceInstance : public Instance {
   void MaybeStartBatch();
   void CompleteBatch(TimeUs completion_time);
 
-  /** Max time the oldest request may wait for co-batching. */
-  TimeUs BatchWaitBudget() const;
-
   int ibs_;
   TimeUs extra_latency_per_iter_;
+  /** Max time the oldest request may wait for co-batching. */
+  TimeUs wait_budget_;
   Batcher batcher_;
   RequestSink sink_;
   rckm::KlcMonitor klc_;
   InferenceStats stats_;
 
-  // In-flight batch state.
+  // In-flight batch state. The cost-model constants are fixed for the
+  // batch's lifetime, so MaybeStartBatch computes them once.
   bool in_flight_ = false;
   std::vector<workload::Request*> batch_;
   double progress_ = 0.0;
   TimeUs batch_started_ = 0;
+  SmRate batch_sat_ = 0.0;     ///< SaturationShare of the batch
+  double batch_ideal_ = 0.0;   ///< InferenceIterationFull of the batch
 
   // Per-quantum shard grants / accounting.
   std::vector<double> granted_;

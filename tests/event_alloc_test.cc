@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "gpusim/gpu_group.h"
+#include "models/model_catalog.h"
 #include "rckm/token_manager.h"
+#include "runtime/inference_instance.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
 
@@ -179,6 +181,68 @@ TEST(GpuGroupAlloc, SteadyStateTickIsAllocationFree)
   EXPECT_EQ(g_allocations, baseline)
       << "GpuGroup::TickOnce allocated in steady state";
   for (const auto& c : clients) EXPECT_EQ(c->quanta(), 1100);
+}
+
+// The same bar with real clients: collocated inference instances start
+// and complete batches through the batcher, the KLC monitor and the
+// RCKM, and one of them is detached and re-attached every cycle (the
+// token manager forgets it and re-admits it at the end of its list).
+TEST(GpuGroupAlloc, InferenceQuantaWithAttachChurnAreAllocationFree)
+{
+  sim::Simulation sim;
+  GpuGroup group(&sim, [](GpuId) {
+    return std::make_unique<rckm::DiluArbiter>();
+  });
+  const GpuId gpu = group.AddGpu(40.0);
+  const models::ModelProfile& model = models::GetModel("bert-base");
+  constexpr int kInstances = 3;
+  constexpr int kIbs = 2;
+  std::int64_t completed = 0;
+  std::vector<std::unique_ptr<runtime::InferenceInstance>> insts;
+  std::vector<Attachment> atts;
+  for (int k = 0; k < kInstances; ++k) {
+    insts.push_back(std::make_unique<runtime::InferenceInstance>(
+        k, 0, &model, kIbs, &sim));
+    insts.back()->BeginColdStart(0);
+    insts.back()->set_request_sink(
+        [&completed](const workload::Request&) { ++completed; });
+    Attachment att;
+    att.client = insts.back().get();
+    att.id = k;
+    att.type = TaskType::kInference;
+    att.quota = SmQuota{0.2, 0.5};
+    att.memory_gb = 2.0;
+    atts.push_back(att);
+    group.Attach(gpu, att);
+  }
+  group.Start();
+
+  // One full batch per instance per cycle; a cycle (8 quanta) is long
+  // enough for every batch to finish, so the requests are reused.
+  std::vector<workload::Request> reqs(kInstances * kIbs);
+  auto cycle = [&](int n) {
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      reqs[i].arrival = sim.now();
+      reqs[i].done = false;
+      insts[i / kIbs]->Enqueue(&reqs[i]);
+    }
+    sim.RunFor(Ms(40));
+    const Attachment& churn = atts[static_cast<std::size_t>(n % kInstances)];
+    group.DetachEverywhere(churn.id);
+    group.Attach(gpu, churn);
+  };
+
+  for (int n = 0; n < 20; ++n) cycle(n);
+  const std::int64_t warm = completed;
+
+  const std::size_t baseline = g_allocations;
+  for (int n = 0; n < 300; ++n) cycle(n);
+  EXPECT_EQ(g_allocations, baseline)
+      << "inference quanta allocated in steady state";
+  EXPECT_EQ(completed - warm, 300 * kInstances * kIbs);
+  for (const auto& inst : insts) {
+    EXPECT_EQ(inst->stats().batches_executed, 320);
+  }
 }
 
 }  // namespace

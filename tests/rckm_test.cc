@@ -1,6 +1,10 @@
 /** @file Unit tests for the RCKM token manager (Algorithm 2) + KLC. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "rckm/klc_monitor.h"
 #include "rckm/token_manager.h"
 
@@ -57,6 +61,53 @@ TEST(KlcMonitor, ResetForgets)
   m.Reset();
   EXPECT_EQ(m.current(), 0);
   EXPECT_DOUBLE_EQ(m.Inflation(), 0.0);
+}
+
+TEST(KlcMonitor, SwitchingBackRestoresThatBucketsFloor)
+{
+  KlcMonitor m;
+  m.Record(2, Ms(20));
+  m.Record(2, Ms(30));
+  m.Record(8, Ms(80));
+  EXPECT_EQ(m.minimum(), Ms(80));
+  m.Record(2, Ms(40));  // back to bucket 2: its floor is still 20 ms
+  EXPECT_EQ(m.minimum(), Ms(20));
+  EXPECT_DOUBLE_EQ(m.Inflation(), 1.0);
+}
+
+TEST(KlcMonitor, NonPositiveRecordChangesNothing)
+{
+  KlcMonitor m;
+  m.Record(4, Ms(25));
+  m.Record(4, Ms(50));
+  m.Record(4, 0);
+  m.Record(9, -Ms(1));
+  EXPECT_EQ(m.current(), Ms(50));
+  EXPECT_EQ(m.minimum(), Ms(25));
+  EXPECT_DOUBLE_EQ(m.Inflation(), 1.0);
+}
+
+TEST(KlcMonitor, ResetClearsTheFloor)
+{
+  KlcMonitor m;
+  m.Record(4, Ms(25));
+  m.Record(4, Ms(50));
+  m.Reset();
+  EXPECT_EQ(m.minimum(), 0);
+  EXPECT_DOUBLE_EQ(m.Inflation(), 0.0);
+  m.Record(4, Ms(40));  // the old 25 ms floor is gone
+  EXPECT_EQ(m.minimum(), Ms(40));
+}
+
+TEST(KlcMonitor, NewLowerMinimumSeenAtOnce)
+{
+  KlcMonitor m;
+  m.Record(4, Ms(50));
+  m.Record(4, Ms(20));
+  EXPECT_EQ(m.minimum(), Ms(20));
+  EXPECT_DOUBLE_EQ(m.Inflation(), 0.0);
+  m.Record(4, Ms(30));
+  EXPECT_DOUBLE_EQ(m.Inflation(), 0.5);
 }
 
 TEST(TokenManager, SoloNonSloGetsLimit)
@@ -163,6 +214,80 @@ TEST(TokenManager, TotalTokensAccumulate)
   tm.Tick({MakeSample(1, false, 0.4, 0.8, 10.0)});
   tm.Tick({MakeSample(1, false, 0.4, 0.8, 10.0)});
   EXPECT_GT(tm.total_tokens_issued(), 0.0);
+}
+
+/** Six collocated instances over a pattern of idle windows, bursts and
+ *  EMERGENCY triggers (inflation above eta_violation) in `period`. */
+std::vector<InstanceSample> ScriptedPeriod(int period)
+{
+  std::vector<InstanceSample> samples;
+  for (InstanceId id = 1; id <= 6; ++id) {
+    const bool idle = (period + id) % 5 == 0;
+    const bool spike = period % 17 == 0 && id == 2;
+    samples.push_back(MakeSample(id, id % 2 == 0, 0.15, 0.4,
+                                 idle ? 0.0 : 40.0 + 3.0 * id,
+                                 spike ? 0.3 : 0.05));
+  }
+  return samples;
+}
+
+// The 64-period script, with instance 3 forgotten after period 30 and
+// re-admitted at period 31. The pinned values were recorded from the
+// id -> slot hash-map implementation the positional records replaced.
+TEST(TokenManager, ScriptedPeriodsMatchRecordedGrants)
+{
+  TokenManager tm;
+  std::string states;
+  std::vector<TokenGrant> readmit;
+  std::vector<TokenGrant> last;
+  for (int period = 0; period < 64; ++period) {
+    last = tm.Tick(ScriptedPeriod(period));
+    states += ToString(tm.state())[0];
+    if (period == 31) readmit = last;
+    if (period == 30) tm.Forget(3);
+  }
+  EXPECT_EQ(tm.total_tokens_issued(), 62830.0);
+  EXPECT_EQ(states,
+            "ECCCCCCCCCCCCCCCCECCCCCCCCCCCCCCCC"
+            "ECCCCCCCCCCCCCCCCECCCCCCCCCCCC");
+  const double kFinal[] = {150.0, 172.5, 150.0, 172.5, 150.0, 172.5};
+  ASSERT_EQ(last.size(), 6u);
+  ASSERT_EQ(readmit.size(), 6u);
+  for (std::size_t i = 0; i < last.size(); ++i) {
+    EXPECT_EQ(last[i].id, static_cast<InstanceId>(i + 1));
+    EXPECT_EQ(last[i].tokens, kFinal[i]) << "instance " << i + 1;
+    EXPECT_EQ(readmit[i].tokens, kFinal[i]) << "instance " << i + 1;
+  }
+}
+
+// Records follow their instance, not their position: the same samples
+// in a different order every period (attach/detach churn) must get the
+// same grants, id for id.
+TEST(TokenManager, GrantsIndependentOfSampleOrder)
+{
+  TokenManager in_order;
+  TokenManager shuffled;
+  for (int period = 0; period < 64; ++period) {
+    const std::vector<InstanceSample> samples = ScriptedPeriod(period);
+    std::vector<InstanceSample> rotated = samples;
+    std::rotate(rotated.begin(), rotated.begin() + period % 6,
+                rotated.end());
+    if (period % 4 == 1) std::swap(rotated[0], rotated[5]);
+    const std::vector<TokenGrant> a = in_order.Tick(samples);
+    const std::vector<TokenGrant>& b = shuffled.Tick(rotated);
+    for (std::size_t i = 0; i < rotated.size(); ++i) {
+      EXPECT_EQ(b[i].id, rotated[i].id);
+      EXPECT_EQ(b[i].tokens, Tokens(a, rotated[i].id))
+          << "period " << period << " instance " << rotated[i].id;
+    }
+    EXPECT_EQ(in_order.state(), shuffled.state()) << "period " << period;
+    if (period == 30) {
+      in_order.Forget(3);
+      shuffled.Forget(3);
+    }
+  }
+  EXPECT_EQ(in_order.total_tokens_issued(),
+            shuffled.total_tokens_issued());
 }
 
 TEST(ScalingStateNames, AllNamed)

@@ -26,11 +26,41 @@ TEST(Batcher, FifoOrderAndBatchBound)
   b.Push(&r1);
   b.Push(&r2);
   b.Push(&r3);
-  auto batch = b.PopBatch(2);
+  std::vector<workload::Request*> batch;
+  b.PopBatch(2, &batch);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0]->id, 1);
   EXPECT_EQ(batch[1]->id, 2);
   EXPECT_EQ(b.size(), 1u);
+}
+
+TEST(Batcher, FifoSurvivesWrapAndGrowth)
+{
+  Batcher b;
+  std::vector<workload::Request> reqs(40);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i].id = static_cast<std::int64_t>(i);
+    reqs[i].arrival = Ms(static_cast<std::int64_t>(i));
+  }
+  std::vector<workload::Request*> out;
+  std::int64_t next_in = 0;
+  std::int64_t next_out = 0;
+  // Push 5 / pop 3 moves the head around the ring, so the buffer grows
+  // while its contents wrap.
+  while (next_in + 5 <= static_cast<std::int64_t>(reqs.size())) {
+    for (int k = 0; k < 5; ++k) {
+      b.Push(&reqs[static_cast<std::size_t>(next_in++)]);
+    }
+    out.clear();
+    b.PopBatch(3, &out);
+    for (const workload::Request* r : out) EXPECT_EQ(r->id, next_out++);
+  }
+  EXPECT_EQ(b.OldestArrival(), Ms(next_out));
+  out.clear();
+  b.PopBatch(1000, &out);
+  for (const workload::Request* r : out) EXPECT_EQ(r->id, next_out++);
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_TRUE(b.empty());
 }
 
 TEST(Batcher, OldestArrival)
