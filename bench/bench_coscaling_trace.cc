@@ -50,7 +50,7 @@ main()
         system.runtime().metrics().RecordRequest(fnid, r);
         const int w = static_cast<int>(ToSec(r.completed)) / 10;
         Window& win = windows[w];
-        win.lat.Add(ToMs(r.Latency()));
+        win.lat.Add(r.Latency());
         ++win.total;
         if (ToMs(r.Latency()) > slo_ms) ++win.violations;
       });

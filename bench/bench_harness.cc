@@ -21,6 +21,9 @@
  *  - fabric_ckpt_stall_1k / fabric_ckpt_stall_10k: checkpoint-storm
  *    rounds at 1k and 10k concurrent jobs — the O(1) frontier model's
  *    scaling headroom (BENCH_03).
+ *  - latency_quantiles: 64 per-function latency trackers of 26k
+ *    samples each (about one churn_fleet run's worth), then the
+ *    p50/p95/p99/mean every report reads (BENCH_06).
  *
  * Flags:
  *  --quick      fewer repetitions (CI smoke; timing still reported)
@@ -51,6 +54,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "fabric/fabric.h"
 #include "rckm/token_manager.h"
 #include "scheduler/scheduler.h"
@@ -326,6 +330,36 @@ BenchResult BenchFabricCheckpointStall(bool quick, int jobs,
   });
 }
 
+// --- metrics suites ---------------------------------------------------
+
+BenchResult BenchLatencyQuantiles(bool quick)
+{
+  constexpr int kTrackers = 64;
+  constexpr int kSamples = 26000;
+  const int reps = quick ? 2 : 5;
+  // Latency-shaped durations drawn once, outside the timed body:
+  // a 20 ms floor plus an exponential queueing tail.
+  Rng rng(17);
+  std::vector<TimeUs> durations(
+      static_cast<std::size_t>(kTrackers) * kSamples);
+  for (TimeUs& d : durations) {
+    d = Ms(20) + static_cast<TimeUs>(rng.Exponential(40000.0));
+  }
+  return RunBench("latency_quantiles",
+                  static_cast<std::int64_t>(durations.size()), reps, [&] {
+    double sum = 0.0;
+    for (int t = 0; t < kTrackers; ++t) {
+      Percentiles p;
+      const std::size_t base = static_cast<std::size_t>(t) * kSamples;
+      for (std::size_t i = base; i < base + kSamples; ++i) {
+        p.Add(durations[i]);
+      }
+      sum += p.P50() + p.P95() + p.P99() + p.mean();
+    }
+    g_sink += static_cast<int>(sum) & 1;
+  });
+}
+
 // --- report -----------------------------------------------------------
 
 std::string MachineString()
@@ -389,6 +423,7 @@ main(int argc, char** argv)
       BenchFabricCheckpointStall(opts.quick, 1000, "fabric_ckpt_stall_1k"));
   results.push_back(
       BenchFabricCheckpointStall(opts.quick, 10000, "fabric_ckpt_stall_10k"));
+  results.push_back(BenchLatencyQuantiles(opts.quick));
 
   return bench::EmitReport(opts, [&](std::FILE* f) {
     WriteJson(f, results, opts.quick, opts);

@@ -485,7 +485,7 @@ ClusterRuntime::PruneCompletedRequests()
   // request is still in flight. Callers must not touch a pruned record
   // afterward: the metrics sink runs (and prunes) only after an
   // instance is completely done with the request pointer.
-  while (!requests_.empty() && requests_.front()->done) {
+  while (!requests_.empty() && requests_.front().done) {
     requests_.pop_front();
   }
 }
@@ -499,22 +499,30 @@ ClusterRuntime::ScheduleNextArrival(
   const TimeUs when = sim_.now() + std::max<TimeUs>(1, gap);
   if (when > until) return;
   sim_.Post(when, [this, fn, proc, until] {
-    auto req = std::make_unique<workload::Request>();
-    req->id = next_request_id_++;
-    req->function = fn;
-    req->arrival = sim_.now();
-    if (gateway_.Dispatch(req.get())) {
-      // Only dispatched requests are retained: an instance now holds
-      // the pointer until completion marks it done. Dropped requests
-      // die here — keeping them would permanently stall the prune
-      // cursor on a record that can never complete.
-      requests_.push_back(std::move(req));
-    } else {
+    if (!IssueRequest(fn, /*closed_loop=*/false)) {
       DILU_DEBUG << "dropping request for function " << fn
                  << " (no instances)";
     }
     ScheduleNextArrival(fn, proc, until);
   });
+}
+
+bool
+ClusterRuntime::IssueRequest(FunctionId fn, bool closed_loop)
+{
+  workload::Request& req = requests_.emplace_back();
+  req.id = next_request_id_++;
+  req.function = fn;
+  req.arrival = sim_.now();
+  req.closed_loop = closed_loop;
+  if (gateway_.Dispatch(&req)) return true;
+  // Only dispatched requests are retained: an instance holds the
+  // pointer until completion marks it done (deque references survive
+  // pushes and pops at either end). A refused request is still the
+  // back record and dies here — keeping it would permanently stall
+  // the prune cursor on a record that can never complete.
+  requests_.pop_back();
+  return false;
 }
 
 void
@@ -548,22 +556,9 @@ ClusterRuntime::ScheduleClosedLoopIssue(FunctionId fn)
   const TimeUs gap = std::max<TimeUs>(1, it->second.think->NextGap());
   const TimeUs when = sim_.now() + gap;
   if (when > it->second.until) return;  // client retires
-  sim_.Post(when, [this, fn] { IssueClosedLoopRequest(fn); });
-}
-
-void
-ClusterRuntime::IssueClosedLoopRequest(FunctionId fn)
-{
-  auto req = std::make_unique<workload::Request>();
-  req->id = next_request_id_++;
-  req->function = fn;
-  req->arrival = sim_.now();
-  req->closed_loop = true;
   // A failed dispatch counts a drop, which re-fires the drop hook and
   // thereby schedules this client's next attempt — nothing to do here.
-  if (gateway_.Dispatch(req.get())) {
-    requests_.push_back(std::move(req));
-  }
+  sim_.Post(when, [this, fn] { IssueRequest(fn, /*closed_loop=*/true); });
 }
 
 void

@@ -420,7 +420,11 @@ class ClusterRuntime {
   /** Closed loop: one client finished (completion or drop) — think,
    *  then issue its next request. No-op for open-loop functions. */
   void ScheduleClosedLoopIssue(FunctionId fn);
-  void IssueClosedLoopRequest(FunctionId fn);
+  /**
+   * Create a request for `fn` arriving now and dispatch it; returns
+   * whether the gateway took it (a refused request is not retained).
+   */
+  bool IssueRequest(FunctionId fn, bool closed_loop);
 
   ClusterConfig config_;
   sim::Simulation sim_;
@@ -434,7 +438,8 @@ class ClusterRuntime {
 
   std::map<FunctionId, DeployedFunction> functions_;
   std::map<InstanceId, InstanceRecord> instances_;
-  std::deque<std::unique_ptr<workload::Request>> requests_;
+  /** Live request records, oldest first (see PruneCompletedRequests). */
+  std::deque<workload::Request> requests_;
 
   /**
    * Aborted training jobs parked until process end: a pending

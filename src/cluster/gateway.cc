@@ -52,7 +52,7 @@ BrownoutThreshold(ServiceClass c)
 void
 Gateway::RegisterFunction(FunctionId id)
 {
-  functions_[id];
+  functions_.Get(id);
 }
 
 void
@@ -67,7 +67,7 @@ Gateway::Bind(sim::Simulation* sim, std::uint64_t seed)
 void
 Gateway::ConfigureAdmission(FunctionId id, const AdmissionConfig& cfg)
 {
-  Entry& e = functions_[id];
+  Entry& e = functions_.Get(id);
   e.adm.cfg = cfg;
   e.adm.configured = true;
   if (!e.adm.forced) e.adm.enabled = cfg.queue_cap > 0;
@@ -78,15 +78,15 @@ void
 Gateway::AddInstance(FunctionId id, runtime::InferenceInstance* instance)
 {
   DILU_CHECK(instance != nullptr);
-  functions_[id].instances.push_back(instance);
+  functions_.Get(id).instances.push_back(instance);
 }
 
 void
 Gateway::RemoveInstance(FunctionId id, InstanceId instance)
 {
-  auto it = functions_.find(id);
-  if (it == functions_.end()) return;
-  auto& v = it->second.instances;
+  Entry* e = functions_.Find(id);
+  if (e == nullptr) return;
+  auto& v = e->instances;
   runtime::InferenceInstance* removed = nullptr;
   for (auto i = v.begin(); i != v.end(); ++i) {
     if ((*i)->client_id() == instance) {
@@ -103,18 +103,17 @@ Gateway::RemoveInstance(FunctionId id, InstanceId instance)
 }
 
 bool
-Gateway::DispatchInternal(workload::Request* req, bool count_arrival)
+Gateway::DispatchInternal(Entry* e, workload::Request* req,
+                          bool count_arrival)
 {
-  DILU_CHECK(req != nullptr);
-  auto it = functions_.find(req->function);
-  if (it == functions_.end() || it->second.instances.empty()) return false;
-  if (count_arrival) it->second.arrivals_since_poll += 1.0;
+  if (e == nullptr || e->instances.empty()) return false;
+  if (count_arrival) e->arrivals_since_poll += 1.0;
 
   runtime::InferenceInstance* best = nullptr;
   std::size_t best_depth = std::numeric_limits<std::size_t>::max();
   // Prefer running instances; fall back to cold ones.
   for (int pass = 0; pass < 2 && best == nullptr; ++pass) {
-    for (runtime::InferenceInstance* inst : it->second.instances) {
+    for (runtime::InferenceInstance* inst : e->instances) {
       if (pass == 0 && !inst->running()) continue;
       const std::size_t depth =
           inst->queue_depth() + (inst->batch_in_flight() ? 1 : 0);
@@ -153,8 +152,7 @@ bool
 Gateway::Dispatch(workload::Request* req)
 {
   DILU_CHECK(req != nullptr);
-  auto it = functions_.find(req->function);
-  Entry* e = it == functions_.end() ? nullptr : &it->second;
+  Entry* e = functions_.Find(req->function);
   if (e != nullptr) {
     ++e->c.arrivals;
     if (e->adm.configured) {
@@ -174,7 +172,7 @@ Gateway::Dispatch(workload::Request* req)
       }
     }
   }
-  if (DispatchInternal(req, /*count_arrival=*/true)) {
+  if (DispatchInternal(e, req, /*count_arrival=*/true)) {
     ++e->c.admitted;
     ++e->adm.window_admitted;
     ++e->c.outstanding;
@@ -212,14 +210,13 @@ bool
 Gateway::Redispatch(workload::Request* req)
 {
   DILU_CHECK(req != nullptr);
-  auto it = functions_.find(req->function);
-  Entry* e = it == functions_.end() ? nullptr : &it->second;
+  Entry* e = functions_.Find(req->function);
   if (e != nullptr && sim_ != nullptr && req->deadline > 0 &&
       sim_->now() >= req->deadline) {
     ShedRetry(e, req);
     return false;
   }
-  if (DispatchInternal(req, /*count_arrival=*/false)) return true;
+  if (DispatchInternal(e, req, /*count_arrival=*/false)) return true;
   if (e != nullptr && sim_ != nullptr && req->retries_left > 0) {
     // Park the request in a backoff timer instead of dropping: the
     // request stays live (caller keeps its record) and returns here
@@ -240,10 +237,10 @@ Gateway::Redispatch(workload::Request* req)
 void
 Gateway::OnRequestFinished(FunctionId id)
 {
-  auto it = functions_.find(id);
-  if (it == functions_.end()) return;
-  ++it->second.c.finished;
-  --it->second.c.outstanding;
+  Entry* e = functions_.Find(id);
+  if (e == nullptr) return;
+  ++e->c.finished;
+  --e->c.outstanding;
 }
 
 void
@@ -303,10 +300,8 @@ Gateway::ScheduleRetry(Entry* e, workload::Request* req)
       rng_.Uniform(0.0, 0.5 * static_cast<double>(delay)));
   if (delay < Us(1)) delay = Us(1);
   ++e->c.retry_pending;
-  const FunctionId fn = req->function;
-  sim_->Post(sim_->now() + delay, [this, fn, req] {
-    auto it = functions_.find(fn);
-    if (it != functions_.end()) --it->second.c.retry_pending;
+  sim_->Post(sim_->now() + delay, [this, e, req] {
+    --e->c.retry_pending;
     Redispatch(req);
   });
 }
@@ -357,7 +352,7 @@ void
 Gateway::ForceAdmitRate(FunctionId id, double rate)
 {
   DILU_CHECK(rate > 0.0);
-  Entry& e = functions_[id];
+  Entry& e = functions_.Get(id);
   e.adm.forced = true;
   e.adm.enabled = true;
   e.adm.admit_rate = rate;
@@ -370,9 +365,9 @@ Gateway::ForceAdmitRate(FunctionId id, double rate)
 void
 Gateway::ClearForcedAdmitRate(FunctionId id)
 {
-  auto it = functions_.find(id);
-  if (it == functions_.end() || !it->second.adm.forced) return;
-  Admission& a = it->second.adm;
+  Entry* e = functions_.Find(id);
+  if (e == nullptr || !e->adm.forced) return;
+  Admission& a = e->adm;
   a.forced = false;
   a.enabled = a.cfg.queue_cap > 0;
   // With a queue cap the AIMD controller resumes from the pinned rate;
@@ -385,10 +380,10 @@ Gateway::ClearForcedAdmitRate(FunctionId id)
 double
 Gateway::PollArrivals(FunctionId id)
 {
-  auto it = functions_.find(id);
-  if (it == functions_.end()) return 0.0;
-  const double n = it->second.arrivals_since_poll;
-  it->second.arrivals_since_poll = 0.0;
+  Entry* e = functions_.Find(id);
+  if (e == nullptr) return 0.0;
+  const double n = e->arrivals_since_poll;
+  e->arrivals_since_poll = 0.0;
   return n;
 }
 
@@ -396,34 +391,33 @@ double
 Gateway::AverageArrivalRate(FunctionId id, TimeUs now) const
 {
   if (now <= 0) return 0.0;
-  auto it = functions_.find(id);
-  if (it == functions_.end()) return 0.0;
-  return static_cast<double>(it->second.c.arrivals) / ToSec(now);
+  const Entry* e = functions_.Find(id);
+  if (e == nullptr) return 0.0;
+  return static_cast<double>(e->c.arrivals) / ToSec(now);
 }
 
 const GatewayCounters&
 Gateway::counters(FunctionId id) const
 {
   static const GatewayCounters empty;
-  auto it = functions_.find(id);
-  return it == functions_.end() ? empty : it->second.c;
+  const Entry* e = functions_.Find(id);
+  return e == nullptr ? empty : e->c;
 }
 
 double
 Gateway::admit_rate(FunctionId id) const
 {
-  auto it = functions_.find(id);
-  return it == functions_.end()
-             ? std::numeric_limits<double>::infinity()
-             : it->second.adm.admit_rate;
+  const Entry* e = functions_.Find(id);
+  return e == nullptr ? std::numeric_limits<double>::infinity()
+                      : e->adm.admit_rate;
 }
 
 const std::vector<runtime::InferenceInstance*>&
 Gateway::instances(FunctionId id) const
 {
   static const std::vector<runtime::InferenceInstance*> empty;
-  auto it = functions_.find(id);
-  return it == functions_.end() ? empty : it->second.instances;
+  const Entry* e = functions_.Find(id);
+  return e == nullptr ? empty : e->instances;
 }
 
 int

@@ -23,10 +23,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "cluster/metrics.h"
+#include "common/function_table.h"
 #include "common/random.h"
 #include "runtime/inference_instance.h"
 #include "workload/request.h"
@@ -215,8 +215,12 @@ class Gateway {
     GatewayCounters c;
   };
 
-  /** Routing core shared by Dispatch / Redispatch. */
-  bool DispatchInternal(workload::Request* req, bool count_arrival);
+  /**
+   * Routing core shared by Dispatch / Redispatch; `e` is the entry of
+   * `req`'s function (null when it was never registered).
+   */
+  bool DispatchInternal(Entry* e, workload::Request* req,
+                        bool count_arrival);
 
   /** Whether (and why) the gate refuses `e`'s next request. */
   ShedCause ShouldShed(const Entry& e) const;
@@ -235,7 +239,7 @@ class Gateway {
   /** Arm the 1 Hz admission window once a gate goes active. */
   void EnsureTickArmed();
 
-  std::map<FunctionId, Entry> functions_;
+  FunctionTable<Entry> functions_;
   MetricsHub* metrics_ = nullptr;
   std::function<void(const workload::Request&)> drop_hook_;
   sim::Simulation* sim_ = nullptr;

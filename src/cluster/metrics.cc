@@ -18,7 +18,7 @@ void
 MetricsHub::RegisterFunction(FunctionId id, const std::string& name,
                              double slo_ms)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = functions_.Get(id);
   m.name = name;
   m.slo_ms = slo_ms;
 }
@@ -26,14 +26,12 @@ MetricsHub::RegisterFunction(FunctionId id, const std::string& name,
 void
 MetricsHub::RecordRequest(FunctionId id, const workload::Request& req)
 {
-  auto it = functions_.find(id);
-  DILU_CHECK(it != functions_.end());
-  FunctionMetrics& m = it->second;
+  FunctionMetrics& m = function(id);
   if (req.arrival < m.warmup_until) return;  // warmup traffic
-  const double latency_ms = ToMs(req.Latency());
-  m.latency_ms.Add(latency_ms);
+  const TimeUs latency = req.Latency();
+  m.latency_ms.Add(latency);
   ++m.completed;
-  if (m.slo_ms > 0.0 && latency_ms > m.slo_ms) ++m.violations;
+  if (m.slo_ms > 0.0 && ToMs(latency) > m.slo_ms) ++m.violations;
 }
 
 double
@@ -49,19 +47,19 @@ FunctionMetrics::AvailabilityPercent() const
 void
 MetricsHub::RecordColdStart(FunctionId id)
 {
-  ++functions_[id].cold_starts;
+  ++functions_.Get(id).cold_starts;
 }
 
 void
 MetricsHub::RecordRecoveryColdStart(FunctionId id)
 {
-  ++functions_[id].recovery_cold_starts;
+  ++functions_.Get(id).recovery_cold_starts;
 }
 
 void
 MetricsHub::RecordDrop(FunctionId id, TimeUs arrival)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = functions_.Get(id);
   if (arrival < m.warmup_until) return;  // warmup traffic
   ++m.dropped;
 }
@@ -69,13 +67,13 @@ MetricsHub::RecordDrop(FunctionId id, TimeUs arrival)
 void
 MetricsHub::SetServiceClass(FunctionId id, ServiceClass c)
 {
-  functions_[id].service_class = c;
+  functions_.Get(id).service_class = c;
 }
 
 void
 MetricsHub::RecordAdmit(FunctionId id, TimeUs arrival)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = functions_.Get(id);
   if (arrival < m.warmup_until) return;  // warmup traffic
   ++m.admitted;
 }
@@ -83,7 +81,7 @@ MetricsHub::RecordAdmit(FunctionId id, TimeUs arrival)
 void
 MetricsHub::RecordShedAdmission(FunctionId id, TimeUs arrival)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = functions_.Get(id);
   if (arrival < m.warmup_until) return;  // warmup traffic
   ++m.shed_admission;
 }
@@ -91,7 +89,7 @@ MetricsHub::RecordShedAdmission(FunctionId id, TimeUs arrival)
 void
 MetricsHub::RecordShedRetry(FunctionId id, TimeUs arrival)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = functions_.Get(id);
   if (arrival < m.warmup_until) return;  // warmup traffic
   ++m.shed_retry;
 }
@@ -100,7 +98,7 @@ void
 MetricsHub::RecordTrainingRestart(FunctionId id,
                                   std::int64_t lost_iterations)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = functions_.Get(id);
   ++m.training_restarts;
   m.lost_iterations += lost_iterations;
 }
@@ -108,7 +106,7 @@ MetricsHub::RecordTrainingRestart(FunctionId id,
 void
 MetricsHub::RecordCheckpoint(FunctionId id, TimeUs pause)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = functions_.Get(id);
   ++m.checkpoints;
   m.checkpoint_pause += pause;
 }
@@ -116,7 +114,7 @@ MetricsHub::RecordCheckpoint(FunctionId id, TimeUs pause)
 void
 MetricsHub::SetWarmupUntil(FunctionId id, TimeUs until)
 {
-  FunctionMetrics& m = functions_[id];
+  FunctionMetrics& m = functions_.Get(id);
   m.warmup_until = std::max(m.warmup_until, until);
 }
 
@@ -148,17 +146,17 @@ MetricsHub::AddFabricSample(const fabric::FabricSample& s)
 const FunctionMetrics&
 MetricsHub::function(FunctionId id) const
 {
-  auto it = functions_.find(id);
-  DILU_CHECK(it != functions_.end());
-  return it->second;
+  const FunctionMetrics* m = functions_.Find(id);
+  DILU_CHECK(m != nullptr);
+  return *m;
 }
 
 FunctionMetrics&
 MetricsHub::function(FunctionId id)
 {
-  auto it = functions_.find(id);
-  DILU_CHECK(it != functions_.end());
-  return it->second;
+  FunctionMetrics* m = functions_.Find(id);
+  DILU_CHECK(m != nullptr);
+  return *m;
 }
 
 double
@@ -166,7 +164,7 @@ MetricsHub::OverallSvrPercent() const
 {
   std::int64_t completed = 0;
   std::int64_t violations = 0;
-  for (const auto& [id, m] : functions_) {
+  for (const auto& [id, m] : functions()) {
     completed += m.completed;
     violations += m.violations;
   }
@@ -179,7 +177,7 @@ int
 MetricsHub::TotalColdStarts() const
 {
   int n = 0;
-  for (const auto& [id, m] : functions_) n += m.cold_starts;
+  for (const auto& [id, m] : functions()) n += m.cold_starts;
   return n;
 }
 
@@ -187,7 +185,7 @@ int
 MetricsHub::TotalRecoveryColdStarts() const
 {
   int n = 0;
-  for (const auto& [id, m] : functions_) n += m.recovery_cold_starts;
+  for (const auto& [id, m] : functions()) n += m.recovery_cold_starts;
   return n;
 }
 
@@ -195,7 +193,7 @@ std::int64_t
 MetricsHub::TotalDropped() const
 {
   std::int64_t n = 0;
-  for (const auto& [id, m] : functions_) n += m.dropped;
+  for (const auto& [id, m] : functions()) n += m.dropped;
   return n;
 }
 
@@ -203,7 +201,7 @@ std::int64_t
 MetricsHub::TotalShed() const
 {
   std::int64_t n = 0;
-  for (const auto& [id, m] : functions_) {
+  for (const auto& [id, m] : functions()) {
     n += m.shed_admission + m.shed_retry;
   }
   return n;
@@ -214,7 +212,7 @@ MetricsHub::ClassAvailabilityPercent(ServiceClass c) const
 {
   std::int64_t completed = 0;
   std::int64_t unserved = 0;
-  for (const auto& [id, m] : functions_) {
+  for (const auto& [id, m] : functions()) {
     if (m.service_class != c) continue;
     completed += m.completed;
     unserved += m.dropped + m.shed_admission + m.shed_retry;
@@ -228,7 +226,7 @@ std::int64_t
 MetricsHub::TotalLostIterations() const
 {
   std::int64_t n = 0;
-  for (const auto& [id, m] : functions_) n += m.lost_iterations;
+  for (const auto& [id, m] : functions()) n += m.lost_iterations;
   return n;
 }
 
@@ -237,7 +235,7 @@ MetricsHub::OverallAvailabilityPercent() const
 {
   std::int64_t completed = 0;
   std::int64_t unserved = 0;
-  for (const auto& [id, m] : functions_) {
+  for (const auto& [id, m] : functions()) {
     completed += m.completed;
     unserved += m.dropped + m.shed_admission + m.shed_retry;
   }

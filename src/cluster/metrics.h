@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/function_table.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "fabric/fabric.h"
@@ -165,7 +166,7 @@ class MetricsHub {
   const FunctionMetrics& function(FunctionId id) const;
   FunctionMetrics& function(FunctionId id);
   const std::map<FunctionId, FunctionMetrics>& functions() const {
-    return functions_;
+    return functions_.map();
   }
 
   double total_gpu_seconds() const { return gpu_seconds_; }
@@ -207,7 +208,7 @@ class MetricsHub {
   const std::vector<FaultRecord>& faults() const { return faults_; }
 
  private:
-  std::map<FunctionId, FunctionMetrics> functions_;
+  FunctionTable<FunctionMetrics> functions_;
   double gpu_seconds_ = 0.0;
   std::vector<ClusterSample> samples_;
   std::vector<fabric::FabricSample> fabric_samples_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.h"
+
 namespace dilu {
 
 void
@@ -140,47 +142,101 @@ StudentTQuantile(double p, int df)
       + g4 / (n * n * n * n);
 }
 
+namespace {
+
+/**
+ * Sort `keys` ascending: LSD radix sort, four 8-bit digits, skipping
+ * every pass in which all keys share the digit (latencies rarely span
+ * the top byte).
+ */
 void
-Percentiles::Add(double x)
+RadixSort(std::vector<std::uint32_t>* keys)
 {
-  samples_.push_back(x);
+  std::size_t counts[4][256] = {};
+  for (std::uint32_t k : *keys) {
+    for (int d = 0; d < 4; ++d) ++counts[d][(k >> (8 * d)) & 0xFF];
+  }
+  std::vector<std::uint32_t> buf(keys->size());
+  for (int d = 0; d < 4; ++d) {
+    std::size_t* c = counts[d];
+    const std::uint32_t first = ((*keys)[0] >> (8 * d)) & 0xFF;
+    if (c[first] == keys->size()) continue;
+    std::size_t offset = 0;
+    for (int b = 0; b < 256; ++b) {
+      const std::size_t n = c[b];
+      c[b] = offset;
+      offset += n;
+    }
+    for (std::uint32_t k : *keys) buf[c[(k >> (8 * d)) & 0xFF]++] = k;
+    keys->swap(buf);
+  }
+}
+
+}  // namespace
+
+void
+Percentiles::Add(TimeUs d)
+{
+  DILU_CHECK(d >= 0);
+  if (d <= std::numeric_limits<std::uint32_t>::max()) {
+    narrow_.push_back(static_cast<std::uint32_t>(d));
+  } else {
+    wide_.push_back(d);
+  }
   sorted_ = false;
+}
+
+void
+Percentiles::Sort() const
+{
+  if (sorted_) return;
+  if (!narrow_.empty()) RadixSort(&narrow_);
+  std::sort(wide_.begin(), wide_.end());
+  sorted_ = true;
+}
+
+double
+Percentiles::SampleMs(std::size_t i) const
+{
+  return i < narrow_.size() ? ToMs(narrow_[i])
+                            : ToMs(wide_[i - narrow_.size()]);
 }
 
 double
 Percentiles::Quantile(double q) const
 {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
+  const std::size_t n = count();
+  if (n == 0) return 0.0;
+  Sort();
   q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(samples_.size() - 1);
+  const double pos = q * static_cast<double>(n - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
+  const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  return SampleMs(lo) * (1.0 - frac) + SampleMs(hi) * frac;
 }
 
 double
 Percentiles::mean() const
 {
-  if (samples_.empty()) return 0.0;
+  const std::size_t n = count();
+  if (n == 0) return 0.0;
+  Sort();
   double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
+  for (std::size_t i = 0; i < n; ++i) s += SampleMs(i);
+  return s / static_cast<double>(n);
 }
 
 double
-Percentiles::FractionAbove(double threshold) const
+Percentiles::FractionAbove(double threshold_ms) const
 {
-  if (samples_.empty()) return 0.0;
-  std::size_t n = 0;
-  for (double x : samples_) {
-    if (x > threshold) ++n;
+  const std::size_t n = count();
+  if (n == 0) return 0.0;
+  std::size_t above = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (SampleMs(i) > threshold_ms) ++above;
   }
-  return static_cast<double>(n) / static_cast<double>(samples_.size());
+  return static_cast<double>(above) / static_cast<double>(n);
 }
 
 void

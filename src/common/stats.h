@@ -3,14 +3,16 @@
  * Statistics accumulators used by the metrics layer and the benches.
  *
  * `Accumulator` keeps streaming mean/variance/min/max; `Percentiles`
- * stores samples to answer p50/p95/p99 queries (the paper's inference
- * latency metrics); `TimeWeighted` integrates a piecewise-constant signal
- * over simulated time (used for utilization and fragmentation).
+ * stores duration samples to answer p50/p95/p99 queries (the paper's
+ * inference latency metrics); `TimeWeighted` integrates a
+ * piecewise-constant signal over simulated time (used for utilization
+ * and fragmentation).
  */
 #ifndef DILU_COMMON_STATS_H_
 #define DILU_COMMON_STATS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -59,30 +61,45 @@ class Accumulator {
 };
 
 /**
- * Sample-storing percentile tracker.
+ * Sample-storing percentile tracker over non-negative durations.
  *
- * Stores every sample (simulations here produce at most a few hundred
- * thousand), sorting lazily on query.
+ * Stores every sample: a single simulation records millions (about
+ * 1.6M latencies per `churn_fleet` perfbench run), so each is kept in
+ * 4 bytes — whole microseconds below 2^32 (71.6 min) — with a rare
+ * 8-byte overflow list for longer ones, keeping the tracker exact up
+ * to kTimeCapUs. Queries sort lazily with an LSD radix sort and answer
+ * in milliseconds (`ToMs` of the stored sample). `ToMs` is monotone,
+ * so every query sees exactly the doubles, in the same order, that
+ * sorting `ToMs(sample)` values would give.
  */
 class Percentiles {
  public:
-  void Add(double x);
+  void Add(TimeUs d);
 
-  /** Value at quantile q in [0, 1] via linear interpolation. */
+  /** Value (ms) at quantile q in [0, 1] via linear interpolation. */
   double Quantile(double q) const;
 
   double P50() const { return Quantile(0.50); }
   double P95() const { return Quantile(0.95); }
   double P99() const { return Quantile(0.99); }
 
-  std::size_t count() const { return samples_.size(); }
+  std::size_t count() const { return narrow_.size() + wide_.size(); }
+
+  /** Mean in ms, summed in sorted order (independent of query order). */
   double mean() const;
 
-  /** Fraction of samples strictly above `threshold` (SLO violations). */
-  double FractionAbove(double threshold) const;
+  /** Fraction of samples strictly above `threshold_ms` (SLO violations). */
+  double FractionAbove(double threshold_ms) const;
 
  private:
-  mutable std::vector<double> samples_;
+  /** Sort both lists if an Add happened since the last query. */
+  void Sort() const;
+  /** Sample i in ms, narrow list first (the i-th smallest after Sort). */
+  double SampleMs(std::size_t i) const;
+
+  /** Samples below 2^32 us. Every one is below every `wide_` sample. */
+  mutable std::vector<std::uint32_t> narrow_;
+  mutable std::vector<TimeUs> wide_;
   mutable bool sorted_ = true;
 };
 

@@ -1,6 +1,10 @@
 /** @file Unit tests for the cluster runtime (gateway, metrics, glue). */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "invariant_audit.h"
 
@@ -41,6 +45,40 @@ TEST(MetricsHubDeathTest, UnregisteredFunctionPanics)
   EXPECT_DEATH(hub.function(42), "check failed");
   const MetricsHub& const_hub = hub;
   EXPECT_DEATH(const_hub.function(42), "check failed");
+}
+
+// The hub resolves functions through an id-indexed table of pointers
+// into its map: a copy would index the source's records.
+static_assert(!std::is_copy_constructible_v<MetricsHub>);
+static_assert(!std::is_copy_assignable_v<MetricsHub>);
+
+TEST(MetricsHub, OutOfOrderRegistrationIteratesAscending)
+{
+  MetricsHub hub;
+  for (FunctionId id : {3, 0, 7}) {
+    hub.RegisterFunction(id, "f" + std::to_string(id), 100.0);
+  }
+  std::vector<FunctionId> ids;
+  for (const auto& [id, m] : hub.functions()) {
+    ids.push_back(id);
+    EXPECT_EQ(m.name, "f" + std::to_string(id));
+  }
+  EXPECT_EQ(ids, (std::vector<FunctionId>{0, 3, 7}));
+  // Counting paths register on first use, like the registration call.
+  hub.RecordColdStart(5);
+  EXPECT_EQ(hub.function(5).cold_starts, 1);
+  EXPECT_EQ(hub.functions().size(), 4u);
+}
+
+TEST(MetricsHubDeathTest, UnregisteredIdAroundGapsPanics)
+{
+  MetricsHub hub;
+  for (FunctionId id : {3, 0, 7}) hub.RegisterFunction(id, "f", 100.0);
+  EXPECT_DEATH(hub.function(5), "check failed");
+  EXPECT_DEATH(hub.function(8), "check failed");
+  EXPECT_DEATH(hub.function(-1), "check failed");
+  workload::Request r;
+  EXPECT_DEATH(hub.RecordRequest(1, r), "check failed");
 }
 
 // The runtime used to hold every request of the whole run alive in its

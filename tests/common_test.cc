@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -141,7 +142,7 @@ TEST(Accumulator, MeanCiDegenerateCasesAreZero)
 TEST(Percentiles, QuantilesInterpolate)
 {
   Percentiles p;
-  for (int i = 1; i <= 100; ++i) p.Add(static_cast<double>(i));
+  for (int i = 1; i <= 100; ++i) p.Add(Ms(i));
   EXPECT_NEAR(p.P50(), 50.5, 1e-9);
   EXPECT_NEAR(p.P95(), 95.05, 1e-9);
   EXPECT_NEAR(p.Quantile(0.0), 1.0, 1e-9);
@@ -151,7 +152,7 @@ TEST(Percentiles, QuantilesInterpolate)
 TEST(Percentiles, FractionAbove)
 {
   Percentiles p;
-  for (int i = 1; i <= 10; ++i) p.Add(static_cast<double>(i));
+  for (int i = 1; i <= 10; ++i) p.Add(Ms(i));
   EXPECT_DOUBLE_EQ(p.FractionAbove(8.0), 0.2);
   EXPECT_DOUBLE_EQ(p.FractionAbove(0.0), 1.0);
   EXPECT_DOUBLE_EQ(p.FractionAbove(100.0), 0.0);
@@ -160,10 +161,10 @@ TEST(Percentiles, FractionAbove)
 TEST(Percentiles, AddAfterQueryKeepsSorted)
 {
   Percentiles p;
-  p.Add(3.0);
-  p.Add(1.0);
+  p.Add(Ms(3));
+  p.Add(Ms(1));
   EXPECT_DOUBLE_EQ(p.Quantile(1.0), 3.0);
-  p.Add(2.0);
+  p.Add(Ms(2));
   EXPECT_DOUBLE_EQ(p.P50(), 2.0);
 }
 
@@ -174,20 +175,124 @@ TEST(Percentiles, AddAfterQueryKeepsSorted)
 TEST(Percentiles, ResortsAfterEveryPostQueryAdd)
 {
   Percentiles p;
-  for (double v : {50.0, 10.0, 90.0}) p.Add(v);
+  for (int v : {50, 10, 90}) p.Add(Ms(v));
   EXPECT_DOUBLE_EQ(p.Quantile(0.0), 10.0);
 
-  p.Add(1.0);  // below the sorted minimum
+  p.Add(Ms(1));  // below the sorted minimum
   EXPECT_DOUBLE_EQ(p.Quantile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(p.Quantile(1.0), 90.0);
 
-  p.Add(99.0);  // above the sorted maximum
+  p.Add(Ms(99));  // above the sorted maximum
   EXPECT_DOUBLE_EQ(p.Quantile(1.0), 99.0);
 
-  p.Add(45.0);  // interior
+  p.Add(Ms(45));  // interior
   // Sorted: 1, 10, 45, 50, 90, 99 -> P50 interpolates 45..50.
   EXPECT_DOUBLE_EQ(p.P50(), 47.5);
   EXPECT_EQ(p.count(), 6u);
+}
+
+// Regression: mean() used to sum in insertion order before any quantile
+// query and in sorted order after one, so the same samples gave two
+// means. One huge sample ahead of many tiny ones makes the float sum
+// order-dependent (each 0.001 ms added to ~1e12 ms rounds).
+TEST(Percentiles, MeanIndependentOfQueryOrder)
+{
+  Percentiles p;
+  p.Add(kTimeCapUs - 1);  // the overflow list
+  for (int i = 0; i < 1000; ++i) p.Add(Us(1));
+  const double before = p.mean();
+  p.P50();
+  EXPECT_EQ(p.mean(), before);
+  double sorted_sum = 0.0;
+  for (int i = 0; i < 1000; ++i) sorted_sum += ToMs(Us(1));
+  sorted_sum += ToMs(kTimeCapUs - 1);
+  EXPECT_EQ(before, sorted_sum / 1001.0);
+}
+
+/** Reference tracker: sorted ToMs doubles, the pre-radix algorithm. */
+struct ReferencePercentiles {
+  std::vector<double> ms;
+
+  double Quantile(double q)
+  {
+    if (ms.empty()) return 0.0;
+    std::sort(ms.begin(), ms.end());
+    q = std::clamp(q, 0.0, 1.0);
+    const double pos = q * static_cast<double>(ms.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, ms.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return ms[lo] * (1.0 - frac) + ms[hi] * frac;
+  }
+  double Mean()
+  {
+    if (ms.empty()) return 0.0;
+    std::sort(ms.begin(), ms.end());
+    double s = 0.0;
+    for (double x : ms) s += x;
+    return s / static_cast<double>(ms.size());
+  }
+  double FractionAbove(double t) const
+  {
+    if (ms.empty()) return 0.0;
+    std::size_t n = 0;
+    for (double x : ms) n += x > t ? 1 : 0;
+    return static_cast<double>(n) / static_cast<double>(ms.size());
+  }
+};
+
+/** Compare every query bit-for-bit against the reference. */
+void ExpectSameAsReference(const Percentiles& p, ReferencePercentiles* ref,
+                           Rng* rng)
+{
+  ASSERT_EQ(p.count(), ref->ms.size());
+  EXPECT_EQ(p.P50(), ref->Quantile(0.50));
+  EXPECT_EQ(p.P95(), ref->Quantile(0.95));
+  EXPECT_EQ(p.P99(), ref->Quantile(0.99));
+  EXPECT_EQ(p.Quantile(0.0), ref->Quantile(0.0));
+  EXPECT_EQ(p.Quantile(1.0), ref->Quantile(1.0));
+  for (int k = 0; k < 8; ++k) {
+    const double q = rng->Uniform();
+    EXPECT_EQ(p.Quantile(q), ref->Quantile(q)) << "q=" << q;
+  }
+  EXPECT_EQ(p.mean(), ref->Mean());
+  for (double t : {0.0, 0.5, 1e3, 4294967.295, 4294967.296, 1e9}) {
+    EXPECT_EQ(p.FractionAbove(t), ref->FractionAbove(t)) << "t=" << t;
+  }
+}
+
+// Differential test of the 32-bit radix store against sorted doubles:
+// both sides of 2^32 us, zeros, duplicates, n = 0/1/2 and adds after
+// queries must all give bit-identical answers.
+TEST(Percentiles, MatchesSortedDoubleReference)
+{
+  Rng rng(0x51A7);
+  constexpr TimeUs kNarrowMax = (TimeUs{1} << 32) - 1;
+  for (int round = 0; round < 40; ++round) {
+    Percentiles p;
+    ReferencePercentiles ref;
+    ExpectSameAsReference(p, &ref, &rng);  // n = 0
+    const int batches = 1 + round % 4;
+    for (int b = 0; b < batches; ++b) {
+      // Sizes 1 and 2 first, then larger batches.
+      const int n = round < 2 ? round + 1
+                              : static_cast<int>(rng.UniformInt(1, 3000));
+      for (int i = 0; i < n; ++i) {
+        TimeUs d = 0;
+        switch (rng.UniformInt(0, 5)) {
+          case 0: d = 0; break;
+          case 1: d = rng.UniformInt(0, 300); break;  // duplicates
+          case 2: d = rng.UniformInt(0, Sec(5)); break;
+          case 3: d = kNarrowMax - rng.UniformInt(0, 2); break;
+          case 4: d = kNarrowMax + rng.UniformInt(1, 3); break;
+          default: d = rng.UniformInt(kNarrowMax + 1, kTimeCapUs); break;
+        }
+        p.Add(d);
+        ref.ms.push_back(ToMs(d));
+      }
+      ExpectSameAsReference(p, &ref, &rng);  // query, then add more
+    }
+  }
 }
 
 TEST(TimeWeighted, PiecewiseConstantAverage)

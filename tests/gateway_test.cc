@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/gateway.h"
@@ -209,6 +210,60 @@ TEST(Gateway, RedispatchDoesNotCountArrivals)
   ASSERT_EQ(orphans.size(), 1u);
   EXPECT_TRUE(rig.gateway.Redispatch(orphans[0]));
   EXPECT_DOUBLE_EQ(rig.gateway.PollArrivals(0), 0.0);
+}
+
+// The gateway resolves functions through an id-indexed table of
+// pointers into its map: a copy would index the source's entries.
+static_assert(!std::is_copy_constructible_v<Gateway>);
+static_assert(!std::is_copy_assignable_v<Gateway>);
+
+// Ids registered out of order leave gaps in the id index; every id
+// that was never registered (a gap, past the end, negative) must read
+// as empty, exactly as before the index existed.
+TEST(Gateway, UnregisteredIdsReadEmptyAroundGaps)
+{
+  Rig rig;
+  for (FunctionId id : {3, 7}) rig.gateway.RegisterFunction(id);
+  rig.AddBoth();
+  ASSERT_TRUE(rig.gateway.Dispatch(rig.NewRequest()));
+  EXPECT_EQ(rig.gateway.instances(0).size(), 2u);
+  EXPECT_EQ(rig.gateway.counters(0).arrivals, 1);
+  for (FunctionId id : {1, 5, 8, 1000, -1}) {
+    EXPECT_TRUE(rig.gateway.instances(id).empty()) << id;
+    EXPECT_EQ(rig.gateway.RunningCount(id), 0) << id;
+    const GatewayCounters& c = rig.gateway.counters(id);
+    EXPECT_EQ(c.arrivals, 0) << id;
+    EXPECT_EQ(c.admitted, 0) << id;
+    EXPECT_EQ(c.outstanding, 0) << id;
+    EXPECT_DOUBLE_EQ(rig.gateway.PollArrivals(id), 0.0) << id;
+  }
+  EXPECT_TRUE(rig.gateway.instances(3).empty());
+  EXPECT_EQ(rig.gateway.counters(7).arrivals, 0);
+}
+
+TEST(Gateway, UnregisteredDispatchDrops)
+{
+  Rig rig;
+  rig.AddBoth();
+  MetricsHub metrics;
+  rig.gateway.set_metrics(&metrics);
+  int hook_calls = 0;
+  rig.gateway.set_drop_hook([&](const workload::Request&) {
+    ++hook_calls;
+  });
+  workload::Request r;
+  r.function = 5;
+  EXPECT_FALSE(rig.gateway.Dispatch(&r));
+  EXPECT_TRUE(r.dropped);
+  EXPECT_FALSE(r.done);
+  EXPECT_EQ(hook_calls, 1);
+  // Nothing is counted against the unknown function in the gateway;
+  // the metrics hub books the drop under the request's id.
+  EXPECT_EQ(rig.gateway.counters(5).arrivals, 0);
+  EXPECT_EQ(metrics.function(5).dropped, 1);
+  // Registered traffic is unaffected.
+  EXPECT_EQ(rig.gateway.counters(0).arrivals, 0);
+  EXPECT_EQ(rig.a.queue_depth() + rig.b.queue_depth(), 0u);
 }
 
 }  // namespace
