@@ -22,37 +22,6 @@ WorkloadStreamSeed(std::uint64_t base, std::size_t index)
 
 namespace {
 
-/** SystemConfig from preset + spec overrides (+ CLI seed override). */
-core::SystemConfig
-BuildSystemConfig(const ClusterSection& c, const FabricSection& fab,
-                  std::uint64_t seed_override)
-{
-  core::SystemConfig cfg = core::SystemConfig::Preset(c.preset);
-  cluster::ClusterConfig& cl = cfg.cluster;
-  if (c.nodes) cl.nodes = *c.nodes;
-  if (c.gpus_per_node) cl.gpus_per_node = *c.gpus_per_node;
-  if (c.scheduler) cl.scheduler = *c.scheduler;
-  if (c.sharing) cl.sharing = *c.sharing;
-  if (c.quota_mode) cl.quota_mode = *c.quota_mode;
-  if (c.recovery) cl.recovery = *c.recovery;
-  if (c.warm_starts) cl.warm_starts = *c.warm_starts;
-  if (c.resource_complementarity) {
-    cl.sched.resource_complementarity = *c.resource_complementarity;
-  }
-  if (c.workload_affinity) {
-    cl.sched.workload_affinity = *c.workload_affinity;
-  }
-  if (c.seed) cl.seed = *c.seed;
-  if (seed_override != 0) cl.seed = seed_override;
-  cl.fabric.enabled = fab.enabled();
-  if (fab.storage_bw) cl.fabric.storage_bw_gbps = *fab.storage_bw;
-  if (fab.storage_gc) cl.fabric.storage_gc_duty = *fab.storage_gc;
-  if (fab.storage_devices) cl.fabric.storage_devices = *fab.storage_devices;
-  if (fab.nic_rate) cl.fabric.nic_rate_gbps = *fab.nic_rate;
-  if (fab.nic_burst) cl.fabric.nic_burst_gb = *fab.nic_burst;
-  return cfg;
-}
-
 /** Envelope seconds covering a workload's warmup + duration. */
 int
 EnvelopeSeconds(const WorkloadSpec& w)
@@ -175,48 +144,96 @@ ShardSeed(std::uint64_t base, int shard)
 
 }  // namespace
 
+std::vector<ExperimentSpec>
+SplitIntoShards(const ExperimentSpec& spec, std::uint64_t seed, int n,
+                std::vector<int>* owners)
+{
+  const cluster::ClusterConfig fleet =
+      BuildSystemConfig(spec.cluster(), spec.fabric()).cluster;
+  DILU_CHECK(n >= 1 && n <= fleet.nodes);
+  const auto shards_n = static_cast<std::size_t>(n);
+  std::vector<ExperimentSpec> shards(shards_n);
+  // Shard s owns nodes [first_node[s], first_node[s + 1]).
+  std::vector<NodeId> first_node{0};
+  for (int s = 0; s < n; ++s) {
+    ExperimentSpec& sh = shards[static_cast<std::size_t>(s)];
+    const int nodes = fleet.nodes / n + (s < fleet.nodes % n ? 1 : 0);
+    sh.set_name(spec.name());
+    sh.cluster() = spec.cluster();
+    sh.cluster().nodes = nodes;
+    sh.cluster().seed = ShardSeed(seed, s);
+    sh.fabric() = spec.fabric();
+    sh.RunFor(spec.EffectiveRunFor());
+    sh.chaos().set_name(spec.chaos().name());
+    first_node.push_back(first_node.back() + nodes);
+  }
+  for (std::size_t i = 0; i < spec.deploys().size(); ++i) {
+    shards[i % shards_n].deploys().push_back(spec.deploys()[i]);
+  }
+  for (std::size_t i = 0; i < spec.workloads().size(); ++i) {
+    WorkloadSpec w = spec.workloads()[i];
+    const int s = w.fn % n;
+    w.fn /= n;
+    if (!w.seed) w.seed = WorkloadStreamSeed(seed, i);
+    shards[static_cast<std::size_t>(s)].workloads().push_back(w);
+  }
+
+  const auto owner_of_node = [&](NodeId node) {
+    DILU_CHECK(node >= 0 && node < fleet.nodes);
+    return static_cast<int>(std::upper_bound(first_node.begin() + 1,
+                                             first_node.end(), node)
+                            - first_node.begin() - 1);
+  };
+  if (owners != nullptr) owners->clear();
+  for (chaos::ScenarioEvent e : spec.chaos().Sorted()) {
+    int s = -1;
+    switch (chaos::OperandOf(e.kind)) {
+      case chaos::Operand::kFleet: break;
+      case chaos::Operand::kGpu:
+        DILU_CHECK(e.target >= 0);
+        s = owner_of_node(e.target / fleet.gpus_per_node);
+        e.target -= first_node[static_cast<std::size_t>(s)]
+            * fleet.gpus_per_node;
+        break;
+      case chaos::Operand::kNode:
+        s = owner_of_node(e.target);
+        e.target -= first_node[static_cast<std::size_t>(s)];
+        break;
+      case chaos::Operand::kFunction:
+        s = e.function % n;
+        e.function /= n;
+        break;
+    }
+    if (owners != nullptr) owners->push_back(s);
+    if (s >= 0) {
+      shards[static_cast<std::size_t>(s)].chaos().Add(e);
+    } else {
+      for (ExperimentSpec& sh : shards) sh.chaos().Add(e);
+    }
+  }
+  return shards;
+}
+
 Experiment::Experiment(ExperimentSpec spec, RunOptions opts,
                        ShardOptions shard_opts)
     : spec_(std::move(spec)),
       opts_(std::move(opts)),
       threads_(shard_opts.threads)
 {
-  const core::SystemConfig base =
-      BuildSystemConfig(spec_.cluster(), spec_.fabric(), opts_.seed);
-  seed_ = base.cluster.seed;
-  gpus_per_node_ = base.cluster.gpus_per_node;
-  const int total_nodes = base.cluster.nodes;
-  DILU_CHECK(total_nodes >= 1);
-  const int n = std::max(1, std::min(shard_opts.shards, total_nodes));
+  const cluster::ClusterConfig fleet =
+      BuildSystemConfig(spec_.cluster(), spec_.fabric()).cluster;
+  seed_ = opts_.seed != 0 ? opts_.seed : fleet.seed;
+  const int n = std::max(1, std::min(shard_opts.shards, fleet.nodes));
   if (n != shard_opts.shards) {
     DILU_WARN << "shards clamped to " << n << " (fleet has "
-              << total_nodes << " nodes)";
+              << fleet.nodes << " nodes)";
   }
-
-  // Contiguous balanced node blocks: shard s owns
-  // [first_node, first_node + nodes).
-  shards_.resize(static_cast<std::size_t>(n));
-  const int per = total_nodes / n;
-  const int rem = total_nodes % n;
-  NodeId next = 0;
-  for (int s = 0; s < n; ++s) {
-    Shard& sh = shards_[static_cast<std::size_t>(s)];
-    sh.first_node = next;
-    sh.nodes = per + (s < rem ? 1 : 0);
-    next += sh.nodes;
-    core::SystemConfig cfg = base;
-    cfg.cluster.nodes = sh.nodes;
-    cfg.cluster.seed = ShardSeed(seed_, s);
-    sh.system = std::make_unique<core::System>(cfg);
-  }
-
-  // Home deploy index i on shard i % n, preserving deploy order
-  // within each shard (local function ids are local deploy indexes).
-  for (std::size_t i = 0; i < spec_.deploys().size(); ++i) {
-    const int s = static_cast<int>(i % static_cast<std::size_t>(n));
-    Shard& sh = shards_[static_cast<std::size_t>(s)];
-    homes_.emplace_back(s, sh.fn_ids.size());
-    sh.fn_ids.push_back(sh.system->Deploy(spec_.deploys()[i].fn));
+  for (ExperimentSpec& s : SplitIntoShards(spec_, seed_, n, &owners_)) {
+    Shard& sh = shards_.emplace_back();
+    sh.system = std::make_unique<core::System>(
+        BuildSystemConfig(s.cluster(), s.fabric()));
+    for (const DeploySpec& d : s.deploys()) sh.system->Deploy(d.fn);
+    sh.spec = std::move(s);
   }
 }
 
@@ -229,110 +246,47 @@ Experiment::runtime(int s)
   return shards_[static_cast<std::size_t>(s)].system->runtime();
 }
 
-int
-Experiment::OwnerOfNode(NodeId node) const
-{
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = shards_[s];
-    if (node >= sh.first_node && node < sh.first_node + sh.nodes) {
-      return static_cast<int>(s);
-    }
-  }
-  Fatal("chaos event targets node " + std::to_string(node)
-        + " outside the fleet");
-}
-
 void
-Experiment::SplitChaos()
+Experiment::Arm(Shard& sh)
 {
-  // Walk the scenario in time order and copy each event into its
-  // owning shard's sub-scenario with local target ids (fleet-wide
-  // verbs go to every shard). Every sub-scenario is then already in
-  // its engine's (stable, by time) order, so a copy's insertion index
-  // is its outcome index; one shard receives the scenario unchanged.
-  for (chaos::ScenarioEvent e : spec_.chaos().Sorted()) {
-    std::vector<std::pair<int, std::size_t>>& copies =
-        chaos_copies_.emplace_back();
-    std::vector<int> targets;
-    switch (chaos::OperandOf(e.kind)) {
-      case chaos::Operand::kFleet:
-        for (int s = 0; s < shard_count(); ++s) targets.push_back(s);
-        break;
-      case chaos::Operand::kGpu: {
-        DILU_CHECK(e.target >= 0);
-        const int s = OwnerOfNode(e.target / gpus_per_node_);
-        e.target -= shards_[static_cast<std::size_t>(s)].first_node
-            * gpus_per_node_;
-        targets.push_back(s);
-        break;
-      }
-      case chaos::Operand::kNode: {
-        const int s = OwnerOfNode(e.target);
-        e.target -= shards_[static_cast<std::size_t>(s)].first_node;
-        targets.push_back(s);
-        break;
-      }
-      case chaos::Operand::kFunction: {
-        // The function's home shard, with the global deploy index
-        // remapped to the shard-local function id.
-        const auto fi = static_cast<std::size_t>(e.function);
-        DILU_CHECK(fi < homes_.size());
-        const auto [s, local] = homes_[fi];
-        e.function = shards_[static_cast<std::size_t>(s)].fn_ids[local];
-        targets.push_back(s);
-        break;
-      }
-    }
-    for (const int s : targets) {
-      Shard& sh = shards_[static_cast<std::size_t>(s)];
-      copies.emplace_back(s, sh.scenario.events().size());
-      sh.scenario.Add(e);
+  // Provision warm capacity, enable co-scaling, submit training.
+  core::System* sys = sh.system.get();
+  cluster::ClusterRuntime& rt = sys->runtime();
+  for (std::size_t i = 0; i < sh.spec.deploys().size(); ++i) {
+    const DeploySpec& d = sh.spec.deploys()[i];
+    const auto fn = static_cast<FunctionId>(i);
+    if (d.fn.type == TaskType::kInference) {
+      if (d.provision > 0) sys->Provision(fn, d.provision);
+      if (!d.scaler.empty()) sys->EnableCoScaling(fn, d.scaler);
+    } else {
+      // Cold submission at `start` (0 fires as the clock begins).
+      rt.simulation().Post(d.start,
+                           [sys, fn] { sys->StartTraining(fn, true); });
     }
   }
-  for (Shard& sh : shards_) {
-    sh.scenario.set_name(spec_.chaos().name());
-  }
-}
 
-void
-Experiment::ArmWorkload(std::size_t index)
-{
-  const WorkloadSpec& w = spec_.workloads()[index];
-  const auto fi = static_cast<std::size_t>(w.fn);
-  DILU_CHECK(fi < homes_.size());
-  const auto [s, local] = homes_[fi];
-  Shard& sh = shards_[static_cast<std::size_t>(s)];
-  cluster::ClusterRuntime& rt = sh.system->runtime();
-  const FunctionId fn = sh.fn_ids[local];
-  // Global seed + global workload index: the stream is identical at
-  // any shard count.
-  const std::uint64_t stream =
-      w.seed ? *w.seed : WorkloadStreamSeed(seed_, index);
-  const TimeUs until = w.end();
-  if (w.warmup > 0) {
-    rt.metrics().SetWarmupUntil(fn, w.start + w.warmup);
+  for (const WorkloadSpec& w : sh.spec.workloads()) {
+    const auto fn = static_cast<FunctionId>(w.fn);
+    if (w.warmup > 0) rt.metrics().SetWarmupUntil(fn, w.start + w.warmup);
+    auto attach = [&rt, fn, closed = w.kind == ArrivalKind::kClosed,
+                   clients = w.clients, until = w.end(),
+                   p = BuildArrivalProcess(w, *w.seed)]() mutable {
+      if (closed) {
+        rt.AttachClosedLoop(fn, clients, std::move(p), until);
+      } else {
+        rt.AttachArrivals(fn, std::move(p), until);
+      }
+    };
+    if (w.start <= 0) {
+      attach();
+    } else {
+      rt.simulation().Post(w.start, std::move(attach));
+    }
   }
-  auto proc = BuildArrivalProcess(w, stream);
-  if (w.kind == ArrivalKind::kClosed) {
-    const int clients = w.clients;
-    if (w.start <= 0) {
-      rt.AttachClosedLoop(fn, clients, std::move(proc), until);
-    } else {
-      rt.simulation().Post(
-          w.start, [&rt, fn, clients, until,
-                    p = std::move(proc)]() mutable {
-            rt.AttachClosedLoop(fn, clients, std::move(p), until);
-          });
-    }
-  } else {
-    if (w.start <= 0) {
-      rt.AttachArrivals(fn, std::move(proc), until);
-    } else {
-      rt.simulation().Post(
-          w.start, [&rt, fn, until, p = std::move(proc)]() mutable {
-            rt.AttachArrivals(fn, std::move(p), until);
-          });
-    }
+
+  if (!sh.spec.chaos().empty()) {
+    sh.engine = std::make_unique<chaos::ChaosEngine>(&rt, sh.spec.chaos());
+    sh.engine->Arm();
   }
 }
 
@@ -341,36 +295,7 @@ Experiment::Run()
 {
   DILU_CHECK(!ran_);
   ran_ = true;
-
-  // Provision warm capacity, enable co-scaling, submit training — in
-  // global deploy order.
-  for (std::size_t i = 0; i < spec_.deploys().size(); ++i) {
-    const DeploySpec& d = spec_.deploys()[i];
-    const auto [s, local] = homes_[i];
-    const Shard& sh = shards_[static_cast<std::size_t>(s)];
-    core::System* sys = sh.system.get();
-    const FunctionId fn = sh.fn_ids[local];
-    if (d.fn.type == TaskType::kInference) {
-      if (d.provision > 0) sys->Provision(fn, d.provision);
-      if (!d.scaler.empty()) sys->EnableCoScaling(fn, d.scaler);
-    } else {
-      // Cold submission at `start` (0 fires as the clock begins).
-      sys->runtime().simulation().Post(
-          d.start, [sys, fn] { sys->StartTraining(fn, true); });
-    }
-  }
-
-  for (std::size_t i = 0; i < spec_.workloads().size(); ++i) {
-    ArmWorkload(i);
-  }
-
-  SplitChaos();
-  for (Shard& sh : shards_) {
-    if (sh.scenario.empty()) continue;
-    sh.engine = std::make_unique<chaos::ChaosEngine>(
-        &sh.system->runtime(), sh.scenario);
-    sh.engine->Arm();
-  }
+  for (Shard& sh : shards_) Arm(sh);
 
   // Shards share nothing, so each runs to the horizon as one task.
   const TimeUs horizon = spec_.EffectiveRunFor();
@@ -407,11 +332,11 @@ Experiment::Collect() const
   r.seed = seed_;
   r.run_for_s = ToSec(spec_.EffectiveRunFor());
 
+  // Deploy i is shard i % n's function i / n.
+  const std::size_t n = shards_.size();
   for (std::size_t i = 0; i < spec_.deploys().size(); ++i) {
-    const auto [s, local] = homes_[i];
-    const Shard& sh = shards_[static_cast<std::size_t>(s)];
-    FunctionResult fr = CollectFunctionResult(sh.system->runtime(),
-                                              sh.fn_ids[local]);
+    FunctionResult fr = CollectFunctionResult(
+        shards_[i % n].system->runtime(), static_cast<FunctionId>(i / n));
     r.total_completed += fr.completed;
     r.total_dropped += fr.dropped;
     r.functions.push_back(std::move(fr));
@@ -420,19 +345,24 @@ Experiment::Collect() const
   // Chaos verdict: merge each event's per-shard copies into one
   // fleet-wide outcome (a broadcast verb injected on N shards is still
   // ONE fault; it recovers when the last shard recovers), then score
-  // the merged list with the engine's own scorer.
-  if (!chaos_copies_.empty()) {
+  // the merged list with the engine's own scorer. Each shard's engine
+  // holds its copies in the same time order, so they are consumed in
+  // order.
+  if (!owners_.empty()) {
     const std::vector<chaos::ScenarioEvent> events =
         spec_.chaos().Sorted();
+    std::vector<std::size_t> next(n, 0);  // per shard: next outcome
     std::vector<chaos::FaultOutcome> merged;
     for (std::size_t e = 0; e < events.size(); ++e) {
       chaos::FaultOutcome out;
       out.event = events[e];
       bool all_recovered = true;
       TimeUs last_recovery = -1;
-      for (const auto& [s, local] : chaos_copies_[e]) {
+      for (std::size_t s = 0; s < n; ++s) {
+        const int owner = owners_[e];
+        if (owner >= 0 && static_cast<std::size_t>(owner) != s) continue;
         const chaos::FaultOutcome& o =
-            shards_[static_cast<std::size_t>(s)].engine->outcomes()[local];
+            shards_[s].engine->outcomes()[next[s]++];
         if (!o.injected) continue;
         out.injected = true;
         out.displaced += o.displaced;

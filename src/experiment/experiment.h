@@ -12,21 +12,8 @@
  * iterations / restarts / checkpoint costs / JCT; chaos TTR verdict;
  * cluster occupancy) and export traces when the spec asks for them.
  *
- * Sharding (docs/PARALLELISM.md): the fleet may be partitioned into N
- * independent shards, each an ordinary System run to the horizon as
- * one task of the work pool (common/work_pool.h):
- *   - nodes: split into contiguous balanced blocks; shard s owns its
- *     block's nodes, GPUs, instances, gateway, scheduler and fabric;
- *   - functions: deploy index i is homed on shard i % N, together
- *     with its workload pumps, scaler loop and training job;
- *   - chaos: each event is remapped into the sub-scenario of the shard
- *     that owns its target (fleet-wide verbs go to every shard), and
- *     each shard's engine arms its own sub-scenario.
- * Nothing crosses a shard boundary while the shards run. One shard is
- * the whole fleet under the spec's own seed and scenario, so shards=1
- * is the reference semantics every golden pins; N >= 2 is a different
- * but equally valid system whose reports are comparable at the same
- * shard count only.
+ * Sharding runs the shard specs SplitIntoShards makes, each an
+ * ordinary System, as tasks of one work pool (common/work_pool.h).
  *
  * Deterministic: the result's JSON serialization is byte-identical
  * across runs of the same spec + seed + shard count, at any thread
@@ -124,15 +111,41 @@ struct ExperimentResult {
 /**
  * Seed of workload stream `index` under cluster seed `base`: stable,
  * well-mixed, and disjoint from the chaos-surge streams (which derive
- * from the event index inside the chaos engine). The driver passes the
- * *global* workload index, so a stream's seed does not depend on the
- * shard count.
+ * from the event index inside the chaos engine). SplitIntoShards pins
+ * it from the *global* workload index, so a stream's seed does not
+ * depend on the shard count.
  */
 std::uint64_t WorkloadStreamSeed(std::uint64_t base, std::size_t index);
 
 /** The arrival process a WorkloadSpec describes, seeded. */
 std::unique_ptr<workload::ArrivalProcess> BuildArrivalProcess(
     const WorkloadSpec& w, std::uint64_t stream_seed);
+
+/**
+ * Partition `spec` into `n` independent shard specs (docs/PARALLELISM.md),
+ * 1 <= n <= the fleet's node count, under effective cluster seed
+ * `seed`. Each shard is an ordinary spec the loader accepts:
+ *   - cluster: the spec's, with the s-th contiguous balanced node block
+ *     as `nodes` and ShardSeed(seed, s) as `seed` (shard 0 keeps
+ *     `seed`); the fabric section is the spec's;
+ *   - deploys: deploy i lives on shard i % n as local deploy i / n,
+ *     and its workloads follow it (`fn` remapped), each unset stream
+ *     seed pinned to WorkloadStreamSeed(seed, global index);
+ *   - chaos: in the spec's time order, each GPU / node / function
+ *     event goes to the shard that owns its target, renumbered to
+ *     the shard's local id, and each fleet-wide event to every shard;
+ *   - horizon: `run for` is the spec's EffectiveRunFor(), so a shard
+ *     with nothing to drive still runs to the whole run's end.
+ * Nothing crosses a shard boundary while the shards run. One shard is
+ * the whole fleet under the spec's own seed, so n = 1 is the reference
+ * semantics every golden pins; n >= 2 is a different but equally valid
+ * system whose reports are comparable at the same shard count only.
+ * `owners` (when non-null) receives, per event of spec.chaos().Sorted(),
+ * the shard it went to, or -1 for a fleet-wide event.
+ */
+std::vector<ExperimentSpec> SplitIntoShards(const ExperimentSpec& spec,
+                                            std::uint64_t seed, int n,
+                                            std::vector<int>* owners);
 
 /** Run-time knobs that are not part of the spec. */
 struct RunOptions {
@@ -152,9 +165,10 @@ struct ShardOptions {
 class Experiment {
  public:
   /**
-   * Builds the (per-shard) clusters and deploys the spec's functions;
-   * with one shard the function ids are the deploy indexes. Workloads,
-   * chaos and the clock do not move until Run().
+   * Splits the spec into shard specs (SplitIntoShards), builds each
+   * one's cluster and deploys its functions, so a function id is its
+   * shard-local deploy index (the deploy index, with one shard).
+   * Workloads, chaos and the clock do not move until Run().
    */
   explicit Experiment(ExperimentSpec spec, RunOptions opts = {},
                       ShardOptions shard_opts = {});
@@ -187,33 +201,21 @@ class Experiment {
 
  private:
   struct Shard {
+    ExperimentSpec spec;  ///< from SplitIntoShards
     std::unique_ptr<core::System> system;
     std::unique_ptr<chaos::ChaosEngine> engine;
-    chaos::ScenarioSpec scenario;    ///< remapped sub-scenario
-    std::vector<FunctionId> fn_ids;  ///< by local deploy order
-    NodeId first_node = 0;
-    int nodes = 0;
   };
 
-  int OwnerOfNode(NodeId node) const;
-  void SplitChaos();
-  void ArmWorkload(std::size_t index);
+  static void Arm(Shard& sh);
   ExperimentResult Collect() const;
 
   ExperimentSpec spec_;
   RunOptions opts_;
   int threads_ = 1;
   std::uint64_t seed_ = 0;  ///< effective global seed (reported)
-  int gpus_per_node_ = 0;
   std::vector<Shard> shards_;
-  /** deploy index -> (home shard, local deploy index). */
-  std::vector<std::pair<int, std::size_t>> homes_;
-  /**
-   * Per chaos event in time order: its (shard, local index) copies —
-   * the shard sub-scenarios are built in time order, so a copy's
-   * insertion index is its index in that shard engine's outcomes.
-   */
-  std::vector<std::vector<std::pair<int, std::size_t>>> chaos_copies_;
+  /** Per event of spec_.chaos().Sorted(): its shard, -1 = all. */
+  std::vector<int> owners_;
   std::function<void(TimeUs)> probe_;
   bool ran_ = false;
 };

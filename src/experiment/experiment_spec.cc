@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "common/spec_text.h"
+#include "core/system.h"
 #include "models/model_catalog.h"
 
 namespace dilu::experiment {
@@ -128,6 +129,34 @@ ExperimentSpec::EffectiveRunFor() const
   }
   for (const DeploySpec& d : deploys_) last = std::max(last, d.start);
   return last + Sec(5);
+}
+
+core::SystemConfig
+BuildSystemConfig(const ClusterSection& c, const FabricSection& fab)
+{
+  core::SystemConfig cfg = core::SystemConfig::Preset(c.preset);
+  cluster::ClusterConfig& cl = cfg.cluster;
+  if (c.nodes) cl.nodes = *c.nodes;
+  if (c.gpus_per_node) cl.gpus_per_node = *c.gpus_per_node;
+  if (c.scheduler) cl.scheduler = *c.scheduler;
+  if (c.sharing) cl.sharing = *c.sharing;
+  if (c.quota_mode) cl.quota_mode = *c.quota_mode;
+  if (c.recovery) cl.recovery = *c.recovery;
+  if (c.warm_starts) cl.warm_starts = *c.warm_starts;
+  if (c.resource_complementarity) {
+    cl.sched.resource_complementarity = *c.resource_complementarity;
+  }
+  if (c.workload_affinity) {
+    cl.sched.workload_affinity = *c.workload_affinity;
+  }
+  if (c.seed) cl.seed = *c.seed;
+  cl.fabric.enabled = fab.enabled();
+  if (fab.storage_bw) cl.fabric.storage_bw_gbps = *fab.storage_bw;
+  if (fab.storage_gc) cl.fabric.storage_gc_duty = *fab.storage_gc;
+  if (fab.storage_devices) cl.fabric.storage_devices = *fab.storage_devices;
+  if (fab.nic_rate) cl.fabric.nic_rate_gbps = *fab.nic_rate;
+  if (fab.nic_burst) cl.fabric.nic_burst_gb = *fab.nic_burst;
+  return cfg;
 }
 
 namespace {
@@ -778,8 +807,8 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
       });
   if (!ok) return false;
 
-  // Cross-line validation: references resolve against the deploy list,
-  // reported with the referencing line's number.
+  // Cross-line validation: references resolve against the deploy list
+  // and the fleet, reported with the referencing line's number.
   const auto n_deploys = static_cast<std::int64_t>(spec.deploys_.size());
   const auto fn_type = [&](std::int64_t fn) {
     return spec.deploys_[static_cast<std::size_t>(fn)].fn.type;
@@ -810,6 +839,8 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
     }
   }
   const auto& events = spec.chaos_.events();
+  const cluster::ClusterConfig fleet =
+      BuildSystemConfig(spec.cluster_, spec.fabric_).cluster;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const chaos::ScenarioEvent& e = events[i];
     const int at = chaos_lines[i];
@@ -819,7 +850,21 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
                   verb + " needs a storage/nic line (the fabric is "
                          "disabled)");
     }
-    if (chaos::OperandOf(e.kind) != chaos::Operand::kFunction) continue;
+    const chaos::Operand operand = chaos::OperandOf(e.kind);
+    if (operand == chaos::Operand::kGpu
+        || operand == chaos::Operand::kNode) {
+      const bool gpu = operand == chaos::Operand::kGpu;
+      const std::int64_t size =
+          std::int64_t{fleet.nodes} * (gpu ? fleet.gpus_per_node : 1);
+      if (e.target >= size) {
+        return Fail(error, at,
+                    verb + " targets " + (gpu ? "GPU " : "node ")
+                        + std::to_string(e.target) + " outside the fleet of "
+                        + std::to_string(size) + (gpu ? " GPUs" : " nodes"));
+      }
+      continue;
+    }
+    if (operand != chaos::Operand::kFunction) continue;
     if (e.function >= n_deploys) {
       return Fail(error, at,
                   "chaos fn=" + std::to_string(e.function)

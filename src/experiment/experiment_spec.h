@@ -31,6 +31,10 @@
 #include "common/types.h"
 #include "core/function_spec.h"
 
+namespace dilu::core {
+struct SystemConfig;
+}  // namespace dilu::core
+
 namespace dilu::experiment {
 
 /**
@@ -214,6 +218,15 @@ class ExperimentSpec {
   TimeUs run_for_ = 0;
   std::string export_prefix_;
 };
+
+/**
+ * The SystemConfig a spec's cluster and fabric sections describe: the
+ * preset with every set override applied. The one place that knows
+ * the fleet size: the loader bounds chaos targets by it, and the
+ * driver splits and builds shards from it.
+ */
+core::SystemConfig BuildSystemConfig(const ClusterSection& c,
+                                     const FabricSection& fab);
 
 }  // namespace dilu::experiment
 

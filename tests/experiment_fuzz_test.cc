@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/system.h"
 #include "experiment/experiment_spec.h"
 
 namespace dilu {
@@ -233,7 +234,10 @@ RandomSpec(Rng& rng)
   }
 
   // --- chaos events: every verb; fn-targeted ones name a deploy of the
-  // task type they require, fabric ones only run with a fabric line.
+  // task type they require, fabric ones only run with a fabric line,
+  // and GPU / node targets lie inside the generated fleet.
+  const cluster::ClusterConfig fleet =
+      experiment::BuildSystemConfig(spec.cluster(), spec.fabric()).cluster;
   const auto pick = [&rng](const std::vector<int>& fns) {
     return fns[static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(fns.size()) - 1))];
@@ -242,20 +246,23 @@ RandomSpec(Rng& rng)
   const int events = static_cast<int>(rng.UniformInt(0, 8));
   for (int i = 0; i < events; ++i) {
     const TimeUs at = RandomTime(rng);
-    const auto target = static_cast<std::int32_t>(rng.UniformInt(0, 15));
+    const std::int64_t draw = rng.UniformInt(0, 15);
+    const auto gpu = static_cast<std::int32_t>(
+        draw % (std::int64_t{fleet.nodes} * fleet.gpus_per_node));
+    const auto node = static_cast<std::int32_t>(draw % fleet.nodes);
     switch (rng.UniformInt(0, 14)) {
-      case 0: chaos.FailGpu(at, target); break;
-      case 1: chaos.RecoverGpu(at, target); break;
-      case 2: chaos.FailNode(at, target); break;
-      case 3: chaos.RecoverNode(at, target); break;
-      case 4: chaos.DrainNode(at, target); break;
-      case 5: chaos.UndrainNode(at, target); break;
+      case 0: chaos.FailGpu(at, gpu); break;
+      case 1: chaos.RecoverGpu(at, gpu); break;
+      case 2: chaos.FailNode(at, node); break;
+      case 3: chaos.RecoverNode(at, node); break;
+      case 4: chaos.DrainNode(at, node); break;
+      case 5: chaos.UndrainNode(at, node); break;
       case 6:
-        chaos.DegradeGpu(at, target,
+        chaos.DegradeGpu(at, gpu,
                          0.25 * static_cast<double>(rng.UniformInt(1, 3)));
         break;
       case 7:
-        chaos.StraggleGpu(at, target, RandomFactor(rng, 1.0, 8.0));
+        chaos.StraggleGpu(at, gpu, RandomFactor(rng, 1.0, 8.0));
         break;
       case 8:
         if (!training_fns.empty()) {
@@ -288,7 +295,7 @@ RandomSpec(Rng& rng)
         }
         break;
       case 13:
-        if (fabric.enabled()) chaos.FailLink(at, target, RandomTime(rng));
+        if (fabric.enabled()) chaos.FailLink(at, node, RandomTime(rng));
         break;
       default:
         if (fabric.enabled()) {
@@ -369,7 +376,7 @@ TEST(ExperimentFuzz, TargetedCorruptionsAlwaysError)
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE(::testing::Message() << "round " << round);
     std::string text = RandomSpec(rng).ToText();
-    switch (rng.UniformInt(0, 3)) {
+    switch (rng.UniformInt(0, 4)) {
       case 0:  // unknown directive
         text += "explode everything\n";
         break;
@@ -378,6 +385,9 @@ TEST(ExperimentFuzz, TargetedCorruptionsAlwaysError)
         break;
       case 2:  // bad time unit
         text += "run for 10q\n";
+        break;
+      case 3:  // a GPU past the fleet (at most 8 nodes x 8 GPUs)
+        text += "chaos at 1s fail_gpu 64\n";
         break;
       default:  // unknown deploy key
         text += "deploy model=bert-base warp=9\n";

@@ -194,6 +194,12 @@ TEST(ExperimentSpecText, RejectsBadLinesWithLineNumbers)
       "for 2s",
       "deploy model=bert-base training\n"
       "chaos at 5s throttle_admit fn=0 rate=5 for 2s",
+      // GPU and node targets lie inside the fleet (default 1 node x 4).
+      "chaos at 1s fail_gpu 4",
+      "cluster nodes=2 gpus_per_node=2\nchaos at 1s degrade_gpu 4 x0.5",
+      "chaos at 1s fail_node 1",
+      "cluster nodes=3\nchaos at 1s drain_node 3",
+      "nic\nchaos at 1s fail_link 1 for 5s",
   };
   for (const char* text : bad) {
     std::string error;
@@ -201,6 +207,29 @@ TEST(ExperimentSpecText, RejectsBadLinesWithLineNumbers)
         << "accepted: " << text;
     EXPECT_NE(error.find("line "), std::string::npos) << error;
   }
+}
+
+TEST(ExperimentSpecText, ChaosTargetsAreBoundedByThePresetFleet)
+{
+  // The fleet is the preset plus the cluster overrides, the same size
+  // the driver builds and splits: the last GPU and node are fine, one
+  // past them is a line-numbered error.
+  std::string error;
+  EXPECT_TRUE(ExperimentSpec::Parse(
+      "cluster nodes=2 gpus_per_node=3\nchaos at 1s fail_gpu 5\n"
+      "chaos at 2s fail_node 1\n",
+      nullptr, &error))
+      << error;
+  EXPECT_FALSE(ExperimentSpec::Parse(
+      "cluster nodes=1\nchaos at 1s fail_gpu 9\n", nullptr, &error));
+  EXPECT_EQ(error,
+            "line 2: fail_gpu targets GPU 9 outside the fleet of 4 GPUs");
+  EXPECT_FALSE(ExperimentSpec::Parse(
+      "cluster nodes=2 gpus_per_node=3\nstorage\n"
+      "chaos at 1s fail_link 2 for 5s\n",
+      nullptr, &error));
+  EXPECT_EQ(error,
+            "line 3: fail_link targets node 2 outside the fleet of 2 nodes");
 }
 
 TEST(ExperimentSpecText, GalleryParsesAndCanonicalizes)

@@ -1,23 +1,25 @@
 /**
  * @file
  * Sharded-driver determinism grid (docs/PARALLELISM.md acceptance
- * bar): the three CI-smoke specs — chaos_burst, overload_shed and
- * fabric_contention — must serialize byte-identically across reruns
- * AND across worker-thread counts at every shard count. shards=1 is
- * the reference semantics every golden pins, whatever the thread
- * count; shards>=2 is the partitioned fleet, a different but equally
- * valid system whose reports are only compared at the same shard
- * count. Shard requests above the spec's node count clamp
- * (fabric_contention has 2 nodes), which is itself part of the
- * contract under test.
+ * bar): every gallery spec must serialize byte-identically across
+ * reruns AND across worker-thread counts at every shard count.
+ * shards=1 is the reference semantics every golden pins, whatever the
+ * thread count; shards>=2 is the partitioned fleet, a different but
+ * equally valid system whose reports are only compared at the same
+ * shard count — and at shards=2 three of them are pinned to goldens.
+ * Shard requests above the spec's node count clamp (fabric_contention
+ * has 2 nodes), which is itself part of the contract under test.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "experiment/experiment.h"
+#include "experiment/gallery.h"
 
 namespace dilu {
 namespace {
@@ -104,14 +106,55 @@ TEST(ShardDeterminism, OneShardOnFourThreadsMatchesTheGoldens)
   }
 }
 
+TEST(ShardDeterminism, TwoShardsMatchTheGoldens)
+{
+  // Recorded with `dilu_run experiments/<name>.exp --seed 1 --shards 2`.
+  // Between them they split node, GPU, function and fleet-wide chaos,
+  // fabric totals and training across a shard boundary.
+  for (const char* name :
+       {"overload_shed", "fabric_contention", "checkpointed_training"}) {
+    SCOPED_TRACE(name);
+    const std::string golden = ReadFileOrEmpty(
+        std::string(DILU_GOLDEN_DIR) + "/" + name + "_shards2_golden.json");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(RunSharded(std::string(name) + ".exp", 2, 2), golden);
+  }
+}
+
+// The CI-smoke specs, then the rest of the gallery.
+const char* const kCiSmokeSpecs[] = {"chaos_burst.exp", "overload_shed.exp",
+                                     "fabric_contention.exp"};
+const char* const kOtherGallerySpecs[] = {
+    "checkpointed_training.exp", "closed_loop.exp",
+    "degraded_straggler.exp",    "e2e_mix.exp",
+    "quickstart.exp",            "serverless_burst.exp",
+    "shard_islands.exp"};
+
+TEST(ShardDeterminism, GridCoversTheWholeGallery)
+{
+  std::vector<std::string> grid;
+  for (const char* name : kCiSmokeSpecs) grid.emplace_back(name);
+  for (const char* name : kOtherGallerySpecs) grid.emplace_back(name);
+  std::sort(grid.begin(), grid.end());
+  std::vector<std::string> gallery;
+  for (const experiment::GalleryEntry& entry :
+       experiment::ListGallery(DILU_EXPERIMENTS_DIR, ".exp")) {
+    gallery.push_back(entry.name + ".exp");
+  }
+  EXPECT_EQ(grid, gallery);
+}
+
+std::string
+SpecStem(const ::testing::TestParamInfo<const char*>& info)
+{
+  const std::string n = info.param;
+  return n.substr(0, n.find('.'));
+}
+
 INSTANTIATE_TEST_SUITE_P(CiSmokeSpecs, ShardDeterminism,
-                         ::testing::Values("chaos_burst.exp",
-                                           "overload_shed.exp",
-                                           "fabric_contention.exp"),
-                         [](const auto& info) {
-                           std::string n = info.param;
-                           return n.substr(0, n.find('.'));
-                         });
+                         ::testing::ValuesIn(kCiSmokeSpecs), SpecStem);
+INSTANTIATE_TEST_SUITE_P(OtherGallerySpecs, ShardDeterminism,
+                         ::testing::ValuesIn(kOtherGallerySpecs), SpecStem);
 
 }  // namespace
 }  // namespace dilu

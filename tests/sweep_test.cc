@@ -494,6 +494,28 @@ TEST(SweepExpansion, RejectsBadAxisValuesNamingTheAxis)
   EXPECT_NE(error.find("magic"), std::string::npos) << error;
 }
 
+TEST(SweepExpansion, AxisShrinkingTheFleetUnderAChaosTargetNamesTheValue)
+{
+  // overload_shed fails nodes 0 and 1: at cluster.nodes=1 node 1 lies
+  // outside the fleet, so expansion fails on that value, naming it,
+  // instead of the run dying mid-sweep.
+  ExperimentSpec base;
+  std::string error;
+  ASSERT_TRUE(ExperimentSpec::Parse(
+      ReadFileOrEmpty(std::string(DILU_EXPERIMENTS_DIR)
+                      + "/overload_shed.exp"),
+      &base, &error))
+      << error;
+  SweepSpec sweep("shrink");
+  sweep.Base("overload_shed").Axis("cluster.nodes", {"2", "1"});
+  SweepMatrix matrix;
+  EXPECT_FALSE(ExpandSweep(sweep, base, &matrix, &error));
+  EXPECT_EQ(error.find("axis 'cluster.nodes' value '1': "), 0u) << error;
+  EXPECT_NE(error.find("fail_node targets node 1 outside the fleet"),
+            std::string::npos)
+      << error;
+}
+
 TEST(SweepExpansion, CapsTheMatrixSize)
 {
   SweepSpec sweep("huge");
