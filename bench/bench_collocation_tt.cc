@@ -24,28 +24,25 @@ struct TtOutcome {
 TtOutcome RunPair(const std::string& preset, const char* model_a,
                   const char* model_b)
 {
-  core::SystemConfig cfg = core::SystemConfig::Preset(preset);
-  cfg.cluster.nodes = 1;
-  core::System system(cfg);
+  cluster::ClusterConfig cfg = cluster::PresetConfig(preset);
+  cfg.nodes = 1;
+  cluster::ClusterRuntime rt(cfg);
   // Job A is the "productive" job for priority arbiters (TGS).
   core::FunctionSpec sa;
   sa.model = model_a;
   sa.type = TaskType::kTraining;
-  sa.workers = 1;
   sa.priority = 1;
-  const FunctionId a = system.Deploy(sa);
-  const FunctionId b = system.DeployTraining(model_b, 1);
-  if (preset == "exclusive") {
-    system.StartTrainingOn(a, {0});
-    system.StartTrainingOn(b, {1});
-  } else {
-    system.StartTrainingOn(a, {0});
-    system.StartTrainingOn(b, {0});
-  }
-  system.RunFor(Sec(90));
+  const FunctionId a = rt.Deploy(sa);
+  core::FunctionSpec sb;
+  sb.model = model_b;
+  sb.type = TaskType::kTraining;
+  const FunctionId b = rt.Deploy(sb);
+  rt.StartTrainingOn(a, {0}, /*cold=*/false);
+  rt.StartTrainingOn(b, {preset == "exclusive" ? 1 : 0}, /*cold=*/false);
+  rt.RunFor(Sec(90));
   TtOutcome out;
-  out.tput_a = system.runtime().TrainingThroughputUnits(a);
-  out.tput_b = system.runtime().TrainingThroughputUnits(b);
+  out.tput_a = rt.TrainingThroughputUnits(a);
+  out.tput_b = rt.TrainingThroughputUnits(b);
   return out;
 }
 

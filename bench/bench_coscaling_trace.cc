@@ -20,10 +20,12 @@ main()
 {
   using namespace dilu;
 
-  core::System system;  // full Dilu
-  const FunctionId fn = system.DeployInference("roberta-large");
-  system.Provision(fn, 1);
-  system.EnableCoScaling(fn);
+  cluster::ClusterRuntime rt(cluster::ClusterConfig{});  // full Dilu
+  core::FunctionSpec fs;
+  fs.model = "roberta-large";
+  const FunctionId fn = rt.Deploy(fs);
+  rt.LaunchInference(fn, /*cold=*/false);
+  rt.EnableAutoscaler(fn, scaling::MakeHorizontalPolicy("dilu-lazy"));
 
   workload::BurstySpec spec;
   spec.duration_s = 400;
@@ -32,7 +34,11 @@ main()
   spec.burst_len_s = 60;
   spec.burst_gap_s = 120;
   const auto env = workload::BuildBurstyTrace(spec);
-  system.DriveEnvelope(fn, env, Sec(400));
+  rt.AttachArrivals(
+      fn,
+      std::make_unique<workload::EnvelopeArrivals>(env,
+                                                   Rng(bench::kStreamSeed)),
+      Sec(400));
 
   // Windowed latency: sample per-10s percentiles through a sink shim.
   struct Window {
@@ -42,12 +48,12 @@ main()
   };
   std::map<int, Window> windows;
   const double slo_ms = models::GetModel("roberta-large").slo_ms;
-  auto& gw = system.runtime().gateway();
+  auto& gw = rt.gateway();
   // Re-route the metrics sink of every instance as it appears.
-  system.runtime().simulation().SchedulePeriodic(Sec(1), Sec(1), [&] {
+  rt.simulation().SchedulePeriodic(Sec(1), Sec(1), [&] {
     for (auto* inst : gw.instances(fn)) {
       inst->set_request_sink([&, fnid = fn](const workload::Request& r) {
-        system.runtime().metrics().RecordRequest(fnid, r);
+        rt.metrics().RecordRequest(fnid, r);
         const int w = static_cast<int>(ToSec(r.completed)) / 10;
         Window& win = windows[w];
         win.lat.Add(r.Latency());
@@ -57,13 +63,13 @@ main()
     }
   });
 
-  system.RunFor(Sec(405));
+  rt.RunFor(Sec(405));
 
   std::printf("=== Fig 12: co-scaling trace (RoBERTa-large, bursty) "
               "===\n");
   std::printf("%8s %10s %10s %10s %8s\n", "t(s)", "mean RPS",
               "instances", "p95(ms)", "SVR(%)");
-  const auto& series = system.runtime().function(fn).instance_count_series;
+  const auto& series = rt.function(fn).instance_count_series;
   for (int w = 0; w * 10 < spec.duration_s; ++w) {
     double rps = 0.0;
     for (int s = w * 10; s < (w + 1) * 10 && s < spec.duration_s; ++s) {
@@ -81,11 +87,11 @@ main()
                     ? 0.0
                     : 100.0 * win.violations / win.total);
   }
-  const auto report = system.MakeInferenceReport(fn);
+  const auto report = experiment::CollectFunctionResult(rt, fn);
   std::printf("\noverall: %lld requests, SVR %.2f%%, cold starts %d\n",
               static_cast<long long>(report.completed),
               report.svr_percent, report.cold_starts);
-  if (cluster::ExportAll(system.runtime(), "/tmp/dilu_fig12")) {
+  if (cluster::ExportAll(rt, "/tmp/dilu_fig12")) {
     std::printf("time series exported to /tmp/dilu_fig12_*.csv\n");
   }
   return 0;

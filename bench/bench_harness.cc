@@ -29,11 +29,10 @@
  *  --quick      fewer repetitions (CI smoke; timing still reported)
  *  --seed N     workload seed for the scheduler suites, echoed into the
  *               JSON so runs are reproducible and diffable across
- *               machines (any value is a real seed, including 0)
- *  --legacy-seeds  use the historical per-suite seeds (42/9/7) the
- *               checked-in BENCH_*.json reports were recorded under;
- *               also the default when --seed is absent. This replaces
- *               the old `--seed 0` sentinel (PERFORMANCE.md).
+ *               machines (any value is a real seed, including 0).
+ *               Without it the suites use the historical per-suite
+ *               seeds (42/9/7) the checked-in BENCH_*.json reports
+ *               were recorded under (PERFORMANCE.md).
  *  --out FILE   write the JSON report to FILE instead of stdout
  *
  * Each suite runs `reps` times and reports the best (minimum) wall
@@ -182,7 +181,7 @@ BenchResult BenchTokenTick(bool quick)
 // --- scheduler suites -------------------------------------------------
 
 /**
- * Per-suite workload seed: legacy mode keeps the historical constants
+ * Per-suite workload seed: without --seed the historical constants
  * (42/9/7), so default runs stay diffable against existing
  * BENCH_*.json files; a user seed derives distinct per-suite streams
  * from one number (seed 0 included — there is no sentinel).
@@ -190,8 +189,7 @@ BenchResult BenchTokenTick(bool quick)
 std::uint64_t SuiteSeed(const dilu::bench::CliOptions& opts,
                         std::uint64_t legacy, std::uint64_t index)
 {
-  const bool use_legacy = opts.legacy_seeds || !opts.seed_given;
-  return use_legacy ? legacy : opts.seed + index;
+  return opts.seed_given ? opts.seed + index : legacy;
 }
 
 BenchResult BenchSchedMicro(bool quick, const bench::CliOptions& opts)
@@ -376,14 +374,13 @@ std::string MachineString()
 void WriteJson(std::FILE* out, const std::vector<BenchResult>& results,
                bool quick, const bench::CliOptions& opts)
 {
-  const bool legacy = opts.legacy_seeds || !opts.seed_given;
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"schema\": \"dilu-bench/1\",\n");
   std::fprintf(out, "  \"machine\": \"%s\",\n", MachineString().c_str());
   std::fprintf(out, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(opts.seed));
   std::fprintf(out, "  \"legacy_seeds\": %s,\n",
-               legacy ? "true" : "false");
+               opts.seed_given ? "false" : "true");
 #ifdef NDEBUG
   std::fprintf(out, "  \"build\": \"Release\",\n");
 #else

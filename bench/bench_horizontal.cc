@@ -26,24 +26,25 @@ struct RunResult {
 RunResult RunTrace(const std::string& system_kind,
                    workload::TraceKind trace)
 {
-  core::SystemConfig cfg;
+  cluster::ClusterConfig cfg;
   std::string policy;
   if (system_kind == "fastgs+") {
-    cfg = core::SystemConfig::Preset("fastgs");
+    cfg = cluster::PresetConfig("fastgs");
     policy = "eager";
   } else if (system_kind == "infless+") {
-    cfg = core::SystemConfig::Preset("infless-l");
+    cfg = cluster::PresetConfig("infless-l");
     policy = "keep-alive";
   } else {
-    cfg = core::SystemConfig::Preset("dilu");
     policy = "dilu-lazy";
   }
-  cfg.cluster.nodes = 3;
-  core::System system(cfg);
+  cfg.nodes = 3;
+  cluster::ClusterRuntime rt(cfg);
 
-  const FunctionId fn = system.DeployInference("roberta-large");
-  system.Provision(fn, 1);
-  system.EnableCoScaling(fn, policy);
+  core::FunctionSpec fs;
+  fs.model = "roberta-large";
+  const FunctionId fn = rt.Deploy(fs);
+  rt.LaunchInference(fn, /*cold=*/false);
+  rt.EnableAutoscaler(fn, scaling::MakeHorizontalPolicy(policy));
 
   // The single-instance serving capacity is ~80 rps (RoBERTa-large at
   // IBS=4); burst batching stretches that to ~110 rps transiently, so
@@ -76,19 +77,23 @@ RunResult RunTrace(const std::string& system_kind,
     s.spike_len_s = 30;
     env = workload::BuildSporadicTrace(s);
   }
-  system.DriveEnvelope(fn, env, Sec(600));
-  system.RunFor(Sec(610));
+  rt.AttachArrivals(
+      fn,
+      std::make_unique<workload::EnvelopeArrivals>(std::move(env),
+                                                   Rng(bench::kStreamSeed)),
+      Sec(600));
+  rt.RunFor(Sec(610));
 
   RunResult r;
-  const auto rep = system.MakeInferenceReport(fn);
+  const auto rep = experiment::CollectFunctionResult(rt, fn);
   r.csc = rep.cold_starts;
   r.svr = rep.svr_percent;
   r.completed = rep.completed;
   // Flush still-live instances' GPU time by scaling everything in.
-  while (system.runtime().ScaleInOne(fn)) {
+  while (rt.ScaleInOne(fn)) {
   }
-  system.RunFor(Ms(1));
-  r.gpu_seconds = system.runtime().metrics().total_gpu_seconds();
+  rt.RunFor(Ms(1));
+  r.gpu_seconds = rt.metrics().total_gpu_seconds();
   return r;
 }
 

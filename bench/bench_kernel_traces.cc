@@ -30,23 +30,28 @@ struct TraceRow {
 std::vector<TraceRow> RunCase(const std::string& preset, double rps,
                               double cv, int seconds)
 {
-  core::SystemConfig cfg = core::SystemConfig::Preset(preset);
-  core::System system(cfg);
+  cluster::ClusterRuntime rt(cluster::PresetConfig(preset));
   core::FunctionSpec ts;
   ts.model = "bert-base";
   ts.type = TaskType::kTraining;
-  ts.workers = 1;
-  const FunctionId train = system.Deploy(ts);
-  const FunctionId inf = system.DeployInference("roberta-large");
-  system.StartTrainingOn(train, {0});
-  system.ProvisionOn(inf, {0});
+  const FunctionId train = rt.Deploy(ts);
+  core::FunctionSpec is;
+  is.model = "roberta-large";
+  const FunctionId inf = rt.Deploy(is);
+  rt.StartTrainingOn(train, {0}, /*cold=*/false);
+  rt.LaunchInferenceOn(inf, {0}, /*cold=*/false);
   if (cv < 0.0) {
-    system.DrivePoisson(inf, rps, Sec(seconds));
+    rt.AttachArrivals(inf,
+                      std::make_unique<workload::PoissonArrivals>(
+                          rps, Rng(bench::kStreamSeed)),
+                      Sec(seconds));
   } else {
-    system.DriveGamma(inf, rps, cv, Sec(seconds));
+    rt.AttachArrivals(inf,
+                      std::make_unique<workload::GammaArrivals>(
+                          rps, cv, Rng(bench::kStreamSeed)),
+                      Sec(seconds));
   }
 
-  auto& rt = system.runtime();
   auto* inf_inst = rt.gateway().instances(inf)[0];
   std::vector<TraceRow> rows;
   double last_inf = 0.0;
@@ -65,7 +70,7 @@ std::vector<TraceRow> RunCase(const std::string& preset, double rps,
     last_total = gpu_total;
     rows.push_back(row);
   });
-  system.RunFor(Sec(seconds + 2));
+  rt.RunFor(Sec(seconds + 2));
   return rows;
 }
 

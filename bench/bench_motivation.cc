@@ -23,18 +23,19 @@ void ObservationOverprovisioning()
 {
   std::printf("Fig 2(a): static 30%% SM quota for RoBERTa-large under "
               "light load (5 rps)\n");
-  core::SystemConfig cfg = core::SystemConfig::Preset("mps-l");
-  core::System system(cfg);
+  cluster::ClusterRuntime rt(cluster::PresetConfig("mps-l"));
   core::FunctionSpec spec;
   spec.model = "roberta-large";
-  spec.type = TaskType::kInference;
   spec.ibs = 4;
   spec.quota = {0.3, 0.3};  // INFless-style constant 30% allocation
-  const FunctionId fn = system.Deploy(spec);
-  system.ProvisionOn(fn, {0});
-  system.DrivePoisson(fn, 5.0, Sec(60));
-  system.RunFor(Sec(62));
-  const auto& samples = system.runtime().metrics().samples();
+  const FunctionId fn = rt.Deploy(spec);
+  rt.LaunchInferenceOn(fn, {0}, /*cold=*/false);
+  rt.AttachArrivals(fn,
+                    std::make_unique<workload::PoissonArrivals>(
+                        5.0, Rng(bench::kStreamSeed)),
+                    Sec(60));
+  rt.RunFor(Sec(62));
+  const auto& samples = rt.metrics().samples();
   double util = 0.0;
   for (const auto& s : samples) util += s.avg_utilization;
   util /= samples.empty() ? 1 : samples.size();
@@ -84,37 +85,47 @@ void ToyCoScaling()
               "Collocation (3 GPUs)\n");
   std::printf("%8s | %14s %14s | %14s %14s\n", "RPS", "excl p95(ms)",
               "coll p95(ms)", "excl train", "coll train");
+  core::FunctionSpec train;
+  train.model = "bert-base";
+  train.type = TaskType::kTraining;
+  train.workers = 3;
+  core::FunctionSpec serve;
+  serve.model = "roberta-large";
   for (double rps : {32.0, 64.0, 128.0, 256.0}) {
     // Exclusive: 3 GPUs train BERT, 1 GPU serves RoBERTa.
-    core::System excl(core::SystemConfig::Preset("exclusive"));
-    {
-      const FunctionId t = excl.DeployTraining("bert-base", 3);
-      excl.StartTrainingOn(t, {0, 1, 2});
-      const FunctionId i = excl.DeployInference("roberta-large");
-      excl.ProvisionOn(i, {3});
-      excl.DrivePoisson(i, rps, Sec(60));
-      excl.RunFor(Sec(62));
-      const auto ri = excl.MakeInferenceReport(i);
-      const double tt = excl.runtime().TrainingThroughputUnits(t);
+    cluster::ClusterRuntime excl(cluster::PresetConfig("exclusive"));
+    const FunctionId t = excl.Deploy(train);
+    excl.StartTrainingOn(t, {0, 1, 2}, /*cold=*/false);
+    const FunctionId i = excl.Deploy(serve);
+    excl.LaunchInferenceOn(i, {3}, /*cold=*/false);
+    excl.AttachArrivals(i,
+                        std::make_unique<workload::PoissonArrivals>(
+                            rps, Rng(bench::kStreamSeed)),
+                        Sec(60));
+    excl.RunFor(Sec(62));
+    const auto ri = experiment::CollectFunctionResult(excl, i);
+    const double tt = excl.TrainingThroughputUnits(t);
 
-      // Collocation: 3 GPUs, each hosts a training worker + an
-      // inference instance; requests balance across the 3 instances.
-      core::System coll;  // dilu preset
-      const FunctionId ct = coll.DeployTraining("bert-base", 3);
-      coll.StartTrainingOn(ct, {0, 1, 2});
-      const FunctionId ci = coll.DeployInference("roberta-large");
-      coll.ProvisionOn(ci, {0});
-      coll.ProvisionOn(ci, {1});
-      coll.ProvisionOn(ci, {2});
-      coll.DrivePoisson(ci, rps, Sec(60));
-      coll.RunFor(Sec(62));
-      const auto rc = coll.MakeInferenceReport(ci);
-      const double tc = coll.runtime().TrainingThroughputUnits(ct);
-
-      std::printf("%8.0f | %14.1f %14.1f | %14.0f %14.0f  (train "
-                  "-%4.1f%%)\n", rps, ri.p95_ms, rc.p95_ms, tt, tc,
-                  (1.0 - tc / std::max(1.0, tt)) * 100);
+    // Collocation: 3 GPUs, each hosts a training worker + an
+    // inference instance; requests balance across the 3 instances.
+    cluster::ClusterRuntime coll(cluster::ClusterConfig{});  // dilu
+    const FunctionId ct = coll.Deploy(train);
+    coll.StartTrainingOn(ct, {0, 1, 2}, /*cold=*/false);
+    const FunctionId ci = coll.Deploy(serve);
+    for (GpuId g : {0, 1, 2}) {
+      coll.LaunchInferenceOn(ci, {g}, /*cold=*/false);
     }
+    coll.AttachArrivals(ci,
+                        std::make_unique<workload::PoissonArrivals>(
+                            rps, Rng(bench::kStreamSeed)),
+                        Sec(60));
+    coll.RunFor(Sec(62));
+    const auto rc = experiment::CollectFunctionResult(coll, ci);
+    const double tc = coll.TrainingThroughputUnits(ct);
+
+    std::printf("%8.0f | %14.1f %14.1f | %14.0f %14.0f  (train "
+                "-%4.1f%%)\n", rps, ri.p95_ms, rc.p95_ms, tt, tc,
+                (1.0 - tc / std::max(1.0, tt)) * 100);
   }
   std::printf("  (collocation saves 25%% of GPUs; paper: +46%% inference "
               "throughput, -5.2%% training at RPS=256)\n");

@@ -18,32 +18,33 @@ using namespace dilu;
 
 double TrainingTput(const std::string& preset, const char* model)
 {
-  core::SystemConfig cfg = core::SystemConfig::Preset(preset);
-  core::System system(cfg);
-  const FunctionId t = system.DeployTraining(model, 1);
-  system.StartTrainingOn(t, {0});
-  system.RunFor(Sec(60));
-  return system.runtime().TrainingThroughputUnits(t);
+  cluster::ClusterRuntime rt(cluster::PresetConfig(preset));
+  core::FunctionSpec ts;
+  ts.model = model;
+  ts.type = TaskType::kTraining;
+  const FunctionId t = rt.Deploy(ts);
+  rt.StartTrainingOn(t, {0}, /*cold=*/false);
+  rt.RunFor(Sec(60));
+  return rt.TrainingThroughputUnits(t);
 }
 
 double InferenceP50(const std::string& preset, int collocated)
 {
-  core::SystemConfig cfg = core::SystemConfig::Preset(preset);
-  core::System system(cfg);
-  std::vector<FunctionId> fns;
+  cluster::ClusterRuntime rt(cluster::PresetConfig(preset));
+  core::FunctionSpec s;
+  s.model = "bert-base";
   for (int i = 0; i < collocated; ++i) {
-    core::FunctionSpec s;
-    s.model = "bert-base";
-    s.type = TaskType::kInference;
     // Keep every instance under its request so no real contention:
     // what remains is pure management overhead.
-    const FunctionId fn = system.Deploy(s);
-    system.ProvisionOn(fn, {0});
-    system.DrivePoisson(fn, 3.0, Sec(60));
-    fns.push_back(fn);
+    const FunctionId fn = rt.Deploy(s);
+    rt.LaunchInferenceOn(fn, {0}, /*cold=*/false);
+    rt.AttachArrivals(fn,
+                      std::make_unique<workload::PoissonArrivals>(
+                          3.0, Rng(bench::kStreamSeed + i)),
+                      Sec(60));
   }
-  system.RunFor(Sec(62));
-  return system.MakeInferenceReport(fns[0]).p50_ms;
+  rt.RunFor(Sec(62));
+  return experiment::CollectFunctionResult(rt, /*first fn=*/0).p50_ms;
 }
 
 }  // namespace

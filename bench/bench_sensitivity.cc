@@ -104,23 +104,26 @@ void SweepMaxTokens()
   std::printf("%10s %14s %14s %16s\n", "MaxTokens", "inf p50(ms)",
               "inf p95(ms)", "train tokens/s");
   for (double max_tokens : {250.0, 500.0, 1000.0, 2000.0, 4000.0}) {
-    core::SystemConfig cfg;  // dilu
-    cfg.cluster.tokens.max_tokens = max_tokens;
-    core::System system(cfg);
+    cluster::ClusterConfig cfg;  // dilu
+    cfg.tokens.max_tokens = max_tokens;
+    cluster::ClusterRuntime rt(cfg);
     core::FunctionSpec ts;
     ts.model = "bert-base";
     ts.type = TaskType::kTraining;
-    ts.workers = 1;
-    const FunctionId train = system.Deploy(ts);
-    const FunctionId inf = system.DeployInference("roberta-large");
-    system.StartTrainingOn(train, {0});
-    system.ProvisionOn(inf, {0});
-    system.DriveGamma(inf, 40.0, 3.0, Sec(60));
-    system.RunFor(Sec(62));
-    const auto rep = system.MakeInferenceReport(inf);
+    const FunctionId train = rt.Deploy(ts);
+    core::FunctionSpec is;
+    is.model = "roberta-large";
+    const FunctionId inf = rt.Deploy(is);
+    rt.StartTrainingOn(train, {0}, /*cold=*/false);
+    rt.LaunchInferenceOn(inf, {0}, /*cold=*/false);
+    rt.AttachArrivals(inf,
+                      std::make_unique<workload::GammaArrivals>(
+                          40.0, 3.0, Rng(bench::kStreamSeed)),
+                      Sec(60));
+    rt.RunFor(Sec(62));
+    const auto rep = experiment::CollectFunctionResult(rt, inf);
     std::printf("%10.0f %14.1f %14.1f %16.0f\n", max_tokens, rep.p50_ms,
-                rep.p95_ms,
-                system.runtime().TrainingThroughputUnits(train));
+                rep.p95_ms, rt.TrainingThroughputUnits(train));
   }
   std::printf("(the device executes 1000 blocks per 5 ms period: "
               "<1000 throttles everyone, >1000 oversubscribes and "

@@ -13,11 +13,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/spec_text.h"
-#include "core/system.h"
+#include "experiment/experiment.h"
 #include "profiler/inference_profiler.h"
 #include "profiler/training_profiler.h"
 #include "scheduler/scheduler.h"
@@ -25,22 +26,16 @@
 
 namespace dilu::bench {
 
-/**
- * The shared report-emitting bench CLI:
- * --quick / --seed N / --legacy-seeds / --out F.
- */
+/** The shared report-emitting bench CLI: --quick / --seed N / --out F. */
 struct CliOptions {
   bool quick = false;
   std::uint64_t seed = 0;
-  /** --seed was given on the command line (vs. the binary's default). */
-  bool seed_given = false;
   /**
-   * Use the per-suite seeds the historical BENCH_*.json reports were
-   * recorded under, ignoring --seed. This used to be spelled
-   * `--seed 0`; the sentinel made seed 0 silently un-runnable, so it
-   * is now an explicit flag (PERFORMANCE.md).
+   * --seed was given on the command line. Without it a bench that has
+   * per-suite seeds uses the ones its historical BENCH_*.json reports
+   * were recorded under (PERFORMANCE.md).
    */
-  bool legacy_seeds = false;
+  bool seed_given = false;
   const char* out = nullptr;
 };
 
@@ -61,14 +56,11 @@ ParseCli(int argc, char** argv, CliOptions* opts,
                && spec_text::ParseUint64(argv[i + 1], &opts->seed)) {
       ++i;
       opts->seed_given = true;
-    } else if (std::strcmp(argv[i], "--legacy-seeds") == 0) {
-      opts->legacy_seeds = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       opts->out = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--seed N] [--legacy-seeds] "
-                   "[--out FILE]\n",
+                   "usage: %s [--quick] [--seed N] [--out FILE]\n",
                    argv[0]);
       return false;
     }
@@ -177,9 +169,16 @@ inline const std::vector<std::string>& GpuLevelBaselines()
   return *v;
 }
 
+/**
+ * Arrival-stream seeds: the k-th stream a bench attaches to one
+ * cluster draws from Rng(kStreamSeed + k), the seeds every figure's
+ * recorded output was produced under.
+ */
+constexpr std::uint64_t kStreamSeed = 0x57F00D;
+
 /** Result of one collocated serving run. */
 struct CollocationOutcome {
-  core::InferenceReport inference;
+  experiment::FunctionResult inference;
   double training_tput = 0.0;  ///< natural units (0 if no training fn)
   int gpus_used = 0;
 };
@@ -205,25 +204,24 @@ struct TiCase {
 inline CollocationOutcome
 RunTrainingInference(const std::string& preset, const TiCase& c)
 {
-  core::SystemConfig cfg = core::SystemConfig::Preset(preset);
-  cfg.cluster.nodes = 2;  // 8 GPUs: room for the exclusive layout
-  core::System system(cfg);
+  cluster::ClusterConfig cfg = cluster::PresetConfig(preset);
+  cfg.nodes = 2;  // 8 GPUs: room for the exclusive layout
+  cluster::ClusterRuntime rt(cfg);
 
   core::FunctionSpec ts;
   ts.model = c.training_model;
   ts.type = TaskType::kTraining;
   ts.workers = c.training_workers;
-  const FunctionId train = system.Deploy(ts);
+  const FunctionId train = rt.Deploy(ts);
 
   core::FunctionSpec is;
   is.model = c.inference_model;
-  is.type = TaskType::kInference;
   is.shards = c.inference_shards;
-  const FunctionId inf = system.Deploy(is);
+  const FunctionId inf = rt.Deploy(is);
 
   std::vector<GpuId> train_gpus;
   for (int w = 0; w < c.training_workers; ++w) train_gpus.push_back(w);
-  if (!system.StartTrainingOn(train, train_gpus)) {
+  if (!rt.StartTrainingOn(train, train_gpus, /*cold=*/false)) {
     std::fprintf(stderr, "training placement failed\n");
   }
   std::vector<GpuId> inf_gpus;
@@ -236,19 +234,25 @@ RunTrainingInference(const std::string& preset, const TiCase& c)
       inf_gpus.push_back(s % c.training_workers);
     }
   }
-  system.ProvisionOn(inf, inf_gpus);
+  rt.LaunchInferenceOn(inf, inf_gpus, /*cold=*/false);
 
   if (c.cv < 0.0) {
-    system.DrivePoisson(inf, c.rps, c.duration);
+    rt.AttachArrivals(inf,
+                      std::make_unique<workload::PoissonArrivals>(
+                          c.rps, Rng(kStreamSeed)),
+                      c.duration);
   } else {
-    system.DriveGamma(inf, c.rps, c.cv, c.duration);
+    rt.AttachArrivals(inf,
+                      std::make_unique<workload::GammaArrivals>(
+                          c.rps, c.cv, Rng(kStreamSeed)),
+                      c.duration);
   }
-  system.RunFor(c.duration + Sec(2));
+  rt.RunFor(c.duration + Sec(2));
 
   CollocationOutcome out;
-  out.inference = system.MakeInferenceReport(inf);
-  out.training_tput = system.runtime().TrainingThroughputUnits(train);
-  out.gpus_used = system.runtime().state().ActiveGpuCount();
+  out.inference = experiment::CollectFunctionResult(rt, inf);
+  out.training_tput = rt.TrainingThroughputUnits(train);
+  out.gpus_used = rt.state().ActiveGpuCount();
   return out;
 }
 
@@ -264,46 +268,56 @@ struct IiCase {
 };
 
 struct IiOutcome {
-  core::InferenceReport a;
-  core::InferenceReport b;
+  experiment::FunctionResult a;
+  experiment::FunctionResult b;
 };
 
 inline IiOutcome
 RunInferenceInference(const std::string& preset, const IiCase& c)
 {
-  core::SystemConfig cfg = core::SystemConfig::Preset(preset);
-  cfg.cluster.nodes = 2;
-  core::System system(cfg);
-  const FunctionId fa = system.DeployInference(c.model_a);
+  cluster::ClusterConfig cfg = cluster::PresetConfig(preset);
+  cfg.nodes = 2;
+  cluster::ClusterRuntime rt(cfg);
+  core::FunctionSpec sa;
+  sa.model = c.model_a;
+  const FunctionId fa = rt.Deploy(sa);
   core::FunctionSpec sb;
   sb.model = c.model_b;
-  sb.type = TaskType::kInference;
   sb.priority = 0;  // TGS treats the co-runner as opportunistic
-  const FunctionId fb = system.Deploy(sb);
-  if (preset == "exclusive") {
-    system.ProvisionOn(fa, {0});
-    system.ProvisionOn(fb, {1});
-  } else {
-    system.ProvisionOn(fa, {0});
-    system.ProvisionOn(fb, {0});
-  }
+  const FunctionId fb = rt.Deploy(sb);
+  rt.LaunchInferenceOn(fa, {0}, /*cold=*/false);
+  rt.LaunchInferenceOn(fb, {preset == "exclusive" ? 1 : 0},
+                       /*cold=*/false);
   if (c.burst_scale > 0.0) {
     workload::BurstySpec spec;
     spec.duration_s = static_cast<int>(ToSec(c.duration));
     spec.base_rps = c.rps_a;
     spec.burst_scale = c.burst_scale;
-    system.DriveEnvelope(fa, workload::BuildBurstyTrace(spec), c.duration);
+    rt.AttachArrivals(fa,
+                      std::make_unique<workload::EnvelopeArrivals>(
+                          workload::BuildBurstyTrace(spec), Rng(kStreamSeed)),
+                      c.duration);
     spec.base_rps = c.rps_b;
     spec.seed = 11;
-    system.DriveEnvelope(fb, workload::BuildBurstyTrace(spec), c.duration);
+    rt.AttachArrivals(fb,
+                      std::make_unique<workload::EnvelopeArrivals>(
+                          workload::BuildBurstyTrace(spec),
+                          Rng(kStreamSeed + 1)),
+                      c.duration);
   } else {
-    system.DrivePoisson(fa, c.rps_a, c.duration);
-    system.DrivePoisson(fb, c.rps_b, c.duration);
+    rt.AttachArrivals(fa,
+                      std::make_unique<workload::PoissonArrivals>(
+                          c.rps_a, Rng(kStreamSeed)),
+                      c.duration);
+    rt.AttachArrivals(fb,
+                      std::make_unique<workload::PoissonArrivals>(
+                          c.rps_b, Rng(kStreamSeed + 1)),
+                      c.duration);
   }
-  system.RunFor(c.duration + Sec(2));
+  rt.RunFor(c.duration + Sec(2));
   IiOutcome out;
-  out.a = system.MakeInferenceReport(fa);
-  out.b = system.MakeInferenceReport(fb);
+  out.a = experiment::CollectFunctionResult(rt, fa);
+  out.b = experiment::CollectFunctionResult(rt, fb);
   return out;
 }
 

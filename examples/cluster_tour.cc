@@ -8,9 +8,10 @@
  *   $ ./build/examples/cluster_tour
  */
 #include <cstdio>
+#include <memory>
 
 #include "cluster/trace_export.h"
-#include "core/system.h"
+#include "experiment/experiment.h"
 #include "workload/azure_traces.h"
 
 int
@@ -18,18 +19,25 @@ main()
 {
   using namespace dilu;
 
-  core::SystemConfig cfg;
-  cfg.cluster.nodes = 3;  // 12 GPUs
-  core::System system(cfg);
+  cluster::ClusterConfig cfg;
+  cfg.nodes = 3;  // 12 GPUs
+  cluster::ClusterRuntime rt(cfg);
 
   std::printf("=== deploying a mixed serverless DL workload on %d GPUs "
-              "===\n\n", cfg.cluster.nodes * cfg.cluster.gpus_per_node);
+              "===\n\n", cfg.nodes * cfg.gpus_per_node);
 
   // Two training jobs (finite, for JCT) ...
-  const FunctionId bert_train = system.DeployTraining("bert-base", 2, 400);
-  const FunctionId gpt2_train = system.DeployTraining("gpt2-large", 2, 150);
-  system.StartTraining(bert_train);
-  system.StartTraining(gpt2_train);
+  core::FunctionSpec train;
+  train.type = TaskType::kTraining;
+  train.workers = 2;
+  train.model = "bert-base";
+  train.target_iterations = 400;
+  const FunctionId bert_train = rt.Deploy(train);
+  train.model = "gpt2-large";
+  train.target_iterations = 150;
+  const FunctionId gpt2_train = rt.Deploy(train);
+  rt.StartTraining(bert_train, /*cold=*/false);
+  rt.StartTraining(gpt2_train, /*cold=*/false);
 
   // ... and three inference functions with different workloads.
   struct Fn {
@@ -38,36 +46,47 @@ main()
   };
   Fn fns[] = {{"resnet152", 0}, {"roberta-large", 0}, {"gpt2-large", 0}};
   for (Fn& f : fns) {
-    f.id = system.DeployInference(f.model);
-    const auto& spec = system.runtime().function(f.id).spec;
+    core::FunctionSpec serve;
+    serve.model = f.model;
+    f.id = rt.Deploy(serve);
+    const auto& spec = rt.function(f.id).spec;
     std::printf("%-14s profiled: IBS=%d <request=%.0f%%, limit=%.0f%%> "
                 "capacity %.0f rps\n", f.model, spec.ibs,
                 spec.quota.request * 100, spec.quota.limit * 100,
                 spec.per_instance_rps);
-    system.Provision(f.id, 1);
-    system.EnableCoScaling(f.id);
+    rt.LaunchInference(f.id, /*cold=*/false);
+    rt.EnableAutoscaler(f.id, scaling::MakeHorizontalPolicy("dilu-lazy"));
   }
   std::printf("\nGPUs occupied after placement: %d (exclusive allocation "
               "would need %d)\n\n",
-              system.runtime().state().ActiveGpuCount(), 2 + 2 + 3);
+              rt.state().ActiveGpuCount(), 2 + 2 + 3);
 
+  // Three arrival streams, seeded 0x57F00D, 0x57F00E and 0x57F00F.
   workload::BurstySpec bursty;
   bursty.duration_s = 240;
   bursty.base_rps = 60.0;
-  system.DriveEnvelope(fns[0].id, workload::BuildBurstyTrace(bursty),
-                       Sec(240));
+  rt.AttachArrivals(fns[0].id,
+                    std::make_unique<workload::EnvelopeArrivals>(
+                        workload::BuildBurstyTrace(bursty), Rng(0x57F00D)),
+                    Sec(240));
   workload::PeriodicSpec periodic;
   periodic.duration_s = 240;
   periodic.base_rps = 40.0;
-  system.DriveEnvelope(fns[1].id, workload::BuildPeriodicTrace(periodic),
-                       Sec(240));
-  system.DrivePoisson(fns[2].id, 8.0, Sec(240));
+  rt.AttachArrivals(fns[1].id,
+                    std::make_unique<workload::EnvelopeArrivals>(
+                        workload::BuildPeriodicTrace(periodic),
+                        Rng(0x57F00E)),
+                    Sec(240));
+  rt.AttachArrivals(
+      fns[2].id,
+      std::make_unique<workload::PoissonArrivals>(8.0, Rng(0x57F00F)),
+      Sec(240));
 
-  system.RunFor(Sec(250));
+  rt.RunFor(Sec(250));
 
   std::printf("--- serving results ---\n");
   for (const Fn& f : fns) {
-    const auto r = system.MakeInferenceReport(f.id);
+    const auto r = experiment::CollectFunctionResult(rt, f.id);
     std::printf("%-14s %6lld reqs  p50/p95 %5.0f/%5.0f ms  SVR %5.2f%%  "
                 "cold starts %d\n", f.model,
                 static_cast<long long>(r.completed), r.p50_ms, r.p95_ms,
@@ -75,13 +94,14 @@ main()
   }
   std::printf("--- training results ---\n");
   for (FunctionId t : {bert_train, gpt2_train}) {
-    const auto r = system.MakeTrainingReport(t);
+    const auto r = experiment::CollectFunctionResult(rt, t);
     std::printf("%-14s %6lld iterations  %8.0f %s  JCT %.1f s\n",
                 r.name.c_str(), static_cast<long long>(r.iterations),
-                r.throughput_units, r.unit.c_str(), r.jct_s);
+                r.throughput_units,
+                rt.function(t).model->throughput_unit.c_str(), r.jct_s);
   }
 
-  const auto& samples = system.runtime().metrics().samples();
+  const auto& samples = rt.metrics().samples();
   double frag = 0.0;
   double util = 0.0;
   for (const auto& s : samples) {
@@ -91,7 +111,7 @@ main()
   std::printf("\nmean SM fragmentation on active GPUs: %.2f, mean "
               "utilization: %.2f\n",
               frag / samples.size(), util / samples.size());
-  if (cluster::ExportAll(system.runtime(), "/tmp/dilu_tour")) {
+  if (cluster::ExportAll(rt, "/tmp/dilu_tour")) {
     std::printf("time series exported to /tmp/dilu_tour_*.csv\n");
   }
   return 0;

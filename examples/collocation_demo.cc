@@ -8,34 +8,43 @@
  *   $ ./build/examples/collocation_demo
  */
 #include <cstdio>
+#include <memory>
 
-#include "core/system.h"
+#include "experiment/experiment.h"
 
 int
 main()
 {
   using namespace dilu;
-  core::System system;  // Dilu policies
+  cluster::ClusterRuntime rt(cluster::ClusterConfig{});  // Dilu policies
 
   // A training function and an inference function sharing GPU 0.
-  const FunctionId train = system.DeployTraining("bert-base", 1);
-  const FunctionId inf = system.DeployInference("roberta-large");
-  system.StartTrainingOn(train, {0});
-  system.ProvisionOn(inf, {0});
+  core::FunctionSpec ts;
+  ts.model = "bert-base";
+  ts.type = TaskType::kTraining;
+  const FunctionId train = rt.Deploy(ts);
+  core::FunctionSpec is;
+  is.model = "roberta-large";
+  const FunctionId inf = rt.Deploy(is);
+  rt.StartTrainingOn(train, {0}, /*cold=*/false);
+  rt.LaunchInferenceOn(inf, {0}, /*cold=*/false);
 
-  // Three phases: quiet (5 rps), burst (40 rps), quiet again.
-  system.DrivePoisson(inf, 5.0, Sec(30));
-  system.runtime().simulation().queue().ScheduleAt(Sec(30), [&] {
-    system.DrivePoisson(inf, 40.0, Sec(30));
-  });
-  system.runtime().simulation().queue().ScheduleAt(Sec(60), [&] {
-    system.DrivePoisson(inf, 5.0, Sec(30));
-  });
+  // Three phases of 30 s each: quiet (5 rps), burst (40 rps), quiet
+  // again, each a Poisson stream with its own seed.
+  const auto drive = [&rt, inf](double rps, std::uint64_t seed) {
+    rt.AttachArrivals(
+        inf, std::make_unique<workload::PoissonArrivals>(rps, Rng(seed)),
+        rt.now() + Sec(30));
+  };
+  drive(5.0, 0x57F00D);
+  rt.simulation().queue().ScheduleAt(Sec(30),
+                                     [&] { drive(40.0, 0x57F00E); });
+  rt.simulation().queue().ScheduleAt(Sec(60),
+                                     [&] { drive(5.0, 0x57F00F); });
 
   // Sample the GPU's granted shares each second.
   std::printf("%6s %12s %12s %14s\n", "t(s)", "inf share", "train share",
               "rckm state");
-  auto& rt = system.runtime();
   rt.simulation().SchedulePeriodic(Sec(5), Sec(5), [&] {
     const auto& gpu = rt.gpus().gpu(0);
     double inf_share = 0.0;
@@ -53,14 +62,14 @@ main()
                 arb ? rckm::ToString(arb->manager().state()) : "-");
   });
 
-  system.RunFor(Sec(92));
+  rt.RunFor(Sec(92));
 
-  const auto inf_report = system.MakeInferenceReport(inf);
-  const auto train_report = system.MakeTrainingReport(train);
+  const auto inf_report = experiment::CollectFunctionResult(rt, inf);
   std::printf("\ninference: %lld requests, p95 %.1f ms, SVR %.2f%%\n",
               static_cast<long long>(inf_report.completed),
               inf_report.p95_ms, inf_report.svr_percent);
   std::printf("training:  %.0f %s on the same GPU\n",
-              train_report.throughput_units, train_report.unit.c_str());
+              rt.TrainingThroughputUnits(train),
+              rt.function(train).model->throughput_unit.c_str());
   return 0;
 }

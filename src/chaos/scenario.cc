@@ -25,19 +25,37 @@ enum class Window {
   kEvery,  ///< `every=<time>` then an optional `save=<time>`
 };
 
+/** How the chaos verdict scores an event's recovery. */
+enum class Scored {
+  kNo,
+  kDisruptive,  ///< displaces instances: TTR (IsDisruptive)
+  kShedding,    ///< overload pressure: TTSR (IsShedding)
+  kFabric,      ///< a fabric tier: TTR until its backlog drains (IsFabric)
+};
+
+/** How chaos intensity scales a verb's magnitude (ScaleMagnitude). */
+enum class Scaled {
+  kNo,
+  kLinear,  ///< additive (surge extra RPS): m * intensity
+  kExcess,  ///< a factor > 1: 1 + (m - 1) * intensity
+};
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /**
  * One verb of the event grammar, "at <time> <verb> <operand>
  * [<magnitude>] [<window>]". The row is the single statement of how
- * the verb reads, prints and routes: ParseEventLine, FormatEventLine,
- * the experiment loader's fn= cross-check and the sharded driver's
- * event routing all read it.
+ * the verb reads, prints, routes and scores: ParseEventLine,
+ * FormatEventLine, the experiment loader's fn= cross-check, the
+ * sharded driver's event routing, the chaos verdict and the sweeps'
+ * chaos intensity all read it.
  */
 struct Verb {
   FaultKind kind;
   const char* word;
   Operand operand;
+  Scored scored = Scored::kNo;
+  Scaled scaled = Scaled::kNo;
   /** Spelling before the magnitude ("x", "rps=", "rate="); null = none. */
   const char* magnitude = nullptr;
   /** The magnitude must lie strictly inside (lo, hi). */
@@ -54,33 +72,39 @@ struct Verb {
 
 /** One row per FaultKind, in enum order. */
 constexpr Verb kVerbs[] = {
-    {FaultKind::kGpuFail, "fail_gpu", Operand::kGpu},
+    {FaultKind::kGpuFail, "fail_gpu", Operand::kGpu, Scored::kDisruptive},
     {FaultKind::kGpuRecover, "recover_gpu", Operand::kGpu},
-    {FaultKind::kNodeFail, "fail_node", Operand::kNode},
+    {FaultKind::kNodeFail, "fail_node", Operand::kNode, Scored::kDisruptive},
     {FaultKind::kNodeRecover, "recover_node", Operand::kNode},
-    {FaultKind::kNodeDrain, "drain_node", Operand::kNode},
+    {FaultKind::kNodeDrain, "drain_node", Operand::kNode,
+     Scored::kDisruptive},
     {FaultKind::kNodeUndrain, "undrain_node", Operand::kNode},
-    {FaultKind::kGpuDegrade, "degrade_gpu", Operand::kGpu, "x", 0.0, 1.0,
-     Window::kNone, "x<factor> (e.g. x0.6 / x2.5)",
-     "capacity must be in (0, 1)"},
-    {FaultKind::kGpuStraggle, "straggle", Operand::kGpu, "x", 1.0, kInf,
-     Window::kNone, "x<factor> (e.g. x0.6 / x2.5)",
-     "factor must be > 1 (e.g. x2.5)"},
+    {FaultKind::kGpuDegrade, "degrade_gpu", Operand::kGpu, Scored::kNo,
+     Scaled::kNo, "x", 0.0, 1.0, Window::kNone,
+     "x<factor> (e.g. x0.6 / x2.5)", "capacity must be in (0, 1)"},
+    {FaultKind::kGpuStraggle, "straggle", Operand::kGpu, Scored::kNo,
+     Scaled::kNo, "x", 1.0, kInf, Window::kNone,
+     "x<factor> (e.g. x0.6 / x2.5)", "factor must be > 1 (e.g. x2.5)"},
     {FaultKind::kCheckpointEvery, "checkpoint_every", Operand::kFunction,
-     nullptr, 0.0, kInf, Window::kEvery, "fn=<id> every=<time>", nullptr,
-     TaskType::kTraining},
+     Scored::kNo, Scaled::kNo, nullptr, 0.0, kInf, Window::kEvery,
+     "fn=<id> every=<time>", nullptr, TaskType::kTraining},
     {FaultKind::kColdStartInflation, "inflate_coldstart", Operand::kFleet,
-     "x", 0.0, kInf, Window::kFor, "x<factor> (e.g. x2.5)"},
-    {FaultKind::kTrafficSurge, "surge", Operand::kFunction, "rps=", 0.0,
-     kInf, Window::kFor, "fn=<id> rps=<rate> (both positive)"},
-    {FaultKind::kOverload, "overload", Operand::kFunction, "x", 1.0, kInf,
-     Window::kFor, "fn=<id> x<factor> (factor > 1)"},
+     Scored::kNo, Scaled::kExcess, "x", 0.0, kInf, Window::kFor,
+     "x<factor> (e.g. x2.5)"},
+    {FaultKind::kTrafficSurge, "surge", Operand::kFunction, Scored::kNo,
+     Scaled::kLinear, "rps=", 0.0, kInf, Window::kFor,
+     "fn=<id> rps=<rate> (both positive)"},
+    {FaultKind::kOverload, "overload", Operand::kFunction, Scored::kShedding,
+     Scaled::kExcess, "x", 1.0, kInf, Window::kFor,
+     "fn=<id> x<factor> (factor > 1)"},
     {FaultKind::kThrottleAdmit, "throttle_admit", Operand::kFunction,
-     "rate=", 0.0, kInf, Window::kFor, "fn=<id> rate=<req/s> (positive)"},
-    {FaultKind::kLinkFail, "fail_link", Operand::kNode, nullptr, 0.0, kInf,
-     Window::kFor},
-    {FaultKind::kStorageBrownout, "storage_brownout", Operand::kFleet, "x",
-     1.0, kInf, Window::kFor, "x<factor> (factor > 1)"},
+     Scored::kShedding, Scaled::kNo, "rate=", 0.0, kInf, Window::kFor,
+     "fn=<id> rate=<req/s> (positive)"},
+    {FaultKind::kLinkFail, "fail_link", Operand::kNode, Scored::kFabric,
+     Scaled::kNo, nullptr, 0.0, kInf, Window::kFor},
+    {FaultKind::kStorageBrownout, "storage_brownout", Operand::kFleet,
+     Scored::kFabric, Scaled::kExcess, "x", 1.0, kInf, Window::kFor,
+     "x<factor> (factor > 1)"},
 };
 
 /** One row per kind, in order; every operand that can be bad has usage. */
@@ -127,27 +151,30 @@ FunctionTaskOf(FaultKind kind)
 bool
 IsDisruptive(FaultKind kind)
 {
-  switch (kind) {
-    case FaultKind::kGpuFail:
-    case FaultKind::kNodeFail:
-    case FaultKind::kNodeDrain:
-      return true;
-    default:
-      return false;
-  }
+  return RowOf(kind).scored == Scored::kDisruptive;
 }
 
 bool
 IsShedding(FaultKind kind)
 {
-  return kind == FaultKind::kOverload || kind == FaultKind::kThrottleAdmit;
+  return RowOf(kind).scored == Scored::kShedding;
 }
 
 bool
 IsFabric(FaultKind kind)
 {
-  return kind == FaultKind::kLinkFail
-      || kind == FaultKind::kStorageBrownout;
+  return RowOf(kind).scored == Scored::kFabric;
+}
+
+double
+ScaleMagnitude(FaultKind kind, double magnitude, double intensity)
+{
+  switch (RowOf(kind).scaled) {
+    case Scaled::kNo: return magnitude;
+    case Scaled::kLinear: return magnitude * intensity;
+    case Scaled::kExcess: return 1.0 + (magnitude - 1.0) * intensity;
+  }
+  return magnitude;
 }
 
 ScenarioSpec&

@@ -83,6 +83,17 @@ bool IsShedding(FaultKind kind);
  */
 bool IsFabric(FaultKind kind);
 
+/**
+ * `magnitude` of a `kind` event under chaos intensity `intensity` > 0
+ * (a sweep's `chaos.intensity` axis). Additive magnitudes (surge extra
+ * RPS) scale linearly; factors f > 1 (overload, cold-start inflation,
+ * storage brownout) scale in excess over one, so intensity 1 is the
+ * identity and every intensity keeps the factor above 1. Targeted
+ * faults, throttles and checkpoint policies keep theirs: intensity
+ * means how hard the pressure pushes, not which faults fire.
+ */
+double ScaleMagnitude(FaultKind kind, double magnitude, double intensity);
+
 /** One timed event in a scenario. */
 struct ScenarioEvent {
   TimeUs at = 0;

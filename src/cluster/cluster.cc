@@ -70,6 +70,28 @@ MakeScheduler(const ClusterConfig& config)
 
 }  // namespace
 
+const ClusterPreset*
+FindPreset(std::string_view name)
+{
+  for (const ClusterPreset& p : kPresets) {
+    if (p.name == name) return &p;
+  }
+  return nullptr;
+}
+
+ClusterConfig
+PresetConfig(std::string_view name)
+{
+  const ClusterPreset* p = FindPreset(name);
+  if (p == nullptr) Fatal("unknown cluster preset: " + std::string(name));
+  ClusterConfig c;
+  c.sharing = p->sharing;
+  c.scheduler = p->scheduler;
+  c.quota_mode = p->quota_mode;
+  c.warm_starts = p->warm_starts;
+  return c;
+}
+
 ClusterRuntime::ClusterRuntime(ClusterConfig config)
     : config_(std::move(config)), rng_(config_.seed)
 {

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/gateway.h"
@@ -90,6 +91,36 @@ struct ClusterConfig {
 
   std::uint64_t seed = 1;
 };
+
+/**
+ * A named baseline of the paper's evaluation (Section 5): the policies
+ * it selects in place of ClusterConfig's defaults, which are Dilu's.
+ */
+struct ClusterPreset {
+  std::string_view name;
+  std::string_view sharing;
+  std::string_view scheduler;
+  std::string_view quota_mode;
+  bool warm_starts;  ///< INFless+: layered caches / pre-warming
+};
+
+/** Every preset; the spec loader's `preset=` accepts exactly these. */
+inline constexpr ClusterPreset kPresets[] = {
+    {"dilu", "dilu", "dilu", "dilu", false},
+    {"exclusive", "static", "exclusive", "full", false},
+    {"mps-l", "static", "static", "limit", false},
+    {"mps-r", "static", "static", "request", false},
+    {"tgs", "tgs", "static", "limit", false},
+    {"fastgs", "fastgs", "static", "limit", false},
+    {"infless-l", "static", "static", "limit", true},
+    {"infless-r", "static", "static", "request", true},
+};
+
+/** The preset called `name`; nullptr when there is none. */
+const ClusterPreset* FindPreset(std::string_view name);
+
+/** The default ClusterConfig under preset `name` (Fatal if unknown). */
+ClusterConfig PresetConfig(std::string_view name);
 
 /** Runtime record of one deployed function. */
 struct DeployedFunction {

@@ -50,20 +50,4 @@ Rng::Normal(double mean, double stddev)
   return std::normal_distribution<double>(mean, stddev)(engine_);
 }
 
-std::int64_t
-Rng::Poisson(double mean)
-{
-  if (mean <= 0.0) return 0;
-  return std::poisson_distribution<std::int64_t>(mean)(engine_);
-}
-
-Rng
-Rng::Fork()
-{
-  // Mix the fork index into a fresh seed so children are independent but
-  // stable across runs.
-  const std::uint64_t salt = 0x9E3779B97F4A7C15ull * (++fork_counter_);
-  return Rng(engine_() ^ salt);
-}
-
 }  // namespace dilu

@@ -45,17 +45,10 @@ class Rng {
   /** Normally distributed value. */
   double Normal(double mean, double stddev);
 
-  /** Poisson-distributed count with the given mean. */
-  std::int64_t Poisson(double mean);
-
-  /** Derive an independent child stream (stable given the call index). */
-  Rng Fork();
-
   std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;
-  std::uint64_t fork_counter_ = 0;
 };
 
 }  // namespace dilu

@@ -84,9 +84,6 @@ BuildArrivalProcess(const WorkloadSpec& w, std::uint64_t stream_seed)
   Fatal("unreachable arrival kind");
 }
 
-namespace {
-
-/** One function's measured outcome, read out of its runtime. */
 FunctionResult
 CollectFunctionResult(const cluster::ClusterRuntime& rt, FunctionId id)
 {
@@ -126,6 +123,8 @@ CollectFunctionResult(const cluster::ClusterRuntime& rt, FunctionId id)
   return fr;
 }
 
+namespace {
+
 /**
  * Cluster seed of shard `s` under global seed `base`. Shard 0 keeps
  * the base seed, so a one-shard run is the unpartitioned fleet; the
@@ -149,7 +148,7 @@ SplitIntoShards(const ExperimentSpec& spec, std::uint64_t seed, int n,
                 std::vector<int>* owners)
 {
   const cluster::ClusterConfig fleet =
-      BuildSystemConfig(spec.cluster(), spec.fabric()).cluster;
+      BuildClusterConfig(spec.cluster(), spec.fabric());
   DILU_CHECK(n >= 1 && n <= fleet.nodes);
   const auto shards_n = static_cast<std::size_t>(n);
   std::vector<ExperimentSpec> shards(shards_n);
@@ -221,7 +220,7 @@ Experiment::Experiment(ExperimentSpec spec, RunOptions opts,
       threads_(shard_opts.threads)
 {
   const cluster::ClusterConfig fleet =
-      BuildSystemConfig(spec_.cluster(), spec_.fabric()).cluster;
+      BuildClusterConfig(spec_.cluster(), spec_.fabric());
   seed_ = opts_.seed != 0 ? opts_.seed : fleet.seed;
   const int n = std::max(1, std::min(shard_opts.shards, fleet.nodes));
   if (n != shard_opts.shards) {
@@ -230,9 +229,9 @@ Experiment::Experiment(ExperimentSpec spec, RunOptions opts,
   }
   for (ExperimentSpec& s : SplitIntoShards(spec_, seed_, n, &owners_)) {
     Shard& sh = shards_.emplace_back();
-    sh.system = std::make_unique<core::System>(
-        BuildSystemConfig(s.cluster(), s.fabric()));
-    for (const DeploySpec& d : s.deploys()) sh.system->Deploy(d.fn);
+    sh.runtime = std::make_unique<cluster::ClusterRuntime>(
+        BuildClusterConfig(s.cluster(), s.fabric()));
+    for (const DeploySpec& d : s.deploys()) sh.runtime->Deploy(d.fn);
     sh.spec = std::move(s);
   }
 }
@@ -243,25 +242,28 @@ cluster::ClusterRuntime&
 Experiment::runtime(int s)
 {
   DILU_CHECK(s >= 0 && s < shard_count());
-  return shards_[static_cast<std::size_t>(s)].system->runtime();
+  return *shards_[static_cast<std::size_t>(s)].runtime;
 }
 
 void
 Experiment::Arm(Shard& sh)
 {
   // Provision warm capacity, enable co-scaling, submit training.
-  core::System* sys = sh.system.get();
-  cluster::ClusterRuntime& rt = sys->runtime();
+  cluster::ClusterRuntime& rt = *sh.runtime;
   for (std::size_t i = 0; i < sh.spec.deploys().size(); ++i) {
     const DeploySpec& d = sh.spec.deploys()[i];
     const auto fn = static_cast<FunctionId>(i);
     if (d.fn.type == TaskType::kInference) {
-      if (d.provision > 0) sys->Provision(fn, d.provision);
-      if (!d.scaler.empty()) sys->EnableCoScaling(fn, d.scaler);
+      for (int k = 0; k < d.provision; ++k) {
+        rt.LaunchInference(fn, /*cold=*/false);
+      }
+      if (!d.scaler.empty()) {
+        rt.EnableAutoscaler(fn, scaling::MakeHorizontalPolicy(d.scaler));
+      }
     } else {
       // Cold submission at `start` (0 fires as the clock begins).
       rt.simulation().Post(d.start,
-                           [sys, fn] { sys->StartTraining(fn, true); });
+                           [&rt, fn] { rt.StartTraining(fn, true); });
     }
   }
 
@@ -300,7 +302,7 @@ Experiment::Run()
   // Shards share nothing, so each runs to the horizon as one task.
   const TimeUs horizon = spec_.EffectiveRunFor();
   ParallelFor(shards_.size(), threads_, [this, horizon](std::size_t s) {
-    shards_[s].system->RunFor(horizon);
+    shards_[s].runtime->RunFor(horizon);
   });
   if (probe_) probe_(horizon);
 
@@ -313,8 +315,7 @@ Experiment::Run()
       const std::string shard_prefix = shards_.size() == 1
           ? prefix
           : prefix + "_s" + std::to_string(s);
-      if (!cluster::ExportAll(shards_[s].system->runtime(),
-                              shard_prefix)) {
+      if (!cluster::ExportAll(*shards_[s].runtime, shard_prefix)) {
         result.export_ok = false;
         DILU_WARN << "trace export to prefix '" << shard_prefix
                   << "' failed";
@@ -336,7 +337,7 @@ Experiment::Collect() const
   const std::size_t n = shards_.size();
   for (std::size_t i = 0; i < spec_.deploys().size(); ++i) {
     FunctionResult fr = CollectFunctionResult(
-        shards_[i % n].system->runtime(), static_cast<FunctionId>(i / n));
+        *shards_[i % n].runtime, static_cast<FunctionId>(i / n));
     r.total_completed += fr.completed;
     r.total_dropped += fr.dropped;
     r.functions.push_back(std::move(fr));
@@ -379,7 +380,7 @@ Experiment::Collect() const
   }
 
   for (const Shard& sh : shards_) {
-    const fabric::FabricPlane* fp = sh.system->runtime().fabric();
+    const fabric::FabricPlane* fp = sh.runtime->fabric();
     if (fp == nullptr) continue;
     const fabric::FabricTotals& t = fp->totals();
     r.fabric_enabled = true;
@@ -402,7 +403,7 @@ Experiment::Collect() const
   std::size_t sample_count = 0;
   cluster::FunctionMetrics fleet;
   for (const Shard& sh : shards_) {
-    const cluster::ClusterRuntime& rt = sh.system->runtime();
+    const cluster::ClusterRuntime& rt = *sh.runtime;
     const cluster::MetricsHub& hub = rt.metrics();
     r.max_gpus += rt.max_active_gpus();
     for (const cluster::ClusterSample& cs : hub.samples()) {

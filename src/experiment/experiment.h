@@ -12,8 +12,8 @@
  * iterations / restarts / checkpoint costs / JCT; chaos TTR verdict;
  * cluster occupancy) and export traces when the spec asks for them.
  *
- * Sharding runs the shard specs SplitIntoShards makes, each an
- * ordinary System, as tasks of one work pool (common/work_pool.h).
+ * Sharding runs the shard specs SplitIntoShards makes, each on its own
+ * ClusterRuntime, as tasks of one work pool (common/work_pool.h).
  *
  * Deterministic: the result's JSON serialization is byte-identical
  * across runs of the same spec + seed + shard count, at any thread
@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "chaos/chaos_engine.h"
-#include "core/system.h"
+#include "cluster/cluster.h"
 #include "experiment/experiment_spec.h"
 #include "workload/arrival.h"
 
@@ -65,6 +65,10 @@ struct FunctionResult {
   double jct_s = -1.0;  ///< -1 while unfinished
   double throughput_units = 0.0;
 };
+
+/** Function `id`'s measured outcome, read out of its runtime. */
+FunctionResult CollectFunctionResult(const cluster::ClusterRuntime& rt,
+                                     FunctionId id);
 
 /** Structured outcome of one experiment run. */
 struct ExperimentResult {
@@ -202,7 +206,7 @@ class Experiment {
  private:
   struct Shard {
     ExperimentSpec spec;  ///< from SplitIntoShards
-    std::unique_ptr<core::System> system;
+    std::unique_ptr<cluster::ClusterRuntime> runtime;
     std::unique_ptr<chaos::ChaosEngine> engine;
   };
 

@@ -5,8 +5,8 @@
 #include <limits>
 #include <type_traits>
 
+#include "cluster/cluster.h"
 #include "common/spec_text.h"
-#include "core/system.h"
 #include "models/model_catalog.h"
 
 namespace dilu::experiment {
@@ -131,11 +131,10 @@ ExperimentSpec::EffectiveRunFor() const
   return last + Sec(5);
 }
 
-core::SystemConfig
-BuildSystemConfig(const ClusterSection& c, const FabricSection& fab)
+cluster::ClusterConfig
+BuildClusterConfig(const ClusterSection& c, const FabricSection& fab)
 {
-  core::SystemConfig cfg = core::SystemConfig::Preset(c.preset);
-  cluster::ClusterConfig& cl = cfg.cluster;
+  cluster::ClusterConfig cl = cluster::PresetConfig(c.preset);
   if (c.nodes) cl.nodes = *c.nodes;
   if (c.gpus_per_node) cl.gpus_per_node = *c.gpus_per_node;
   if (c.scheduler) cl.scheduler = *c.scheduler;
@@ -156,7 +155,7 @@ BuildSystemConfig(const ClusterSection& c, const FabricSection& fab)
   if (fab.storage_devices) cl.fabric.storage_devices = *fab.storage_devices;
   if (fab.nic_rate) cl.fabric.nic_rate_gbps = *fab.nic_rate;
   if (fab.nic_burst) cl.fabric.nic_burst_gb = *fab.nic_burst;
-  return cfg;
+  return cl;
 }
 
 namespace {
@@ -179,6 +178,7 @@ enum class Type {
   kTime,      ///< <int>us|ms|s within `range`
   kOnOff,     ///< on | off
   kWord,      ///< one of `words` (any word when null)
+  kPreset,    ///< a cluster::kPresets name
   kModel,     ///< a model catalog name
   kClass,     ///< critical | standard | best_effort
   kTraining,  ///< the bare word `training`: no `=value`
@@ -204,7 +204,7 @@ struct Value {
   std::int64_t i = 0;   ///< kInt, kTime, kOnOff, kClass, kTraining
   std::uint64_t u = 0;  ///< kSeed
   double d = 0.0;       ///< kDouble
-  std::string_view s;   ///< kWord, kModel
+  std::string_view s;   ///< kWord, kPreset, kModel
 };
 
 template <typename T>
@@ -286,7 +286,10 @@ struct Key {
   std::string_view name;
   Type type;
   Access<S> field;
-  /** The rejection for a bad value (kWord / kModel: "unknown <name>"). */
+  /**
+   * The rejection for a bad value (kWord / kPreset / kModel:
+   * "unknown <name>").
+   */
   const char* msg = nullptr;
   Range range{};
   /** kWord: the allowed words, space-separated. */
@@ -314,8 +317,7 @@ const Key<ClusterSection> kClusterKeys[] = {
      "nodes must be a positive int", kPositive},
     {"gpus_per_node", Type::kInt, Field<&ClusterSection::gpus_per_node>(),
      "gpus_per_node must be a positive int", kPositive},
-    {"preset", Type::kWord, Field<&ClusterSection::preset>(), nullptr, {},
-     "dilu exclusive mps-l mps-r tgs fastgs infless-l infless-r"},
+    {"preset", Type::kPreset, Field<&ClusterSection::preset>()},
     {"scheduler", Type::kWord, Field<&ClusterSection::scheduler>(), nullptr,
      {}, "dilu exclusive static"},
     {"sharing", Type::kWord, Field<&ClusterSection::sharing>(), nullptr, {},
@@ -522,6 +524,10 @@ Set(const Key<S>& k, std::string_view value, S* s, int line_no,
       ok = k.words == nullptr || IsOneOf(value, k.words);
       v.s = value;
       break;
+    case Type::kPreset:
+      ok = cluster::FindPreset(value) != nullptr;
+      v.s = value;
+      break;
     case Type::kModel:
       ok = models::HasModel(std::string(value));
       v.s = value;
@@ -564,6 +570,7 @@ Text(const Key<S>& k, const S& s, std::string* text)
     case Type::kTime: *text = FormatTime(v.i); break;
     case Type::kOnOff: *text = v.i != 0 ? "on" : "off"; break;
     case Type::kWord:
+    case Type::kPreset:
     case Type::kModel: *text = std::string(v.s); break;
     case Type::kClass:
       *text = ToString(static_cast<ServiceClass>(v.i));
@@ -840,7 +847,7 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
   }
   const auto& events = spec.chaos_.events();
   const cluster::ClusterConfig fleet =
-      BuildSystemConfig(spec.cluster_, spec.fabric_).cluster;
+      BuildClusterConfig(spec.cluster_, spec.fabric_);
   for (std::size_t i = 0; i < events.size(); ++i) {
     const chaos::ScenarioEvent& e = events[i];
     const int at = chaos_lines[i];

@@ -31,19 +31,19 @@
 #include "common/types.h"
 #include "core/function_spec.h"
 
-namespace dilu::core {
-struct SystemConfig;
-}  // namespace dilu::core
+namespace dilu::cluster {
+struct ClusterConfig;
+}  // namespace dilu::cluster
 
 namespace dilu::experiment {
 
 /**
- * Cluster composition: a named SystemConfig preset plus explicit
+ * Cluster composition: a named preset plus explicit
  * overrides. Only set fields are printed / applied, so a spec stays a
  * minimal diff against its preset.
  */
 struct ClusterSection {
-  /** SystemConfig::Preset name ("dilu", "exclusive", "mps-l", ...). */
+  /** A cluster::kPresets name. */
   std::string preset = "dilu";
   std::optional<int> nodes;
   std::optional<int> gpus_per_node;
@@ -220,13 +220,13 @@ class ExperimentSpec {
 };
 
 /**
- * The SystemConfig a spec's cluster and fabric sections describe: the
+ * The ClusterConfig a spec's cluster and fabric sections describe: the
  * preset with every set override applied. The one place that knows
  * the fleet size: the loader bounds chaos targets by it, and the
  * driver splits and builds shards from it.
  */
-core::SystemConfig BuildSystemConfig(const ClusterSection& c,
-                                     const FabricSection& fab);
+cluster::ClusterConfig BuildClusterConfig(const ClusterSection& c,
+                                          const FabricSection& fab);
 
 }  // namespace dilu::experiment
 

@@ -134,15 +134,7 @@ ApplyEdit(ExperimentSpec* spec, const std::string& path, const Edit& edit,
   return true;
 }
 
-/**
- * Scale the embedded scenario's load-pressure magnitudes. Additive
- * magnitudes (surge extra-RPS) scale linearly; multiplicative factors
- * f > 1 (overload, cold-start inflation, storage brownout) scale in
- * excess-over-one so intensity 1 is the identity and any intensity > 0
- * keeps the factor on the valid side of 1. Targeted faults, throttles
- * and checkpoint policies are left alone — intensity means "how hard
- * does the pressure push", not "which faults fire".
- */
+/** Scale the embedded scenario's magnitudes (chaos::ScaleMagnitude). */
 bool
 ApplyChaosIntensity(ExperimentSpec* spec, const std::string& path,
                     const std::string& value, std::string* error)
@@ -153,13 +145,7 @@ ApplyChaosIntensity(ExperimentSpec* spec, const std::string& path,
   }
   chaos::ScenarioSpec scaled(spec->chaos().name());
   for (chaos::ScenarioEvent e : spec->chaos().events()) {
-    if (e.kind == chaos::FaultKind::kTrafficSurge) {
-      e.magnitude *= intensity;
-    } else if (e.kind == chaos::FaultKind::kOverload
-               || e.kind == chaos::FaultKind::kColdStartInflation
-               || e.kind == chaos::FaultKind::kStorageBrownout) {
-      e.magnitude = 1.0 + (e.magnitude - 1.0) * intensity;
-    }
+    e.magnitude = chaos::ScaleMagnitude(e.kind, e.magnitude, intensity);
     scaled.Add(e);
   }
   spec->chaos() = std::move(scaled);

@@ -132,6 +132,22 @@ TEST(Scenario, BuilderOrdersEventsByTime)
   EXPECT_EQ(sorted[2].kind, chaos::FaultKind::kNodeRecover);
 }
 
+TEST(Scenario, VerdictPredicatesOfEveryKind)
+{
+  // Per FaultKind, in enum order: scored as Disruptive (fail_gpu,
+  // fail_node, drain_node), Shedding (overload, throttle_admit), Fabric
+  // (fail_link, storage_brownout) or not at all.
+  const std::string scored = "D-D-D------SSFF";
+  ASSERT_EQ(scored.size(),
+            static_cast<std::size_t>(chaos::FaultKind::kStorageBrownout) + 1);
+  for (std::size_t k = 0; k < scored.size(); ++k) {
+    const auto kind = static_cast<chaos::FaultKind>(k);
+    EXPECT_EQ(chaos::IsDisruptive(kind), scored[k] == 'D') << k;
+    EXPECT_EQ(chaos::IsShedding(kind), scored[k] == 'S') << k;
+    EXPECT_EQ(chaos::IsFabric(kind), scored[k] == 'F') << k;
+  }
+}
+
 TEST(Scenario, TextRoundTrip)
 {
   chaos::ScenarioSpec spec("tour");

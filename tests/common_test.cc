@@ -341,18 +341,6 @@ TEST(Rng, GammaCvZeroIsDeterministic)
   EXPECT_DOUBLE_EQ(rng.GammaInterarrival(25.0, 0.0), 25.0);
 }
 
-TEST(Rng, ForkedStreamsDiffer)
-{
-  Rng parent(5);
-  Rng a = parent.Fork();
-  Rng b = parent.Fork();
-  bool all_equal = true;
-  for (int i = 0; i < 16; ++i) {
-    if (a.Uniform() != b.Uniform()) all_equal = false;
-  }
-  EXPECT_FALSE(all_equal);
-}
-
 TEST(Rng, UniformIntBounds)
 {
   Rng rng(9);

@@ -14,11 +14,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "common/random.h"
-#include "core/system.h"
 #include "experiment/experiment_spec.h"
 
 namespace dilu {
@@ -72,9 +73,9 @@ RandomSpec(Rng& rng)
     spec.cluster().gpus_per_node = static_cast<int>(rng.UniformInt(1, 8));
   }
   if (rng.UniformInt(0, 2) == 0) {
-    const char* presets[] = {"dilu",  "exclusive", "mps-l",     "mps-r",
-                             "tgs",   "fastgs",    "infless-l", "infless-r"};
-    spec.cluster().preset = presets[rng.UniformInt(0, 7)];
+    const auto preset = static_cast<std::size_t>(
+        rng.UniformInt(0, std::size(cluster::kPresets) - 1));
+    spec.cluster().preset = cluster::kPresets[preset].name;
   }
   if (rng.UniformInt(0, 2) == 0) {
     const char* schedulers[] = {"dilu", "exclusive", "static"};
@@ -237,7 +238,7 @@ RandomSpec(Rng& rng)
   // task type they require, fabric ones only run with a fabric line,
   // and GPU / node targets lie inside the generated fleet.
   const cluster::ClusterConfig fleet =
-      experiment::BuildSystemConfig(spec.cluster(), spec.fabric()).cluster;
+      experiment::BuildClusterConfig(spec.cluster(), spec.fabric());
   const auto pick = [&rng](const std::vector<int>& fns) {
     return fns[static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(fns.size()) - 1))];

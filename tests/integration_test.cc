@@ -4,45 +4,61 @@
  */
 #include <gtest/gtest.h>
 
-#include "core/system.h"
+#include "experiment/experiment.h"
 #include "models/cost_model.h"
 #include "workload/azure_traces.h"
 
 namespace dilu {
 namespace {
 
+using cluster::ClusterRuntime;
+using cluster::PresetConfig;
 using core::FunctionSpec;
-using core::System;
-using core::SystemConfig;
+using experiment::CollectFunctionResult;
+
+/** The first arrival stream's seed; the k-th gets kStreamSeed + k. */
+constexpr std::uint64_t kStreamSeed = 0x57F00D;
+
+FunctionId
+DeployInference(ClusterRuntime& rt, const std::string& model)
+{
+  FunctionSpec spec;
+  spec.model = model;
+  return rt.Deploy(spec);
+}
+
+FunctionId
+DeployBertTraining(ClusterRuntime& rt)
+{
+  FunctionSpec spec;
+  spec.model = "bert-base";
+  spec.type = TaskType::kTraining;
+  return rt.Deploy(spec);
+}
 
 /** Collocate RoBERTa inference with BERT training on one GPU. */
 struct CollocationResult {
-  core::InferenceReport inference;
+  experiment::FunctionResult inference;
   double training_tput = 0.0;
 };
 
 CollocationResult RunCollocation(const std::string& preset, double rps,
                                  TimeUs duration = Sec(60))
 {
-  System system(SystemConfig::Preset(preset));
-  FunctionSpec ts;
-  ts.model = "bert-base";
-  ts.type = TaskType::kTraining;
-  ts.workers = 1;
-  const FunctionId train = system.Deploy(ts);
-  const FunctionId inf = system.DeployInference("roberta-large");
-  if (preset == "exclusive") {
-    EXPECT_TRUE(system.StartTrainingOn(train, {0}));
-    system.ProvisionOn(inf, {1});
-  } else {
-    EXPECT_TRUE(system.StartTrainingOn(train, {0}));
-    system.ProvisionOn(inf, {0});  // collocated on the same GPU
-  }
-  system.DrivePoisson(inf, rps, duration);
-  system.RunFor(duration + Sec(2));
+  ClusterRuntime rt(PresetConfig(preset));
+  const FunctionId train = DeployBertTraining(rt);
+  const FunctionId inf = DeployInference(rt, "roberta-large");
+  EXPECT_TRUE(rt.StartTrainingOn(train, {0}, /*cold=*/false));
+  // Collocated on the same GPU, except under Exclusive.
+  rt.LaunchInferenceOn(inf, {preset == "exclusive" ? 1 : 0},
+                       /*cold=*/false);
+  rt.AttachArrivals(
+      inf, std::make_unique<workload::PoissonArrivals>(rps, Rng(kStreamSeed)),
+      duration);
+  rt.RunFor(duration + Sec(2));
   CollocationResult r;
-  r.inference = system.MakeInferenceReport(inf);
-  r.training_tput = system.runtime().TrainingThroughputUnits(train);
+  r.inference = CollectFunctionResult(rt, inf);
+  r.training_tput = rt.TrainingThroughputUnits(train);
   return r;
 }
 
@@ -90,18 +106,17 @@ TEST(Integration, GammaCvDegradesStaticButNotDilu)
   // Fig 10: as CV grows, static MPS p95 blows up while Dilu's fast
   // scale-up keeps the inflation bounded.
   auto run = [](const std::string& preset, double cv) {
-    System system(SystemConfig::Preset(preset));
-    FunctionSpec ts;
-    ts.model = "bert-base";
-    ts.type = TaskType::kTraining;
-    ts.workers = 1;
-    const FunctionId train = system.Deploy(ts);
-    const FunctionId inf = system.DeployInference("roberta-large");
-    EXPECT_TRUE(system.StartTrainingOn(train, {0}));
-    system.ProvisionOn(inf, {0});
-    system.DriveGamma(inf, 40.0, cv, Sec(60));
-    system.RunFor(Sec(62));
-    return system.MakeInferenceReport(inf).p95_ms;
+    ClusterRuntime rt(PresetConfig(preset));
+    const FunctionId train = DeployBertTraining(rt);
+    const FunctionId inf = DeployInference(rt, "roberta-large");
+    EXPECT_TRUE(rt.StartTrainingOn(train, {0}, /*cold=*/false));
+    rt.LaunchInferenceOn(inf, {0}, /*cold=*/false);
+    rt.AttachArrivals(inf,
+                      std::make_unique<workload::GammaArrivals>(
+                          40.0, cv, Rng(kStreamSeed)),
+                      Sec(60));
+    rt.RunFor(Sec(62));
+    return CollectFunctionResult(rt, inf).p95_ms;
   };
   const double dilu_low = run("dilu", 0.5);
   const double dilu_high = run("dilu", 5.0);
@@ -118,17 +133,20 @@ TEST(Integration, BurstyTraceFewColdStartsWithLazyScaling)
   // Table 3 mechanism: lazy scaling rides out short bursts with
   // vertical headroom; eager scaling cold-starts repeatedly.
   auto run = [](const std::string& policy) {
-    System system;
-    const FunctionId fn = system.DeployInference("roberta-large");
-    system.Provision(fn, 1);
-    system.EnableCoScaling(fn, policy);
+    ClusterRuntime rt(cluster::ClusterConfig{});
+    const FunctionId fn = DeployInference(rt, "roberta-large");
+    rt.LaunchInference(fn, /*cold=*/false);
+    rt.EnableAutoscaler(fn, scaling::MakeHorizontalPolicy(policy));
     workload::BurstySpec spec;
     spec.duration_s = 300;
     spec.base_rps = 60.0;
     spec.burst_scale = 6.0;
-    system.DriveEnvelope(fn, workload::BuildBurstyTrace(spec), Sec(300));
-    system.RunFor(Sec(305));
-    return system.MakeInferenceReport(fn);
+    rt.AttachArrivals(fn,
+                      std::make_unique<workload::EnvelopeArrivals>(
+                          workload::BuildBurstyTrace(spec), Rng(kStreamSeed)),
+                      Sec(300));
+    rt.RunFor(Sec(305));
+    return CollectFunctionResult(rt, fn);
   };
   const auto lazy = run("dilu-lazy");
   const auto eager = run("eager");
@@ -139,18 +157,18 @@ TEST(Integration, BurstyTraceFewColdStartsWithLazyScaling)
 TEST(Integration, LlmSpansFragmentedGpus)
 {
   // LLaMA2-7B deployed over 4 fragmented GPUs (Fig 7 setup).
-  System system;
+  ClusterRuntime rt(cluster::ClusterConfig{});
   FunctionSpec spec;
   spec.model = "llama2-7b";
-  spec.type = TaskType::kInference;
   spec.shards = 4;
-  const FunctionId fn = system.Deploy(spec);
-  system.Provision(fn, 1);
-  system.DrivePoisson(fn, 3.0, Sec(30));
-  system.RunFor(Sec(32));
-  const auto r = system.MakeInferenceReport(fn);
-  EXPECT_GT(r.completed, 50);
-  EXPECT_EQ(system.runtime().state().ActiveGpuCount(), 4);
+  const FunctionId fn = rt.Deploy(spec);
+  rt.LaunchInference(fn, /*cold=*/false);
+  rt.AttachArrivals(
+      fn, std::make_unique<workload::PoissonArrivals>(3.0, Rng(kStreamSeed)),
+      Sec(30));
+  rt.RunFor(Sec(32));
+  EXPECT_GT(CollectFunctionResult(rt, fn).completed, 50);
+  EXPECT_EQ(rt.state().ActiveGpuCount(), 4);
 }
 
 TEST(Integration, SchedulerDefragmentsVersusExclusive)
@@ -158,15 +176,14 @@ TEST(Integration, SchedulerDefragmentsVersusExclusive)
   // Equation 1: Dilu minimizes occupied GPUs; exclusive burns one per
   // instance.
   auto gpus_used = [](const std::string& preset) {
-    core::SystemConfig cfg = SystemConfig::Preset(preset);
-    cfg.cluster.nodes = 3;
-    System system(cfg);
+    cluster::ClusterConfig cfg = PresetConfig(preset);
+    cfg.nodes = 3;
+    ClusterRuntime rt(cfg);
     for (const char* m : {"bert-base", "roberta-large", "resnet152",
                           "vgg19"}) {
-      const FunctionId fn = system.DeployInference(m);
-      system.Provision(fn, 1);
+      rt.LaunchInference(DeployInference(rt, m), /*cold=*/false);
     }
-    return system.runtime().state().ActiveGpuCount();
+    return rt.state().ActiveGpuCount();
   };
   const int dilu = gpus_used("dilu");
   const int exclusive = gpus_used("exclusive");

@@ -220,8 +220,8 @@ TEST(LintRules, SeedZeroSentinelScopedByExceptionList)
   EXPECT_TRUE(
       Lint("bad_seed_zero.cc", "src/experiment/experiment.cc").empty());
   EXPECT_TRUE(Lint("bad_seed_zero.cc", "tools/dilu_run.cc").empty());
-  // bench_harness.cc left the exception list when its `--seed 0`
-  // sentinel became the explicit --legacy-seeds flag:
+  // bench_harness.cc left the exception list when it dropped its
+  // `--seed 0` sentinel (no --seed now means the historical seeds):
   EXPECT_EQ(RuleLines(Lint("bad_seed_zero.cc", "bench/bench_harness.cc")),
             (std::set<P>{{"seed-zero", 6}, {"seed-zero", 7}}));
 }

@@ -6,16 +6,28 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <string>
 #include <tuple>
 
-#include "core/system.h"
+#include "experiment/experiment.h"
 #include "models/cost_model.h"
 #include "rckm/token_manager.h"
 #include "scheduler/scheduler.h"
 
 namespace dilu {
 namespace {
+
+/** Seed of the first arrival stream a test attaches. */
+constexpr std::uint64_t kStreamSeed = 0x57F00D;
+
+FunctionId
+DeployInference(cluster::ClusterRuntime& rt, const char* model)
+{
+  core::FunctionSpec spec;
+  spec.model = model;
+  return rt.Deploy(spec);
+}
 
 /** Invariant: arbiter grants never exceed device capacity. */
 class CapacityInvariantTest
@@ -24,25 +36,26 @@ class CapacityInvariantTest
 TEST_P(CapacityInvariantTest, GrantsSumWithinCapacity)
 {
   const auto [preset, rps] = GetParam();
-  core::System system(core::SystemConfig::Preset(preset));
+  cluster::ClusterRuntime rt(cluster::PresetConfig(preset));
   core::FunctionSpec ts;
   ts.model = "bert-base";
   ts.type = TaskType::kTraining;
-  ts.workers = 1;
-  const FunctionId train = system.Deploy(ts);
-  const FunctionId inf = system.DeployInference("roberta-large");
-  ASSERT_TRUE(system.StartTrainingOn(train, {0}));
-  system.ProvisionOn(inf, {0});
-  system.DrivePoisson(inf, rps, Sec(20));
+  const FunctionId train = rt.Deploy(ts);
+  const FunctionId inf = DeployInference(rt, "roberta-large");
+  ASSERT_TRUE(rt.StartTrainingOn(train, {0}, /*cold=*/false));
+  rt.LaunchInferenceOn(inf, {0}, /*cold=*/false);
+  rt.AttachArrivals(
+      inf, std::make_unique<workload::PoissonArrivals>(rps, Rng(kStreamSeed)),
+      Sec(20));
 
   double max_total = 0.0;
-  system.runtime().simulation().SchedulePeriodic(Ms(7), Ms(7), [&] {
-    const auto& gpu = system.runtime().gpus().gpu(0);
+  rt.simulation().SchedulePeriodic(Ms(7), Ms(7), [&] {
+    const auto& gpu = rt.gpus().gpu(0);
     double total = 0.0;
     for (const auto& a : gpu.attachments()) total += a.granted;
     max_total = std::max(max_total, total);
   });
-  system.RunFor(Sec(22));
+  rt.RunFor(Sec(22));
   EXPECT_LE(max_total, 1.0 + 1e-6) << preset << " rps=" << rps;
 }
 
@@ -154,24 +167,29 @@ class ConservationTest
 TEST_P(ConservationTest, RequestsConserved)
 {
   const auto [preset, rps] = GetParam();
-  core::System system(core::SystemConfig::Preset(preset));
-  const FunctionId fn = system.DeployInference("bert-base");
-  system.Provision(fn, 2);
-  if (preset == "dilu") system.EnableCoScaling(fn);
-  system.DrivePoisson(fn, rps, Sec(20));
+  cluster::ClusterRuntime rt(cluster::PresetConfig(preset));
+  const FunctionId fn = DeployInference(rt, "bert-base");
+  rt.LaunchInference(fn, /*cold=*/false);
+  rt.LaunchInference(fn, /*cold=*/false);
+  if (preset == "dilu") {
+    rt.EnableAutoscaler(fn, scaling::MakeHorizontalPolicy("dilu-lazy"));
+  }
+  rt.AttachArrivals(
+      fn, std::make_unique<workload::PoissonArrivals>(rps, Rng(kStreamSeed)),
+      Sec(20));
   // Count completions independently of the metrics hub.
   std::int64_t completions = 0;
   TimeUs min_latency = Sec(1000);
-  for (auto* inst : system.runtime().gateway().instances(fn)) {
+  for (auto* inst : rt.gateway().instances(fn)) {
     inst->set_request_sink([&](const workload::Request& r) {
       ++completions;
       min_latency = std::min(min_latency, r.Latency());
-      system.runtime().metrics().RecordRequest(fn, r);
+      rt.metrics().RecordRequest(fn, r);
     });
   }
   // Drain: run past the workload end so queues empty.
-  system.RunFor(Sec(30));
-  const auto report = system.MakeInferenceReport(fn);
+  rt.RunFor(Sec(30));
+  const auto report = experiment::CollectFunctionResult(rt, fn);
   EXPECT_EQ(report.completed, completions);
   EXPECT_GT(completions, static_cast<std::int64_t>(rps * 20 * 0.8));
   EXPECT_GE(min_latency, 0);
@@ -186,12 +204,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Determinism, EndToEndRepeatable)
 {
   auto run = [] {
-    core::System system;
-    const FunctionId fn = system.DeployInference("bert-base");
-    system.Provision(fn, 2);
-    system.DriveGamma(fn, 60.0, 3.0, Sec(30));
-    system.RunFor(Sec(32));
-    const auto r = system.MakeInferenceReport(fn);
+    cluster::ClusterRuntime rt(cluster::ClusterConfig{});
+    const FunctionId fn = DeployInference(rt, "bert-base");
+    rt.LaunchInference(fn, /*cold=*/false);
+    rt.LaunchInference(fn, /*cold=*/false);
+    rt.AttachArrivals(fn,
+                      std::make_unique<workload::GammaArrivals>(
+                          60.0, 3.0, Rng(kStreamSeed)),
+                      Sec(30));
+    rt.RunFor(Sec(32));
+    const auto r = experiment::CollectFunctionResult(rt, fn);
     return std::make_tuple(r.completed, r.p95_ms, r.svr_percent);
   };
   EXPECT_EQ(run(), run());

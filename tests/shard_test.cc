@@ -63,8 +63,8 @@ using experiment::SplitIntoShards;
 int
 FleetNodes(const ExperimentSpec& spec)
 {
-  return experiment::BuildSystemConfig(spec.cluster(), spec.fabric())
-      .cluster.nodes;
+  return experiment::BuildClusterConfig(spec.cluster(), spec.fabric())
+      .nodes;
 }
 
 // --- SplitIntoShards: the partition as data ----------------------------

@@ -236,20 +236,46 @@ TEST(SpecParams, WorkloadPathsRespectArrivalKindApplicability)
 
 TEST(SpecParams, ChaosIntensityScalesLoadPressureOnly)
 {
+  // One event of every verb, in FaultKind order.
   ExperimentSpec spec = TinyBase();
   spec.chaos()
+      .FailGpu(Sec(1), 0)
+      .RecoverGpu(Sec(2), 0)
+      .FailNode(Sec(1), 1)
+      .RecoverNode(Sec(2), 1)
+      .DrainNode(Sec(1), 0)
+      .UndrainNode(Sec(2), 0)
+      .DegradeGpu(Sec(1), 1, 0.6)
+      .StraggleGpu(Sec(1), 2, 2.5)
+      .CheckpointEvery(Sec(1), 0, Sec(5))
+      .InflateColdStarts(Sec(1), 2.5, Sec(2))
       .Surge(Sec(1), 0, 40.0, Sec(2))
       .Overload(Sec(1), 0, 4.0, Sec(2))
-      .InflateColdStarts(Sec(1), 2.5, Sec(2))
-      .FailNode(Sec(2), 1);
+      .ThrottleAdmit(Sec(1), 0, 50.0, Sec(2))
+      .FailLink(Sec(1), 0, Sec(2))
+      .StorageBrownout(Sec(1), 3.0, Sec(2));
+  const std::vector<chaos::ScenarioEvent> before = spec.chaos().events();
   std::string error;
   ASSERT_TRUE(ApplyParam(&spec, "chaos.intensity", "2", &error)) << error;
+  // Surge's extra rps scales linearly; the factors of inflation,
+  // overload and brownout scale in excess over one (1 + (f - 1) * 2);
+  // every other verb keeps its magnitude.
+  const std::map<chaos::FaultKind, double> scaled = {
+      {chaos::FaultKind::kColdStartInflation, 4.0},
+      {chaos::FaultKind::kTrafficSurge, 80.0},
+      {chaos::FaultKind::kOverload, 7.0},
+      {chaos::FaultKind::kStorageBrownout, 5.0},
+  };
   const auto& events = spec.chaos().events();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_DOUBLE_EQ(events[0].magnitude, 80.0);  // surge: extra-rps x2
-  EXPECT_DOUBLE_EQ(events[1].magnitude, 7.0);   // overload: 1+(4-1)*2
-  EXPECT_DOUBLE_EQ(events[2].magnitude, 4.0);   // inflation: 1+(2.5-1)*2
-  EXPECT_EQ(events[3].kind, chaos::FaultKind::kNodeFail);  // untouched
+  ASSERT_EQ(events.size(),
+            static_cast<std::size_t>(chaos::FaultKind::kStorageBrownout) + 1);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(static_cast<std::size_t>(events[i].kind), i);
+    const auto it = scaled.find(events[i].kind);
+    EXPECT_DOUBLE_EQ(events[i].magnitude,
+                     it == scaled.end() ? before[i].magnitude : it->second)
+        << chaos::ToString(events[i].kind);
+  }
 
   // Intensity 1 is the identity.
   ExperimentSpec one = TinyBase();

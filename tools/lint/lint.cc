@@ -61,8 +61,8 @@ const char* kGetenvExceptions[] = {"tests/trace_golden_test.cc",
 
 // Files where `seed == 0` sentinel logic is sanctioned and documented
 // (docs/STATIC_ANALYSIS.md "seed 0 semantics"). bench/bench_harness.cc
-// left the list when its `--seed 0` sentinel became an explicit
-// --legacy-seeds flag.
+// left the list when it dropped its `--seed 0` sentinel: without
+// --seed it uses its historical per-suite seeds.
 const char* kSeedZeroExceptions[] = {
     "src/experiment/experiment.cc",
     "tools/dilu_run.cc",
