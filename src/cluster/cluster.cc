@@ -1,6 +1,7 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
 
 #include "baselines/arbiters.h"
@@ -28,45 +29,61 @@ constexpr int kRecoveryBackoffMaxShift = 5;
  */
 constexpr double kCheckpointStateFactor = 3.0;
 
-gpusim::ArbiterFactory
-MakeArbiterFactory(const ClusterConfig& config)
+enum class Sharing { kDilu, kStatic, kTgs, kFastGs };
+enum class SchedulerKind { kDilu, kExclusive, kStatic };
+
+/**
+ * The policy `name` names: its position among `names`, which list the
+ * enum's values in order. Fatal ("unknown <what>: <name>") otherwise.
+ */
+template <typename Kind>
+Kind
+Resolve(const std::string& name, std::initializer_list<const char*> names,
+        const char* what)
 {
-  const std::string& kind = config.sharing;
-  if (kind == "dilu") {
-    rckm::TokenManagerConfig tokens = config.tokens;
-    return [tokens](GpuId) {
-      return std::make_unique<rckm::DiluArbiter>(tokens);
-    };
+  int i = 0;
+  for (const char* n : names) {
+    if (name == n) return static_cast<Kind>(i);
+    ++i;
   }
-  if (kind == "static") {
-    return [](GpuId) { return std::make_unique<gpusim::StaticArbiter>(); };
+  Fatal(std::string("unknown ") + what + ": " + name);
+}
+
+gpusim::ArbiterFactory
+MakeArbiterFactory(Sharing sharing, const rckm::TokenManagerConfig& tokens)
+{
+  switch (sharing) {
+    case Sharing::kDilu:
+      return [tokens](GpuId) {
+        return std::make_unique<rckm::DiluArbiter>(tokens);
+      };
+    case Sharing::kStatic:
+      return [](GpuId) { return std::make_unique<gpusim::StaticArbiter>(); };
+    case Sharing::kTgs:
+      return [](GpuId) { return std::make_unique<baselines::TgsArbiter>(); };
+    case Sharing::kFastGs:
+      break;
   }
-  if (kind == "tgs") {
-    return [](GpuId) { return std::make_unique<baselines::TgsArbiter>(); };
-  }
-  if (kind == "fastgs") {
-    return [](GpuId) {
-      return std::make_unique<baselines::FastGsArbiter>();
-    };
-  }
-  Fatal("unknown sharing mode: " + kind);
+  return [](GpuId) { return std::make_unique<baselines::FastGsArbiter>(); };
 }
 
 std::unique_ptr<scheduler::Scheduler>
-MakeScheduler(const ClusterConfig& config)
+MakeScheduler(SchedulerKind kind, const ClusterConfig& config)
 {
-  if (config.scheduler == "dilu") {
-    return std::make_unique<scheduler::DiluScheduler>(config.sched);
+  switch (kind) {
+    case SchedulerKind::kDilu:
+      return std::make_unique<scheduler::DiluScheduler>(config.sched);
+    case SchedulerKind::kExclusive:
+      return std::make_unique<scheduler::ExclusiveScheduler>();
+    case SchedulerKind::kStatic:
+      break;
   }
-  if (config.scheduler == "exclusive") {
-    return std::make_unique<scheduler::ExclusiveScheduler>();
-  }
-  if (config.scheduler == "static") {
-    return std::make_unique<scheduler::StaticQuotaScheduler>(
-        "static-" + config.quota_mode);
-  }
-  Fatal("unknown scheduler mode: " + config.scheduler);
+  return std::make_unique<scheduler::StaticQuotaScheduler>(
+      "static-" + config.quota_mode);
 }
+
+/** Hold ids of placed-but-not-started training workers (negative). */
+constexpr InstanceId kHoldId = -1000;
 
 }  // namespace
 
@@ -95,8 +112,16 @@ PresetConfig(std::string_view name)
 ClusterRuntime::ClusterRuntime(ClusterConfig config)
     : config_(std::move(config)), rng_(config_.seed)
 {
-  if (config_.recovery != "joint" && config_.recovery != "greedy") {
-    Fatal("unknown recovery mode: " + config_.recovery);
+  const auto sharing = Resolve<Sharing>(
+      config_.sharing, {"dilu", "static", "tgs", "fastgs"}, "sharing mode");
+  const auto scheduler = Resolve<SchedulerKind>(
+      config_.scheduler, {"dilu", "exclusive", "static"}, "scheduler mode");
+  quota_mode_ = Resolve<QuotaMode>(
+      config_.quota_mode, {"dilu", "limit", "request", "full"}, "quota mode");
+  joint_recovery_ = Resolve<int>(config_.recovery, {"joint", "greedy"},
+                                 "recovery mode") == 0;
+  if (sharing == Sharing::kFastGs) {
+    inference_overhead_ = config_.fastgs_overhead;
   }
   DILU_CHECK(config_.recovery_retry > 0);
   if (config_.fabric.enabled) {
@@ -107,8 +132,8 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
         config_.seed * 0x9E3779B97F4A7C15ull + 0xFABull);
   }
   gpu_group_ = std::make_unique<gpusim::GpuGroup>(
-      &sim_, MakeArbiterFactory(config_));
-  scheduler_ = MakeScheduler(config_);
+      &sim_, MakeArbiterFactory(sharing, config_.tokens));
+  scheduler_ = MakeScheduler(scheduler, config_);
   gateway_.set_metrics(&metrics_);
   gateway_.Bind(&sim_, config_.seed);
   // A dropped request is a closed-loop client's completion signal too:
@@ -200,84 +225,202 @@ ClusterRuntime::Deploy(const core::FunctionSpec& spec)
 SmQuota
 ClusterRuntime::QuotaForMode(const SmQuota& profiled) const
 {
-  if (config_.quota_mode == "dilu") return profiled;
-  if (config_.quota_mode == "limit") {
-    return {profiled.limit, profiled.limit};
+  switch (quota_mode_) {
+    case QuotaMode::kLimit: return {profiled.limit, profiled.limit};
+    case QuotaMode::kRequest: return {profiled.request, profiled.request};
+    case QuotaMode::kFull: return {1.0, 1.0};
+    case QuotaMode::kDilu: break;
   }
-  if (config_.quota_mode == "request") {
-    return {profiled.request, profiled.request};
-  }
-  if (config_.quota_mode == "full") return {1.0, 1.0};
-  Fatal("unknown quota mode: " + config_.quota_mode);
+  return profiled;
 }
 
-SmRate
-ClusterRuntime::StaticShareForMode(const SmQuota& profiled) const
-{
-  return QuotaForMode(profiled).limit;
-}
-
-scheduler::PlacementRequest
-ClusterRuntime::MakePlacement(const DeployedFunction& f,
-                              const SmQuota& shard_quota, double shard_mem,
-                              int shards) const
+bool
+ClusterRuntime::Place(const DeployedFunction& f, const SmQuota& quota,
+                      double mem_gb, int shards, int units,
+                      std::vector<GpuId>* gpus)
 {
   scheduler::PlacementRequest req;
   req.function = f.id;
   req.type = f.spec.type;
-  req.quota = shard_quota;
-  req.mem_gb = shard_mem;
+  req.quota = quota;
+  req.mem_gb = mem_gb;
   req.gpus_needed = shards;
   req.large_model = f.model->family == models::ModelFamily::kLlm;
   req.affinity = f.spec.affinity;
   req.affinity.push_back(f.id);  // instances of the same function
-  return req;
+  // Each training worker's hold lets the next placement see it
+  // (workload affinity builds up); Launch commits the real instances.
+  const bool hold = f.spec.type == TaskType::kTraining;
+  int placed = 0;
+  for (; placed < units; ++placed) {
+    const auto placement = scheduler_->Place(req, state_);
+    if (!placement.ok) {
+      DILU_WARN << "placement failed for function " << f.id;
+      break;
+    }
+    gpus->insert(gpus->end(), placement.gpus.begin(), placement.gpus.end());
+    if (hold) {
+      state_.Commit(kHoldId - placed, f.id,
+                    {{placement.gpus[0], quota, mem_gb}});
+    }
+  }
+  // Release every hold, also after a failure: a later attempt re-commits
+  // the same hold ids.
+  if (hold) {
+    for (int h = 0; h < placed; ++h) state_.Release(kHoldId - h);
+  }
+  return placed == units;
 }
 
 void
 ClusterRuntime::AttachShards(runtime::Instance* inst,
                              const DeployedFunction& f,
-                             const std::vector<GpuId>& gpus,
-                             const SmQuota& shard_quota,
-                             SmRate shard_static, double shard_mem,
-                             int priority)
+                             const std::vector<GpuId>& gpus, int first,
+                             int shards, const SmQuota& quota,
+                             double mem_gb, int priority)
 {
   std::vector<scheduler::ShardCommit> commits;
-  for (std::size_t slot = 0; slot < gpus.size(); ++slot) {
+  for (int slot = 0; slot < shards; ++slot) {
+    const GpuId gpu = gpus[static_cast<std::size_t>(first + slot)];
     gpusim::Attachment att;
     att.client = inst;
     att.id = inst->client_id();
-    att.slot = static_cast<int>(slot);
+    att.slot = slot;
     att.type = f.spec.type;
-    att.quota = shard_quota;
-    att.static_share = shard_static;
-    att.memory_gb = shard_mem;
+    att.quota = quota;
+    att.static_share = quota.limit;
+    att.memory_gb = mem_gb;
     att.priority = priority;
-    gpu_group_->Attach(gpus[slot], att);
-    commits.push_back({gpus[slot], shard_quota, shard_mem});
+    gpu_group_->Attach(gpu, att);
+    commits.push_back({gpu, quota, mem_gb});
   }
   state_.Commit(inst->client_id(), f.id, commits);
   max_active_gpus_ = std::max(max_active_gpus_, state_.ActiveGpuCount());
 }
 
+void
+ClusterRuntime::NewJob(DeployedFunction& f, const std::vector<GpuId>& gpus)
+{
+  const FunctionId fn = f.id;
+  f.job = std::make_unique<runtime::TrainingJob>(
+      fn, f.model, std::max(1, f.spec.workers), &sim_,
+      f.spec.target_iterations, f.resume_iterations);
+  if (f.spec.checkpoint_every > 0) {
+    f.job->set_checkpoint_policy(
+        {f.spec.checkpoint_every, f.spec.checkpoint_save_cost});
+  }
+  f.job->set_on_checkpoint([this, fn](TimeUs pause) {
+    metrics_.RecordCheckpoint(fn, pause);
+  });
+  f.job->set_on_finished([this, fn] {
+    DeployedFunction& fd = function(fn);
+    fd.job_completed_at = sim_.now();
+    // The checkpoint baseline is consumed: a later fresh StartTraining
+    // of this function must begin at iteration zero, not resume here.
+    fd.resume_iterations = 0;
+    for (InstanceId id : fd.live_instances) ReleaseInstance(id);
+    fd.live_instances.clear();
+  });
+  WireJobFabric(f, gpus);
+}
+
+InstanceId
+ClusterRuntime::Launch(FunctionId fn, Start start, std::vector<GpuId>* gpus)
+{
+  DeployedFunction& f = function(fn);
+  const bool training = f.spec.type == TaskType::kTraining;
+  const int units = training ? std::max(1, f.spec.workers) : 1;
+  const int shards = training ? 1
+      : gpus->empty() ? std::max(1, f.spec.shards)
+                      : static_cast<int>(gpus->size());
+  const SmQuota mode = QuotaForMode(f.spec.quota);
+  const SmQuota quota{mode.request / shards, mode.limit / shards};
+  const double mem_gb = (training ? f.model->mem_gb_training
+                                  : f.model->mem_gb_inference)
+      / shards;
+  if (gpus->empty() && !Place(f, quota, mem_gb, shards, units, gpus)) {
+    return kInvalidInstance;
+  }
+  DILU_CHECK(static_cast<int>(gpus->size()) == units * shards);
+  if (training) NewJob(f, *gpus);
+
+  TimeUs cold = 0;
+  if (start != Start::kWarm) {
+    // Training workers always pay the full image pull (no warm cache).
+    const bool cached = config_.warm_starts && !training;
+    const TimeUs base = fabric_
+        ? FabricColdStart(*f.model, NodeOfGpu((*gpus)[0]), cached)
+        : (cached ? config_.coldstart.WarmDuration(*f.model)
+                  : config_.coldstart.Duration(*f.model));
+    cold = ScaledColdStart(base);
+  }
+  // Reserved GPU time: static modes hold their static partition; Dilu
+  // only guarantees (and bills) the request quota.
+  const double gpu_time_rate = quota_mode_ == QuotaMode::kDilu
+      ? mode.request
+      : quota.limit * shards;
+  const int priority = f.spec.priority >= 0 ? f.spec.priority
+                                            : (training ? 0 : 1);
+
+  InstanceId first = kInvalidInstance;
+  for (int u = 0; u < units; ++u) {
+    const InstanceId id = NextInstanceId();
+    std::unique_ptr<runtime::Instance> inst;
+    if (training) {
+      inst = f.job->MakeWorker(id, u);
+    } else {
+      auto inference = std::make_unique<runtime::InferenceInstance>(
+          id, fn, f.model, f.spec.ibs, &sim_, inference_overhead_);
+      inference->set_shard_count(shards);
+      inference->set_request_sink([this, fn](const workload::Request& r) {
+        gateway_.OnRequestFinished(fn);
+        metrics_.RecordRequest(fn, r);
+        // Read before pruning: `r` lives in requests_, and the prune
+        // below frees finished records — including, in the common FIFO
+        // case, the one `r` refers to.
+        const bool closed_loop = r.closed_loop;
+        // The metrics hub has consumed the request; reclaim finished
+        // records so week-long traces don't hold every request alive.
+        PruneCompletedRequests();
+        // A closed-loop client's completion continues its loop;
+        // open-loop completions on the same function do not.
+        if (closed_loop) ScheduleClosedLoopIssue(fn);
+      });
+      inst = std::move(inference);
+    }
+    inst->set_quota(quota);
+    AttachShards(inst.get(), f, *gpus, u * shards, shards, quota, mem_gb,
+                 priority);
+    if (!training) {
+      gateway_.AddInstance(
+          fn, static_cast<runtime::InferenceInstance*>(inst.get()));
+    }
+    inst->BeginColdStart(cold);
+    if (start == Start::kRecovery) {
+      metrics_.RecordRecoveryColdStart(fn);
+    } else if (start == Start::kDemand) {
+      metrics_.RecordColdStart(fn);
+    }
+    InstanceRecord& rec = instances_[id];
+    rec.instance = std::move(inst);
+    rec.function = fn;
+    rec.launched_at = sim_.now();
+    rec.gpu_time_rate = gpu_time_rate;
+    f.live_instances.push_back(id);
+    if (u == 0) first = id;
+  }
+  if (start == Start::kRecovery && !training && f.policy) {
+    f.policy->OnRecoveryLaunch();
+  }
+  return first;
+}
+
 InstanceId
 ClusterRuntime::LaunchInference(FunctionId fn, bool cold)
 {
-  DeployedFunction& f = function(fn);
-  DILU_CHECK(f.spec.type == TaskType::kInference);
-  const int shards = std::max(1, f.spec.shards);
-  const SmQuota mode_quota = QuotaForMode(f.spec.quota);
-  const SmQuota shard_quota{mode_quota.request / shards,
-                            mode_quota.limit / shards};
-  const double shard_mem = f.model->mem_gb_inference / shards;
-  const auto placement =
-      scheduler_->Place(MakePlacement(f, shard_quota, shard_mem, shards),
-                        state_);
-  if (!placement.ok) {
-    DILU_WARN << "placement failed for function " << fn;
-    return kInvalidInstance;
-  }
-  return LaunchInferenceOn(fn, placement.gpus, cold);
+  DILU_CHECK(function(fn).spec.type == TaskType::kInference);
+  std::vector<GpuId> gpus;
+  return Launch(fn, cold ? Start::kDemand : Start::kWarm, &gpus);
 }
 
 InstanceId
@@ -285,72 +428,30 @@ ClusterRuntime::LaunchInferenceOn(FunctionId fn,
                                   const std::vector<GpuId>& gpus,
                                   bool cold)
 {
-  DeployedFunction& f = function(fn);
-  DILU_CHECK(f.spec.type == TaskType::kInference);
-  const int shards = static_cast<int>(gpus.size());
-  const SmQuota mode_quota = QuotaForMode(f.spec.quota);
-  const SmQuota shard_quota{mode_quota.request / shards,
-                            mode_quota.limit / shards};
-  const SmRate shard_static = StaticShareForMode(f.spec.quota) / shards;
-  const double shard_mem = f.model->mem_gb_inference / shards;
+  DILU_CHECK(function(fn).spec.type == TaskType::kInference);
+  DILU_CHECK(!gpus.empty());
+  std::vector<GpuId> on = gpus;
+  return Launch(fn, cold ? Start::kDemand : Start::kWarm, &on);
+}
 
-  const InstanceId id = NextInstanceId();
-  TimeUs cold_duration = 0;
-  if (cold) {
-    const TimeUs base = fabric_
-        ? FabricColdStart(*f.model, NodeOfGpu(gpus[0]), config_.warm_starts)
-        : (config_.warm_starts ? config_.coldstart.WarmDuration(*f.model)
-                               : config_.coldstart.Duration(*f.model));
-    cold_duration = ScaledColdStart(base);
-  }
-  const TimeUs overhead =
-      config_.sharing == "fastgs" ? config_.fastgs_overhead : 0;
+bool
+ClusterRuntime::StartTraining(FunctionId fn, bool cold)
+{
+  DILU_CHECK(function(fn).spec.type == TaskType::kTraining);
+  std::vector<GpuId> gpus;
+  return Launch(fn, cold ? Start::kDemand : Start::kWarm, &gpus)
+      != kInvalidInstance;
+}
 
-  auto inst = std::make_unique<runtime::InferenceInstance>(
-      id, fn, f.model, f.spec.ibs, &sim_, overhead);
-  inst->set_shard_count(shards);
-  inst->set_quota(shard_quota);
-  inst->set_request_sink([this, fn](const workload::Request& r) {
-    gateway_.OnRequestFinished(fn);
-    metrics_.RecordRequest(fn, r);
-    // Read before pruning: `r` lives in requests_, and the prune below
-    // frees finished records — including, in the common FIFO case, the
-    // one `r` refers to.
-    const bool closed_loop = r.closed_loop;
-    // The metrics hub has consumed the request; reclaim finished
-    // records so week-long traces don't hold every request alive.
-    PruneCompletedRequests();
-    // A closed-loop client's completion continues its loop; open-loop
-    // completions on the same function do not.
-    if (closed_loop) ScheduleClosedLoopIssue(fn);
-  });
-
-  const int inf_priority = f.spec.priority < 0 ? 1 : f.spec.priority;
-  AttachShards(inst.get(), f, gpus, shard_quota, shard_static, shard_mem,
-               inf_priority);
-  gateway_.AddInstance(fn, inst.get());
-  inst->BeginColdStart(cold_duration);
-  if (cold) {
-    if (recovery_launch_) {
-      metrics_.RecordRecoveryColdStart(fn);
-      if (f.policy) f.policy->OnRecoveryLaunch();
-    } else {
-      metrics_.RecordColdStart(fn);
-    }
-  }
-
-  InstanceRecord rec;
-  rec.function = fn;
-  rec.launched_at = sim_.now();
-  // Reserved GPU time: static modes hold their static partition; Dilu
-  // only guarantees (and bills) the request quota.
-  rec.gpu_time_rate = config_.quota_mode == "dilu"
-      ? mode_quota.request
-      : shard_static * shards;
-  rec.instance = std::move(inst);
-  instances_[id] = std::move(rec);
-  f.live_instances.push_back(id);
-  return id;
+bool
+ClusterRuntime::StartTrainingOn(FunctionId fn,
+                                const std::vector<GpuId>& gpus, bool cold)
+{
+  DILU_CHECK(function(fn).spec.type == TaskType::kTraining);
+  DILU_CHECK(!gpus.empty());
+  std::vector<GpuId> on = gpus;
+  return Launch(fn, cold ? Start::kDemand : Start::kWarm, &on)
+      != kInvalidInstance;
 }
 
 bool
@@ -373,129 +474,56 @@ ClusterRuntime::ScaleInOne(FunctionId fn)
     }
   }
   if (victim == kInvalidInstance) return false;
-  gateway_.RemoveInstance(fn, victim);
-  ReleaseInstance(victim);
+  Retire(victim);
+  return true;
+}
+
+void
+ClusterRuntime::Retire(InstanceId id)
+{
+  const InstanceRecord* rec = LiveRecord(id);
+  if (rec == nullptr) return;
+  DeployedFunction& f = function(rec->function);
+  gateway_.RemoveInstance(f.id, id);  // re-homes its queued requests
+  ReleaseInstance(id);                // an in-flight batch flushes
   f.live_instances.erase(std::remove(f.live_instances.begin(),
-                                     f.live_instances.end(), victim),
+                                     f.live_instances.end(), id),
                          f.live_instances.end());
-  return true;
 }
 
-bool
-ClusterRuntime::StartTraining(FunctionId fn, bool cold)
+ClusterRuntime::InstanceRecord*
+ClusterRuntime::LiveRecord(InstanceId id)
 {
-  DeployedFunction& f = function(fn);
-  DILU_CHECK(f.spec.type == TaskType::kTraining);
-  const int workers = std::max(1, f.spec.workers);
-  const SmQuota mode_quota = QuotaForMode(f.spec.quota);
-  const double mem = f.model->mem_gb_training;
-
-  // Place the workers one by one so each placement sees the residency
-  // the previous one committed (workload affinity builds up).
-  std::vector<GpuId> gpus;
-  for (int w = 0; w < workers; ++w) {
-    auto placement =
-        scheduler_->Place(MakePlacement(f, mode_quota, mem, 1), state_);
-    if (!placement.ok) {
-      DILU_WARN << "training placement failed for function " << fn;
-      // Release the holds committed for the earlier workers, or the
-      // next attempt re-commits the same hold ids and panics.
-      for (int h = 0; h < w; ++h) state_.Release(-1000 - h);
-      return false;
-    }
-    gpus.push_back(placement.gpus[0]);
-    // Temporarily commit a hold so the next worker sees it; released
-    // and replaced by the real commit in StartTrainingOn.
-    state_.Commit(-1000 - w, fn, {{placement.gpus[0], mode_quota, mem}});
-  }
-  for (int w = 0; w < workers; ++w) state_.Release(-1000 - w);
-  return StartTrainingOn(fn, gpus, cold);
+  auto it = instances_.find(id);
+  if (it == instances_.end() || it->second.released) return nullptr;
+  return &it->second;
 }
 
-bool
-ClusterRuntime::StartTrainingOn(FunctionId fn,
-                                const std::vector<GpuId>& gpus, bool cold)
+std::vector<InstanceId>
+ClusterRuntime::ResidentInstances(const std::vector<GpuId>& gpus) const
 {
-  DeployedFunction& f = function(fn);
-  DILU_CHECK(f.spec.type == TaskType::kTraining);
-  const int workers = std::max(1, f.spec.workers);
-  DILU_CHECK(static_cast<int>(gpus.size()) == workers);
-  const SmQuota mode_quota = QuotaForMode(f.spec.quota);
-  const SmRate static_share = StaticShareForMode(f.spec.quota);
-  const double mem = f.model->mem_gb_training;
-
-  f.job = std::make_unique<runtime::TrainingJob>(
-      fn, f.model, workers, &sim_, f.spec.target_iterations,
-      f.resume_iterations);
-  if (f.spec.checkpoint_every > 0) {
-    f.job->set_checkpoint_policy(
-        {f.spec.checkpoint_every, f.spec.checkpoint_save_cost});
-  }
-  f.job->set_on_checkpoint([this, fn](TimeUs pause) {
-    metrics_.RecordCheckpoint(fn, pause);
-  });
-  f.job->set_on_finished([this, fn] {
-    DeployedFunction& fd = function(fn);
-    fd.job_completed_at = sim_.now();
-    // The checkpoint baseline is consumed: a later fresh StartTraining
-    // of this function must begin at iteration zero, not resume here.
-    fd.resume_iterations = 0;
-    for (InstanceId id : fd.live_instances) ReleaseInstance(id);
-    fd.live_instances.clear();
-  });
-
-  WireJobFabric(f, gpus);
-
-  TimeUs cold_duration = 0;
-  if (cold) {
-    // Training workers always pay the full image pull (no warm cache).
-    const TimeUs base = fabric_
-        ? FabricColdStart(*f.model, NodeOfGpu(gpus[0]), /*warm=*/false)
-        : config_.coldstart.Duration(*f.model);
-    cold_duration = ScaledColdStart(base);
-  }
-  for (int w = 0; w < workers; ++w) {
-    const InstanceId id = NextInstanceId();
-    auto worker = f.job->MakeWorker(id, w);
-    worker->set_quota(mode_quota);
-    const int train_priority = f.spec.priority < 0 ? 0 : f.spec.priority;
-    AttachShards(worker.get(), f, {gpus[static_cast<std::size_t>(w)]},
-                 mode_quota, static_share, mem, train_priority);
-    worker->BeginColdStart(cold_duration);
-    if (cold) {
-      if (recovery_launch_) {
-        metrics_.RecordRecoveryColdStart(fn);
-      } else {
-        metrics_.RecordColdStart(fn);
-      }
+  std::vector<InstanceId> ids;
+  for (GpuId g : gpus) {
+    for (const gpusim::Attachment& att : gpu_group_->gpu(g).attachments()) {
+      ids.push_back(att.id);
     }
-
-    InstanceRecord rec;
-    rec.function = fn;
-    rec.launched_at = sim_.now();
-    rec.gpu_time_rate = config_.quota_mode == "dilu"
-        ? mode_quota.request
-        : static_share;
-    rec.instance = std::move(worker);
-    instances_[id] = std::move(rec);
-    f.live_instances.push_back(id);
   }
-  return true;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 void
 ClusterRuntime::ReleaseInstance(InstanceId id)
 {
-  auto it = instances_.find(id);
-  if (it == instances_.end()) return;
-  InstanceRecord& rec = it->second;
-  if (rec.released) return;
-  rec.instance->Terminate();
+  InstanceRecord* rec = LiveRecord(id);
+  if (rec == nullptr) return;
+  rec->instance->Terminate();
   gpu_group_->DetachEverywhere(id);
   state_.Release(id);
-  metrics_.AddGpuTime(rec.gpu_time_rate
-                      * ToSec(sim_.now() - rec.launched_at));
-  rec.released = true;
+  metrics_.AddGpuTime(rec->gpu_time_rate
+                      * ToSec(sim_.now() - rec->launched_at));
+  rec->released = true;
 }
 
 void
@@ -513,23 +541,23 @@ ClusterRuntime::PruneCompletedRequests()
 }
 
 void
-ClusterRuntime::ScheduleNextArrival(
-    FunctionId fn, std::shared_ptr<workload::ArrivalProcess> proc,
-    TimeUs until)
+ClusterRuntime::ScheduleNext(std::size_t s)
 {
-  const TimeUs gap = proc->NextGap();
-  const TimeUs when = sim_.now() + std::max<TimeUs>(1, gap);
-  if (when > until) return;
-  sim_.Post(when, [this, fn, proc, until] {
-    if (!IssueRequest(fn, /*closed_loop=*/false)) {
-      DILU_DEBUG << "dropping request for function " << fn
-                 << " (no instances)";
-    }
-    ScheduleNextArrival(fn, proc, until);
+  Stream& stream = streams_[s];
+  const TimeUs when =
+      sim_.now() + std::max<TimeUs>(1, stream.gaps->NextGap());
+  if (when > stream.until) return;
+  sim_.Post(when, [this, s] {
+    const FunctionId fn = streams_[s].fn;
+    const bool closed_loop = streams_[s].closed_loop;
+    // A failed closed-loop dispatch counts a drop, which re-fires the
+    // drop hook and thereby schedules the client's next attempt.
+    IssueRequest(fn, closed_loop);
+    if (!closed_loop) ScheduleNext(s);
   });
 }
 
-bool
+void
 ClusterRuntime::IssueRequest(FunctionId fn, bool closed_loop)
 {
   workload::Request& req = requests_.emplace_back();
@@ -537,14 +565,13 @@ ClusterRuntime::IssueRequest(FunctionId fn, bool closed_loop)
   req.function = fn;
   req.arrival = sim_.now();
   req.closed_loop = closed_loop;
-  if (gateway_.Dispatch(&req)) return true;
+  if (gateway_.Dispatch(&req)) return;
   // Only dispatched requests are retained: an instance holds the
   // pointer until completion marks it done (deque references survive
   // pushes and pops at either end). A refused request is still the
   // back record and dies here — keeping it would permanently stall
   // the prune cursor on a record that can never complete.
   requests_.pop_back();
-  return false;
 }
 
 void
@@ -552,8 +579,8 @@ ClusterRuntime::AttachArrivals(
     FunctionId fn, std::unique_ptr<workload::ArrivalProcess> process,
     TimeUs until)
 {
-  std::shared_ptr<workload::ArrivalProcess> proc(std::move(process));
-  ScheduleNextArrival(fn, proc, until);
+  streams_.push_back({fn, std::move(process), until, /*closed_loop=*/false});
+  ScheduleNext(streams_.size() - 1);
 }
 
 void
@@ -562,9 +589,7 @@ ClusterRuntime::AttachClosedLoop(
     std::unique_ptr<workload::ArrivalProcess> think, TimeUs until)
 {
   DILU_CHECK(clients >= 1);
-  ClosedLoop& loop = closed_loops_[fn];
-  loop.think = std::shared_ptr<workload::ArrivalProcess>(std::move(think));
-  loop.until = until;
+  streams_.push_back({fn, std::move(think), until, /*closed_loop=*/true});
   // Each client starts with a think gap (staggered by the process
   // draws), then self-perpetuates through the completion / drop hooks.
   for (int c = 0; c < clients; ++c) ScheduleClosedLoopIssue(fn);
@@ -573,14 +598,14 @@ ClusterRuntime::AttachClosedLoop(
 void
 ClusterRuntime::ScheduleClosedLoopIssue(FunctionId fn)
 {
-  auto it = closed_loops_.find(fn);
-  if (it == closed_loops_.end()) return;
-  const TimeUs gap = std::max<TimeUs>(1, it->second.think->NextGap());
-  const TimeUs when = sim_.now() + gap;
-  if (when > it->second.until) return;  // client retires
-  // A failed dispatch counts a drop, which re-fires the drop hook and
-  // thereby schedules this client's next attempt — nothing to do here.
-  sim_.Post(when, [this, fn] { IssueRequest(fn, /*closed_loop=*/true); });
+  // The newest closed loop of `fn` drives all its clients: attaching
+  // again replaces the think process and the end for every client.
+  for (std::size_t s = streams_.size(); s-- > 0;) {
+    if (streams_[s].closed_loop && streams_[s].fn == fn) {
+      ScheduleNext(s);
+      return;
+    }
+  }
 }
 
 void
@@ -755,25 +780,25 @@ ClusterRuntime::node(NodeId id) const
   return nodes_[static_cast<std::size_t>(id)];
 }
 
+Node&
+ClusterRuntime::NodeAt(NodeId id)
+{
+  DILU_CHECK(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
+  return nodes_[static_cast<std::size_t>(id)];
+}
+
 void
 ClusterRuntime::KillInstance(InstanceId id,
                              std::vector<workload::Request*>* orphans)
 {
-  auto it = instances_.find(id);
-  if (it == instances_.end() || it->second.released) return;
-  InstanceRecord& rec = it->second;
-  DeployedFunction& f = function(rec.function);
-  DILU_CHECK(f.spec.type == TaskType::kInference);
+  const InstanceRecord* rec = LiveRecord(id);
+  if (rec == nullptr) return;
   auto* inst =
-      dynamic_cast<runtime::InferenceInstance*>(rec.instance.get());
+      dynamic_cast<runtime::InferenceInstance*>(rec->instance.get());
   DILU_CHECK(inst != nullptr);
   // Surrender queued + in-flight work unfinished, then tear down.
   inst->FailAndDrain(orphans);
-  gateway_.RemoveInstance(f.id, id);
-  ReleaseInstance(id);
-  f.live_instances.erase(std::remove(f.live_instances.begin(),
-                                     f.live_instances.end(), id),
-                         f.live_instances.end());
+  Retire(id);
 }
 
 void
@@ -809,7 +834,7 @@ ClusterRuntime::RecoveryDemand(FunctionId fn) const
 void
 ClusterRuntime::OrderRecoveryBatch(std::vector<FunctionId>* needs) const
 {
-  if (config_.recovery != "joint" || needs->size() < 2) return;
+  if (!joint_recovery_ || needs->size() < 2) return;
   std::stable_sort(
       needs->begin(), needs->end(), [this](FunctionId a, FunctionId b) {
         const double da = RecoveryDemand(a);
@@ -831,20 +856,14 @@ ClusterRuntime::OrderRecoveryBatch(std::vector<FunctionId>* needs) const
 bool
 ClusterRuntime::LaunchRecovery(FunctionId fn)
 {
-  DeployedFunction& f = function(fn);
+  const DeployedFunction& f = function(fn);
   if (f.spec.type == TaskType::kTraining) {
     // Already healed by an earlier retry (or completed meanwhile).
     if (f.job_completed_at >= 0) return true;
     if (f.job && !f.live_instances.empty()) return true;
-    recovery_launch_ = true;
-    const bool ok = StartTraining(fn, /*cold=*/true);
-    recovery_launch_ = false;
-    return ok;
   }
-  recovery_launch_ = true;
-  const bool ok = LaunchInference(fn, /*cold=*/true) != kInvalidInstance;
-  recovery_launch_ = false;
-  return ok;
+  std::vector<GpuId> gpus;
+  return Launch(fn, Start::kRecovery, &gpus) != kInvalidInstance;
 }
 
 TimeUs
@@ -935,25 +954,15 @@ ClusterRuntime::FailGpus(const std::vector<GpuId>& gpus, const char* kind,
   }
   if (newly_down.empty()) return 0;
 
-  std::vector<InstanceId> victims;
-  for (GpuId g : newly_down) {
-    for (const gpusim::Attachment& att : gpu_group_->gpu(g).attachments()) {
-      victims.push_back(att.id);
-    }
-  }
-  std::sort(victims.begin(), victims.end());
-  victims.erase(std::unique(victims.begin(), victims.end()),
-                victims.end());
-
   int displaced = 0;
   std::vector<FunctionId> needs;  // one entry per replacement to launch
   std::vector<workload::Request*> orphans;
-  for (InstanceId id : victims) {
-    auto it = instances_.find(id);
+  for (InstanceId id : ResidentInstances(newly_down)) {
+    const InstanceRecord* rec = LiveRecord(id);
     // Already gone: released earlier, or a sibling worker's job abort
     // cascaded through this one.
-    if (it == instances_.end() || it->second.released) continue;
-    const FunctionId fn = it->second.function;
+    if (rec == nullptr) continue;
+    const FunctionId fn = rec->function;
     DeployedFunction& f = function(fn);
     ++displaced;
     if (f.spec.type == TaskType::kInference) {
@@ -1051,9 +1060,7 @@ ClusterRuntime::SetCheckpointPolicy(FunctionId fn, TimeUs every,
 int
 ClusterRuntime::FailNode(NodeId node_id)
 {
-  DILU_CHECK(node_id >= 0
-             && static_cast<std::size_t>(node_id) < nodes_.size());
-  Node& n = nodes_[static_cast<std::size_t>(node_id)];
+  Node& n = NodeAt(node_id);
   n.health = GpuHealth::kDown;
   return FailGpus(n.gpus, "node_fail",
                   "node=" + std::to_string(node_id));
@@ -1062,14 +1069,17 @@ ClusterRuntime::FailNode(NodeId node_id)
 void
 ClusterRuntime::RecoverNode(NodeId node_id)
 {
-  DILU_CHECK(node_id >= 0
-             && static_cast<std::size_t>(node_id) < nodes_.size());
-  Node& n = nodes_[static_cast<std::size_t>(node_id)];
-  if (n.health == GpuHealth::kUp) return;
+  Node& n = NodeAt(node_id);
   n.health = GpuHealth::kUp;
+  // Heal by device health, not by the node's: per-GPU faults (and
+  // degradations) leave the node itself marked up.
+  bool healed = false;
   for (GpuId g : n.gpus) {
-    if (state_.health(g) != GpuHealth::kUp) HealGpu(g);
+    if (state_.health(g) == GpuHealth::kUp) continue;
+    HealGpu(g);
+    healed = true;
   }
+  if (!healed) return;
   metrics_.RecordFault(sim_.now(), "node_recover",
                        "node=" + std::to_string(node_id));
   if (!pending_recovery_.empty()) RetryPendingRecoveries();
@@ -1078,9 +1088,7 @@ ClusterRuntime::RecoverNode(NodeId node_id)
 int
 ClusterRuntime::DrainNode(NodeId node_id)
 {
-  DILU_CHECK(node_id >= 0
-             && static_cast<std::size_t>(node_id) < nodes_.size());
-  Node& n = nodes_[static_cast<std::size_t>(node_id)];
+  Node& n = NodeAt(node_id);
   for (GpuId g : n.gpus) {
     const GpuHealth h = state_.health(g);
     if (h == GpuHealth::kUp || h == GpuHealth::kDegraded) {
@@ -1089,64 +1097,33 @@ ClusterRuntime::DrainNode(NodeId node_id)
   }
   n.health = GpuHealth::kDraining;
 
-  std::vector<InstanceId> residents;
-  for (GpuId g : n.gpus) {
-    for (const gpusim::Attachment& att : gpu_group_->gpu(g).attachments()) {
-      residents.push_back(att.id);
-    }
-  }
-  std::sort(residents.begin(), residents.end());
-  residents.erase(std::unique(residents.begin(), residents.end()),
-                  residents.end());
-
   int migrated = 0;
-  for (InstanceId id : residents) {
-    auto it = instances_.find(id);
-    if (it == instances_.end() || it->second.released) continue;
-    const FunctionId fn = it->second.function;
-    DeployedFunction& f = function(fn);
+  for (InstanceId id : ResidentInstances(n.gpus)) {
+    const InstanceRecord* rec = LiveRecord(id);
+    if (rec == nullptr) continue;
+    const DeployedFunction& f = function(rec->function);
     // Training workers are not migrated: the drain only blocks new
     // placements; lockstep jobs run to completion where they are.
     if (f.spec.type != TaskType::kInference) continue;
     // Replacement first, then graceful removal — the function never
     // loses capacity it had. If no replacement fits, the instance
-    // stays put (best-effort drain). The placement is done explicitly
-    // (instead of through LaunchInference) so the fabric path below
-    // knows the destination node of the state transfer.
-    const int shards = std::max(1, f.spec.shards);
-    const SmQuota mode_quota = QuotaForMode(f.spec.quota);
-    const SmQuota shard_quota{mode_quota.request / shards,
-                              mode_quota.limit / shards};
-    const double shard_mem = f.model->mem_gb_inference / shards;
-    const auto placement = scheduler_->Place(
-        MakePlacement(f, shard_quota, shard_mem, shards), state_);
-    if (!placement.ok) {
-      DILU_WARN << "placement failed for function " << fn;
-      continue;
-    }
-    recovery_launch_ = true;
-    const InstanceId repl =
-        LaunchInferenceOn(fn, placement.gpus, /*cold=*/true);
-    recovery_launch_ = false;
-    if (repl == kInvalidInstance) continue;
+    // stays put (best-effort drain).
+    std::vector<GpuId> dest;
+    if (Launch(f.id, Start::kRecovery, &dest) == kInvalidInstance) continue;
     ++migrated;
     if (fabric_) {
       // KV/session state migrates through the network tier; the
       // original keeps serving until the transfer lands, so the drain
-      // duration is emergent from fabric contention.
+      // duration is emergent from fabric contention. A harder fault
+      // may tear the original down mid-transfer (Retire is then a
+      // no-op).
       const fabric::TransferResult xfer = fabric_->SubmitNetwork(
-          node_id, NodeOfGpu(placement.gpus[0]), f.model->mem_gb_inference,
+          node_id, NodeOfGpu(dest[0]), f.model->mem_gb_inference,
           sim_.now());
-      sim_.Post(xfer.done, [this, fn, id] {
-        FinishDrainMigration(fn, id);
-      });
+      sim_.Post(xfer.done, [this, id] { Retire(id); });
       continue;
     }
-    gateway_.RemoveInstance(fn, id);  // re-homes its queued requests
-    ReleaseInstance(id);              // in-flight batch flushes
-    f.live_instances.erase(std::remove(f.live_instances.begin(),
-                                       f.live_instances.end(), id),
-                           f.live_instances.end());
+    Retire(id);
   }
   metrics_.RecordFault(sim_.now(), "node_drain",
                        "node=" + std::to_string(node_id) + " migrated="
@@ -1155,26 +1132,9 @@ ClusterRuntime::DrainNode(NodeId node_id)
 }
 
 void
-ClusterRuntime::FinishDrainMigration(FunctionId fn, InstanceId id)
-{
-  // The node may have failed outright mid-drain, in which case the
-  // instance is already gone and the migration transfer was moot.
-  auto it = instances_.find(id);
-  if (it == instances_.end() || it->second.released) return;
-  DeployedFunction& f = function(fn);
-  gateway_.RemoveInstance(fn, id);  // re-homes its queued requests
-  ReleaseInstance(id);              // in-flight batch flushes
-  f.live_instances.erase(std::remove(f.live_instances.begin(),
-                                     f.live_instances.end(), id),
-                         f.live_instances.end());
-}
-
-void
 ClusterRuntime::UndrainNode(NodeId node_id)
 {
-  DILU_CHECK(node_id >= 0
-             && static_cast<std::size_t>(node_id) < nodes_.size());
-  Node& n = nodes_[static_cast<std::size_t>(node_id)];
+  Node& n = NodeAt(node_id);
   if (n.health != GpuHealth::kDraining) return;
   n.health = GpuHealth::kUp;
   for (GpuId g : n.gpus) {

@@ -313,7 +313,6 @@ class ClusterRuntime {
 
   GpuHealth gpu_health(GpuId gpu) const;
   const Node& node(NodeId id) const;
-  std::size_t node_count() const { return nodes_.size(); }
 
   /**
    * Scale factor applied to cold-start durations (chaos cold-start
@@ -354,6 +353,19 @@ class ClusterRuntime {
   std::size_t pending_request_count() const { return requests_.size(); }
 
  private:
+  /**
+   * How a launch starts its instances. The public launchers start warm
+   * (`cold` false) or on demand; fault recovery and drains re-place.
+   *   kWarm     - pre-provisioned: ready at once, no cold start counted;
+   *   kDemand   - pays the cold start (a cached-image start for inference
+   *               under ClusterConfig::warm_starts), counts a cold start;
+   *   kRecovery - pays the same, counts a recovery cold start, and an
+   *               inference launch notifies the function's scaler.
+   */
+  enum class Start { kWarm, kDemand, kRecovery };
+  /** ClusterConfig::quota_mode, resolved by the constructor. */
+  enum class QuotaMode { kDilu, kLimit, kRequest, kFull };
+
   struct InstanceRecord {
     std::unique_ptr<runtime::Instance> instance;
     FunctionId function = kInvalidFunction;
@@ -362,7 +374,47 @@ class ClusterRuntime {
     bool released = false;
   };
 
+  /**
+   * One arrival stream: open-loop (each arrival posts the next) or
+   * closed-loop (`gaps` are think times; a client's completion or drop
+   * posts its next request). Events name it by index in streams_.
+   */
+  struct Stream {
+    FunctionId fn = kInvalidFunction;
+    std::unique_ptr<workload::ArrivalProcess> gaps;
+    TimeUs until = 0;
+    bool closed_loop = false;
+  };
+
   InstanceId NextInstanceId() { return next_instance_id_++; }
+  /**
+   * The one launch path: one inference instance over `spec.shards`
+   * GPUs, or a training job with its `workers` one-GPU instances. An
+   * empty `*gpus` is placed by the scheduler and receives the GPUs
+   * used; a given one is used as is. Returns the first instance id, or
+   * kInvalidInstance when placement failed.
+   */
+  InstanceId Launch(FunctionId fn, Start start, std::vector<GpuId>* gpus);
+  /** Place `units` instances of `shards` shards, appending the GPUs. */
+  bool Place(const DeployedFunction& f, const SmQuota& quota, double mem_gb,
+             int shards, int units, std::vector<GpuId>* gpus);
+  /** Create the training job of `f` on `gpus` (callbacks, fabric). */
+  void NewJob(DeployedFunction& f, const std::vector<GpuId>& gpus);
+  /** Attach `inst`'s shards to gpus[first, first + shards). */
+  void AttachShards(runtime::Instance* inst, const DeployedFunction& f,
+                    const std::vector<GpuId>& gpus, int first, int shards,
+                    const SmQuota& quota, double mem_gb, int priority);
+  /**
+   * The one retirement path: unroute, release and unlist `id`; its
+   * queued requests re-home. No-op when it is already released.
+   */
+  void Retire(InstanceId id);
+  /** `id`'s record, or nullptr when it is unknown or released. */
+  InstanceRecord* LiveRecord(InstanceId id);
+  /** Instances with a shard on any of `gpus`, ascending, no repeats. */
+  std::vector<InstanceId> ResidentInstances(
+      const std::vector<GpuId>& gpus) const;
+  Node& NodeAt(NodeId id);
   /** Shared body of FailGpu / FailNode: fail a batch of devices. */
   int FailGpus(const std::vector<GpuId>& gpus, const char* kind,
                const std::string& target);
@@ -424,40 +476,28 @@ class ClusterRuntime {
                          bool warm);
   /** Install the fabric-emergent checkpoint/comm providers on a job. */
   void WireJobFabric(DeployedFunction& f, const std::vector<GpuId>& gpus);
-  /**
-   * Second half of a fabric drain migration: the state transfer has
-   * landed, so gracefully remove the original instance. No-op when a
-   * harder fault already tore the instance down mid-transfer.
-   */
-  void FinishDrainMigration(FunctionId fn, InstanceId id);
   SmQuota QuotaForMode(const SmQuota& profiled) const;
-  SmRate StaticShareForMode(const SmQuota& profiled) const;
   void ProfileSpec(core::FunctionSpec* spec) const;
-  scheduler::PlacementRequest MakePlacement(const DeployedFunction& f,
-                                            const SmQuota& shard_quota,
-                                            double shard_mem,
-                                            int shards) const;
-  void AttachShards(runtime::Instance* inst, const DeployedFunction& f,
-                    const std::vector<GpuId>& gpus,
-                    const SmQuota& shard_quota, SmRate shard_static,
-                    double shard_mem, int priority);
   void ReleaseInstance(InstanceId id);
   void PruneCompletedRequests();
   void AutoscaleTick(FunctionId fn);
   void SampleCluster();
-  void ScheduleNextArrival(FunctionId fn,
-                           std::shared_ptr<workload::ArrivalProcess> proc,
-                           TimeUs until);
+  /** Post stream `s`'s next request, unless it falls past `until`. */
+  void ScheduleNext(std::size_t s);
   /** Closed loop: one client finished (completion or drop) — think,
    *  then issue its next request. No-op for open-loop functions. */
   void ScheduleClosedLoopIssue(FunctionId fn);
   /**
-   * Create a request for `fn` arriving now and dispatch it; returns
-   * whether the gateway took it (a refused request is not retained).
+   * Create a request for `fn` arriving now and dispatch it (a refused
+   * request is not retained).
    */
-  bool IssueRequest(FunctionId fn, bool closed_loop);
+  void IssueRequest(FunctionId fn, bool closed_loop);
 
   ClusterConfig config_;
+  QuotaMode quota_mode_ = QuotaMode::kDilu;
+  bool joint_recovery_ = true;
+  /** Per-iteration inference overhead (FaST-GS bookkeeping), or 0. */
+  TimeUs inference_overhead_ = 0;
   sim::Simulation sim_;
   std::unique_ptr<gpusim::GpuGroup> gpu_group_;
   scheduler::ClusterState state_;
@@ -478,12 +518,7 @@ class ClusterRuntime {
    * must outlive the simulation even after a restart replaced it.
    */
   std::vector<std::unique_ptr<runtime::TrainingJob>> retired_jobs_;
-  /** Closed-loop drive state (AttachClosedLoop), keyed by function. */
-  struct ClosedLoop {
-    std::shared_ptr<workload::ArrivalProcess> think;
-    TimeUs until = 0;
-  };
-  std::map<FunctionId, ClosedLoop> closed_loops_;
+  std::vector<Stream> streams_;
 
   /** Displaced work awaiting capacity, one entry per needed launch. */
   std::deque<FunctionId> pending_recovery_;
@@ -493,8 +528,6 @@ class ClusterRuntime {
   int recovery_backoff_shift_ = 0;
   /** recovery_starved already logged for this starvation episode. */
   bool recovery_starved_reported_ = false;
-  /** True while the current launch heals a failure (not demand). */
-  bool recovery_launch_ = false;
   double coldstart_scale_ = 1.0;
 
   Rng rng_;

@@ -181,14 +181,6 @@ MetricsHub::TotalColdStarts() const
   return n;
 }
 
-int
-MetricsHub::TotalRecoveryColdStarts() const
-{
-  int n = 0;
-  for (const auto& [id, m] : functions()) n += m.recovery_cold_starts;
-  return n;
-}
-
 std::int64_t
 MetricsHub::TotalDropped() const
 {
@@ -205,43 +197,6 @@ MetricsHub::TotalShed() const
     n += m.shed_admission + m.shed_retry;
   }
   return n;
-}
-
-double
-MetricsHub::ClassAvailabilityPercent(ServiceClass c) const
-{
-  std::int64_t completed = 0;
-  std::int64_t unserved = 0;
-  for (const auto& [id, m] : functions()) {
-    if (m.service_class != c) continue;
-    completed += m.completed;
-    unserved += m.dropped + m.shed_admission + m.shed_retry;
-  }
-  if (completed + unserved == 0) return 100.0;
-  return 100.0 * static_cast<double>(completed)
-      / static_cast<double>(completed + unserved);
-}
-
-std::int64_t
-MetricsHub::TotalLostIterations() const
-{
-  std::int64_t n = 0;
-  for (const auto& [id, m] : functions()) n += m.lost_iterations;
-  return n;
-}
-
-double
-MetricsHub::OverallAvailabilityPercent() const
-{
-  std::int64_t completed = 0;
-  std::int64_t unserved = 0;
-  for (const auto& [id, m] : functions()) {
-    completed += m.completed;
-    unserved += m.dropped + m.shed_admission + m.shed_retry;
-  }
-  if (completed + unserved == 0) return 100.0;
-  return 100.0 * static_cast<double>(completed)
-      / static_cast<double>(completed + unserved);
 }
 
 }  // namespace dilu::cluster

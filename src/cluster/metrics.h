@@ -183,27 +183,11 @@ class MetricsHub {
   /** Total demand cold starts over every function. */
   int TotalColdStarts() const;
 
-  /** Total recovery cold starts over every function. */
-  int TotalRecoveryColdStarts() const;
-
   /** Total dropped requests over every function. */
   std::int64_t TotalDropped() const;
 
   /** Total sheds (admission + retry) over every function. */
   std::int64_t TotalShed() const;
-
-  /**
-   * Aggregate availability (%) over functions of service class `c`
-   * (100 when no such function saw traffic) — the brownout floor
-   * comparison: critical's number must dominate best-effort's.
-   */
-  double ClassAvailabilityPercent(ServiceClass c) const;
-
-  /** Total training iterations lost to faults over every function. */
-  std::int64_t TotalLostIterations() const;
-
-  /** Aggregate availability (%) over every function. */
-  double OverallAvailabilityPercent() const;
 
   const std::vector<FaultRecord>& faults() const { return faults_; }
 

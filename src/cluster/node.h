@@ -13,11 +13,13 @@
 namespace dilu::cluster {
 
 /**
- * Description of one node. Health aggregates over the node's GPUs: a
- * node-level fault (power loss, NIC death, maintenance drain) applies
- * the same transition to every device it hosts. The authoritative
- * per-GPU health used by placement lives in scheduler::ClusterState;
- * this field mirrors the last node-level action for inspection.
+ * Description of one node. A node-level fault (power loss, NIC death,
+ * maintenance drain) applies the same transition to every device it
+ * hosts. The authoritative per-GPU health used by placement lives in
+ * scheduler::ClusterState; `health` records the last node-level action
+ * (fail, recover, drain, undrain). It gates UndrainNode, which lifts
+ * only a drain; RecoverNode heals by per-GPU health instead, so it
+ * also repairs per-GPU faults on a node marked up.
  */
 struct Node {
   NodeId id = 0;

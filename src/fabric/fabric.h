@@ -79,10 +79,6 @@ class TokenBucket {
   /** Earliest time `gb` is credited when asked at `now`; spends it. */
   TimeUs Acquire(double gb, TimeUs now);
 
-  double tokens_gb() const { return tokens_gb_; }
-  double rate_gbps() const { return rate_gbps_; }
-  double burst_gb() const { return burst_gb_; }
-
  private:
   double rate_gbps_ = 0.0;
   double burst_gb_ = 0.0;

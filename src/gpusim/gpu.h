@@ -105,7 +105,6 @@ class Gpu {
   Gpu(GpuId id, double memory_gb);
 
   GpuId id() const { return id_; }
-  double memory_capacity_gb() const { return memory_capacity_gb_; }
   double memory_used_gb() const;
   bool occupied() const { return !attachments_.empty(); }
 

@@ -80,8 +80,8 @@ TrainingInstance::FinishQuantum(TimeUs quantum)
         * (dt_to_done / static_cast<double>(kTokenPeriodUs));
     compute_done_ = true;
     computing_ = false;
-    compute_finished_at_ = sim_->now() + static_cast<TimeUs>(dt_to_done);
-    job_->WorkerComputeDone(worker_index_, compute_finished_at_);
+    job_->WorkerComputeDone(
+        worker_index_, sim_->now() + static_cast<TimeUs>(dt_to_done));
   } else {
     progress_ += rate * static_cast<double>(quantum);
     blocks_last_ = used * models::kBlocksPerQuantum

@@ -43,9 +43,6 @@ class TrainingInstance : public Instance {
   /** Reset per-iteration progress (called by the job barrier). */
   void StartComputePhase();
 
-  bool compute_done() const { return compute_done_; }
-  TimeUs compute_finished_at() const { return compute_finished_at_; }
-
  protected:
   /** Report readiness to the job barrier once the cold start ends. */
   void OnReady() override;
@@ -58,7 +55,6 @@ class TrainingInstance : public Instance {
   double progress_ = 0.0;
   double granted_ = 0.0;
   double blocks_last_ = 0.0;
-  TimeUs compute_finished_at_ = 0;
 };
 
 /**
@@ -126,10 +122,8 @@ class TrainingJob {
   /** Workers report compute-phase completion. */
   void WorkerComputeDone(int index, TimeUs at);
 
-  bool in_compute_phase() const { return in_compute_; }
   const TrainingStats& stats() const { return stats_; }
   const models::ModelProfile& model() const { return *model_; }
-  int worker_count() const { return workers_; }
   FunctionId function() const { return function_; }
   bool finished() const { return finished_; }
 

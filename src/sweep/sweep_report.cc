@@ -159,15 +159,6 @@ IsSweepMetric(const std::string& name)
   return false;
 }
 
-double
-SweepMetricValue(const std::string& name, const ExperimentResult& r)
-{
-  for (const MetricDef& m : kMetrics) {
-    if (name == m.name) return m.value(r);
-  }
-  return 0.0;
-}
-
 SweepReport
 AggregateSweep(const SweepSpec& sweep,
                const std::vector<ExperimentResult>& results)

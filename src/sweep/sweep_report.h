@@ -42,10 +42,6 @@ const std::vector<std::string>& SweepMetricNames();
 /** True when `name` is a registry metric (`require` validates this). */
 bool IsSweepMetric(const std::string& name);
 
-/** Metric `name` extracted from one run's result (0.0 when unknown). */
-double SweepMetricValue(const std::string& name,
-                        const experiment::ExperimentResult& r);
-
 // --- aggregated report -------------------------------------------------
 
 /** Five-number summary of one metric over one cell's repetitions. */

@@ -80,12 +80,4 @@ EnvelopeArrivals::NextGap()
   return clock_ - prev;
 }
 
-double
-EnvelopeArrivals::MeanRps() const
-{
-  double sum = 0.0;
-  for (double r : envelope_) sum += r;
-  return sum / static_cast<double>(envelope_.size());
-}
-
 }  // namespace dilu::workload

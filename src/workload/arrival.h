@@ -27,9 +27,6 @@ class ArrivalProcess {
 
   /** Gap until the next request (may be 0 for coincident arrivals). */
   virtual TimeUs NextGap() = 0;
-
-  /** Mean request rate (requests/s), for capacity planning. */
-  virtual double MeanRps() const = 0;
 };
 
 /** Deterministic constant-rate arrivals. */
@@ -37,7 +34,6 @@ class ConstantArrivals : public ArrivalProcess {
  public:
   explicit ConstantArrivals(double rps);
   TimeUs NextGap() override;
-  double MeanRps() const override { return rps_; }
 
  private:
   double rps_;
@@ -48,7 +44,6 @@ class PoissonArrivals : public ArrivalProcess {
  public:
   PoissonArrivals(double rps, Rng rng);
   TimeUs NextGap() override;
-  double MeanRps() const override { return rps_; }
 
  private:
   double rps_;
@@ -63,8 +58,6 @@ class GammaArrivals : public ArrivalProcess {
  public:
   GammaArrivals(double rps, double cv, Rng rng);
   TimeUs NextGap() override;
-  double MeanRps() const override { return rps_; }
-  double cv() const { return cv_; }
 
  private:
   double rps_;
@@ -81,7 +74,6 @@ class EnvelopeArrivals : public ArrivalProcess {
  public:
   EnvelopeArrivals(std::vector<double> rps_per_second, Rng rng);
   TimeUs NextGap() override;
-  double MeanRps() const override;
 
   const std::vector<double>& envelope() const { return envelope_; }
 

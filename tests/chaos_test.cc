@@ -336,6 +336,30 @@ TEST(FaultInjection, NodeFailureKillsEveryResidentGpu)
   testing::AuditFleet(rt.state(), rt);
 }
 
+TEST(FaultInjection, RecoverNodeHealsPerGpuFaults)
+{
+  // Per-GPU faults leave the node itself up; recover_node must still
+  // return every GPU of the node to service.
+  cluster::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cluster::ClusterRuntime rt(cfg);
+  rt.FailGpu(0);
+  rt.DegradeGpu(1, 0.5);
+  EXPECT_EQ(rt.state().SchedulableGpuCount(), 7);
+  rt.RecoverNode(0);
+  EXPECT_EQ(rt.gpu_health(0), GpuHealth::kUp);
+  EXPECT_EQ(rt.gpu_health(1), GpuHealth::kUp);
+  EXPECT_EQ(rt.state().SchedulableGpuCount(), 8);
+  ASSERT_FALSE(rt.metrics().faults().empty());
+  EXPECT_EQ(rt.metrics().faults().back().kind, "node_recover");
+  // Nothing left to heal: no further record.
+  const std::size_t logged = rt.metrics().faults().size();
+  rt.RecoverNode(0);
+  rt.RecoverNode(1);
+  EXPECT_EQ(rt.metrics().faults().size(), logged);
+  testing::AuditFleet(rt.state(), rt);
+}
+
 TEST(FaultInjection, DrainMigratesInstancesOffTheNode)
 {
   cluster::ClusterConfig cfg;

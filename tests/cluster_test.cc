@@ -47,6 +47,24 @@ TEST(MetricsHubDeathTest, UnregisteredFunctionPanics)
   EXPECT_DEATH(const_hub.function(42), "check failed");
 }
 
+// Every policy name is resolved when the runtime is built, so a typo
+// fails there instead of at the first launch (or fault) that reads it.
+TEST(ClusterRuntimeDeathTest, UnknownPolicyNamesFailAtConstruction)
+{
+  ClusterConfig c;
+  c.sharing = "bogus";
+  EXPECT_DEATH(ClusterRuntime{c}, "unknown sharing mode: bogus");
+  c = ClusterConfig{};
+  c.scheduler = "bogus";
+  EXPECT_DEATH(ClusterRuntime{c}, "unknown scheduler mode: bogus");
+  c = ClusterConfig{};
+  c.quota_mode = "bogus";
+  EXPECT_DEATH(ClusterRuntime{c}, "unknown quota mode: bogus");
+  c = ClusterConfig{};
+  c.recovery = "bogus";
+  EXPECT_DEATH(ClusterRuntime{c}, "unknown recovery mode: bogus");
+}
+
 // The hub resolves functions through an id-indexed table of pointers
 // into its map: a copy would index the source's records.
 static_assert(!std::is_copy_constructible_v<MetricsHub>);

@@ -9,18 +9,26 @@
  * seven arrival kinds) and all fifteen chaos verbs, each fn-targeted
  * verb aimed at a deploy of the task type it requires.
  *
+ * The run-fuzz also *runs* generated specs, horizon capped and exports
+ * cleared: every shard audits its fleet (fabric included) every 500 ms,
+ * the audited report must equal an unaudited rerun byte for byte, and
+ * a two-shard run must audit clean too.
+ *
  * Everything draws from a fixed-seed Rng, so a failure reproduces
  * exactly; crank kRounds locally for a longer soak.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/random.h"
+#include "experiment/experiment.h"
 #include "experiment/experiment_spec.h"
+#include "invariant_audit.h"
 
 namespace dilu {
 namespace {
@@ -32,6 +40,8 @@ using experiment::FabricSection;
 using experiment::WorkloadSpec;
 
 constexpr int kRounds = 150;
+/** Generated specs the run-fuzz executes (three runs each). */
+constexpr int kRunRounds = 200;
 
 TimeUs
 RandomTime(Rng& rng)
@@ -397,6 +407,62 @@ TEST(ExperimentFuzz, TargetedCorruptionsAlwaysError)
     std::string error;
     EXPECT_FALSE(ExperimentSpec::Parse(text, nullptr, &error)) << text;
     EXPECT_NE(error.find("line "), std::string::npos) << error;
+  }
+}
+
+/** One shard's cross-layer invariants (fabric included), right now. */
+void
+AuditShard(cluster::ClusterRuntime& rt)
+{
+  SCOPED_TRACE(::testing::Message() << "at " << rt.now() << "us");
+  testing::AuditFleet(rt.state(), rt);
+}
+
+/**
+ * Runs `spec` on `shards` shards (one thread) and returns the report
+ * JSON. With `audit`, every shard audits itself every 500 ms of its own
+ * clock and once more at the horizon; `*audits` counts the periodic
+ * ones.
+ */
+std::string
+RunJson(const ExperimentSpec& spec, int shards, bool audit, int* audits)
+{
+  experiment::Experiment exp(spec, {}, experiment::ShardOptions{shards, 1});
+  if (audit) {
+    for (int s = 0; s < exp.shard_count(); ++s) {
+      cluster::ClusterRuntime& rt = exp.runtime(s);
+      rt.simulation().SchedulePeriodic(Ms(500), Ms(500), [&rt, audits] {
+        ++*audits;
+        if (!::testing::Test::HasFailure()) AuditShard(rt);
+      });
+    }
+    exp.set_barrier_probe([&exp](TimeUs) {
+      for (int s = 0; s < exp.shard_count(); ++s) AuditShard(exp.runtime(s));
+    });
+  }
+  return exp.Run().ToJson();
+}
+
+TEST(ExperimentFuzz, RandomSpecsRunAuditCleanAndReplay)
+{
+  Rng rng(0xE0334u);
+  for (int round = 0; round < kRunRounds && !HasFailure(); ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    ExperimentSpec spec = RandomSpec(rng);
+    spec.RunFor(std::min(spec.EffectiveRunFor(), Sec(40)));
+    spec.ExportTo("");
+    SCOPED_TRACE(spec.ToText());
+
+    const int ticks = static_cast<int>(spec.run_for() / Ms(500));
+    int audits = 0;
+    const std::string audited = RunJson(spec, 1, /*audit=*/true, &audits);
+    EXPECT_GE(audits, ticks) << "the audit must fire every 500 ms";
+    EXPECT_EQ(RunJson(spec, 1, /*audit=*/false, nullptr), audited)
+        << "auditing must not perturb the run";
+
+    audits = 0;
+    RunJson(spec, 2, /*audit=*/true, &audits);
+    EXPECT_GE(audits, ticks) << "every shard must audit every 500 ms";
   }
 }
 
