@@ -1,10 +1,11 @@
 /**
  * @file
- * Shared helpers for the reproduction benches: canonical collocation
- * runners and table formatting. Each bench binary reproduces one table
- * or figure (see DESIGN.md experiment index) and prints paper-style
- * rows; absolute values are simulator outputs, the *shapes* are the
- * reproduction target (EXPERIMENTS.md).
+ * Shared helpers for the benches: the report-emitting CLI, the Fig 17
+ * instance mix and fleet, and the arrival-stream seed. The paper
+ * figures that a spec can express are sweeps under experiments/paper/
+ * (docs/EXPERIMENTS.md); the benches that remain print what a spec
+ * cannot (placement-only passes, profiler surfaces, kernel traces) or
+ * time the simulator itself (PERFORMANCE.md).
  */
 #ifndef DILU_BENCH_BENCH_UTIL_H_
 #define DILU_BENCH_BENCH_UTIL_H_
@@ -161,165 +162,13 @@ DrawMixInstance(Rng* rng, const std::string& quota_mode = "dilu")
   return def;
 }
 
-/** The GPU-level baselines compared in Figures 7-10. */
-inline const std::vector<std::string>& GpuLevelBaselines()
-{
-  static const std::vector<std::string>* v = new std::vector<std::string>{
-      "exclusive", "dilu", "mps-l", "mps-r", "tgs", "fastgs"};
-  return *v;
-}
-
 /**
  * Arrival-stream seeds: the k-th stream a bench attaches to one
  * cluster draws from Rng(kStreamSeed + k), the seeds every figure's
- * recorded output was produced under.
+ * recorded output was produced under (the experiments/paper/ specs
+ * name them as `seed=5763085 + k`).
  */
 constexpr std::uint64_t kStreamSeed = 0x57F00D;
-
-/** Result of one collocated serving run. */
-struct CollocationOutcome {
-  experiment::FunctionResult inference;
-  double training_tput = 0.0;  ///< natural units (0 if no training fn)
-  int gpus_used = 0;
-};
-
-/** One training + one inference function collocated on shared GPUs. */
-struct TiCase {
-  std::string inference_model;
-  std::string training_model;
-  int training_workers = 1;
-  int inference_shards = 1;  ///< >1: LLM over fragmented GPUs
-  double rps = 10.0;
-  double cv = -1.0;          ///< <0: Poisson; >=0: Gamma(cv)
-  TimeUs duration = Sec(60);
-};
-
-/**
- * Run a training-inference collocation under `preset`.
- *
- * Placement mirrors the paper's GPU-level experiments: under Exclusive
- * every worker/instance gets its own GPU; under sharing presets each
- * training worker's GPU also hosts one inference shard.
- */
-inline CollocationOutcome
-RunTrainingInference(const std::string& preset, const TiCase& c)
-{
-  cluster::ClusterConfig cfg = cluster::PresetConfig(preset);
-  cfg.nodes = 2;  // 8 GPUs: room for the exclusive layout
-  cluster::ClusterRuntime rt(cfg);
-
-  core::FunctionSpec ts;
-  ts.model = c.training_model;
-  ts.type = TaskType::kTraining;
-  ts.workers = c.training_workers;
-  const FunctionId train = rt.Deploy(ts);
-
-  core::FunctionSpec is;
-  is.model = c.inference_model;
-  is.shards = c.inference_shards;
-  const FunctionId inf = rt.Deploy(is);
-
-  std::vector<GpuId> train_gpus;
-  for (int w = 0; w < c.training_workers; ++w) train_gpus.push_back(w);
-  if (!rt.StartTrainingOn(train, train_gpus, /*cold=*/false)) {
-    std::fprintf(stderr, "training placement failed\n");
-  }
-  std::vector<GpuId> inf_gpus;
-  if (preset == "exclusive") {
-    for (int s = 0; s < c.inference_shards; ++s) {
-      inf_gpus.push_back(c.training_workers + s);
-    }
-  } else {
-    for (int s = 0; s < c.inference_shards; ++s) {
-      inf_gpus.push_back(s % c.training_workers);
-    }
-  }
-  rt.LaunchInferenceOn(inf, inf_gpus, /*cold=*/false);
-
-  if (c.cv < 0.0) {
-    rt.AttachArrivals(inf,
-                      std::make_unique<workload::PoissonArrivals>(
-                          c.rps, Rng(kStreamSeed)),
-                      c.duration);
-  } else {
-    rt.AttachArrivals(inf,
-                      std::make_unique<workload::GammaArrivals>(
-                          c.rps, c.cv, Rng(kStreamSeed)),
-                      c.duration);
-  }
-  rt.RunFor(c.duration + Sec(2));
-
-  CollocationOutcome out;
-  out.inference = experiment::CollectFunctionResult(rt, inf);
-  out.training_tput = rt.TrainingThroughputUnits(train);
-  out.gpus_used = rt.state().ActiveGpuCount();
-  return out;
-}
-
-/** Two inference functions sharing one GPU. */
-struct IiCase {
-  std::string model_a;
-  std::string model_b;
-  double rps_a = 10.0;
-  double rps_b = 10.0;
-  /** Optional bursty envelope replacing Poisson for both. */
-  double burst_scale = -1.0;
-  TimeUs duration = Sec(60);
-};
-
-struct IiOutcome {
-  experiment::FunctionResult a;
-  experiment::FunctionResult b;
-};
-
-inline IiOutcome
-RunInferenceInference(const std::string& preset, const IiCase& c)
-{
-  cluster::ClusterConfig cfg = cluster::PresetConfig(preset);
-  cfg.nodes = 2;
-  cluster::ClusterRuntime rt(cfg);
-  core::FunctionSpec sa;
-  sa.model = c.model_a;
-  const FunctionId fa = rt.Deploy(sa);
-  core::FunctionSpec sb;
-  sb.model = c.model_b;
-  sb.priority = 0;  // TGS treats the co-runner as opportunistic
-  const FunctionId fb = rt.Deploy(sb);
-  rt.LaunchInferenceOn(fa, {0}, /*cold=*/false);
-  rt.LaunchInferenceOn(fb, {preset == "exclusive" ? 1 : 0},
-                       /*cold=*/false);
-  if (c.burst_scale > 0.0) {
-    workload::BurstySpec spec;
-    spec.duration_s = static_cast<int>(ToSec(c.duration));
-    spec.base_rps = c.rps_a;
-    spec.burst_scale = c.burst_scale;
-    rt.AttachArrivals(fa,
-                      std::make_unique<workload::EnvelopeArrivals>(
-                          workload::BuildBurstyTrace(spec), Rng(kStreamSeed)),
-                      c.duration);
-    spec.base_rps = c.rps_b;
-    spec.seed = 11;
-    rt.AttachArrivals(fb,
-                      std::make_unique<workload::EnvelopeArrivals>(
-                          workload::BuildBurstyTrace(spec),
-                          Rng(kStreamSeed + 1)),
-                      c.duration);
-  } else {
-    rt.AttachArrivals(fa,
-                      std::make_unique<workload::PoissonArrivals>(
-                          c.rps_a, Rng(kStreamSeed)),
-                      c.duration);
-    rt.AttachArrivals(fb,
-                      std::make_unique<workload::PoissonArrivals>(
-                          c.rps_b, Rng(kStreamSeed + 1)),
-                      c.duration);
-  }
-  rt.RunFor(c.duration + Sec(2));
-  IiOutcome out;
-  out.a = experiment::CollectFunctionResult(rt, fa);
-  out.b = experiment::CollectFunctionResult(rt, fb);
-  return out;
-}
 
 /** The Fig 17 fleet: 1,000 nodes x 4 GPUs x 40 GB, shared by
  *  bench_large_scale and the perf harness so the cluster shape cannot
@@ -343,9 +192,6 @@ inline int Fig17ChurnDepartures(int step)
 {
   return step < 10 ? 40 : 120 + (step % 3 == 0 ? 30 : -10);
 }
-
-/** Print a rule line for readability. */
-inline void Rule() { std::printf("%s\n", std::string(78, '-').c_str()); }
 
 }  // namespace dilu::bench
 

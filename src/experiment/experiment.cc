@@ -223,6 +223,9 @@ Experiment::Experiment(ExperimentSpec spec, RunOptions opts,
       BuildClusterConfig(spec_.cluster(), spec_.fabric());
   seed_ = opts_.seed != 0 ? opts_.seed : fleet.seed;
   const int n = std::max(1, std::min(shard_opts.shards, fleet.nodes));
+  // Pins name GPUs of the whole fleet; no shard could honour them, so
+  // dilu_run and ExpandSweep reject a pinned spec asked for >1 shard.
+  DILU_CHECK(shard_opts.shards <= 1 || !spec_.pinned());
   if (n != shard_opts.shards) {
     DILU_WARN << "shards clamped to " << n << " (fleet has "
               << fleet.nodes << " nodes)";
@@ -248,8 +251,20 @@ Experiment::runtime(int s)
 void
 Experiment::Arm(Shard& sh)
 {
-  // Provision warm capacity, enable co-scaling, submit training.
+  // Pinned launches come first, in deploy order (the order the loader
+  // checked their memory in); then provision warm capacity, enable
+  // co-scaling and submit training.
   cluster::ClusterRuntime& rt = *sh.runtime;
+  for (std::size_t i = 0; i < sh.spec.deploys().size(); ++i) {
+    const DeploySpec& d = sh.spec.deploys()[i];
+    const auto fn = static_cast<FunctionId>(i);
+    if (d.on.empty()) continue;
+    if (d.fn.type == TaskType::kInference) {
+      rt.LaunchInferenceOn(fn, d.on, /*cold=*/false);
+    } else {
+      rt.StartTrainingOn(fn, d.on, /*cold=*/false);
+    }
+  }
   for (std::size_t i = 0; i < sh.spec.deploys().size(); ++i) {
     const DeploySpec& d = sh.spec.deploys()[i];
     const auto fn = static_cast<FunctionId>(i);
@@ -260,7 +275,7 @@ Experiment::Arm(Shard& sh)
       if (!d.scaler.empty()) {
         rt.EnableAutoscaler(fn, scaling::MakeHorizontalPolicy(d.scaler));
       }
-    } else {
+    } else if (d.on.empty()) {
       // Cold submission at `start` (0 fires as the clock begins).
       rt.simulation().Post(d.start,
                            [&rt, fn] { rt.StartTraining(fn, true); });

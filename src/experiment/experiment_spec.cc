@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <type_traits>
 
 #include "cluster/cluster.h"
@@ -118,6 +119,13 @@ ExperimentSpec::ExportTo(std::string prefix)
   return *this;
 }
 
+bool
+ExperimentSpec::pinned() const
+{
+  return std::any_of(deploys_.begin(), deploys_.end(),
+                     [](const DeploySpec& d) { return !d.on.empty(); });
+}
+
 TimeUs
 ExperimentSpec::EffectiveRunFor() const
 {
@@ -182,6 +190,7 @@ enum class Type {
   kModel,     ///< a model catalog name
   kClass,     ///< critical | standard | best_effort
   kTraining,  ///< the bare word `training`: no `=value`
+  kGpus,      ///< distinct GPU ids >= 0, comma-separated
 };
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -205,6 +214,7 @@ struct Value {
   std::uint64_t u = 0;  ///< kSeed
   double d = 0.0;       ///< kDouble
   std::string_view s;   ///< kWord, kPreset, kModel
+  std::vector<GpuId> gpus;  ///< kGpus
 };
 
 template <typename T>
@@ -213,6 +223,8 @@ Load(T* field, const Value& v)
 {
   if constexpr (std::is_same_v<T, std::string>) {
     *field = std::string(v.s);
+  } else if constexpr (std::is_same_v<T, std::vector<GpuId>>) {
+    *field = v.gpus;
   } else if constexpr (std::is_same_v<T, double>) {
     *field = v.d;
   } else if constexpr (std::is_same_v<T, std::uint64_t>) {
@@ -235,6 +247,8 @@ Save(const T& field, Value* v)
 {
   if constexpr (std::is_same_v<T, std::string>) {
     v->s = field;
+  } else if constexpr (std::is_same_v<T, std::vector<GpuId>>) {
+    v->gpus = field;
   } else if constexpr (std::is_same_v<T, double>) {
     v->d = field;
   } else if constexpr (std::is_same_v<T, std::uint64_t>) {
@@ -412,6 +426,11 @@ const Key<DeploySpec> kDeployKeys[] = {
     {"deadline", Type::kTime,
      Field<&DeploySpec::fn, &FunctionSpec::deadline>(),
      "deadline wants a time > 0", kPositive, nullptr, kInferenceOnly, 3},
+    {"priority", Type::kInt,
+     Field<&DeploySpec::fn, &FunctionSpec::priority>(),
+     "priority must be >= 0", kNonNegative},
+    {"on", Type::kGpus, Field<&DeploySpec::on>(),
+     "on wants distinct GPU ids >= 0, comma-separated (e.g. on=0,1)"},
 };
 
 constexpr unsigned kOpenLoop = Bit(ArrivalKind::kConstant)
@@ -493,6 +512,23 @@ Find(const Key<S> (&keys)[N], std::string_view tok, std::string_view* value)
   return nullptr;
 }
 
+/** `0,1,...`: distinct GPU ids >= 0. */
+bool
+ParseGpus(std::string_view value, std::vector<GpuId>* out)
+{
+  for (std::size_t pos = 0; pos <= value.size();) {
+    const std::size_t end = std::min(value.find(',', pos), value.size());
+    std::int32_t gpu = 0;
+    if (!spec_text::ParseInt(value.substr(pos, end - pos), &gpu) || gpu < 0
+        || std::find(out->begin(), out->end(), gpu) != out->end()) {
+      return false;
+    }
+    out->push_back(gpu);
+    pos = end + 1;
+  }
+  return true;
+}
+
 /** Parse `value` as `k`'s type, check its bound and store it in `*s`. */
 template <typename S>
 bool
@@ -541,6 +577,7 @@ Set(const Key<S>& k, std::string_view value, S* s, int line_no,
     case Type::kTraining:
       v.i = static_cast<std::int64_t>(TaskType::kTraining);
       break;
+    case Type::kGpus: ok = ParseGpus(value, &v.gpus); break;
   }
   if (!ok) {
     return Fail(error, line_no,
@@ -574,6 +611,12 @@ Text(const Key<S>& k, const S& s, std::string* text)
     case Type::kModel: *text = std::string(v.s); break;
     case Type::kClass:
       *text = ToString(static_cast<ServiceClass>(v.i));
+      break;
+    case Type::kGpus:
+      text->clear();
+      for (const GpuId gpu : v.gpus) {
+        *text += (text->empty() ? "" : ",") + std::to_string(gpu);
+      }
       break;
   }
   return true;
@@ -654,6 +697,21 @@ ParseDeployLine(Tokens& toks, int line_no, DeploySpec* d, std::string* error)
     }
   }
   if (misplaced != none) return Fail(error, line_no, kMisplaced[misplaced]);
+  if (d->on.empty()) return true;
+  if (d->provision > 0 || d->start != 0) {
+    return Fail(error, line_no,
+                "on= is a warm launch at t=0; it cannot combine with "
+                "provision= or start=");
+  }
+  const bool training = d->fn.type == TaskType::kTraining;
+  const int units = training ? d->fn.workers : d->fn.shards;
+  if (static_cast<int>(d->on.size()) != units) {
+    return Fail(error, line_no,
+                "on= lists " + std::to_string(d->on.size()) + " GPUs for "
+                    + std::to_string(units)
+                    + (training ? " workers" : " shards")
+                    + "; the counts must match");
+  }
   return true;
 }
 
@@ -753,7 +811,8 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
                       std::string* error)
 {
   ExperimentSpec spec;
-  std::vector<int> workload_lines;  // for end-of-parse validation
+  std::vector<int> deploy_lines;  // for end-of-parse validation
+  std::vector<int> workload_lines;
   std::vector<int> chaos_lines;
   const bool ok = spec_text::ForEachLine(
       text, nullptr, [&](int line_no, Tokens& toks) {
@@ -779,6 +838,7 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
                            line_no, error);
         }
         if (directive == "deploy") {
+          deploy_lines.push_back(line_no);
           return ParseDeployLine(toks, line_no,
                                  &spec.deploys_.emplace_back(), error);
         }
@@ -845,9 +905,41 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
       }
     }
   }
-  const auto& events = spec.chaos_.events();
   const cluster::ClusterConfig fleet =
       BuildClusterConfig(spec.cluster_, spec.fabric_);
+  // Pins name fleet GPUs and must fit their memory in the order the
+  // driver attaches them (pinned deploys first, in deploy order), with
+  // Gpu::Attach's own arithmetic: an overflow is a spec error here, not
+  // a Fatal at t=0.
+  const std::int64_t fleet_gpus =
+      std::int64_t{fleet.nodes} * fleet.gpus_per_node;
+  std::map<GpuId, double> pinned_gb;
+  for (std::size_t i = 0; i < spec.deploys_.size(); ++i) {
+    const DeploySpec& d = spec.deploys_[i];
+    if (d.on.empty()) continue;
+    const models::ModelProfile& m = models::GetModel(d.fn.model);
+    const double mem_gb = d.fn.type == TaskType::kTraining
+        ? m.mem_gb_training
+        : m.mem_gb_inference / static_cast<double>(d.on.size());
+    for (const GpuId gpu : d.on) {
+      if (gpu >= fleet_gpus) {
+        return Fail(error, deploy_lines[i],
+                    "on= GPU " + std::to_string(gpu)
+                        + " is outside the fleet of "
+                        + std::to_string(fleet_gpus) + " GPUs");
+      }
+      double& used = pinned_gb[gpu];
+      if (used + mem_gb > fleet.gpu_memory_gb + 1e-9) {
+        return Fail(error, deploy_lines[i],
+                    "on= overflows GPU " + std::to_string(gpu)
+                        + "'s memory: " + FormatDouble(used) + " GB pinned + "
+                        + FormatDouble(mem_gb) + " GB > "
+                        + FormatDouble(fleet.gpu_memory_gb) + " GB");
+      }
+      used += mem_gb;
+    }
+  }
+  const auto& events = spec.chaos_.events();
   for (std::size_t i = 0; i < events.size(); ++i) {
     const chaos::ScenarioEvent& e = events[i];
     const int at = chaos_lines[i];

@@ -88,6 +88,12 @@ struct DeploySpec {
   std::string scaler;
   /** Training submission time (cold StartTraining fires here). */
   TimeUs start = 0;
+  /**
+   * Pinned GPUs (`on=`): one warm instance launched on exactly these
+   * GPUs at t = 0, one per shard (inference) or worker (training),
+   * before any scheduler placement. Empty = placed by the scheduler.
+   */
+  std::vector<GpuId> on;
 };
 
 /** How a workload's arrivals are generated. */
@@ -184,6 +190,12 @@ class ExperimentSpec {
   std::vector<WorkloadSpec>& workloads() { return workloads_; }
   TimeUs run_for() const { return run_for_; }
   const std::string& export_prefix() const { return export_prefix_; }
+
+  /**
+   * A deploy pins GPUs (`on=`). Pins name GPUs of the whole fleet, so
+   * such a spec runs on one shard only.
+   */
+  bool pinned() const;
 
   /**
    * The horizon the driver actually runs: `run for` when given,

@@ -16,12 +16,26 @@ namespace dilu::fabric {
 
 namespace {
 
+/**
+ * Whole microseconds (>= 1) that `us` of service occupies. Rounded up,
+ * since rounding to nearest lets a transfer drain up to half a
+ * microsecond's worth of bytes faster than its tier's rate; a
+ * picosecond of slack keeps floating-point noise in an exact quotient
+ * (1.1 GB / 25 GB/s = 44000.00000000001 us) from costing a whole
+ * microsecond.
+ */
+TimeUs
+WholeUs(double us)
+{
+  return std::max<TimeUs>(1, static_cast<TimeUs>(std::ceil(us - 1e-6)));
+}
+
 /** Service time for `gb` at `gbps`, in whole microseconds (>= 1). */
 TimeUs
 DurationUs(double gb, double gbps)
 {
   if (gb <= 0.0 || gbps <= 0.0) return 0;
-  return std::max<TimeUs>(1, std::llround(gb / gbps * 1e6));
+  return WholeUs(gb / gbps * 1e6);
 }
 
 }  // namespace
@@ -113,8 +127,8 @@ FabricPlane::SubmitStorage(NodeId node, double gb, TimeUs at)
       (node < 0 ? 0 : node) % config_.storage_devices);
   TimeUs& frontier = device_frontier_[dev];
   const TimeUs start = std::max(at, frontier);
-  const TimeUs need = std::max<TimeUs>(
-      1, std::llround(gb / config_.storage_bw_gbps * 1e6 * brownout_));
+  const TimeUs need =
+      WholeUs(gb / config_.storage_bw_gbps * 1e6 * brownout_);
   const TimeUs done = GcAdjustedDone(start, need);
   frontier = done;
 

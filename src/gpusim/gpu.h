@@ -2,7 +2,8 @@
  * @file
  * Discrete-event GPU device model.
  *
- * This is the hardware substitution for the paper's A100s (DESIGN.md §1):
+ * This is the hardware substitution for the paper's A100s (recorded
+ * here; no separate design document exists):
  * GPU time advances in 5 ms token quanta; within each quantum, attached
  * instances declare a compute *demand* (the SM share their currently
  * queued kernel blocks could productively use) and a per-GPU

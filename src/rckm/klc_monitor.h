@@ -8,10 +8,10 @@
  * durations and answers the relative change dT = (T_cur - T_min) / T_min
  * consumed by Algorithm 2.
  *
- * Engineering note (deviation documented in DESIGN.md): dynamic batching
- * changes the kernel count per iteration, so minima are tracked *per
- * batch-size bucket* — otherwise a batch-8 iteration would look like
- * contention relative to a batch-1 minimum.
+ * Engineering note (a deviation from the paper, recorded here):
+ * dynamic batching changes the kernel count per iteration, so minima
+ * are tracked *per batch-size bucket* — otherwise a batch-8 iteration
+ * would look like contention relative to a batch-1 minimum.
  */
 #ifndef DILU_RCKM_KLC_MONITOR_H_
 #define DILU_RCKM_KLC_MONITOR_H_

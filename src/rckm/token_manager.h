@@ -87,7 +87,8 @@ struct TokenGrant {
  * Deviation note: line 27 of the paper divides the scale-down budget by
  * dT, which *increases* it whenever dT < 1; we divide by
  * max(1 + dT, 1) so the collocated instance always shrinks
- * proportionally to the observed inflation (documented in DESIGN.md).
+ * proportionally to the observed inflation. This note is the record of
+ * the deviation; no separate design document exists.
  */
 class TokenManager {
  public:

@@ -162,8 +162,9 @@ using EventId = std::uint64_t;
 /**
  * A deterministic discrete-event priority queue.
  *
- * Not thread-safe: the whole simulation is single-threaded by design,
- * mirroring the deterministic-simulation requirement in DESIGN.md.
+ * Not thread-safe: each simulation is single-threaded by design, the
+ * determinism contract of docs/STATIC_ANALYSIS.md; sharded runs give
+ * every shard its own queue (docs/PARALLELISM.md).
  */
 class EventQueue {
  public:

@@ -112,6 +112,51 @@ constexpr MetricDef kMetrics[] = {
 constexpr std::size_t kMetricCount =
     sizeof(kMetrics) / sizeof(kMetrics[0]);
 
+/** A registry metric's per-function value (the `[fn=i]` selectors). */
+struct FunctionMetricDef {
+  const char* name;
+  double (*value)(const FunctionResult& f);
+};
+
+constexpr FunctionMetricDef kFunctionMetrics[] = {
+    {"availability",
+     [](const FunctionResult& f) { return f.availability_percent; }},
+    {"svr", [](const FunctionResult& f) { return f.svr_percent; }},
+    {"p50_ms", [](const FunctionResult& f) { return f.p50_ms; }},
+    {"p95_ms", [](const FunctionResult& f) { return f.p95_ms; }},
+    {"p99_ms", [](const FunctionResult& f) { return f.p99_ms; }},
+    {"mean_ms", [](const FunctionResult& f) { return f.mean_ms; }},
+    {"completed",
+     [](const FunctionResult& f) { return static_cast<double>(f.completed); }},
+    {"dropped",
+     [](const FunctionResult& f) { return static_cast<double>(f.dropped); }},
+    {"shed",
+     [](const FunctionResult& f) {
+       return static_cast<double>(f.shed_admission + f.shed_retry);
+     }},
+    {"cold_starts",
+     [](const FunctionResult& f) {
+       return static_cast<double>(f.cold_starts);
+     }},
+    {"checkpoint_pause_s",
+     [](const FunctionResult& f) { return f.checkpoint_pause_s; }},
+    {"restarts",
+     [](const FunctionResult& f) { return static_cast<double>(f.restarts); }},
+    {"iterations",
+     [](const FunctionResult& f) {
+       return static_cast<double>(f.iterations);
+     }},
+};
+
+const FunctionMetricDef*
+FindFunctionMetric(const std::string& name)
+{
+  for (const FunctionMetricDef& m : kFunctionMetrics) {
+    if (name == m.name) return &m;
+  }
+  return nullptr;
+}
+
 /** "%.6f"-formatted cell for the CSV rendering. */
 std::string
 Fixed6(double v)
@@ -159,6 +204,12 @@ IsSweepMetric(const std::string& name)
   return false;
 }
 
+bool
+IsFunctionMetric(const std::string& name)
+{
+  return FindFunctionMetric(name) != nullptr;
+}
+
 SweepReport
 AggregateSweep(const SweepSpec& sweep,
                const std::vector<ExperimentResult>& results)
@@ -169,7 +220,7 @@ AggregateSweep(const SweepSpec& sweep,
   rep.base = sweep.base();
   rep.seeds = sweep.seeds();
   rep.seed_base = sweep.seed_base();
-  rep.axes = sweep.axes();
+  rep.axes = sweep.GridAxes();
 
   const std::size_t cells = sweep.Cells();
   const std::size_t reps = static_cast<std::size_t>(sweep.seeds());
@@ -201,16 +252,33 @@ AggregateSweep(const SweepSpec& sweep,
     std::size_t mi = 0;
     while (mi < kMetricCount && t.metric != kMetrics[mi].name) ++mi;
     DILU_CHECK(mi < kMetricCount);  // Parse / Require validated the name
+    // Per cell: the registry mean, or a selector's own per-function mean.
+    std::vector<double> means(cells);
+    const FunctionMetricDef* fm =
+        t.fn < 0 ? nullptr : FindFunctionMetric(t.metric);
+    DILU_CHECK(t.fn < 0 || fm != nullptr);
+    for (std::size_t c = 0; c < cells; ++c) {
+      if (fm == nullptr) {
+        means[c] = rep.cells[c].metrics[mi].mean;
+        continue;
+      }
+      Accumulator acc;
+      for (std::size_t k = 0; k < reps; ++k) {
+        const ExperimentResult& r = results[c * reps + k];
+        DILU_CHECK(static_cast<std::size_t>(t.fn) < r.functions.size());
+        acc.Add(fm->value(r.functions[static_cast<std::size_t>(t.fn)]));
+      }
+      means[c] = acc.mean();
+    }
     ThresholdResult tr;
     tr.threshold = t;
-    const double baseline =
-        rep.cells.empty() ? 0.0 : rep.cells[0].metrics[mi].mean;
+    const double baseline = means.empty() ? 0.0 : means[0];
     tr.bound = t.relative ? t.value * baseline : t.value;
     tr.observed = baseline;
     const std::size_t first = t.relative ? 1 : 0;
     bool have_worst = false;
-    for (std::size_t c = first; c < rep.cells.size(); ++c) {
-      const double observed = rep.cells[c].metrics[mi].mean;
+    for (std::size_t c = first; c < cells; ++c) {
+      const double observed = means[c];
       const bool worse = !have_worst
           || (t.op == ThresholdOp::kLe ? observed > tr.observed
                                        : observed < tr.observed);
@@ -279,7 +347,7 @@ SweepReport::ToJson() const
   out += "  \"thresholds\": [\n";
   for (std::size_t t = 0; t < thresholds.size(); ++t) {
     const ThresholdResult& tr = thresholds[t];
-    out += "    {\"require\": \"" + EscapeJson(tr.threshold.metric)
+    out += "    {\"require\": \"" + EscapeJson(tr.threshold.Subject())
         + "\", \"op\": \""
         + (tr.threshold.op == ThresholdOp::kLe ? "<=" : ">=") + "\", ";
     AppendJson(&out,

@@ -8,9 +8,11 @@
  * Accumulator::Merge / MeanCi machinery in common/stats.h). `require`
  * clauses from the sweep spec then bound each cell's mean — absolute
  * bounds apply to every cell, `<factor>x baseline` bounds resolve
- * against cell 0's mean — and the report carries the worst cell per
- * clause plus an overall verdict, which the `dilu_sweep` CLI turns
- * into its exit code (the CI sweep-gate job's regression tripwire).
+ * against cell 0's mean, and a `[fn=i]` selector reads deploy i's
+ * own value instead of the fleet-wide one — and the report carries
+ * the worst cell per clause plus an overall verdict, which the
+ * `dilu_sweep` CLI turns into its exit code (the CI sweep-gate job's
+ * regression tripwire).
  *
  * Determinism: the JSON (schema dilu-sweep/1) and CSV renderings use
  * fixed key order and fixed-precision formatting and contain no
@@ -41,6 +43,12 @@ const std::vector<std::string>& SweepMetricNames();
 
 /** True when `name` is a registry metric (`require` validates this). */
 bool IsSweepMetric(const std::string& name);
+
+/**
+ * True when registry metric `name` also has a per-function value, so a
+ * `require <name>[fn=i]` selector may name it.
+ */
+bool IsFunctionMetric(const std::string& name);
 
 // --- aggregated report -------------------------------------------------
 
@@ -97,7 +105,8 @@ struct SweepReport {
 /**
  * Fold the matrix's results (in run-matrix order: cell-major, seed
  * repetitions innermost — what ExecuteSweep returns) into the report.
- * `results.size()` must equal `sweep.Runs()`.
+ * `results.size()` must equal `sweep.Runs()`, and every `[fn=i]`
+ * selector must name a function of the results (ExpandSweep checks).
  */
 SweepReport AggregateSweep(
     const SweepSpec& sweep,

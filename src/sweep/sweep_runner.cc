@@ -24,10 +24,19 @@ ExpandSweep(const SweepSpec& sweep,
             const experiment::ExperimentSpec& base, SweepMatrix* out,
             std::string* error)
 {
+  for (const Threshold& t : sweep.thresholds()) {
+    if (t.fn >= 0
+        && static_cast<std::size_t>(t.fn) >= base.deploys().size()) {
+      return FailExpand(error, "require " + t.Subject() + ": the base has "
+                        + std::to_string(base.deploys().size())
+                        + " deploys");
+    }
+  }
   // Guard the product before materializing it: a typo'd axis must be
   // an error message, not a million-run fleet.
+  const std::vector<SweepAxis> grid = sweep.GridAxes();
   std::size_t cells = 1;
-  for (const SweepAxis& a : sweep.axes()) {
+  for (const SweepAxis& a : grid) {
     if (a.values.empty()) {
       return FailExpand(error, "axis '" + a.path + "' has no values");
     }
@@ -44,43 +53,63 @@ ExpandSweep(const SweepSpec& sweep,
   }
 
   SweepMatrix matrix;
-  matrix.axes = sweep.axes();
+  matrix.axes = grid;
   matrix.cells = cells;
   matrix.seeds = sweep.seeds();
   matrix.runs.reserve(cells * reps);
+  const bool variants = !sweep.variants().empty();
   for (std::size_t c = 0; c < cells; ++c) {
     experiment::ExperimentSpec spec = base;
     // Sweep runs are measurement fan-out, not trace producers.
     spec.ExportTo("");
-    std::vector<std::string> values;
     int shards = 1;
-    // Row-major decomposition: first axis outermost.
-    std::size_t rem = c;
-    for (std::size_t a = matrix.axes.size(); a-- > 0;) {
-      const SweepAxis& axis = matrix.axes[a];
-      values.insert(values.begin(),
-                    axis.values[rem % axis.values.size()]);
-      rem /= axis.values.size();
-    }
-    for (std::size_t a = 0; a < matrix.axes.size(); ++a) {
-      const SweepAxis& axis = matrix.axes[a];
-      const std::string& value = values[a];
-      if (axis.path == "run.shards") {
+    // Set one knob; `where` names its line in the sweep for errors.
+    const auto set = [&](const std::string& path, const std::string& value,
+                         const std::string& where) {
+      if (path == "run.shards") {
         std::int32_t n = 0;
         if (!spec_text::ParseInt(value, &n) || n < 1) {
-          return FailExpand(error,
-                            "axis 'run.shards' value '" + value
-                                + "': wants an int >= 1");
+          return FailExpand(error, where + ": wants an int >= 1");
         }
         shards = n;
-        continue;
+        return true;
       }
       std::string apply_error;
-      if (!experiment::ApplyParam(&spec, axis.path, value,
-                                  &apply_error)) {
-        return FailExpand(error, "axis '" + axis.path + "' value '"
-                          + value + "': " + apply_error);
+      if (!experiment::ApplyParam(&spec, path, value, &apply_error)) {
+        return FailExpand(error, where + ": " + apply_error);
       }
+      return true;
+    };
+    // Row-major decomposition: first axis (the variants) outermost.
+    std::vector<std::size_t> at(grid.size());
+    std::size_t rem = c;
+    for (std::size_t a = grid.size(); a-- > 0;) {
+      at[a] = rem % grid[a].values.size();
+      rem /= grid[a].values.size();
+    }
+    std::vector<std::string> values;
+    for (std::size_t a = 0; a < grid.size(); ++a) {
+      const std::string& value = grid[a].values[at[a]];
+      values.push_back(value);
+      if (variants && a == 0) {
+        const SweepVariant& v = sweep.variants()[at[a]];
+        for (const auto& [path, setting] : v.params) {
+          if (!set(path, setting,
+                   "variant '" + v.name + "' " + path + "=" + setting)) {
+            return false;
+          }
+        }
+      } else if (!set(grid[a].path, value,
+                      "axis '" + grid[a].path + "' value '" + value
+                          + "'")) {
+        return false;
+      }
+    }
+    if (shards > 1 && spec.pinned()) {
+      return FailExpand(error, "cell " + std::to_string(c) + ": run.shards="
+                        + std::to_string(shards)
+                        + " cannot partition a base whose deploys pin "
+                          "GPUs (on=)");
     }
     for (std::size_t k = 0; k < reps; ++k) {
       SweepRun run;

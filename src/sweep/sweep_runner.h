@@ -8,8 +8,9 @@
  * cell can never be a spec the loader would have rejected), clears the
  * trace-export prefix (a thousand runs must not write a thousand trace
  * trees) and fans out into `seeds` repetitions under seeds
- * `seed_base + k`. The pseudo-axis `run.shards` is intercepted here —
- * it sets the cell's shard count instead of mutating the spec.
+ * `seed_base + k`. A `variant` cell applies each of its settings the
+ * same way. The pseudo-path `run.shards` is intercepted here — it sets
+ * the cell's shard count instead of mutating the spec.
  *
  * Execution runs one experiment per task of the work pool
  * (common/work_pool.h) and stores each result into its run's own slot;
@@ -36,7 +37,7 @@ struct SweepRun {
   std::size_t cell = 0;   ///< row-major grid cell
   int rep = 0;            ///< seed repetition within the cell
   std::uint64_t seed = 0;            ///< seed_base + rep
-  std::vector<std::string> values;   ///< one per axis, sweep order
+  std::vector<std::string> values;   ///< one per grid axis, sweep order
   int shards = 1;  ///< ShardOptions::shards of the run
   experiment::ExperimentSpec spec;   ///< base + axis values applied
 };
@@ -54,10 +55,11 @@ inline constexpr std::size_t kMaxSweepRuns = 1000000;
 
 /**
  * Expand `sweep` against its (already loaded) base experiment. On
- * failure — an axis value the parameter path rejects, a bad
- * `run.shards` value, an oversized matrix — returns false with a
- * message naming the axis and value in `*error` (when non-null);
- * `*out` is only written on success.
+ * failure — an axis or variant value the parameter path rejects, a bad
+ * `run.shards` value or one that would partition a pinned base, a
+ * `[fn=i]` selector past the base's deploys, an oversized matrix —
+ * returns false with a message naming the offending line in `*error`
+ * (when non-null); `*out` is only written on success.
  */
 bool ExpandSweep(const SweepSpec& sweep,
                  const experiment::ExperimentSpec& base, SweepMatrix* out,

@@ -1,5 +1,6 @@
 #include "sweep/sweep_spec.h"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -81,6 +82,46 @@ ParseAxisLine(Tokens& toks, int line_no, SweepSpec* spec, std::string* error)
 }
 
 bool
+ParseVariantLine(Tokens& toks, int line_no, SweepSpec* spec,
+                 std::string* error)
+{
+  std::string_view tok;
+  if (!toks.Next(&tok) || tok.find('=') != std::string_view::npos) {
+    return Fail(error, line_no,
+                "expected 'variant <name> <path>=<value> ...'");
+  }
+  const std::string name(tok);
+  for (const SweepVariant& v : spec->variants()) {
+    if (v.name == name) {
+      return Fail(error, line_no, "duplicate variant '" + name + "'");
+    }
+  }
+  std::vector<std::pair<std::string, std::string>> params;
+  while (toks.Next(&tok)) {
+    const std::size_t eq = tok.find('=');
+    if (eq == 0 || eq == std::string_view::npos || eq + 1 == tok.size()) {
+      return Fail(error, line_no,
+                  "variant '" + name + "' wants <path>=<value>, got '"
+                      + std::string(tok) + "'");
+    }
+    std::string path(tok.substr(0, eq));
+    for (const auto& p : params) {
+      if (p.first == path) {
+        return Fail(error, line_no,
+                    "variant '" + name + "' sets '" + path + "' twice");
+      }
+    }
+    params.emplace_back(std::move(path), tok.substr(eq + 1));
+  }
+  if (params.empty()) {
+    return Fail(error, line_no,
+                "variant '" + name + "' needs a <path>=<value>");
+  }
+  spec->Variant(name, std::move(params));
+  return true;
+}
+
+bool
 ParseRequireLine(Tokens& toks, int line_no, SweepSpec* spec,
                  std::string* error)
 {
@@ -91,11 +132,29 @@ ParseRequireLine(Tokens& toks, int line_no, SweepSpec* spec,
     return Fail(error, line_no,
                 "expected 'require <metric> <=|>= <value>[x baseline]'");
   }
+  std::int32_t fn = -1;
+  const std::size_t open = tok.find('[');
+  if (open != std::string_view::npos) {
+    const std::string_view sel = tok.substr(open);
+    if (sel.size() < 6 || sel.substr(0, 4) != "[fn=" || sel.back() != ']'
+        || !ParseInt(sel.substr(4, sel.size() - 5), &fn) || fn < 0) {
+      return Fail(error, line_no,
+                  "a per-function selector reads <metric>[fn=<index >= "
+                  "0>]");
+    }
+    tok = tok.substr(0, open);
+  }
   const std::string metric(tok);
   if (!IsSweepMetric(metric)) {
     return Fail(error, line_no,
                 "unknown metric '" + metric
                     + "' (dilu_sweep --metrics lists the registry)");
+  }
+  if (fn >= 0 && !IsFunctionMetric(metric)) {
+    return Fail(error, line_no,
+                "metric '" + metric
+                    + "' has no per-function value (dilu_sweep --metrics "
+                      "marks the ones [fn=i] takes)");
   }
   ThresholdOp op = ThresholdOp::kLe;
   if (op_tok == "<=") {
@@ -121,7 +180,7 @@ ParseRequireLine(Tokens& toks, int line_no, SweepSpec* spec,
     return Fail(error, line_no, "require wants a bound >= 0");
   }
   if (!spec_text::AtEnd(toks, line_no, error)) return false;
-  spec->Require(metric, op, value, relative);
+  spec->Require(metric, op, value, relative, fn);
   return true;
 }
 
@@ -150,18 +209,45 @@ SweepSpec::Axis(std::string path, std::vector<std::string> values)
 }
 
 SweepSpec&
+SweepSpec::Variant(std::string name,
+                   std::vector<std::pair<std::string, std::string>> params)
+{
+  variants_.push_back(SweepVariant{std::move(name), std::move(params)});
+  return *this;
+}
+
+SweepSpec&
 SweepSpec::Require(std::string metric, ThresholdOp op, double value,
-                   bool relative)
+                   bool relative, int fn)
 {
   thresholds_.push_back(
-      Threshold{std::move(metric), op, value, relative});
+      Threshold{std::move(metric), op, value, relative, fn});
   return *this;
+}
+
+std::string
+Threshold::Subject() const
+{
+  return fn < 0 ? metric : metric + "[fn=" + std::to_string(fn) + "]";
+}
+
+std::vector<SweepAxis>
+SweepSpec::GridAxes() const
+{
+  std::vector<SweepAxis> grid;
+  if (!variants_.empty()) {
+    SweepAxis& names = grid.emplace_back();
+    names.path = "variant";
+    for (const SweepVariant& v : variants_) names.values.push_back(v.name);
+  }
+  grid.insert(grid.end(), axes_.begin(), axes_.end());
+  return grid;
 }
 
 std::size_t
 SweepSpec::Cells() const
 {
-  std::size_t cells = 1;
+  std::size_t cells = std::max<std::size_t>(1, variants_.size());
   for (const SweepAxis& a : axes_) cells *= a.values.size();
   return cells;
 }
@@ -175,13 +261,20 @@ SweepSpec::ToText() const
   out << "seeds " << seeds_;
   if (seed_base_ != 1) out << " base=" << seed_base_;
   out << '\n';
+  for (const SweepVariant& v : variants_) {
+    out << "variant " << v.name;
+    for (const auto& [path, value] : v.params) {
+      out << ' ' << path << '=' << value;
+    }
+    out << '\n';
+  }
   for (const SweepAxis& a : axes_) {
     out << "axis " << a.path;
     for (const std::string& v : a.values) out << ' ' << v;
     out << '\n';
   }
   for (const Threshold& t : thresholds_) {
-    out << "require " << t.metric << ' '
+    out << "require " << t.Subject() << ' '
         << (t.op == ThresholdOp::kLe ? "<=" : ">=") << ' '
         << FormatDouble(t.value);
     if (t.relative) out << "x baseline";
@@ -198,6 +291,8 @@ SweepSpec::Parse(const std::string& text, SweepSpec* out,
   bool have_name = false;
   bool have_base = false;
   bool have_seeds = false;
+  std::vector<int> variant_lines;  // for end-of-parse validation
+  std::vector<int> require_lines;
   int line_no = 0;
   const bool ok = spec_text::ForEachLine(
       text, &line_no, [&](int line, Tokens& toks) {
@@ -221,15 +316,21 @@ SweepSpec::Parse(const std::string& text, SweepSpec* out,
           have_seeds = true;
           return ParseSeedsLine(toks, line, &spec, error);
         }
+        if (directive == "variant") {
+          variant_lines.push_back(line);
+          return ParseVariantLine(toks, line, &spec, error);
+        }
         if (directive == "axis") {
           return ParseAxisLine(toks, line, &spec, error);
         }
         if (directive == "require") {
+          require_lines.push_back(line);
           return ParseRequireLine(toks, line, &spec, error);
         }
         return Fail(error, line,
                     "unknown directive '" + std::string(directive)
-                        + "' (want sweep/base/seeds/axis/require)");
+                        + "' (want sweep/base/seeds/variant/axis/"
+                          "require)");
       });
   if (!ok) return false;
   if (!have_name) {
@@ -237,6 +338,27 @@ SweepSpec::Parse(const std::string& text, SweepSpec* out,
   }
   if (!have_base) {
     return Fail(error, line_no, "a sweep needs a 'base <experiment>' line");
+  }
+  // A variant and an axis setting one knob would race for its value.
+  for (std::size_t v = 0; v < spec.variants_.size(); ++v) {
+    for (const auto& p : spec.variants_[v].params) {
+      for (const SweepAxis& a : spec.axes_) {
+        if (a.path == p.first) {
+          return Fail(error, variant_lines[v],
+                      "variant '" + spec.variants_[v].name + "' sets '"
+                          + p.first + "', which an axis sweeps");
+        }
+      }
+    }
+  }
+  // Relative clauses skip the baseline cell, so one cell leaves them
+  // nothing to check.
+  for (std::size_t t = 0; t < spec.thresholds_.size(); ++t) {
+    if (spec.thresholds_[t].relative && spec.Cells() == 1) {
+      return Fail(error, require_lines[t],
+                  "a relative clause needs a second cell to compare with "
+                  "the baseline (add a variant or an axis value)");
+    }
   }
   if (out != nullptr) *out = std::move(spec);
   return true;

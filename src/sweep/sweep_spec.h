@@ -12,6 +12,9 @@
  * studies are diffable files under experiments/sweeps/ (the
  * `dilu_sweep` CLI executes them; docs/SWEEP.md has the grammar).
  *
+ * Named `variant` cells set several knobs at once; together they form
+ * the outermost pseudo-axis `variant`, so cell 0 is the first variant.
+ *
  * Determinism: a sweep carries no randomness. The run matrix expands
  * in a fixed row-major order (first axis outermost, seed repetitions
  * innermost) and repetition k of every cell runs under the same seed
@@ -23,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dilu::sweep {
@@ -38,6 +42,15 @@ struct SweepAxis {
   std::string path;
   /** Spec-format value tokens, in sweep order; first = baseline. */
   std::vector<std::string> values;
+};
+
+/**
+ * One `variant` line: a named cell that applies every (path, value)
+ * pair, in order, through ApplyParam (or the runner's `run.shards`).
+ */
+struct SweepVariant {
+  std::string name;
+  std::vector<std::pair<std::string, std::string>> params;
 };
 
 /** Direction of a `require` clause. */
@@ -57,9 +70,18 @@ struct Threshold {
    * `<value>x baseline`: the bound is value * the metric's mean in the
    * baseline cell (cell 0 — every axis at its first value). Relative
    * clauses skip the baseline cell itself, which would otherwise be
-   * compared against its own scaled mean.
+   * compared against its own scaled mean, so a one-cell sweep rejects
+   * them.
    */
   bool relative = false;
+  /**
+   * `<metric>[fn=i]`: the metric of the base's i-th deploy (its
+   * FunctionResult) instead of the fleet-wide registry value; -1 = none.
+   */
+  int fn = -1;
+
+  /** The clause's metric as written: `p95_ms` or `p95_ms[fn=1]`. */
+  std::string Subject() const;
 };
 
 /** A named, declarative parameter-sweep description. */
@@ -84,9 +106,14 @@ class SweepSpec {
   /** Append a grid axis. */
   SweepSpec& Axis(std::string path, std::vector<std::string> values);
 
-  /** Append a `require` clause. */
+  /** Append a named cell of the `variant` pseudo-axis. */
+  SweepSpec& Variant(
+      std::string name,
+      std::vector<std::pair<std::string, std::string>> params);
+
+  /** Append a `require` clause (`fn` >= 0: a per-function selector). */
   SweepSpec& Require(std::string metric, ThresholdOp op, double value,
-                     bool relative = false);
+                     bool relative = false, int fn = -1);
 
   // --- accessors -------------------------------------------------------
   const std::string& name() const { return name_; }
@@ -94,9 +121,16 @@ class SweepSpec {
   int seeds() const { return seeds_; }
   std::uint64_t seed_base() const { return seed_base_; }
   const std::vector<SweepAxis>& axes() const { return axes_; }
+  const std::vector<SweepVariant>& variants() const { return variants_; }
   const std::vector<Threshold>& thresholds() const { return thresholds_; }
 
-  /** Grid size: product of axis value counts (1 with no axes). */
+  /**
+   * The grid's dimensions, outermost first: the `variant` pseudo-axis
+   * (the variant names) when there are variants, then axes().
+   */
+  std::vector<SweepAxis> GridAxes() const;
+
+  /** Grid size: product of GridAxes() value counts (1 with none). */
   std::size_t Cells() const;
 
   /** Total runs: Cells() * seeds. */
@@ -104,8 +138,8 @@ class SweepSpec {
 
   /**
    * Serialize to the sweep text format (canonical: sweep / base /
-   * seeds / axis lines in declaration order / require lines in
-   * declaration order). ToText/Parse round-trip byte-identically.
+   * seeds / variant, axis and require lines, each in declaration
+   * order). ToText/Parse round-trip byte-identically.
    */
   std::string ToText() const;
 
@@ -116,11 +150,14 @@ class SweepSpec {
    *   sweep <name>
    *   base <experiment>
    *   seeds <N> [base=<B>]
+   *   variant <name> <path>=<value> [<path>=<value> ...]
    *   axis <path> <value> [<value> ...]
-   *   require <metric> <=|>= <value>[x baseline]
+   *   require <metric>[[fn=<i>]] <=|>= <value>[x baseline]
    *
-   * On failure returns false and leaves a line-numbered message in
-   * `*error` (when non-null); `*out` is only written on success.
+   * A relative clause on a one-cell sweep is rejected: it would have
+   * no cell to check. On failure returns false and leaves a
+   * line-numbered message in `*error` (when non-null); `*out` is only
+   * written on success.
    */
   static bool Parse(const std::string& text, SweepSpec* out,
                     std::string* error);
@@ -131,6 +168,7 @@ class SweepSpec {
   int seeds_ = 1;
   std::uint64_t seed_base_ = 1;
   std::vector<SweepAxis> axes_;
+  std::vector<SweepVariant> variants_;
   std::vector<Threshold> thresholds_;
 };
 

@@ -6,7 +6,7 @@
  * from Azure Functions' production traces ("Serverless in the Wild"),
  * following INFless: Bursty, Sporadic and Periodic. Production traces
  * are unavailable offline, so we generate per-second RPS envelopes with
- * the same qualitative structure (documented substitution, DESIGN.md):
+ * the same qualitative structure (a substitution recorded here):
  *
  * - Bursty: a modest base rate with occasional multi-x surges lasting
  *   tens of seconds (Fig 12's workload; the Fig 8a "scaling factor of

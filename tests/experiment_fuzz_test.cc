@@ -5,14 +5,16 @@
  * parse -> print -> parse byte-identically, and randomly mutated specs
  * must fail with a line-numbered error — never crash, never be
  * silently mis-parsed. The generator draws every directive, every key
- * of every line (cluster, storage, nic, both deploy task types, all
- * seven arrival kinds) and all fifteen chaos verbs, each fn-targeted
- * verb aimed at a deploy of the task type it requires.
+ * of every line (cluster, storage, nic, both deploy task types incl.
+ * `priority=` and `on=` pins that fit the fleet, all seven arrival
+ * kinds) and all fifteen chaos verbs, each fn-targeted verb aimed at a
+ * deploy of the task type it requires.
  *
  * The run-fuzz also *runs* generated specs, horizon capped and exports
  * cleared: every shard audits its fleet (fabric included) every 500 ms,
  * the audited report must equal an unaudited rerun byte for byte, and
- * a two-shard run must audit clean too.
+ * a two-shard run must audit clean too (pinned specs run on one shard
+ * only, so they skip it).
  *
  * Everything draws from a fixed-seed Rng, so a failure reproduces
  * exactly; crank kRounds locally for a longer soak.
@@ -29,6 +31,7 @@
 #include "experiment/experiment.h"
 #include "experiment/experiment_spec.h"
 #include "invariant_audit.h"
+#include "models/model_catalog.h"
 
 namespace dilu {
 namespace {
@@ -138,6 +141,35 @@ RandomSpec(Rng& rng)
   }
 
   // --- deployments ---
+  // Pins (`on=`) pick distinct fleet GPUs with memory to spare, in
+  // deploy order like the loader's check.
+  const cluster::ClusterConfig pin_fleet =
+      experiment::BuildClusterConfig(spec.cluster(), spec.fabric());
+  const std::int64_t fleet_gpus =
+      std::int64_t{pin_fleet.nodes} * pin_fleet.gpus_per_node;
+  std::vector<double> pinned_gb(static_cast<std::size_t>(fleet_gpus), 0.0);
+  const auto maybe_pin = [&](DeploySpec& d, int units) {
+    if (rng.UniformInt(0, 3) != 0 || units > fleet_gpus) return;
+    const models::ModelProfile& m = models::GetModel(d.fn.model);
+    const double mem_gb = d.fn.type == TaskType::kTraining
+        ? m.mem_gb_training
+        : m.mem_gb_inference / units;
+    std::vector<GpuId> on;
+    while (static_cast<int>(on.size()) < units) {
+      const auto gpu = static_cast<GpuId>(rng.UniformInt(0, fleet_gpus - 1));
+      if (std::find(on.begin(), on.end(), gpu) == on.end()) on.push_back(gpu);
+    }
+    for (const GpuId gpu : on) {
+      if (pinned_gb[static_cast<std::size_t>(gpu)] + mem_gb
+          > pin_fleet.gpu_memory_gb) {
+        return;
+      }
+    }
+    for (const GpuId gpu : on) {
+      pinned_gb[static_cast<std::size_t>(gpu)] += mem_gb;
+    }
+    d.on = std::move(on);
+  };
   const int deploys = static_cast<int>(rng.UniformInt(1, 4));
   std::vector<int> inference_fns;
   std::vector<int> training_fns;
@@ -154,6 +186,10 @@ RandomSpec(Rng& rng)
           d.fn.checkpoint_save_cost = RandomTime(rng);
         }
       }
+      if (rng.UniformInt(0, 3) == 0) {
+        d.fn.priority = static_cast<int>(rng.UniformInt(0, 2));
+      }
+      if (d.start == 0) maybe_pin(d, d.fn.workers);
       training_fns.push_back(i);
     } else {
       DeploySpec& d =
@@ -182,6 +218,10 @@ RandomSpec(Rng& rng)
       }
       if (rng.UniformInt(0, 2) == 0) d.fn.retry_backoff = RandomTime(rng);
       if (rng.UniformInt(0, 2) == 0) d.fn.deadline = RandomTime(rng);
+      if (rng.UniformInt(0, 3) == 0) {
+        d.fn.priority = static_cast<int>(rng.UniformInt(0, 2));
+      }
+      if (d.provision == 0) maybe_pin(d, d.fn.shards);
       inference_fns.push_back(i);
     }
   }
@@ -460,6 +500,7 @@ TEST(ExperimentFuzz, RandomSpecsRunAuditCleanAndReplay)
     EXPECT_EQ(RunJson(spec, 1, /*audit=*/false, nullptr), audited)
         << "auditing must not perturb the run";
 
+    if (spec.pinned()) continue;  // pins name whole-fleet GPUs
     audits = 0;
     RunJson(spec, 2, /*audit=*/true, &audits);
     EXPECT_GE(audits, ticks) << "every shard must audit every 500 ms";

@@ -14,8 +14,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "experiment/experiment.h"
+#include "scheduler/gpu_state.h"
 
 namespace dilu {
 namespace {
@@ -230,6 +232,105 @@ TEST(ExperimentSpecText, ChaosTargetsAreBoundedByThePresetFleet)
       nullptr, &error));
   EXPECT_EQ(error,
             "line 3: fail_link targets node 2 outside the fleet of 2 nodes");
+}
+
+TEST(ExperimentSpecText, PinsAreCheckedAgainstLineFleetAndMemory)
+{
+  // Each rejection names the deploy's line; none reaches the driver.
+  const struct {
+    const char* text;
+    const char* error;
+  } kCases[] = {
+      // Outside the fleet (default 1 node x 4 GPUs), also when the
+      // cluster line comes later.
+      {"experiment p\ndeploy model=bert-base on=4\n",
+       "line 2: on= GPU 4 is outside the fleet of 4 GPUs"},
+      {"experiment p\ndeploy model=bert-base on=8\ncluster nodes=2\n",
+       "line 2: on= GPU 8 is outside the fleet of 8 GPUs"},
+      // One GPU per shard (inference) or worker (training).
+      {"experiment p\ndeploy model=llama2-7b shards=2 on=0\n",
+       "line 2: on= lists 1 GPUs for 2 shards; the counts must match"},
+      {"experiment p\ndeploy model=vgg19 training workers=2 on=0,1,2\n",
+       "line 2: on= lists 3 GPUs for 2 workers; the counts must match"},
+      // A pin is the launch: no scheduler-placed or delayed one beside.
+      {"experiment p\ndeploy model=bert-base provision=1 on=0\n",
+       "line 2: on= is a warm launch at t=0; it cannot combine with "
+       "provision= or start="},
+      {"experiment p\ndeploy model=vgg19 training start=5s on=0\n",
+       "line 2: on= is a warm launch at t=0; it cannot combine with "
+       "provision= or start="},
+      // Two 34 GB LLaMA2-7B workers do not fit one 40 GB GPU.
+      {"experiment p\ndeploy model=llama2-7b training on=1\n"
+       "deploy model=bert-base on=0\ndeploy model=llama2-7b training on=1\n",
+       "line 4: on= overflows GPU 1's memory: 34 GB pinned + 34 GB > 40 GB"},
+      // Malformed lists and priorities.
+      {"experiment p\ndeploy model=bert-base shards=2 on=0,0\n",
+       "line 2: on wants distinct GPU ids >= 0, comma-separated (e.g. "
+       "on=0,1)"},
+      {"experiment p\ndeploy model=bert-base on=-1\n",
+       "line 2: on wants distinct GPU ids"},
+      {"experiment p\ndeploy model=bert-base shards=2 on=0,,1\n",
+       "line 2: on wants distinct GPU ids"},
+      {"experiment p\ndeploy model=bert-base on=a\n",
+       "line 2: on wants distinct GPU ids"},
+      {"experiment p\ndeploy model=bert-base priority=-1\n",
+       "line 2: priority must be >= 0"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.text);
+    std::string error;
+    EXPECT_FALSE(ExperimentSpec::Parse(c.text, nullptr, &error));
+    EXPECT_EQ(error.rfind(c.error, 0), 0u) << error;
+  }
+  // Up to the capacity is fine, and the canonical form round-trips.
+  ExperimentSpec spec;
+  std::string error;
+  ASSERT_TRUE(ExperimentSpec::Parse(
+      "experiment p\ndeploy model=llama2-7b training priority=1 on=1\n"
+      "deploy model=llama2-7b shards=4 priority=0 on=3,2,1,0\n",
+      &spec, &error))
+      << error;
+  EXPECT_EQ(spec.deploys()[1].on, (std::vector<GpuId>{3, 2, 1, 0}));
+  EXPECT_EQ(spec.deploys()[1].fn.priority, 0);
+  EXPECT_TRUE(spec.pinned());
+  EXPECT_EQ(spec.ToText(),
+            "experiment p\n"
+            "deploy model=llama2-7b training priority=1 on=1\n"
+            "deploy model=llama2-7b shards=4 priority=0 on=3,2,1,0\n");
+}
+
+TEST(ExperimentDriver, PinsLaunchWarmOnTheirGpus)
+{
+  ExperimentSpec spec;
+  std::string error;
+  ASSERT_TRUE(ExperimentSpec::Parse(
+      "experiment pins\ncluster nodes=2\n"
+      "deploy model=vgg19 training workers=2 on=6,7\n"
+      "deploy model=resnet152 shards=2 on=5,6\n"
+      "workload fn=1 poisson rps=5 for 5s\nrun for 6s\n",
+      &spec, &error))
+      << error;
+  Experiment exp(spec);
+  const ExperimentResult r = exp.Run();
+  // vgg19 training (10 GB per worker) on 6 and 7, a resnet152 shard
+  // (2.5 / 2 GB) on 5 and 6, nothing anywhere else.
+  const scheduler::ClusterState& state = exp.runtime().state();
+  for (GpuId g = 0; g < 8; ++g) {
+    const double want = g == 5 ? 1.25 : g == 6 ? 11.25 : g == 7 ? 10.0 : 0.0;
+    EXPECT_DOUBLE_EQ(state.gpu(g).mem_used, want) << "GPU " << g;
+  }
+  EXPECT_EQ(r.functions[1].cold_starts, 0);
+  EXPECT_GT(r.functions[1].completed, 0);
+  EXPECT_GT(r.functions[0].iterations, 0);
+}
+
+TEST(ExperimentDriverDeathTest, PinnedSpecCannotBeSharded)
+{
+  ExperimentSpec spec("pinned");
+  spec.cluster().nodes = 2;
+  spec.AddInference("bert-base").on = {0};
+  EXPECT_DEATH(Experiment(spec, {}, experiment::ShardOptions{2, 1}),
+               "pinned");
 }
 
 TEST(ExperimentSpecText, GalleryParsesAndCanonicalizes)

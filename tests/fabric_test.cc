@@ -101,6 +101,18 @@ TEST(Storage, NoGcServiceIsExactlyBandwidthLimited)
   EXPECT_FALSE(fp.lower_bound_violated());
 }
 
+TEST(Storage, FractionalServiceRoundsUpSoNoWriteBeatsTheRate)
+{
+  // 1 GB at 3 GB/s is 333333.3 us of service: the write occupies the
+  // device for 333334 us, never the 333333 that would move 1 GB faster
+  // than 3 GB/s.
+  FabricPlane fp(StorageConfig(3.0, 0.0, Ms(200)), 1, 1);
+  const TransferResult r = fp.SubmitStorage(0, 1.0, 0);
+  EXPECT_EQ(r.done - r.start, 333334);
+  EXPECT_GE(3.0 * ToSec(r.done - r.start), 1.0);
+  EXPECT_FALSE(fp.lower_bound_violated());
+}
+
 TEST(Storage, GcDutyCycleAccountingIsClosedForm)
 {
   // 1 GB at 1 GB/s needs 1000 ms of service. GC owns the first 25 ms
@@ -173,6 +185,19 @@ TEST(Network, StoreAndForwardRespectsTheBandwidthLowerBound)
   EXPECT_FALSE(fp.lower_bound_violated());
   EXPECT_EQ(fp.totals().network_transfers, 1);
   EXPECT_DOUBLE_EQ(fp.totals().network_gb, 1.0);
+}
+
+TEST(Network, FractionalHopsRoundUpSoNoTransferBeatsTheRate)
+{
+  FabricConfig cfg;
+  cfg.enabled = true;
+  cfg.nic_rate_gbps = 3.0;
+  FabricPlane fp(cfg, 2, 1);
+  const TransferResult r = fp.SubmitNetwork(0, 1, 1.0, 0);
+  // The flight's downlink hop carries 1 GB at 3 GB/s: 333334 us.
+  EXPECT_EQ(r.done - r.start, 333334);
+  EXPECT_GE(cfg.nic_rate_gbps * ToSec(r.done - r.start), 1.0);
+  testing::AuditFabric(fp, r.start);
 }
 
 TEST(Network, FailedLinkParksTransfersUntilTheOutageEnds)

@@ -226,6 +226,20 @@ TEST(LintRules, SeedZeroSentinelScopedByExceptionList)
             (std::set<P>{{"seed-zero", 6}, {"seed-zero", 7}}));
 }
 
+TEST(LintRules, StdDistributionFlaggedOutsideRandomCc)
+{
+  // Line 4 is the using-declaration; the near misses stay silent.
+  const auto got =
+      RuleLines(Lint("bad_std_distribution.cc", "tests/x_test.cc"));
+  EXPECT_EQ(got, (std::set<P>{{"std-distribution", 4},
+                              {"std-distribution", 8},
+                              {"std-distribution", 9},
+                              {"std-distribution", 11}}));
+  // common/random.cc is the one sanctioned home of the distributions.
+  EXPECT_TRUE(Lint("bad_std_distribution.cc", "src/common/random.cc")
+                  .empty());
+}
+
 TEST(LintSuppressions, AllPlacementFormsSilenceFindings)
 {
   EXPECT_TRUE(Lint("good_suppressed.cc", "src/x.cc").empty());
@@ -281,7 +295,7 @@ TEST(LintCatalogue, RuleIdsAreUniqueAndDocumented)
   }
   // The catalogue is part of the documented contract; additions must
   // update docs/STATIC_ANALYSIS.md and this count.
-  EXPECT_EQ(ids.size(), 11u);
+  EXPECT_EQ(ids.size(), 12u);
 }
 
 TEST(LintTreeWalk, WalksDirectoriesAndSortsFindings)

@@ -9,7 +9,7 @@ cmake_minimum_required(VERSION 3.24)
 
 set(manifest ${SRC_DIR}/tests/golden/manifest.sha256)
 file(REMOVE_RECURSE ${OUT_DIR})
-foreach(dir run dump print sweep export stdout)
+foreach(dir run dump print print/paper sweep sweep/paper export stdout)
   file(MAKE_DIRECTORY ${OUT_DIR}/${dir})
 endforeach()
 
@@ -55,10 +55,23 @@ foreach(sweep IN LISTS sweeps)
       --out ${OUT_DIR}/sweep/${name}.json)
 endforeach()
 
-foreach(bin bench/bench_collocation_ii bench/bench_collocation_ti
-    bench/bench_collocation_tt bench/bench_coscaling_trace
-    bench/bench_gamma_cv bench/bench_horizontal bench/bench_kernel_traces
-    bench/bench_motivation bench/bench_overhead bench/bench_sensitivity
+# The paper figures: pinned bases (one shard only, so no run matrix)
+# and the sweeps whose clauses state each figure's claims.
+file(GLOB paper_specs ${SRC_DIR}/experiments/paper/*.exp)
+foreach(spec IN LISTS paper_specs)
+  get_filename_component(name ${spec} NAME_WE)
+  run(print/paper/${name}.exp ${dilu_run} ${spec} --print)
+endforeach()
+file(GLOB paper_sweeps ${SRC_DIR}/experiments/paper/*.sweep)
+foreach(sweep IN LISTS paper_sweeps)
+  get_filename_component(name ${sweep} NAME_WE)
+  run(print/paper/${name}.sweep ${BIN_DIR}/tools/dilu_sweep ${sweep} --print)
+  run(- ${BIN_DIR}/tools/dilu_sweep ${sweep} --threads 2
+      --out ${OUT_DIR}/sweep/paper/${name}.json)
+endforeach()
+
+foreach(bin bench/bench_coscaling_trace bench/bench_kernel_traces
+    bench/bench_motivation bench/bench_sensitivity
     examples/cluster_tour examples/collocation_demo)
   get_filename_component(name ${bin} NAME)
   run(stdout/${name}.txt ${BIN_DIR}/${bin})

@@ -15,9 +15,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -329,7 +329,7 @@ TEST(ShardedExperiment, RandomIslandSpecsMatchOneShardByteForByte)
 std::string
 MakeStormSpecText(std::uint64_t seed)
 {
-  std::mt19937_64 rng(seed);
+  Rng rng(seed);
   std::ostringstream out;
   out << "experiment shard_storm\n";
   out << "cluster nodes=6 gpus_per_node=4 seed=3\n";
@@ -347,11 +347,20 @@ MakeStormSpecText(std::uint64_t seed)
   std::vector<int> nodes{0, 1, 2, 3, 4, 5};
   std::vector<int> gpus(24);
   for (int g = 0; g < 24; ++g) gpus[static_cast<std::size_t>(g)] = g;
-  std::shuffle(nodes.begin(), nodes.end(), rng);
-  std::shuffle(gpus.begin(), gpus.end(), rng);
+  // Fisher-Yates through Rng: std::shuffle's draws are
+  // implementation-defined.
+  const auto shuffle = [&rng](std::vector<int>& v) {
+    for (std::size_t i = v.size(); i > 1; --i) {
+      const auto j = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(i) - 1));
+      std::swap(v[i - 1], v[j]);
+    }
+  };
+  shuffle(nodes);
+  shuffle(gpus);
 
   const auto when = [&rng](int lo, int hi) {
-    return std::uniform_int_distribution<int>(lo, hi)(rng);
+    return static_cast<int>(rng.UniformInt(lo, hi));
   };
   for (int i = 0; i < 2; ++i) {  // node outages
     const int t = when(5, 15);

@@ -2,10 +2,11 @@
  * @file
  * Fuzz-style tests for the sweep text loader, mirroring
  * experiment_fuzz_test.cc: randomly generated valid sweeps (covering
- * seeds bases, multi-axis grids, the run.shards pseudo-axis and both
- * threshold flavors) must round-trip parse -> print -> parse
- * byte-identically, and randomly mutated sweeps must fail with a
- * line-numbered error — never crash, never be silently mis-parsed.
+ * seeds bases, multi-axis grids, the run.shards pseudo-axis, variant
+ * cells, both threshold flavors and per-function `[fn=i]` selectors)
+ * must round-trip parse -> print -> parse byte-identically, and
+ * randomly mutated sweeps must fail with a line-numbered error — never
+ * crash, never be silently mis-parsed.
  *
  * Everything draws from a fixed-seed Rng, so a failure reproduces
  * exactly; crank kRounds locally for a longer soak.
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -88,7 +90,23 @@ RandomSweep(Rng& rng)
     spec.Axis(paths[p], std::move(values));
   }
 
-  // --- thresholds: any registry metric, both ops, both flavors ---
+  // --- variants: unique names, each setting paths no axis sweeps ---
+  const int variants = static_cast<int>(rng.UniformInt(0, 3));
+  for (int v = 0; v < variants; ++v) {
+    std::vector<std::pair<std::string, std::string>> params;
+    const int count = static_cast<int>(rng.UniformInt(1, 3));
+    for (int k = 0; k < count; ++k) {
+      const auto p = static_cast<std::size_t>(rng.UniformInt(0, 7));
+      bool taken = used[p];
+      for (const auto& set : params) taken = taken || set.first == paths[p];
+      if (!taken) params.emplace_back(paths[p], RandomValue(rng));
+    }
+    if (params.empty()) continue;
+    spec.Variant("v" + std::to_string(v), std::move(params));
+  }
+
+  // --- thresholds: any registry metric, both ops, both flavors (a
+  // relative one only with a second cell), some per-function ---
   const auto& metrics = sweep::SweepMetricNames();
   const int requires_count = static_cast<int>(rng.UniformInt(0, 3));
   for (int t = 0; t < requires_count; ++t) {
@@ -98,7 +116,11 @@ RandomSweep(Rng& rng)
         rng.UniformInt(0, 1) == 0 ? ThresholdOp::kLe : ThresholdOp::kGe;
     const double value =
         0.25 * static_cast<double>(rng.UniformInt(0, 4000));
-    spec.Require(metric, op, value, rng.UniformInt(0, 2) == 0);
+    const bool relative = spec.Cells() > 1 && rng.UniformInt(0, 2) == 0;
+    const int fn = sweep::IsFunctionMetric(metric) && rng.UniformInt(0, 2) == 0
+                       ? static_cast<int>(rng.UniformInt(0, 3))
+                       : -1;
+    spec.Require(metric, op, value, relative, fn);
   }
   return spec;
 }
@@ -119,7 +141,11 @@ TEST(SweepFuzz, RandomValidSweepsRoundTripByteIdentically)
     EXPECT_EQ(parsed.seeds(), spec.seeds());
     EXPECT_EQ(parsed.seed_base(), spec.seed_base());
     EXPECT_EQ(parsed.axes().size(), spec.axes().size());
+    EXPECT_EQ(parsed.variants().size(), spec.variants().size());
     EXPECT_EQ(parsed.thresholds().size(), spec.thresholds().size());
+    for (std::size_t t = 0; t < spec.thresholds().size(); ++t) {
+      EXPECT_EQ(parsed.thresholds()[t].fn, spec.thresholds()[t].fn);
+    }
     EXPECT_EQ(parsed.Runs(), spec.Runs());
   }
 }
@@ -169,9 +195,18 @@ TEST(SweepFuzz, TargetedCorruptionsAlwaysError)
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE(::testing::Message() << "round " << round);
     std::string text = RandomSweep(rng).ToText();
-    switch (rng.UniformInt(0, 4)) {
+    switch (rng.UniformInt(0, 7)) {
       case 0:  // unknown directive
         text += "explode everything\n";
+        break;
+      case 5:  // a fleet-wide metric has no per-function value
+        text += "require avg_gpus[fn=0] <= 9\n";
+        break;
+      case 6:  // a variant that sets nothing
+        text += "variant lonely\n";
+        break;
+      case 7:  // a malformed selector
+        text += "require p95_ms[fn=-1] <= 9\n";
         break;
       case 1:  // second sweep line
         text += "sweep doppelganger\n";

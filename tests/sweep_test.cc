@@ -148,6 +148,26 @@ TEST(SweepSpec, ParseRejectsMalformedSpecsWithLineNumbers)
       {"sweep s\nbase q\nrequire shed <= 5 junk\n", "trailing"},
       {"sweep s extra\n", "trailing"},
       {"sweep s\nbase q\nexplode\n", "unknown directive"},
+      {"sweep s\nbase q\nvariant\n", "variant <name>"},
+      {"sweep s\nbase q\nvariant a\n", "needs a <path>=<value>"},
+      {"sweep s\nbase q\nvariant a cluster.nodes\n", "wants <path>=<value>"},
+      {"sweep s\nbase q\nvariant a =2\n", "wants <path>=<value>"},
+      {"sweep s\nbase q\nvariant a cluster.nodes=\n",
+       "wants <path>=<value>"},
+      {"sweep s\nbase q\nvariant a cluster.nodes=2\n"
+       "variant a cluster.nodes=3\n",
+       "duplicate variant"},
+      {"sweep s\nbase q\nvariant a cluster.nodes=2 cluster.nodes=3\n",
+       "twice"},
+      {"sweep s\nbase q\nvariant a cluster.nodes=2\n"
+       "axis cluster.nodes 1 3\n",
+       "which an axis sweeps"},
+      {"sweep s\nbase q\nrequire avg_gpus[fn=0] <= 1\n",
+       "no per-function value"},
+      {"sweep s\nbase q\nrequire p95_ms[fn=x] <= 1\n", "[fn=<index"},
+      {"sweep s\nbase q\nrequire p95_ms[0] <= 1\n", "[fn=<index"},
+      {"sweep s\nbase q\nrequire p95_ms[fn=0 <= 1\n", "[fn=<index"},
+      {"sweep s\nbase q\nrequire p95_ms[fn=1]] <= 1\n", "[fn=<index"},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.text);
@@ -157,6 +177,74 @@ TEST(SweepSpec, ParseRejectsMalformedSpecsWithLineNumbers)
     EXPECT_NE(error.find("line "), std::string::npos) << error;
     EXPECT_NE(error.find(c.needle), std::string::npos) << error;
   }
+}
+
+TEST(SweepSpec, RelativeClauseOnOneCellIsRejected)
+{
+  // Relative clauses skip the baseline cell, so on one cell they would
+  // check nothing and always pass.
+  std::string error;
+  EXPECT_FALSE(SweepSpec::Parse(
+      "sweep s\nbase quickstart\nrequire p95_ms >= 100x baseline\n",
+      nullptr, &error));
+  EXPECT_EQ(error.rfind("line 3: a relative clause needs a second cell", 0),
+            0u)
+      << error;
+  // A one-value axis is still one cell; the clause may come first.
+  EXPECT_FALSE(SweepSpec::Parse(
+      "sweep s\nbase q\nrequire p95_ms <= 2x baseline\n"
+      "axis cluster.nodes 2\n",
+      nullptr, &error));
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  // A second cell, from an axis or a variant, makes it meaningful.
+  EXPECT_TRUE(SweepSpec::Parse(
+      "sweep s\nbase q\nrequire p95_ms <= 2x baseline\n"
+      "axis cluster.nodes 2 3\n",
+      nullptr, &error))
+      << error;
+  EXPECT_TRUE(SweepSpec::Parse(
+      "sweep s\nbase q\nvariant a cluster.nodes=2\n"
+      "variant b cluster.nodes=3\nrequire p95_ms <= 2x baseline\n",
+      nullptr, &error))
+      << error;
+  // Absolute clauses on one cell are fine.
+  EXPECT_TRUE(SweepSpec::Parse("sweep s\nbase q\nrequire p95_ms <= 200\n",
+                               nullptr, &error))
+      << error;
+}
+
+TEST(SweepSpec, VariantsAndSelectorsRoundTrip)
+{
+  SweepSpec spec("v");
+  spec.Base("experiments/paper/fig07.exp")
+      .Variant("exclusive",
+               {{"cluster.preset", "exclusive"}, {"deploy[1].on", "4,5"}})
+      .Variant("dilu", {{"cluster.preset", "dilu"}})
+      .Axis("run.for", {"10s", "20s"})
+      .Require("p95_ms", ThresholdOp::kLe, 1.25, true, 1)
+      .Require("iterations", ThresholdOp::kGe, 3);
+  const std::string text = spec.ToText();
+  EXPECT_EQ(text,
+            "sweep v\n"
+            "base experiments/paper/fig07.exp\n"
+            "seeds 1\n"
+            "variant exclusive cluster.preset=exclusive deploy[1].on=4,5\n"
+            "variant dilu cluster.preset=dilu\n"
+            "axis run.for 10s 20s\n"
+            "require p95_ms[fn=1] <= 1.25x baseline\n"
+            "require iterations >= 3\n");
+  SweepSpec parsed;
+  std::string error;
+  ASSERT_TRUE(SweepSpec::Parse(text, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.ToText(), text);
+  EXPECT_EQ(parsed.thresholds()[0].fn, 1);
+  EXPECT_EQ(parsed.thresholds()[1].fn, -1);
+  EXPECT_EQ(parsed.Cells(), 4u);
+  const std::vector<sweep::SweepAxis> grid = parsed.GridAxes();
+  ASSERT_EQ(grid.size(), 2u);
+  EXPECT_EQ(grid[0].path, "variant");
+  EXPECT_EQ(grid[0].values, (std::vector<std::string>{"exclusive", "dilu"}));
+  EXPECT_EQ(grid[1].path, "run.for");
 }
 
 // --- ApplyParam: parameter paths into an ExperimentSpec --------------
@@ -542,6 +630,88 @@ TEST(SweepExpansion, AxisShrinkingTheFleetUnderAChaosTargetNamesTheValue)
       << error;
 }
 
+TEST(SweepExpansion, VariantsAreTheOutermostAxisAndSetEveryKnob)
+{
+  SweepSpec sweep("v");
+  sweep.Base("tiny")
+      .Variant("small", {{"cluster.nodes", "1"}})
+      .Variant("big", {{"cluster.nodes", "3"}, {"deploy[0].provision", "2"}})
+      .Axis("workload[0].rps", {"5", "20"});
+  SweepMatrix m;
+  std::string error;
+  ASSERT_TRUE(ExpandSweep(sweep, TinyBase(), &m, &error)) << error;
+  ASSERT_EQ(m.runs.size(), 4u);
+  ASSERT_EQ(m.axes.size(), 2u);
+  EXPECT_EQ(m.axes[0].path, "variant");
+  const std::vector<std::vector<std::string>> points = {
+      {"small", "5"}, {"small", "20"}, {"big", "5"}, {"big", "20"}};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(m.runs[i].values, points[i]) << i;
+  }
+  EXPECT_EQ(*m.runs[0].spec.cluster().nodes, 1);
+  EXPECT_EQ(m.runs[0].spec.deploys()[0].provision, 1);
+  EXPECT_EQ(*m.runs[3].spec.cluster().nodes, 3);
+  EXPECT_EQ(m.runs[3].spec.deploys()[0].provision, 2);
+  EXPECT_DOUBLE_EQ(m.runs[3].spec.workloads()[0].rps, 20.0);
+
+  // The report's point names the variant like an axis value.
+  const std::vector<ExperimentResult> results(4);
+  const SweepReport report = AggregateSweep(sweep, results);
+  EXPECT_NE(report.ToJson().find(
+                "\"point\": {\"variant\": \"big\", \"workload[0].rps\": "
+                "\"20\"}"),
+            std::string::npos);
+}
+
+TEST(SweepExpansion, VariantRejectionsNameTheVariantAndSetting)
+{
+  SweepSpec sweep("v");
+  sweep.Base("tiny")
+      .Variant("ok", {{"cluster.nodes", "2"}})
+      .Variant("bad", {{"cluster.nodes", "2"}, {"deploy[0].provision", "-1"}});
+  SweepMatrix m;
+  std::string error;
+  EXPECT_FALSE(ExpandSweep(sweep, TinyBase(), &m, &error));
+  EXPECT_EQ(error.rfind("variant 'bad' deploy[0].provision=-1: "
+                        "deploy[0].provision: provision must be >= 0",
+                        0),
+            0u)
+      << error;
+}
+
+TEST(SweepExpansion, SelectorPastTheBaseDeploysIsAnError)
+{
+  SweepSpec sweep("sel");
+  sweep.Base("tiny").Require("p95_ms", ThresholdOp::kLe, 9.0, false, 1);
+  SweepMatrix m;
+  std::string error;
+  EXPECT_FALSE(ExpandSweep(sweep, TinyBase(), &m, &error));
+  EXPECT_EQ(error, "require p95_ms[fn=1]: the base has 1 deploys");
+}
+
+TEST(SweepExpansion, ShardingAPinnedBaseIsAnError)
+{
+  ExperimentSpec base = TinyBase();
+  base.deploys()[0].provision = 0;
+  base.deploys()[0].on = {0};
+  std::string error;
+  SweepMatrix m;
+  SweepSpec axis("pinned");
+  axis.Base("tiny").Axis("run.shards", {"1", "2"});
+  EXPECT_FALSE(ExpandSweep(axis, base, &m, &error));
+  EXPECT_EQ(error,
+            "cell 1: run.shards=2 cannot partition a base whose deploys pin "
+            "GPUs (on=)");
+  SweepSpec variant("pinned");
+  variant.Base("tiny").Variant("two", {{"run.shards", "2"}});
+  EXPECT_FALSE(ExpandSweep(variant, base, &m, &error));
+  EXPECT_NE(error.find("cell 0: run.shards=2"), std::string::npos) << error;
+  // One shard is the whole fleet, pins and all.
+  SweepSpec one("pinned");
+  one.Base("tiny").Axis("run.shards", {"1"});
+  EXPECT_TRUE(ExpandSweep(one, base, &m, &error)) << error;
+}
+
 TEST(SweepExpansion, CapsTheMatrixSize)
 {
   SweepSpec sweep("huge");
@@ -625,6 +795,35 @@ TEST(SweepAggregate, FoldsCellsAndEvaluatesThresholds)
   EXPECT_FALSE(failed.thresholds[0].pass);
   EXPECT_FALSE(failed.pass);
   EXPECT_NE(failed.ToJson().find("\"pass\": false"), std::string::npos);
+}
+
+TEST(SweepAggregate, SelectorsReadTheFunctionsOwnValue)
+{
+  // Function 0's p99 doubles between the cells; function 1's grows
+  // by 10%. The fleet-wide p99 (the worst function) is function 0's.
+  const auto result = [](double p99_a, double p99_b) {
+    ExperimentResult r = FakeResult(100.0, p99_a, 0);
+    experiment::FunctionResult f;
+    f.type = TaskType::kInference;
+    f.p99_ms = p99_b;
+    r.functions.push_back(f);
+    return r;
+  };
+  SweepSpec sweep("sel");
+  sweep.Base("tiny")
+      .Axis("cluster.recovery", {"joint", "greedy"})
+      .Require("p99_ms", ThresholdOp::kLe, 1.2, true, 1)
+      .Require("p99_ms", ThresholdOp::kLe, 1.2, true);
+  const SweepReport report =
+      AggregateSweep(sweep, {result(100.0, 50.0), result(200.0, 55.0)});
+  ASSERT_EQ(report.thresholds.size(), 2u);
+  EXPECT_TRUE(report.thresholds[0].pass);
+  EXPECT_DOUBLE_EQ(report.thresholds[0].bound, 60.0);
+  EXPECT_DOUBLE_EQ(report.thresholds[0].observed, 55.0);
+  EXPECT_FALSE(report.thresholds[1].pass);
+  EXPECT_DOUBLE_EQ(report.thresholds[1].observed, 200.0);
+  EXPECT_NE(report.ToJson().find("{\"require\": \"p99_ms[fn=1]\""),
+            std::string::npos);
 }
 
 TEST(SweepAggregate, JsonAndCsvCarrySchemaAndCells)
@@ -747,6 +946,66 @@ TEST(SweepEndToEnd, ShardsAxisRoutesThroughShardedDriver)
   while (names[completed] != "completed") ++completed;
   EXPECT_GT(a.cells[0].metrics[completed].mean, 0.0);
   EXPECT_GT(a.cells[1].metrics[completed].mean, 0.0);
+}
+
+// --- the paper figures (experiments/paper/) --------------------------
+
+/**
+ * Every paper sweep with its clauses: each clause holds, and each one
+ * alone set to an unreachable bound fails the sweep under its own name
+ * while the others still hold, so no clause is vacuous.
+ */
+TEST(PaperSweeps, EveryClauseHoldsAndEachIsFalsifiable)
+{
+  const std::string experiments = DILU_EXPERIMENTS_DIR;
+  const std::string root = experiments.substr(0, experiments.rfind('/'));
+  const auto sweeps =
+      experiment::ListGallery(experiments + "/paper", ".sweep");
+  ASSERT_GE(sweeps.size(), 15u);
+  for (const experiment::GalleryEntry& entry : sweeps) {
+    SCOPED_TRACE(entry.path);
+    SweepSpec spec;
+    ExperimentSpec base;
+    std::string error;
+    ASSERT_TRUE(SweepSpec::Parse(ReadFileOrEmpty(entry.path), &spec, &error))
+        << error;
+    ASSERT_TRUE(ExperimentSpec::Parse(
+        ReadFileOrEmpty(root + "/" + spec.base()), &base, &error))
+        << error;
+    SweepMatrix matrix;
+    ASSERT_TRUE(ExpandSweep(spec, base, &matrix, &error)) << error;
+    const std::vector<ExperimentResult> results = ExecuteSweep(matrix, 2);
+    const SweepReport report = AggregateSweep(spec, results);
+    EXPECT_TRUE(report.pass) << report.ToJson();
+    ASSERT_FALSE(spec.thresholds().empty());
+
+    for (std::size_t i = 0; i < spec.thresholds().size(); ++i) {
+      const Threshold& t = spec.thresholds()[i];
+      SCOPED_TRACE(t.Subject());
+      SweepSpec broken(spec.name());
+      broken.Base(spec.base()).Seeds(spec.seeds(), spec.seed_base());
+      for (const sweep::SweepVariant& v : spec.variants()) {
+        broken.Variant(v.name, v.params);
+      }
+      for (const sweep::SweepAxis& a : spec.axes()) {
+        broken.Axis(a.path, a.values);
+      }
+      for (std::size_t k = 0; k < spec.thresholds().size(); ++k) {
+        const Threshold& c = spec.thresholds()[k];
+        // Metrics are >= 0, so <= -1 and >= 1e300 are out of reach.
+        const double unreachable = c.op == ThresholdOp::kLe ? -1.0 : 1e300;
+        broken.Require(c.metric, c.op, k == i ? unreachable : c.value,
+                       k == i ? false : c.relative, c.fn);
+      }
+      const SweepReport failed = AggregateSweep(broken, results);
+      EXPECT_FALSE(failed.pass);
+      for (std::size_t k = 0; k < failed.thresholds.size(); ++k) {
+        EXPECT_EQ(failed.thresholds[k].pass, k != i) << k;
+      }
+      EXPECT_NE(failed.ToJson().find("\"require\": \"" + t.Subject() + "\""),
+                std::string::npos);
+    }
+  }
 }
 
 // --- gallery listing -------------------------------------------------

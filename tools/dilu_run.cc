@@ -14,7 +14,8 @@
  *                   spec's `export` line; sharded runs append _s<k>)
  *  --shards N       partition the fleet into N independent shards
  *                   (default 1 = the whole fleet; see
- *                   docs/PARALLELISM.md)
+ *                   docs/PARALLELISM.md); a spec that pins GPUs
+ *                   (deploy on=) runs on one shard only
  *  --threads N      worker threads running the shards (default 1)
  *  --print          print the canonical spec text and exit (lint /
  *                   round-trip check; no simulation)
@@ -137,6 +138,13 @@ main(int argc, char** argv)
   if (print_only) {
     std::fputs(spec.ToText().c_str(), stdout);
     return 0;
+  }
+  if (shards > 1 && spec.pinned()) {
+    std::fprintf(stderr,
+                 "%s: deploy on= pins GPUs of the whole fleet; it cannot "
+                 "run with --shards %d\n",
+                 spec_path, shards);
+    return 2;
   }
 
   std::fprintf(stderr,

@@ -21,7 +21,8 @@
  *                 round-trip check; no simulation)
  *  --list [DIR]   list the `.sweep` gallery under DIR (default
  *                 experiments/sweeps/) and exit
- *  --metrics      list the report metric registry and exit
+ *  --metrics      list the report metric registry (`[fn=i]` marks
+ *                 the ones a per-function selector may name) and exit
  *
  * Exit code: 0 = every `require` clause passed, 1 = a threshold was
  * violated (or an output file could not be written), 2 = usage / parse
@@ -127,7 +128,8 @@ main(int argc, char** argv)
   if (argc >= 2 && std::strcmp(argv[1], "--metrics") == 0) {
     if (argc > 2) return Usage(argv[0]);
     for (const std::string& name : sweep::SweepMetricNames()) {
-      std::fprintf(stdout, "%s\n", name.c_str());
+      std::fprintf(stdout, "%s%s\n", name.c_str(),
+                   sweep::IsFunctionMetric(name) ? " [fn=i]" : "");
     }
     return 0;
   }
@@ -196,7 +198,7 @@ main(int argc, char** argv)
   for (const sweep::ThresholdResult& tr : report.thresholds) {
     std::fprintf(stderr, "require %s %s %g%s: %s (worst cell %zu: "
                  "%.6f vs bound %.6f)\n",
-                 tr.threshold.metric.c_str(),
+                 tr.threshold.Subject().c_str(),
                  tr.threshold.op == sweep::ThresholdOp::kLe ? "<=" : ">=",
                  tr.threshold.value,
                  tr.threshold.relative ? "x baseline" : "",

@@ -44,6 +44,10 @@ const std::vector<RuleInfo> kRules = {
      "direct EventQueue::ScheduleAt/ScheduleAfter outside the sim core; "
      "layer code schedules through Simulation::Post on its own shard's "
      "clock"},
+    {"std-distribution", "everywhere except src/common/random.cc",
+     "std::*_distribution output is implementation-defined (it differs "
+     "between standard libraries); draw through dilu::Rng, whose "
+     "src/common/random.cc is the one place that may use them"},
     {"seed-zero", "everywhere except the sanctioned legacy-seed sites",
      "`seed == 0` sentinel comparisons (0 = legacy per-suite seeds / "
      "spec-owned seed) are only sanctioned in "
@@ -52,6 +56,17 @@ const std::vector<RuleInfo> kRules = {
     {"bare-allow", kEverywhere,
      "dilu-lint: allow(...) needs a known rule-id and a reason"},
 };
+
+// The one file that may draw through std::*_distribution.
+const char* kDistributionHome = "src/common/random.cc";
+
+// The standard library's distributions, as `<name>_distribution`.
+const char* kStdDistributions[] = {
+    "uniform_int", "uniform_real", "bernoulli", "binomial",
+    "negative_binomial", "geometric", "poisson", "exponential", "gamma",
+    "weibull", "extreme_value", "normal", "lognormal", "chi_squared",
+    "cauchy", "fisher_f", "student_t", "discrete", "piecewise_constant",
+    "piecewise_linear"};
 
 // Files exempt from `getenv` (the golden regen knobs).
 const char* kGetenvExceptions[] = {"tests/trace_golden_test.cc",
@@ -765,6 +780,23 @@ Linter::LintFile(const std::string& path, const std::string& content,
                "Simulation::Post");
         }
       }
+    }
+  }
+
+  // --- std-distribution -----------------------------------------------
+  if (path != kDistributionHome) {
+    const std::string suffix = "_distribution";
+    for (std::size_t at = code.find(suffix); at != std::string::npos;
+         at = code.find(suffix, at + 1)) {
+      const std::size_t end = at + suffix.size();
+      if (end < code.size() && IsIdentChar(code[end])) continue;
+      std::size_t b = at;
+      while (b > 0 && IsIdentChar(code[b - 1])) --b;
+      const std::string kind = code.substr(b, at - b);
+      if (!InList(kind, kStdDistributions)) continue;
+      emit(b, "std-distribution",
+           kind + suffix + " output is implementation-defined; draw "
+           "through dilu::Rng");
     }
   }
 

@@ -4,9 +4,9 @@
  *
  * A token-level checker (no libclang) in the spirit of the spec_text
  * scanners: each file is reduced to a "code view" with comments and
- * string/char literals blanked out, then nine rules pattern-match the
- * view. The rules encode guarantees the test suite depends on but the
- * compiler cannot see:
+ * string/char literals blanked out, then the rules below
+ * pattern-match the view. The rules encode guarantees the test suite
+ * depends on but the compiler cannot see:
  *
  *   wall-clock        no std::chrono clocks / gettimeofday outside
  *                     explicitly suppressed wall-timing code
@@ -25,6 +25,9 @@
  *   event-schedule    no direct EventQueue::ScheduleAt/ScheduleAfter
  *                     outside src/sim/ + src/runtime/ (layer code
  *                     posts through Simulation::Post)
+ *   std-distribution  no std::*_distribution outside
+ *                     src/common/random.cc (their output is
+ *                     implementation-defined)
  *   seed-zero         `seed == 0` sentinel comparisons only in the
  *                     sanctioned legacy-seed sites (exception list)
  *
