@@ -547,14 +547,13 @@ ClusterRuntime::ScheduleNext(std::size_t s)
   const TimeUs when =
       sim_.now() + std::max<TimeUs>(1, stream.gaps->NextGap());
   if (when > stream.until) return;
-  sim_.Post(when, [this, s] {
-    const FunctionId fn = streams_[s].fn;
-    const bool closed_loop = streams_[s].closed_loop;
-    // A failed closed-loop dispatch counts a drop, which re-fires the
-    // drop hook and thereby schedules the client's next attempt.
-    IssueRequest(fn, closed_loop);
-    if (!closed_loop) ScheduleNext(s);
-  });
+  if (!stream.closed_loop) {
+    sim_.PostSource(stream.source, when);
+    return;
+  }
+  // A failed closed-loop dispatch counts a drop, which re-fires the
+  // drop hook and thereby schedules the client's next attempt.
+  sim_.Post(when, [this, s] { IssueRequest(streams_[s].fn, true); });
 }
 
 void
@@ -579,8 +578,14 @@ ClusterRuntime::AttachArrivals(
     FunctionId fn, std::unique_ptr<workload::ArrivalProcess> process,
     TimeUs until)
 {
-  streams_.push_back({fn, std::move(process), until, /*closed_loop=*/false});
-  ScheduleNext(streams_.size() - 1);
+  const std::size_t s = streams_.size();
+  const sim::SourceId source = sim_.RegisterSource([this, s] {
+    IssueRequest(streams_[s].fn, false);
+    ScheduleNext(s);
+  });
+  streams_.push_back(
+      {fn, std::move(process), until, /*closed_loop=*/false, source});
+  ScheduleNext(s);
 }
 
 void

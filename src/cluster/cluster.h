@@ -375,15 +375,17 @@ class ClusterRuntime {
   };
 
   /**
-   * One arrival stream: open-loop (each arrival posts the next) or
-   * closed-loop (`gaps` are think times; a client's completion or drop
-   * posts its next request). Events name it by index in streams_.
+   * One arrival stream: open-loop (a recurring source that re-arms
+   * itself after each arrival) or closed-loop (`gaps` are think times;
+   * a client's completion or drop posts its next request). Callbacks
+   * name it by index in streams_.
    */
   struct Stream {
     FunctionId fn = kInvalidFunction;
     std::unique_ptr<workload::ArrivalProcess> gaps;
     TimeUs until = 0;
     bool closed_loop = false;
+    sim::SourceId source = 0;  ///< open-loop only
   };
 
   InstanceId NextInstanceId() { return next_instance_id_++; }
@@ -482,7 +484,8 @@ class ClusterRuntime {
   void PruneCompletedRequests();
   void AutoscaleTick(FunctionId fn);
   void SampleCluster();
-  /** Post stream `s`'s next request, unless it falls past `until`. */
+  /** Arm (open loop) or post (closed loop) stream `s`'s next request,
+   *  unless it falls past `until`. */
   void ScheduleNext(std::size_t s);
   /** Closed loop: one client finished (completion or drop) — think,
    *  then issue its next request. No-op for open-loop functions. */

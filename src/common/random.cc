@@ -26,13 +26,6 @@ Rng::UniformInt(std::int64_t lo, std::int64_t hi)
 }
 
 double
-Rng::Exponential(double mean)
-{
-  if (mean <= 0.0) return 0.0;
-  return std::exponential_distribution<double>(1.0 / mean)(engine_);
-}
-
-double
 Rng::GammaInterarrival(double mean, double cv)
 {
   if (mean <= 0.0) return 0.0;

@@ -9,6 +9,7 @@
 #ifndef DILU_COMMON_RANDOM_H_
 #define DILU_COMMON_RANDOM_H_
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 
@@ -30,9 +31,26 @@ class Rng {
 
   /**
    * Exponentially distributed value with the given mean (i.e. rate
-   * 1/mean). Used for Poisson inter-arrival gaps.
+   * 1/mean). Used for Poisson inter-arrival gaps, so it is drawn
+   * in-tree and inline: the same arithmetic as libstdc++'s
+   * std::exponential_distribution (u = one 64-bit draw times 2^-64,
+   * clamped below 1, then -log(1 - u) / rate), bit for bit, without
+   * the standard library's implementation-defined choice.
    */
-  double Exponential(double mean);
+  double Exponential(double mean)
+  {
+    if (mean <= 0.0) return 0.0;
+    // double(x) for a 64-bit x, rounded once in the final add, as the
+    // direct conversion rounds; split in halves so it compiles without
+    // the direct conversion's branch on the sign bit.
+    const std::uint64_t x = engine_();
+    double u = (static_cast<double>(static_cast<std::uint32_t>(x >> 32))
+                    * 0x1p32
+                + static_cast<double>(static_cast<std::uint32_t>(x)))
+        * 0x1p-64;
+    if (u >= 1.0) u = 0x1.fffffffffffffp-1;  // nextafter(1, 0)
+    return -std::log(1.0 - u) / (1.0 / mean);
+  }
 
   /**
    * Gamma-distributed inter-arrival gap parameterized like FastServe's

@@ -1,6 +1,6 @@
 #include "rckm/klc_monitor.h"
 
-#include <algorithm>
+#include "common/logging.h"
 
 namespace dilu::rckm {
 
@@ -8,19 +8,13 @@ void
 KlcMonitor::Record(int bucket, TimeUs klc)
 {
   if (klc <= 0) return;
-  TimeUs& bucket_min =
-      min_by_bucket_.try_emplace(bucket, klc).first->second;
-  bucket_min = std::min(bucket_min, klc);
+  DILU_CHECK(bucket >= 0);
+  const std::size_t b = static_cast<std::size_t>(bucket);
+  if (b >= min_by_bucket_.size()) min_by_bucket_.resize(b + 1, 0);
+  TimeUs& bucket_min = min_by_bucket_[b];
+  if (bucket_min == 0 || klc < bucket_min) bucket_min = klc;
   current_ = klc;
   floor_ = bucket_min;
-}
-
-double
-KlcMonitor::Inflation() const
-{
-  if (floor_ <= 0) return 0.0;
-  return static_cast<double>(current_ - floor_)
-      / static_cast<double>(floor_);
 }
 
 void

@@ -16,7 +16,7 @@
 #ifndef DILU_RCKM_KLC_MONITOR_H_
 #define DILU_RCKM_KLC_MONITOR_H_
 
-#include <map>
+#include <vector>
 
 #include "common/types.h"
 
@@ -27,7 +27,7 @@ class KlcMonitor {
  public:
   /**
    * Record a completed iteration of duration `klc` executed with batch
-   * size `bucket` (use bucket = 0 for training iterations).
+   * size `bucket` >= 0 (use bucket = 0 for training iterations).
    */
   void Record(int bucket, TimeUs klc);
 
@@ -35,7 +35,12 @@ class KlcMonitor {
    * Relative inflation of the most recent iteration versus the bucket
    * minimum: (T_cur - T_min) / T_min. Returns 0 before any data.
    */
-  double Inflation() const;
+  double Inflation() const
+  {
+    if (floor_ <= 0) return 0.0;
+    return static_cast<double>(current_ - floor_)
+        / static_cast<double>(floor_);
+  }
 
   /** Most recent iteration duration (0 before any data). */
   TimeUs current() const { return current_; }
@@ -47,11 +52,12 @@ class KlcMonitor {
   void Reset();
 
  private:
-  /** Per-bucket minima; touched only by Record and Reset. */
-  std::map<int, TimeUs> min_by_bucket_;
+  /** Per-bucket minima indexed by bucket, 0 = unseen (Record ignores
+   *  non-positive durations); touched only by Record and Reset. */
+  std::vector<TimeUs> min_by_bucket_;
   TimeUs current_ = 0;
   /** The current bucket's minimum, cached so the per-quantum readers
-   *  (Inflation, minimum) never search the map. */
+   *  (Inflation, minimum) never index the table. */
   TimeUs floor_ = 0;
 };
 

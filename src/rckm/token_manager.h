@@ -16,12 +16,14 @@
  * Hot-path design: `Tick` runs once per 5 ms quantum per GPU for the
  * whole simulated fleet, so its state is flat and allocation-free in
  * steady state — per-instance records are kept in the GPU's attachment
- * order (attach appends, detach erases stably), so sample i finds its
- * record at position i with one id compare; the rate windows are
- * fixed-size bit rings (one bit per period: "launched anything"), and
- * the grant list is a reused vector aligned with the input samples.
- * Heap traffic occurs only when the record count passes its high-water
- * mark.
+ * order (attach appends, detach erases stably), so attachment i finds
+ * its record at position i with one id compare, and the rate windows
+ * are fixed-size bit rings (one bit per period: "launched anything").
+ * The arbiter runs Algorithm 2 straight over the GPU's attachments:
+ * each attachment's launched blocks are read once, its KLC inflation
+ * only if it is SLO-sensitive, and its grant is written back in place,
+ * with no per-period sample or grant copies. Heap traffic occurs only
+ * when the record count passes its high-water mark.
  */
 #ifndef DILU_RCKM_TOKEN_MANAGER_H_
 #define DILU_RCKM_TOKEN_MANAGER_H_
@@ -106,6 +108,15 @@ class TokenManager {
   const std::vector<TokenGrant>& Tick(
       const std::vector<InstanceSample>& samples);
 
+  /**
+   * The same period run over a GPU's attachments (the DiluArbiter
+   * path): each one is sampled in place, SLO-sensitive = inference,
+   * and its grant is written as the SM-share cap
+   * `granted = min(demand, tokens / kBlocksPerQuantum)`. Identical to
+   * Tick(samples) over the samples the attachments describe.
+   */
+  void Tick(std::vector<gpusim::Attachment>& attachments);
+
   /** Drop per-instance state (on instance termination). */
   void Forget(InstanceId id);
 
@@ -128,6 +139,14 @@ class TokenManager {
     bool suppressed = false;
   };
 
+  /**
+   * Algorithm 2 for one period over `view`'s instances, which answer
+   * by position (size, id, slo_sensitive, quota, blocks, inflation)
+   * and take their grants (Grant); both Ticks instantiate it.
+   */
+  template <typename View>
+  void Step(const View& view);
+
   /** Record for `id`, moved to position `i` (created on first sight). */
   PerInstance& RecordAt(std::size_t i, InstanceId id);
 
@@ -144,13 +163,13 @@ class TokenManager {
   ScalingState state_ = ScalingState::kNone;
   InstanceId emergency_owner_ = kInvalidInstance;
   double emergency_inflation_ = 0.0;
-  /** Per-instance records; after a Tick, record i is samples[i]'s.
+  /** Per-instance records; after a Tick, record i is instance i's.
    *  Records of instances absent from that Tick follow them. */
   std::vector<PerInstance> records_;
   /** Count of tracked instances with a non-idle window (maintained on
    *  every mask transition so OthersIdle is O(1)). */
   int busy_instances_ = 0;
-  /** Per-Tick output (reused; steady state: no allocation). */
+  /** Tick(samples)'s output (reused; steady state: no allocation). */
   std::vector<TokenGrant> grants_;
   double total_issued_ = 0.0;
 };
@@ -174,8 +193,6 @@ class DiluArbiter : public gpusim::ShareArbiter {
 
  private:
   TokenManager manager_;
-  /** Sample scratch reused across quanta (no per-quantum allocation). */
-  std::vector<InstanceSample> samples_;
 };
 
 }  // namespace dilu::rckm

@@ -94,13 +94,26 @@ InferenceInstance::MaybeStartBatch()
   progress_ = 0.0;
   batch_started_ = sim_->now();
   const int batch = static_cast<int>(batch_.size());
-  const TimeUs ideal = models::InferenceIterationFull(*model_, batch);
-  batch_sat_ = models::SaturationShare(*model_, batch);
-  batch_ideal_ = static_cast<double>(ideal);
+  const BatchCost& cost = CostOf(batch);
+  batch_sat_ = cost.sat;
+  batch_ideal_ = static_cast<double>(cost.ideal);
   // Seed the KLC floor with the model's contention-free iteration time
   // so inflation is measured against the ideal, not the first (possibly
   // already contended) observation.
-  klc_.Record(batch, ideal);
+  klc_.Record(batch, cost.ideal);
+}
+
+const InferenceInstance::BatchCost&
+InferenceInstance::CostOf(int batch)
+{
+  const std::size_t b = static_cast<std::size_t>(batch);
+  if (b >= batch_costs_.size()) batch_costs_.resize(b + 1);
+  BatchCost& cost = batch_costs_[b];
+  if (cost.ideal < 0) {
+    cost.ideal = models::InferenceIterationFull(*model_, batch);
+    cost.sat = models::SaturationShare(*model_, batch);
+  }
+  return cost;
 }
 
 double

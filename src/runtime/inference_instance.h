@@ -85,8 +85,17 @@ class InferenceInstance : public Instance {
   void Terminate() override;
 
  private:
+  /** The cost-model constants of a batch of one size. */
+  struct BatchCost {
+    TimeUs ideal = -1;  ///< InferenceIterationFull; -1 = not computed
+    SmRate sat = 0.0;   ///< SaturationShare
+  };
+
   void MaybeStartBatch();
   void CompleteBatch(TimeUs completion_time);
+  /** Batch size `batch`'s costs, computed on first use (two pow calls
+   *  each, so the batching hot path pays them once per size). */
+  const BatchCost& CostOf(int batch);
 
   int ibs_;
   TimeUs extra_latency_per_iter_;
@@ -105,6 +114,9 @@ class InferenceInstance : public Instance {
   TimeUs batch_started_ = 0;
   SmRate batch_sat_ = 0.0;     ///< SaturationShare of the batch
   double batch_ideal_ = 0.0;   ///< InferenceIterationFull of the batch
+
+  /** CostOf's cache, indexed by batch size. */
+  std::vector<BatchCost> batch_costs_;
 
   // Per-quantum shard grants / accounting.
   std::vector<double> granted_;

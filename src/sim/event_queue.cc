@@ -33,29 +33,25 @@ EventQueue::FreeSlot(std::uint32_t slot)
 }
 
 void
-EventQueue::HeapPush(HeapNode node)
+EventQueue::HeapPush(std::vector<HeapNode>& heap, HeapNode node)
 {
   // Hole percolation: bubble an empty slot up, write the node once.
-  heap_.push_back(node);
-  std::size_t i = heap_.size() - 1;
+  heap.push_back(node);
+  std::size_t i = heap.size() - 1;
   while (i != 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!(node < heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!(node < heap[parent])) break;
+    heap[i] = heap[parent];
     i = parent;
   }
-  heap_[i] = node;
+  heap[i] = node;
 }
 
-EventQueue::HeapNode
-EventQueue::HeapPop()
+void
+EventQueue::SiftDown(std::vector<HeapNode>& heap, HeapNode node)
 {
-  const HeapNode top = heap_.front();
-  const HeapNode last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  // Sift the former last element down through a hole from the root.
+  // Move a hole down from the root, write the node once.
+  const std::size_t n = heap.size();
   std::size_t i = 0;
   for (;;) {
     const std::size_t first_child = i * 4 + 1;
@@ -64,14 +60,31 @@ EventQueue::HeapPop()
     const std::size_t last_child =
         first_child + 4 < n ? first_child + 4 : n;
     for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (heap_[c] < heap_[best]) best = c;
+      if (heap[c] < heap[best]) best = c;
     }
-    if (!(heap_[best] < last)) break;
-    heap_[i] = heap_[best];
+    if (!(heap[best] < node)) break;
+    heap[i] = heap[best];
     i = best;
   }
-  heap_[i] = last;
+  heap[i] = node;
+}
+
+EventQueue::HeapNode
+EventQueue::HeapPop(std::vector<HeapNode>& heap)
+{
+  const HeapNode top = heap.front();
+  const HeapNode last = heap.back();
+  heap.pop_back();
+  if (!heap.empty()) SiftDown(heap, last);
   return top;
+}
+
+void
+EventQueue::SettleFiring()
+{
+  if (!firing_in_heap_) return;
+  HeapPop(sources_heap_);
+  firing_in_heap_ = false;
 }
 
 void
@@ -80,13 +93,36 @@ EventQueue::RenumberSeqs()
   // Sequence numbers only order *coexisting* events, so they can be
   // compacted whenever the 40-bit space runs out (every ~1.1e12
   // scheduled events — amortized noise). A sorted array satisfies the
-  // d-ary heap property, so sort-then-relabel also rebuilds the heap.
+  // d-ary heap property, so sorting each heap rebuilds it, and a merge
+  // walk over the two sorted heaps relabels them in their joint order.
+  SettleFiring();
   std::sort(heap_.begin(), heap_.end());
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    heap_[i].key = (static_cast<std::uint64_t>(i) << kSlotBits)
-        | (heap_[i].key & kSlotMask);
+  std::sort(sources_heap_.begin(), sources_heap_.end());
+  std::uint64_t seq = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < heap_.size() || j < sources_heap_.size()) {
+    const bool main_first = j == sources_heap_.size()
+        || (i < heap_.size() && heap_[i] < sources_heap_[j]);
+    HeapNode& node = main_first ? heap_[i++] : sources_heap_[j++];
+    node.key = (seq++ << kSlotBits) | (node.key & kSlotMask);
   }
-  next_seq_ = heap_.size();
+  next_seq_ = seq;
+}
+
+std::uint64_t
+EventQueue::NextSeq()
+{
+  // The firing source's spent node counts as absent: the path it
+  // replaces had already popped the event that was firing.
+  const std::size_t sources =
+      sources_heap_.size() - (firing_in_heap_ ? 1 : 0);
+  if (heap_.empty() && sources == 0) {
+    next_seq_ = 0;  // nothing coexists: restart the tie-break counter
+  } else if (next_seq_ >= (1ull << (64 - kSlotBits))) {
+    RenumberSeqs();
+  }
+  return next_seq_++;
 }
 
 EventId
@@ -98,13 +134,8 @@ EventQueue::ScheduleAt(TimeUs when, EventFn fn)
   rec.fn = std::move(fn);
   rec.armed = true;
   ++live_count_;
-  if (heap_.empty()) {
-    next_seq_ = 0;  // nothing coexists: restart the tie-break counter
-  } else if (next_seq_ >= (1ull << (64 - kSlotBits))) {
-    RenumberSeqs();
-  }
-  const std::uint64_t seq = next_seq_++;
-  HeapPush(HeapNode{when, (seq << kSlotBits) | slot});
+  const std::uint64_t seq = NextSeq();
+  HeapPush(heap_, HeapNode{when, (seq << kSlotBits) | slot});
   return (static_cast<EventId>(rec.generation) << 32) | slot;
 }
 
@@ -133,44 +164,105 @@ EventQueue::Cancel(EventId id)
   --live_count_;
 }
 
+SourceId
+EventQueue::AddSource(EventFn fn)
+{
+  DILU_CHECK(sources_.size() < kSlotMask);
+  sources_.push_back(
+      Source{std::make_unique<EventCallback>(std::move(fn)), false});
+  return static_cast<SourceId>(sources_.size() - 1);
+}
+
+void
+EventQueue::ArmSource(SourceId id, TimeUs when)
+{
+  DILU_CHECK(id < sources_.size() && !sources_[id].armed);
+  DILU_CHECK(when >= now_);
+  sources_[id].armed = true;
+  ++live_count_;
+  const HeapNode node{when, (NextSeq() << kSlotBits) | id};
+  if (firing_in_heap_ && id == firing_) {
+    // The common case: re-arming from its own callback overwrites the
+    // spent node on top of the heap.
+    firing_in_heap_ = false;
+    SiftDown(sources_heap_, node);
+    return;
+  }
+  SettleFiring();
+  HeapPush(sources_heap_, node);
+}
+
+const EventQueue::HeapNode*
+EventQueue::PeekNext(bool* source)
+{
+  while (!heap_.empty()) {
+    const std::uint32_t slot =
+        static_cast<std::uint32_t>(heap_.front().key & kSlotMask);
+    if (records_[slot].armed) break;
+    HeapPop(heap_);  // tombstone: reclaim and keep looking
+    FreeSlot(slot);
+  }
+  if (heap_.empty() && sources_heap_.empty()) return nullptr;
+  // Seqs come from one counter, so the two heads never tie on key.
+  *source = heap_.empty()
+      || (!sources_heap_.empty() && sources_heap_.front() < heap_.front());
+  return *source ? &sources_heap_.front() : &heap_.front();
+}
+
+void
+EventQueue::FireEvent()
+{
+  const HeapNode top = HeapPop(heap_);
+  const std::uint32_t slot = static_cast<std::uint32_t>(top.key & kSlotMask);
+  // Move the callback out before invoking it: the callback may
+  // schedule new events, which can grow (reallocate) the slab.
+  EventCallback fn = std::move(records_[slot].fn);
+  records_[slot].armed = false;
+  --live_count_;
+  FreeSlot(slot);
+  now_ = top.when;
+  fn();
+}
+
+void
+EventQueue::FireSource()
+{
+  const HeapNode top = sources_heap_.front();
+  firing_ = static_cast<SourceId>(top.key & kSlotMask);
+  firing_in_heap_ = true;
+  sources_[firing_].armed = false;
+  --live_count_;
+  now_ = top.when;
+  (*sources_[firing_].fn)();
+  SettleFiring();  // not re-armed: the stream has ended
+}
+
 bool
 EventQueue::RunOne()
 {
-  while (!heap_.empty()) {
-    const HeapNode top = HeapPop();
-    const std::uint32_t slot =
-        static_cast<std::uint32_t>(top.key & kSlotMask);
-    if (!records_[slot].armed) {  // tombstone: reclaim and keep going
-      FreeSlot(slot);
-      continue;
-    }
-    // Move the callback out before invoking it: the callback may
-    // schedule new events, which can grow (reallocate) the slab.
-    EventCallback fn = std::move(records_[slot].fn);
-    records_[slot].armed = false;
-    --live_count_;
-    FreeSlot(slot);
-    now_ = top.when;
-    fn();
-    return true;
+  bool source = false;
+  if (PeekNext(&source) == nullptr) return false;
+  if (source) {
+    FireSource();
+  } else {
+    FireEvent();
   }
-  return false;
+  return true;
 }
 
 void
 EventQueue::RunUntil(TimeUs deadline)
 {
-  while (!heap_.empty()) {
-    const HeapNode& top = heap_.front();
-    const std::uint32_t slot =
-        static_cast<std::uint32_t>(top.key & kSlotMask);
-    if (!records_[slot].armed) {
-      FreeSlot(static_cast<std::uint32_t>(HeapPop().key & kSlotMask));
-      continue;
+  bool source = false;
+  // Events scheduled at exactly `deadline` do fire (inclusive bound).
+  for (const HeapNode* next = PeekNext(&source);
+       next != nullptr && next->when <= deadline;
+       next = PeekNext(&source)) {
+    if (source) {
+      FireSource();
+    } else {
+      FireEvent();
     }
-    // Events scheduled at exactly `deadline` do fire (inclusive bound).
-    if (top.when > deadline) break;
-    RunOne();
   }
   if (deadline > now_) now_ = deadline;
 }

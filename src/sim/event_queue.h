@@ -16,9 +16,20 @@
  *    (when + packed seq/slot), so sift operations stay inside one or two
  *    cache lines and never move callbacks.
  *
- * Complexity: ScheduleAt/RunOne are O(log4 n); Cancel is O(1). All three
- * are allocation-free in steady state (slab and heap storage is reused
- * once warmed up; only growth beyond the high-water mark allocates).
+ * Recurring sources: a stream that always posts its own successor (an
+ * open-loop arrival stream) registers once with AddSource and then
+ * re-arms with ArmSource. Its callback is stored once; its next firing
+ * is a node in a second 4-ary heap whose head is merged with the main
+ * heap's head under the same (when, seq) rule, seq drawn from the one
+ * counter at the moment of arming. So a source fires exactly where an
+ * event posted at the same moment would have fired, and a source that
+ * re-arms from its own callback costs one sift-down of the heap top
+ * instead of a slot, two callback moves, a pop and a push.
+ *
+ * Complexity: ScheduleAt/ArmSource/RunOne are O(log4 n); Cancel is
+ * O(1). All are allocation-free in steady state (slab and heap storage
+ * is reused once warmed up; only growth beyond the high-water mark
+ * allocates).
  */
 #ifndef DILU_SIM_EVENT_QUEUE_H_
 #define DILU_SIM_EVENT_QUEUE_H_
@@ -26,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -159,6 +171,9 @@ using EventFn = EventCallback;
 /** Handle used to cancel a scheduled event. */
 using EventId = std::uint64_t;
 
+/** Handle of a recurring source (EventQueue::AddSource). */
+using SourceId = std::uint32_t;
+
 /**
  * A deterministic discrete-event priority queue.
  *
@@ -192,7 +207,21 @@ class EventQueue {
    */
   void Cancel(EventId id);
 
-  /** True when no runnable events remain. */
+  /**
+   * Register a recurring source: `fn` fires once per ArmSource. The
+   * source starts disarmed and lives as long as the queue.
+   */
+  SourceId AddSource(EventFn fn);
+
+  /**
+   * Arm source `id` to fire at `when` (>= now). The source must be
+   * disarmed: a source disarms as it fires, so its own callback may
+   * re-arm it (the cheap case). Ties order exactly as a ScheduleAt
+   * made at this moment would.
+   */
+  void ArmSource(SourceId id, TimeUs when);
+
+  /** True when no runnable events remain (armed sources count). */
   bool Empty() const { return live_count_ == 0; }
 
   /** Fire the next event; returns false if the queue is empty. */
@@ -204,7 +233,7 @@ class EventQueue {
    */
   void RunUntil(TimeUs deadline);
 
-  /** Number of pending (non-cancelled) events. */
+  /** Number of pending (non-cancelled) events and armed sources. */
   std::size_t PendingCount() const { return live_count_; }
 
   /**
@@ -241,16 +270,50 @@ class EventQueue {
     bool armed = false;  ///< false = tombstone (cancelled) or fired
   };
 
+  struct Source {
+    /** Boxed so the callable stays put while it runs, even if it adds
+     *  sources (which may reallocate sources_). */
+    std::unique_ptr<EventCallback> fn;
+    bool armed = false;
+  };
+
+  friend class EventQueueTestPeer;
+
   std::uint32_t AllocSlot();
   void FreeSlot(std::uint32_t slot);
-  void HeapPush(HeapNode node);
-  HeapNode HeapPop();
+  static void HeapPush(std::vector<HeapNode>& heap, HeapNode node);
+  static HeapNode HeapPop(std::vector<HeapNode>& heap);
+  /** Sift `node` down from the root of `heap` (whose top it replaces). */
+  static void SiftDown(std::vector<HeapNode>& heap, HeapNode node);
+  /** The tie-break seq for an event or source armed now. */
+  std::uint64_t NextSeq();
   /** Compact sequence numbers when the 40-bit space is exhausted. */
   void RenumberSeqs();
+  /** Drop the firing source's stale node from the top of sources_heap_. */
+  void SettleFiring();
+  /**
+   * Reclaim tombstones at the main heap's head, then return the
+   * earlier of the two heads (nullptr when nothing is pending);
+   * `*source` says which heap holds it.
+   */
+  const HeapNode* PeekNext(bool* source);
+  void FireEvent();
+  void FireSource();
 
   std::vector<HeapNode> heap_;    ///< 4-ary implicit min-heap
   std::vector<Record> records_;   ///< slab of pooled event records
   std::uint32_t free_head_ = kNoFreeSlot;
+  /** Armed sources' next firings; key = (seq << kSlotBits) | source. */
+  std::vector<HeapNode> sources_heap_;
+  std::vector<Source> sources_;
+  /**
+   * While a source's callback runs, its spent node stays on top of
+   * sources_heap_ (every other node sorts after it) so a re-arm can
+   * replace it in place; this flag is true until it is replaced or
+   * dropped, and the node counts as absent meanwhile.
+   */
+  bool firing_in_heap_ = false;
+  SourceId firing_ = 0;
   std::size_t live_count_ = 0;
   TimeUs now_ = 0;
   std::uint64_t next_seq_ = 0;

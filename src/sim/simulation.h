@@ -62,6 +62,21 @@ class Simulation {
     return queue_.ScheduleAt(when, std::move(fn));
   }
 
+  /**
+   * Register a recurring source (EventQueue::AddSource): `fn` fires
+   * once per PostSource. For a stream that posts its own successor,
+   * such as an open-loop arrival stream, this replaces one Post per
+   * firing. Like Post, the layer-facing name keeps raw queue calls
+   * confined to sim/ (dilu_lint's event-schedule rule).
+   */
+  SourceId RegisterSource(EventCallback fn)
+  {
+    return queue_.AddSource(std::move(fn));
+  }
+
+  /** Arm source `id` to fire at `when` (EventQueue::ArmSource). */
+  void PostSource(SourceId id, TimeUs when) { queue_.ArmSource(id, when); }
+
   /** Advance simulated time to `deadline`, firing due events. */
   void RunUntil(TimeUs deadline) { queue_.RunUntil(deadline); }
 

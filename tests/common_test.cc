@@ -8,6 +8,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -321,6 +323,34 @@ TEST(Rng, ExponentialMeanMatches)
   for (int i = 0; i < 20000; ++i) acc.Add(rng.Exponential(50.0));
   EXPECT_NEAR(acc.mean(), 50.0, 1.5);
 }
+
+#if defined(__GLIBCXX__)
+// The in-tree exponential replicates libstdc++'s
+// std::exponential_distribution bit for bit, and consumes the engine
+// exactly as it does. (Other standard libraries may draw differently;
+// there the in-tree draw is the definition.)
+TEST(Rng, ExponentialIsBitIdenticalToLibstdcxx)
+{
+  for (const double mean : {1.0, 0.37, 1e6 / 7.0, 12345.678, 3e-4}) {
+    Rng mine(97);
+    std::mt19937_64 theirs(97);
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < 2'000'000; ++i) {
+      // dilu-lint: allow(std-distribution the reference this test matches)
+      std::exponential_distribution<double> ref(1.0 / mean);
+      const double want = ref(theirs);
+      const double got = mine.Exponential(mean);
+      std::uint64_t a = 0;
+      std::uint64_t b = 0;
+      std::memcpy(&a, &got, sizeof a);
+      std::memcpy(&b, &want, sizeof b);
+      if (a != b) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "mean " << mean;
+    EXPECT_TRUE(mine.engine() == theirs) << "mean " << mean;
+  }
+}
+#endif
 
 TEST(Rng, GammaInterarrivalCvMatches)
 {

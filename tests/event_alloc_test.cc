@@ -103,6 +103,42 @@ TEST(EventQueueAlloc, SteadyStateScheduleFireCancelIsAllocationFree)
   EXPECT_NE(sink, 0u);
 }
 
+TEST(EventQueueAlloc, SteadyStateSourceFireAndRearmIsAllocationFree)
+{
+  // 32 recurring sources with inline-sized captures, each re-arming
+  // itself from its own callback (the open-loop arrival pattern), with
+  // ordinary events mixed in at the same instants.
+  constexpr int kSources = 32;
+  EventQueue q;
+  std::uint64_t sink = 0;
+  SourceId ids[kSources];
+  struct Ctx {
+    EventQueue* q;
+    SourceId* ids;
+    std::uint64_t* sink;
+  };
+  const Ctx ctx{&q, ids, &sink};
+  for (int k = 0; k < kSources; ++k) {
+    const std::uint64_t word = static_cast<std::uint64_t>(k) + 1;
+    ids[k] = q.AddSource([ctx, k, word] {
+      *ctx.sink += word;
+      ctx.q->ArmSource(ctx.ids[k], ctx.q->now() + 1 + k % 9);
+      if (k % 4 == 0) {
+        ctx.q->ScheduleAfter(k % 3, [s = ctx.sink] { ++*s; });
+      }
+    });
+    q.ArmSource(ids[k], 1 + k % 7);
+  }
+  q.RunUntil(1000);  // warm up: heaps and slab reach their high water
+
+  const std::size_t baseline = g_allocations;
+  q.RunUntil(20000);
+  EXPECT_EQ(g_allocations, baseline)
+      << "source fire/re-arm allocated in steady state";
+  EXPECT_GE(q.PendingCount(), static_cast<std::size_t>(kSources));
+  EXPECT_NE(sink, 0u);
+}
+
 TEST(EventQueueAlloc, OversizedCapturesStillWorkViaHeapFallback)
 {
   EventQueue q;

@@ -212,6 +212,19 @@ TEST(LintRules, EventScheduleScopedToSrcOutsideSimAndRuntime)
   EXPECT_TRUE(Lint("bad_schedule.cc", "tests/x.cc").empty());
 }
 
+TEST(LintRules, EventScheduleFlagsRawSourceCalls)
+{
+  const auto in_cluster =
+      RuleLines(Lint("bad_source.cc", "src/cluster/x.cc"));
+  EXPECT_EQ(in_cluster, (std::set<P>{{"event-schedule", 8},
+                                     {"event-schedule", 9}}));
+  // The Simulation wrappers live in sim/; the runtime layer and tests
+  // may drive a queue directly:
+  EXPECT_TRUE(Lint("bad_source.cc", "src/sim/x.cc").empty());
+  EXPECT_TRUE(Lint("bad_source.cc", "src/runtime/x.cc").empty());
+  EXPECT_TRUE(Lint("bad_source.cc", "tests/x.cc").empty());
+}
+
 TEST(LintRules, SeedZeroSentinelScopedByExceptionList)
 {
   const auto got = RuleLines(Lint("bad_seed_zero.cc", "src/x.cc"));

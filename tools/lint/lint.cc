@@ -41,9 +41,10 @@ const std::vector<RuleInfo> kRules = {
     {"include-guard", "*.h",
      "headers need #pragma once or an #ifndef guard"},
     {"event-schedule", "src/ except src/sim/ and src/runtime/",
-     "direct EventQueue::ScheduleAt/ScheduleAfter outside the sim core; "
-     "layer code schedules through Simulation::Post on its own shard's "
-     "clock"},
+     "direct EventQueue::ScheduleAt/ScheduleAfter/AddSource/ArmSource "
+     "outside the sim core; layer code schedules through "
+     "Simulation::Post (recurring sources: RegisterSource/PostSource) "
+     "on its own shard's clock"},
     {"std-distribution", "everywhere except src/common/random.cc",
      "std::*_distribution output is implementation-defined (it differs "
      "between standard libraries); draw through dilu::Rng, whose "
@@ -766,18 +767,28 @@ Linter::LintFile(const std::string& path, const std::string& content,
 
   // --- event-schedule -------------------------------------------------
   // Raw queue scheduling lives only in src/sim/ and src/runtime/.
-  // Layer code posts through Simulation::Post, which is always its own
-  // shard's clock; see docs/PARALLELISM.md.
+  // Layer code posts through Simulation::Post / RegisterSource /
+  // PostSource, which are always its own shard's clock; see
+  // docs/PARALLELISM.md.
   if (StartsWith(path, "src/") && !StartsWith(path, "src/sim/")
       && !StartsWith(path, "src/runtime/")) {
-    for (const char* w : {"ScheduleAt", "ScheduleAfter"}) {
-      for (std::size_t at = FindWord(code, w, 0); at != std::string::npos;
-           at = FindWord(code, w, at + 1)) {
-        const std::size_t after = SkipSpace(code, at + std::string(w).size());
+    struct RawCall {
+      const char* name;
+      const char* wrapper;
+    };
+    for (const RawCall& w : {RawCall{"ScheduleAt", "Simulation::Post"},
+                             RawCall{"ScheduleAfter", "Simulation::Post"},
+                             RawCall{"AddSource",
+                                     "Simulation::RegisterSource"},
+                             RawCall{"ArmSource",
+                                     "Simulation::PostSource"}}) {
+      const std::string name = w.name;
+      for (std::size_t at = FindWord(code, name, 0);
+           at != std::string::npos; at = FindWord(code, name, at + 1)) {
+        const std::size_t after = SkipSpace(code, at + name.size());
         if (after < code.size() && code[after] == '(') {
           emit(at, "event-schedule",
-               std::string(w) + " outside sim/+runtime/: use "
-               "Simulation::Post");
+               name + " outside sim/+runtime/: use " + w.wrapper);
         }
       }
     }

@@ -22,9 +22,10 @@
  *   log-side-effect   no mutation in DILU_LOG stream statements (they
  *                     are skipped entirely below the active level)
  *   include-guard     every header opens with a guard / pragma once
- *   event-schedule    no direct EventQueue::ScheduleAt/ScheduleAfter
- *                     outside src/sim/ + src/runtime/ (layer code
- *                     posts through Simulation::Post)
+ *   event-schedule    no direct EventQueue::ScheduleAt/ScheduleAfter/
+ *                     AddSource/ArmSource outside src/sim/ +
+ *                     src/runtime/ (layer code posts through
+ *                     Simulation::Post / RegisterSource / PostSource)
  *   std-distribution  no std::*_distribution outside
  *                     src/common/random.cc (their output is
  *                     implementation-defined)
