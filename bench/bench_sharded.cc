@@ -10,7 +10,8 @@
  * bench FAILS, exit 1, if any run diverges).
  *
  * Flags: --quick (a 1k-GPU miniature, CI smoke), --seed N (cluster
- * seed, echoed into the JSON), --out FILE.
+ * seed, echoed into the JSON), --out FILE. Any other argument is a
+ * usage error (exit 2).
  *
  * Wall clock covers Run() only — partitioned construction is the same
  * work at every thread count and is excluded, as in the other benches.
@@ -188,7 +189,7 @@ main(int argc, char** argv)
 {
   dilu::bench::CliOptions opts;
   if (!dilu::bench::ParseCli(argc, argv, &opts, /*default_seed=*/1)) {
-    return 1;
+    return 2;
   }
   const Scenario sc = MakeScenario(opts.quick);
   std::fprintf(stderr,

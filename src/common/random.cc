@@ -40,7 +40,11 @@ Rng::GammaInterarrival(double mean, double cv)
 double
 Rng::Normal(double mean, double stddev)
 {
-  return std::normal_distribution<double>(mean, stddev)(engine_);
+  // A standard normal scaled by hand: libstdc++ returns the same
+  // `ret * stddev + mean` bit for bit, but its (mean, stddev)
+  // constructor requires stddev > 0, and a stddev of 0 (a zero-length
+  // burst) must simply return the mean.
+  return std::normal_distribution<double>()(engine_) * stddev + mean;
 }
 
 }  // namespace dilu

@@ -60,7 +60,7 @@ class Rng {
    */
   double GammaInterarrival(double mean, double cv);
 
-  /** Normally distributed value. */
+  /** Normally distributed value; stddev 0 returns `mean`. */
   double Normal(double mean, double stddev);
 
   std::mt19937_64& engine() { return engine_; }

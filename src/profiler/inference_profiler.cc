@@ -97,11 +97,4 @@ InferenceProfiler::Profile(const models::ModelProfile& model) const
   return result;
 }
 
-double
-ProfiledServingRps(const models::ModelProfile& model)
-{
-  const InferenceProfile p = InferenceProfiler().Profile(model);
-  return models::InferenceThroughput(model, p.ibs, p.quota.request);
-}
-
 }  // namespace dilu::profiler

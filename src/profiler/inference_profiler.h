@@ -63,16 +63,6 @@ class InferenceProfiler {
   InferenceProfilerConfig config_;
 };
 
-/**
- * Per-instance serving capacity (requests/s) a fresh deploy of `model`
- * would be assigned: profile with default HGS knobs, then evaluate the
- * cost model at the profiled IBS and request quota — the exact values
- * ClusterRuntime's deploy-time profiling fills into
- * FunctionSpec::per_instance_rps. Benches that size workloads against
- * capacity use this instead of re-deriving the formula.
- */
-double ProfiledServingRps(const models::ModelProfile& model);
-
 }  // namespace dilu::profiler
 
 #endif  // DILU_PROFILER_INFERENCE_PROFILER_H_

@@ -12,6 +12,7 @@
 #include <random>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -348,6 +349,38 @@ TEST(Rng, ExponentialIsBitIdenticalToLibstdcxx)
     }
     EXPECT_EQ(mismatches, 0u) << "mean " << mean;
     EXPECT_TRUE(mine.engine() == theirs) << "mean " << mean;
+  }
+}
+
+// Rng::Normal scales a standard normal by hand, which is libstdc++'s
+// own `ret * stddev + mean`: the same bits and the same engine draws
+// as a fresh std::normal_distribution(mean, stddev) per call, and a
+// stddev of 0 (which that constructor rejects) returns the mean.
+TEST(Rng, NormalIsBitIdenticalToLibstdcxx)
+{
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {40.0, 8.0}, {-3.5, 0.02}, {1e6, 12345.678}};
+  for (const auto& [mean, stddev] : params) {
+    Rng mine(97);
+    std::mt19937_64 theirs(97);
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < 200'000; ++i) {
+      // dilu-lint: allow(std-distribution the reference this test matches)
+      std::normal_distribution<double> ref(mean, stddev);
+      const double want = ref(theirs);
+      const double got = mine.Normal(mean, stddev);
+      std::uint64_t a = 0;
+      std::uint64_t b = 0;
+      std::memcpy(&a, &got, sizeof a);
+      std::memcpy(&b, &want, sizeof b);
+      if (a != b) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "mean " << mean << " stddev " << stddev;
+    EXPECT_TRUE(mine.engine() == theirs) << "mean " << mean;
+  }
+  Rng rng(5);
+  for (const double mean : {0.0, 0.5, 40.0, -7.25}) {
+    EXPECT_EQ(rng.Normal(mean, 0.0), mean);
   }
 }
 #endif

@@ -126,7 +126,9 @@ const char* const kCiSmokeSpecs[] = {"chaos_burst.exp", "overload_shed.exp",
                                      "fabric_contention.exp"};
 const char* const kOtherGallerySpecs[] = {
     "checkpointed_training.exp", "closed_loop.exp",
-    "degraded_straggler.exp",    "e2e_mix.exp",
+    "coldstart_surge.exp",       "degraded_straggler.exp",
+    "drain_maintenance.exp",     "e2e_mix.exp",
+    "gpu_failure_steady.exp",    "node_failure_mix.exp",
     "quickstart.exp",            "serverless_burst.exp",
     "shard_islands.exp"};
 

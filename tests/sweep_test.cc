@@ -948,20 +948,24 @@ TEST(SweepEndToEnd, ShardsAxisRoutesThroughShardedDriver)
   EXPECT_GT(a.cells[1].metrics[completed].mean, 0.0);
 }
 
-// --- the paper figures (experiments/paper/) --------------------------
+// --- the gated galleries (experiments/sweeps/, experiments/paper/) ---
 
 /**
- * Every paper sweep with its clauses: each clause holds, and each one
- * alone set to an unreachable bound fails the sweep under its own name
- * while the others still hold, so no clause is vacuous.
+ * Every checked-in sweep with its clauses, the gallery's and the paper
+ * figures': each clause holds, and each one alone set to an
+ * unreachable bound fails the sweep under its own name while the
+ * others still hold, so no clause is vacuous.
  */
 TEST(PaperSweeps, EveryClauseHoldsAndEachIsFalsifiable)
 {
   const std::string experiments = DILU_EXPERIMENTS_DIR;
   const std::string root = experiments.substr(0, experiments.rfind('/'));
-  const auto sweeps =
+  auto sweeps = experiment::ListGallery(experiments + "/sweeps", ".sweep");
+  ASSERT_GE(sweeps.size(), 6u);
+  const auto paper =
       experiment::ListGallery(experiments + "/paper", ".sweep");
-  ASSERT_GE(sweeps.size(), 15u);
+  ASSERT_GE(paper.size(), 15u);
+  sweeps.insert(sweeps.end(), paper.begin(), paper.end());
   for (const experiment::GalleryEntry& entry : sweeps) {
     SCOPED_TRACE(entry.path);
     SweepSpec spec;
@@ -969,8 +973,14 @@ TEST(PaperSweeps, EveryClauseHoldsAndEachIsFalsifiable)
     std::string error;
     ASSERT_TRUE(SweepSpec::Parse(ReadFileOrEmpty(entry.path), &spec, &error))
         << error;
-    ASSERT_TRUE(ExperimentSpec::Parse(
-        ReadFileOrEmpty(root + "/" + spec.base()), &base, &error))
+    // A paper sweep names its base by root-relative path, a gallery
+    // sweep by its stem (dilu_sweep --exp-dir).
+    const std::string base_path =
+        spec.base().find('/') != std::string::npos
+        ? root + "/" + spec.base()
+        : experiments + "/" + spec.base() + ".exp";
+    ASSERT_TRUE(ExperimentSpec::Parse(ReadFileOrEmpty(base_path), &base,
+                                      &error))
         << error;
     SweepMatrix matrix;
     ASSERT_TRUE(ExpandSweep(spec, base, &matrix, &error)) << error;
