@@ -4,8 +4,6 @@
 
 namespace dilu::baselines {
 
-TgsArbiter::TgsArbiter(TgsConfig config) : config_(config) {}
-
 void
 TgsArbiter::Resolve(gpusim::Gpu& gpu, TimeUs now)
 {
@@ -27,13 +25,13 @@ TgsArbiter::Resolve(gpusim::Gpu& gpu, TimeUs now)
   for (gpusim::Attachment& a : atts) {
     if (a.priority > 0) continue;
     double& opp = opportunistic_share_[a.id];
-    if (opp <= 0.0) opp = config_.opportunistic_floor;
+    if (opp <= 0.0) opp = kTgsOpportunisticFloor;
     if (high_active) {
       // Productive job active: collapse to the probing floor.
-      opp = config_.opportunistic_floor;
+      opp = kTgsOpportunisticFloor;
     } else {
       // Trial-and-increase while the productive job is idle.
-      opp = std::min({opp * config_.growth, config_.ceiling, leftover});
+      opp = std::min({opp * kTgsGrowth, kTgsCeiling, leftover});
     }
     a.granted = std::min(a.demand, opp);
   }
@@ -47,8 +45,6 @@ TgsArbiter::OnDetach(gpusim::Gpu& gpu, InstanceId id)
   opportunistic_share_.erase(id);
 }
 
-FastGsArbiter::FastGsArbiter(FastGsConfig config) : config_(config) {}
-
 void
 FastGsArbiter::Resolve(gpusim::Gpu& gpu, TimeUs now)
 {
@@ -58,7 +54,7 @@ FastGsArbiter::Resolve(gpusim::Gpu& gpu, TimeUs now)
   double used = 0.0;
   double unmet = 0.0;
   for (gpusim::Attachment& a : atts) {
-    a.granted = std::min(a.demand, a.static_share);
+    a.granted = std::min(a.demand, a.quota.limit);
     used += a.granted;
     unmet += std::max(0.0, a.demand - a.granted);
   }
@@ -66,7 +62,7 @@ FastGsArbiter::Resolve(gpusim::Gpu& gpu, TimeUs now)
   // the dequeue/bookkeeping overhead.
   const double idle = std::max(0.0, 1.0 - used);
   if (idle > 1e-9 && unmet > 1e-9) {
-    const double budget = idle * config_.redistribution_efficiency;
+    const double budget = idle * kFastGsRedistributionEfficiency;
     for (gpusim::Attachment& a : atts) {
       const double want = std::max(0.0, a.demand - a.granted);
       if (want <= 0.0) continue;

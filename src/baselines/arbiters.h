@@ -14,59 +14,46 @@
  *   is temporally redistributed, but the frequent CUDA-event statistics
  *   collection and prioritized dequeuing add per-iteration overhead
  *   (modeled as a redistribution efficiency < 1 plus a fixed latency
- *   adder configured on the inference instance).
+ *   adder on each inference instance).
  */
 #ifndef DILU_BASELINES_ARBITERS_H_
 #define DILU_BASELINES_ARBITERS_H_
 
 #include <map>
-#include <string>
 
 #include "gpusim/gpu.h"
 
 namespace dilu::baselines {
 
-/** TGS configuration. */
-struct TgsConfig {
-  double opportunistic_floor = 0.02;  ///< probe share after preemption
-  /** Conservative multiplicative growth per 5 ms quantum: TGS raises
-   *  opportunistic allocation over seconds, so sub-second idle gaps of
-   *  the productive job yield almost nothing. */
-  double growth = 1.01;
-  double ceiling = 1.0;               ///< max opportunistic share
-};
+// TGS: opportunistic jobs probe at a floor share after preemption and
+// regrow conservatively, x1.01 per 5 ms quantum: TGS raises their
+// allocation over seconds, so sub-second idle gaps of the productive
+// job yield almost nothing.
+constexpr double kTgsOpportunisticFloor = 0.02;
+constexpr double kTgsGrowth = 1.01;
+constexpr double kTgsCeiling = 1.0;  ///< max opportunistic share
 
 /** Priority-based temporal sharing (TGS). */
 class TgsArbiter : public gpusim::ShareArbiter {
  public:
-  explicit TgsArbiter(TgsConfig config = {});
-
   void Resolve(gpusim::Gpu& gpu, TimeUs now) override;
   void OnDetach(gpusim::Gpu& gpu, InstanceId id) override;
-  std::string name() const override { return "tgs"; }
 
  private:
-  TgsConfig config_;
   std::map<InstanceId, double> opportunistic_share_;
 };
 
-/** FaST-GS configuration. */
-struct FastGsConfig {
-  /** Fraction of idle partition capacity actually reusable after the
-   *  prioritized-dequeue bookkeeping. */
-  double redistribution_efficiency = 0.7;
-};
+// FaST-GS's two costs. The arbiter reuses only this fraction of idle
+// partition capacity after the prioritized-dequeue bookkeeping, and the
+// cluster adds the per-iteration CUDA-event bookkeeping to each
+// inference instance's batch latency.
+constexpr double kFastGsRedistributionEfficiency = 0.7;
+constexpr TimeUs kFastGsIterationOverhead = Ms(4);
 
 /** Spatio-temporal static-partition sharing (FaST-GS). */
 class FastGsArbiter : public gpusim::ShareArbiter {
  public:
-  explicit FastGsArbiter(FastGsConfig config = {});
-
   void Resolve(gpusim::Gpu& gpu, TimeUs now) override;
-  std::string name() const override { return "fast-gs"; }
-
- private:
-  FastGsConfig config_;
 };
 
 }  // namespace dilu::baselines

@@ -121,7 +121,7 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
   joint_recovery_ = Resolve<int>(config_.recovery, {"joint", "greedy"},
                                  "recovery mode") == 0;
   if (sharing == Sharing::kFastGs) {
-    inference_overhead_ = config_.fastgs_overhead;
+    inference_overhead_ = baselines::kFastGsIterationOverhead;
   }
   DILU_CHECK(config_.recovery_retry > 0);
   if (config_.fabric.enabled) {
@@ -235,7 +235,7 @@ ClusterRuntime::QuotaForMode(const SmQuota& profiled) const
 }
 
 bool
-ClusterRuntime::Place(const DeployedFunction& f, const SmQuota& quota,
+ClusterRuntime::Place(DeployedFunction& f, const SmQuota& quota,
                       double mem_gb, int shards, int units,
                       std::vector<GpuId>* gpus)
 {
@@ -254,10 +254,7 @@ ClusterRuntime::Place(const DeployedFunction& f, const SmQuota& quota,
   int placed = 0;
   for (; placed < units; ++placed) {
     const auto placement = scheduler_->Place(req, state_);
-    if (!placement.ok) {
-      DILU_WARN << "placement failed for function " << f.id;
-      break;
-    }
+    if (!placement.ok) break;
     gpus->insert(gpus->end(), placement.gpus.begin(), placement.gpus.end());
     if (hold) {
       state_.Commit(kHoldId - placed, f.id,
@@ -269,7 +266,12 @@ ClusterRuntime::Place(const DeployedFunction& f, const SmQuota& quota,
   if (hold) {
     for (int h = 0; h < placed; ++h) state_.Release(kHoldId - h);
   }
-  return placed == units;
+  const bool ok = placed == units;
+  if (!ok && !f.placement_failing) {
+    DILU_WARN << "placement failed for function " << f.id;
+  }
+  f.placement_failing = !ok;
+  return ok;
 }
 
 void
@@ -288,7 +290,6 @@ ClusterRuntime::AttachShards(runtime::Instance* inst,
     att.slot = slot;
     att.type = f.spec.type;
     att.quota = quota;
-    att.static_share = quota.limit;
     att.memory_gb = mem_gb;
     att.priority = priority;
     gpu_group_->Attach(gpu, att);

@@ -71,9 +71,6 @@ struct ClusterConfig {
    */
   std::string recovery = "joint";
 
-  /** FaST-GS per-iteration bookkeeping overhead on inference. */
-  TimeUs fastgs_overhead = Ms(4);
-
   /**
    * Base cadence of the deferred-recovery retry timer. The backoff
    * doubles from here (shift 0..5, so 1 s grows to 32 s by default)
@@ -140,6 +137,8 @@ struct DeployedFunction {
   std::int64_t resume_iterations = 0;
   /** (time, deployed instance count) samples from the scaler loop. */
   std::vector<std::pair<TimeUs, int>> instance_count_series;
+  /** The last placement attempt failed (Place's warning latch). */
+  bool placement_failing = false;
 };
 
 /** The assembled serverless DL cluster. */
@@ -397,8 +396,12 @@ class ClusterRuntime {
    * kInvalidInstance when placement failed.
    */
   InstanceId Launch(FunctionId fn, Start start, std::vector<GpuId>* gpus);
-  /** Place `units` instances of `shards` shards, appending the GPUs. */
-  bool Place(const DeployedFunction& f, const SmQuota& quota, double mem_gb,
+  /**
+   * Place `units` instances of `shards` shards, appending the GPUs.
+   * Warns once per failure streak: on `f`'s first failed placement,
+   * then not again until one of its placements succeeds.
+   */
+  bool Place(DeployedFunction& f, const SmQuota& quota, double mem_gb,
              int shards, int units, std::vector<GpuId>* gpus);
   /** Create the training job of `f` on `gpus` (callbacks, fabric). */
   void NewJob(DeployedFunction& f, const std::vector<GpuId>& gpus);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/logging.h"
 
@@ -50,14 +51,6 @@ Gpu::Has(InstanceId id) const
 }
 
 double
-Gpu::reserved_static_share() const
-{
-  double s = 0.0;
-  for (const Attachment& a : attachments_) s += a.static_share;
-  return s;
-}
-
-double
 Gpu::reserved_request_share() const
 {
   double s = 0.0;
@@ -89,23 +82,9 @@ Gpu::UtilizationIntegral(TimeUs now) const
 }
 
 double
-GpuClient::BlocksLaunchedLastQuantum(int slot) const
-{
-  (void)slot;
-  return 0.0;
-}
-
-double
 GpuClient::KlcInflation() const
 {
   return 0.0;
-}
-
-void
-ShareArbiter::OnAttach(Gpu& gpu, const Attachment& att)
-{
-  (void)gpu;
-  (void)att;
 }
 
 void
@@ -140,9 +119,9 @@ StaticArbiter::Resolve(Gpu& gpu, TimeUs now)
   double granted_total = 0.0;
   double active_static = 0.0;
   for (Attachment& a : atts) {
-    a.granted = std::min(a.demand, a.static_share);
+    a.granted = std::min(a.demand, a.quota.limit);
     granted_total += a.granted;
-    if (a.demand > 0.0) active_static += a.static_share;
+    if (a.demand > 0.0) active_static += a.quota.limit;
   }
   if (granted_total > gpu.compute_capacity() + 1e-12
       && active_static > 0.0) {
@@ -155,7 +134,7 @@ StaticArbiter::Resolve(Gpu& gpu, TimeUs now)
     const double efficiency = 0.93 / std::sqrt(granted_total);
     for (Attachment& a : atts) {
       if (a.demand <= 0.0) continue;
-      const double fair = a.static_share / active_static;
+      const double fair = a.quota.limit / active_static;
       a.granted = std::min(a.granted, fair) * efficiency;
     }
   }

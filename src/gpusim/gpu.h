@@ -17,7 +17,6 @@
 #define DILU_GPUSIM_GPU_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -58,10 +57,13 @@ class GpuClient {
 
   /**
    * Introspection for token-based arbiters (the RCKM): kernel blocks
-   * launched during the previous quantum on `slot`. The simulator
-   * equates executed and launched blocks (granted share * capacity).
+   * launched during the previous quantum on each of the client's
+   * slots (a pipeline's shards launch in lockstep, so every slot
+   * launched the same count). FinishQuantum publishes it; reading it
+   * is a load, not a call. The simulator equates executed and
+   * launched blocks (granted share * capacity).
    */
-  virtual double BlocksLaunchedLastQuantum(int slot) const;
+  double blocks_launched() const { return blocks_launched_; }
 
   /**
    * Relative kernel-launching-cycle inflation dT = (T_cur - T_min)/T_min
@@ -69,6 +71,10 @@ class GpuClient {
    * non-SLO-sensitive clients may return 0.
    */
   virtual double KlcInflation() const;
+
+ protected:
+  /** blocks_launched(); 0 for a client that never launches. */
+  double blocks_launched_ = 0.0;
 
  private:
   friend class GpuGroup;
@@ -86,7 +92,6 @@ struct Attachment {
   int slot = 0;                ///< client's shard index for this GPU
   TaskType type = TaskType::kInference;
   SmQuota quota;               ///< profiled <request, limit>
-  SmRate static_share = 1.0;   ///< quota for static (MPS-style) arbiters
   double memory_gb = 0.0;
   int priority = 0;            ///< TGS: >0 means productive/high priority
 
@@ -135,9 +140,6 @@ class Gpu {
   /** Sum of granted shares last quantum (current compute utilization). */
   double used_share() const { return used_share_; }
 
-  /** Sum of static shares (what MPS-style allocation reserved). */
-  double reserved_static_share() const;
-
   /** Sum of request quotas (what Dilu reserved). */
   double reserved_request_share() const;
 
@@ -176,28 +178,23 @@ class ShareArbiter {
   /** Resolve grants for one quantum; writes Attachment::granted. */
   virtual void Resolve(Gpu& gpu, TimeUs now) = 0;
 
-  /** Notification hooks for stateful arbiters. */
-  virtual void OnAttach(Gpu& gpu, const Attachment& att);
+  /** Drop per-instance state before `id` leaves `gpu`. */
   virtual void OnDetach(Gpu& gpu, InstanceId id);
-
-  /** Policy name, for logs and bench tables. */
-  virtual std::string name() const = 0;
 };
 
 /**
  * Static spatial partitioning: the MPS analogue. Each instance executes
- * at `min(demand, static_share)`; idle co-runner quota is *not*
+ * at `min(demand, quota.limit)`; idle co-runner quota is *not*
  * reusable (the core inefficiency Dilu removes). If the sum of grants
  * exceeds device capacity (MPS-l with gamma > 1), grants are squeezed
  * proportionally, modelling SM contention.
  *
- * With a single attachment whose static_share is 1.0 this doubles as
- * the Exclusive baseline.
+ * With a single attachment whose limit is 1.0 this doubles as the
+ * Exclusive baseline.
  */
 class StaticArbiter : public ShareArbiter {
  public:
   void Resolve(Gpu& gpu, TimeUs now) override;
-  std::string name() const override { return "static-mps"; }
 };
 
 /**

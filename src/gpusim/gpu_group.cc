@@ -49,7 +49,6 @@ GpuGroup::Attach(GpuId id, const Attachment& att)
 {
   Gpu& g = gpu(id);
   g.Attach(att);
-  arbiters_[id]->OnAttach(g, att);
   const auto at = std::lower_bound(live_.begin(), live_.end(), id);
   if (at == live_.end() || *at != id) live_.insert(at, id);
 }

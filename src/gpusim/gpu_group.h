@@ -54,8 +54,8 @@ class GpuGroup {
   ShareArbiter& arbiter(GpuId id);
 
   /**
-   * Attach an instance shard to a GPU (notifies the arbiter). Safe from
-   * a FinishQuantum callback; not from ComputeDemand or OnGrant.
+   * Attach an instance shard to a GPU. Safe from a FinishQuantum
+   * callback; not from ComputeDemand or OnGrant.
    */
   void Attach(GpuId id, const Attachment& att);
 

@@ -59,7 +59,7 @@ struct AttachmentView {
   const SmQuota& quota(std::size_t i) const { return atts[i].quota; }
   double blocks(std::size_t i) const
   {
-    return atts[i].client->BlocksLaunchedLastQuantum(atts[i].slot);
+    return atts[i].client->blocks_launched();
   }
   double inflation(std::size_t i) const
   {

@@ -20,16 +20,16 @@
  * its record at position i with one id compare, and the rate windows
  * are fixed-size bit rings (one bit per period: "launched anything").
  * The arbiter runs Algorithm 2 straight over the GPU's attachments:
- * each attachment's launched blocks are read once, its KLC inflation
- * only if it is SLO-sensitive, and its grant is written back in place,
- * with no per-period sample or grant copies. Heap traffic occurs only
+ * each attachment's launched blocks are read once from the count its
+ * client published (a load, no virtual call), its KLC inflation only
+ * if it is SLO-sensitive, and its grant is written back in place, with
+ * no per-period sample or grant copies. Heap traffic occurs only
  * when the record count passes its high-water mark.
  */
 #ifndef DILU_RCKM_TOKEN_MANAGER_H_
 #define DILU_RCKM_TOKEN_MANAGER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -187,7 +187,6 @@ class DiluArbiter : public gpusim::ShareArbiter {
 
   void Resolve(gpusim::Gpu& gpu, TimeUs now) override;
   void OnDetach(gpusim::Gpu& gpu, InstanceId id) override;
-  std::string name() const override { return "dilu-rckm"; }
 
   TokenManager& manager() { return manager_; }
 

@@ -35,8 +35,6 @@ InferenceInstance::InferenceInstance(InstanceId id, FunctionId function,
       wait_budget_(BatchWaitBudget(*model, ibs))
 {
   DILU_CHECK(ibs >= 1);
-  granted_.assign(1, 0.0);
-  blocks_last_.assign(1, 0.0);
 }
 
 void
@@ -119,10 +117,6 @@ InferenceInstance::CostOf(int batch)
 double
 InferenceInstance::ComputeDemand(int slot)
 {
-  if (static_cast<std::size_t>(shard_count_) != granted_.size()) {
-    granted_.assign(static_cast<std::size_t>(shard_count_), 0.0);
-    blocks_last_.assign(static_cast<std::size_t>(shard_count_), 0.0);
-  }
   if (slot == 0) MaybeStartBatch();
   if (!in_flight_ || !running()) return 0.0;
   // Each pipeline shard hosts 1/shard_count of the model; demand is the
@@ -133,57 +127,47 @@ InferenceInstance::ComputeDemand(int slot)
 void
 InferenceInstance::OnGrant(int slot, double share)
 {
-  DILU_CHECK(slot >= 0
-             && static_cast<std::size_t>(slot) < granted_.size());
-  granted_[static_cast<std::size_t>(slot)] = share;
+  DILU_CHECK(slot >= 0 && slot < shard_count_);
+  min_grant_ = slots_granted_++ == 0 ? share : std::min(min_grant_, share);
 }
 
 void
 InferenceInstance::FinishQuantum(TimeUs quantum)
 {
-  std::fill(blocks_last_.begin(), blocks_last_.end(), 0.0);
-  if (!in_flight_) {
-    std::fill(granted_.begin(), granted_.end(), 0.0);
-    return;
-  }
+  blocks_launched_ = 0.0;
   // Pipeline lockstep: the aggregate effective share is bounded by the
-  // slowest shard.
+  // slowest shard, and a shard granted nothing this quantum holds it
+  // at 0.
   const double min_grant =
-      *std::min_element(granted_.begin(), granted_.end());
+      slots_granted_ == shard_count_ ? min_grant_ : 0.0;
+  slots_granted_ = 0;
+  if (!in_flight_) return;
   const double aggregate =
       min_grant * static_cast<double>(shard_count_);
   const double speed =
       models::InferenceSpeed(*model_, batch_sat_, aggregate);
-  if (speed <= 0.0) {
-    std::fill(granted_.begin(), granted_.end(), 0.0);
-    return;
-  }
+  if (speed <= 0.0) return;
   const double rate = speed / batch_ideal_;  // progress per microsecond
   const double needed = 1.0 - progress_;
   const double dt_to_done = needed / rate;
+  // Completes within this quantum: interpolate the exact moment.
+  const bool completes = dt_to_done <= static_cast<double>(quantum);
+  const double ran = completes ? dt_to_done : static_cast<double>(quantum);
 
+  // Every shard launches the same blocks; the total counts each one.
   const double used_share = std::min(min_grant * shard_count_, batch_sat_);
-  if (dt_to_done <= static_cast<double>(quantum)) {
-    // Completes within this quantum: interpolate the exact moment.
-    for (std::size_t s = 0; s < blocks_last_.size(); ++s) {
-      blocks_last_[s] = used_share / shard_count_
-          * models::kBlocksPerQuantum
-          * (dt_to_done / static_cast<double>(kTokenPeriodUs));
-    }
+  blocks_launched_ = used_share / shard_count_ * models::kBlocksPerQuantum
+      * (ran / static_cast<double>(kTokenPeriodUs));
+  for (int s = 0; s < shard_count_; ++s) {
+    stats_.blocks_launched_total += blocks_launched_;
+  }
+  if (completes) {
     const TimeUs done_at = sim_->now() + static_cast<TimeUs>(dt_to_done)
         + extra_latency_per_iter_;
     CompleteBatch(done_at);
   } else {
     progress_ += rate * static_cast<double>(quantum);
-    for (std::size_t s = 0; s < blocks_last_.size(); ++s) {
-      blocks_last_[s] = used_share / shard_count_
-          * models::kBlocksPerQuantum
-          * (static_cast<double>(quantum)
-             / static_cast<double>(kTokenPeriodUs));
-    }
   }
-  for (double b : blocks_last_) stats_.blocks_launched_total += b;
-  std::fill(granted_.begin(), granted_.end(), 0.0);
 }
 
 void
@@ -201,15 +185,6 @@ InferenceInstance::CompleteBatch(TimeUs completion_time)
   batch_.clear();
   in_flight_ = false;
   progress_ = 0.0;
-}
-
-double
-InferenceInstance::BlocksLaunchedLastQuantum(int slot) const
-{
-  if (slot < 0 || static_cast<std::size_t>(slot) >= blocks_last_.size()) {
-    return 0.0;
-  }
-  return blocks_last_[static_cast<std::size_t>(slot)];
 }
 
 double

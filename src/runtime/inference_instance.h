@@ -79,7 +79,6 @@ class InferenceInstance : public Instance {
   double ComputeDemand(int slot) override;
   void OnGrant(int slot, double share) override;
   void FinishQuantum(TimeUs quantum) override;
-  double BlocksLaunchedLastQuantum(int slot) const override;
   double KlcInflation() const override;
 
   void Terminate() override;
@@ -118,9 +117,10 @@ class InferenceInstance : public Instance {
   /** CostOf's cache, indexed by batch size. */
   std::vector<BatchCost> batch_costs_;
 
-  // Per-quantum shard grants / accounting.
-  std::vector<double> granted_;
-  std::vector<double> blocks_last_;
+  // This quantum's shard grants: the smallest one so far and how many
+  // slots have been granted (each slot once per quantum).
+  double min_grant_ = 0.0;
+  int slots_granted_ = 0;
 };
 
 }  // namespace dilu::runtime

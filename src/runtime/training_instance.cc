@@ -60,7 +60,7 @@ TrainingInstance::OnGrant(int slot, double share)
 void
 TrainingInstance::FinishQuantum(TimeUs quantum)
 {
-  blocks_last_ = 0.0;
+  blocks_launched_ = 0.0;
   if (!running() || !computing_ || compute_done_) {
     granted_ = 0.0;
     return;
@@ -76,7 +76,7 @@ TrainingInstance::FinishQuantum(TimeUs quantum)
   const double dt_to_done = needed / rate;
   const double used = std::min(granted_, model_->train_sat);
   if (dt_to_done <= static_cast<double>(quantum)) {
-    blocks_last_ = used * models::kBlocksPerQuantum
+    blocks_launched_ = used * models::kBlocksPerQuantum
         * (dt_to_done / static_cast<double>(kTokenPeriodUs));
     compute_done_ = true;
     computing_ = false;
@@ -84,18 +84,11 @@ TrainingInstance::FinishQuantum(TimeUs quantum)
         worker_index_, sim_->now() + static_cast<TimeUs>(dt_to_done));
   } else {
     progress_ += rate * static_cast<double>(quantum);
-    blocks_last_ = used * models::kBlocksPerQuantum
+    blocks_launched_ = used * models::kBlocksPerQuantum
         * (static_cast<double>(quantum)
            / static_cast<double>(kTokenPeriodUs));
   }
   granted_ = 0.0;
-}
-
-double
-TrainingInstance::BlocksLaunchedLastQuantum(int slot) const
-{
-  (void)slot;
-  return blocks_last_;
 }
 
 TrainingJob::TrainingJob(FunctionId function,

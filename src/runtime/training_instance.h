@@ -38,7 +38,6 @@ class TrainingInstance : public Instance {
   double ComputeDemand(int slot) override;
   void OnGrant(int slot, double share) override;
   void FinishQuantum(TimeUs quantum) override;
-  double BlocksLaunchedLastQuantum(int slot) const override;
 
   /** Reset per-iteration progress (called by the job barrier). */
   void StartComputePhase();
@@ -54,7 +53,6 @@ class TrainingInstance : public Instance {
   bool compute_done_ = true;
   double progress_ = 0.0;
   double granted_ = 0.0;
-  double blocks_last_ = 0.0;
 };
 
 /**

@@ -19,14 +19,13 @@ class FakeClient : public gpusim::GpuClient {
   InstanceId id_;
 };
 
-gpusim::Attachment Make(FakeClient* c, double static_share, int priority,
+gpusim::Attachment Make(FakeClient* c, double share, int priority,
                         double demand)
 {
   gpusim::Attachment a;
   a.client = c;
   a.id = c->client_id();
-  a.static_share = static_share;
-  a.quota = {static_share, static_share};
+  a.quota = {share, share};
   a.memory_gb = 4.0;
   a.priority = priority;
   a.demand = demand;
@@ -154,12 +153,6 @@ TEST(FastGsArbiter, NoRedistributionWhenSaturated)
   arb.Resolve(gpu, 0);
   EXPECT_DOUBLE_EQ(gpu.attachments()[0].granted, 0.5);
   EXPECT_DOUBLE_EQ(gpu.attachments()[1].granted, 0.5);
-}
-
-TEST(ArbiterNames, Reported)
-{
-  EXPECT_EQ(TgsArbiter().name(), "tgs");
-  EXPECT_EQ(FastGsArbiter().name(), "fast-gs");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/logging.h"
 #include "invariant_audit.h"
 
 namespace dilu::cluster {
@@ -244,6 +245,55 @@ TEST(ClusterRuntime, ExclusivePresetUsesOneGpuEach)
   rt.LaunchInference(a, false);
   rt.LaunchInference(b, false);
   EXPECT_EQ(rt.state().ActiveGpuCount(), 2);
+}
+
+/** Occurrences of `needle` in `text`. */
+int CountOf(const std::string& text, const std::string& needle)
+{
+  int n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ClusterRuntime, PlacementFailureWarnsOncePerStreak)
+{
+  // One node of two GPUs, one instance per GPU: a third launch fails.
+  ClusterConfig cfg;
+  cfg.nodes = 1;
+  cfg.gpus_per_node = 2;
+  cfg.sharing = "static";
+  cfg.scheduler = "exclusive";
+  cfg.quota_mode = "full";
+  ClusterRuntime rt(cfg);
+  const FunctionId a = rt.Deploy(InferenceSpec("bert-base"));
+  const FunctionId b = rt.Deploy(InferenceSpec("roberta-large"));
+  const LogLevel level = Logger::level();
+  Logger::set_level(LogLevel::kWarn);
+  ::testing::internal::CaptureStderr();
+  ASSERT_NE(rt.LaunchInference(a, false), kInvalidInstance);
+  ASSERT_NE(rt.LaunchInference(a, false), kInvalidInstance);
+  // Streak 1 of `a`: three failures, one warning.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(rt.LaunchInference(a, false), kInvalidInstance);
+  }
+  // `b` keeps its own streak.
+  EXPECT_EQ(rt.LaunchInference(b, false), kInvalidInstance);
+  EXPECT_EQ(rt.LaunchInference(b, false), kInvalidInstance);
+  // A success ends the streak; the next failure opens streak 2.
+  ASSERT_TRUE(rt.ScaleInOne(a));
+  ASSERT_NE(rt.LaunchInference(a, false), kInvalidInstance);
+  EXPECT_EQ(rt.LaunchInference(a, false), kInvalidInstance);
+  EXPECT_EQ(rt.LaunchInference(a, false), kInvalidInstance);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  Logger::set_level(level);
+  EXPECT_EQ(CountOf(err, "placement failed for function "
+                         + std::to_string(a) + "\n"), 2) << err;
+  EXPECT_EQ(CountOf(err, "placement failed for function "
+                         + std::to_string(b) + "\n"), 1) << err;
+  EXPECT_EQ(CountOf(err, "placement failed"), 3) << err;
 }
 
 TEST(ClusterRuntime, AutoscalerAddsInstancesUnderLoad)

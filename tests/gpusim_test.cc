@@ -43,7 +43,7 @@ class FakeClient : public GpuClient {
   int quanta_ = 0;
 };
 
-Attachment MakeAttachment(FakeClient* c, double static_share,
+Attachment MakeAttachment(FakeClient* c, double share,
                           double mem = 4.0, int priority = 0,
                           int slot = 0)
 {
@@ -51,8 +51,7 @@ Attachment MakeAttachment(FakeClient* c, double static_share,
   a.client = c;
   a.id = c->client_id();
   a.slot = slot;
-  a.static_share = static_share;
-  a.quota = {static_share, static_share};
+  a.quota = {share, share};
   a.memory_gb = mem;
   a.priority = priority;
   return a;
@@ -83,7 +82,6 @@ TEST(Gpu, ReservedShares)
   Attachment bt = MakeAttachment(&b, 0.4);
   bt.quota = {0.2, 0.4};
   gpu.Attach(bt);
-  EXPECT_DOUBLE_EQ(gpu.reserved_static_share(), 1.0);
   EXPECT_DOUBLE_EQ(gpu.reserved_request_share(), 0.5);
   EXPECT_DOUBLE_EQ(gpu.reserved_limit_share(), 1.0);
 }

@@ -88,7 +88,6 @@ struct Rig {
     a.slot = 0;
     a.type = TaskType::kInference;
     a.quota = {share, share};
-    a.static_share = share;
     a.memory_gb = 4.0;
     a.priority = 1;
     group.Attach(gpu, a);
@@ -101,7 +100,6 @@ struct Rig {
     a.slot = 0;
     a.type = TaskType::kTraining;
     a.quota = {share, share};
-    a.static_share = share;
     a.memory_gb = 8.0;
     group.Attach(gpu, a);
   }
@@ -205,6 +203,107 @@ TEST(InferenceInstance, KlcRecordsIterations)
   EXPECT_GT(inst.klc().current(), 0);
 }
 
+/**
+ * One batch-of-one request on an inference instance pipelined over two
+ * GPUs. Each GPU's static arbiter grants min(demand, limit), so the
+ * limits set each slot's grant.
+ */
+struct PipelineRig {
+  sim::Simulation sim;
+  gpusim::GpuGroup group{&sim, [](GpuId) {
+    return std::make_unique<gpusim::StaticArbiter>();
+  }};
+  InferenceInstance inst;
+  workload::Request req;
+
+  PipelineRig(const models::ModelProfile& m, double limit0, double limit1)
+      : inst(1, 0, &m, /*ibs=*/1, &sim)
+  {
+    inst.set_shard_count(2);
+    inst.BeginColdStart(0);
+    const double limits[] = {limit0, limit1};
+    for (int slot = 0; slot < 2; ++slot) {
+      gpusim::Attachment a;
+      a.client = &inst;
+      a.id = inst.client_id();
+      a.slot = slot;
+      a.type = TaskType::kInference;
+      a.quota = {limits[slot], limits[slot]};
+      a.memory_gb = 2.0;
+      group.Attach(group.AddGpu(40.0), a);
+    }
+    req.arrival = sim.now();
+    inst.Enqueue(&req);
+    group.Start();
+  }
+
+  gpusim::Attachment& slot(int s)
+  {
+    return group.gpu(static_cast<GpuId>(s)).attachments().front();
+  }
+  /** Run through the next quantum's tick. */
+  void Quantum() { sim.RunFor(group.quantum()); }
+  /** Run quanta until the request completes; returns its completion. */
+  TimeUs Finish()
+  {
+    for (int q = 0; q < 10000 && !req.done; ++q) Quantum();
+    EXPECT_TRUE(req.done);
+    return req.completed;
+  }
+};
+
+TEST(InferenceInstance, PipelineShardsAdvanceAtTheSmallerGrant)
+{
+  const auto& m = GetModel("bert-base");
+  // Both limits sit below the per-shard demand, so both bind.
+  const double demand = models::SaturationShare(m, 1) / 2.0;
+  const double hi = 0.8 * demand;
+  const double lo = 0.4 * demand;
+
+  PipelineRig rig(m, hi, lo);
+  int quanta = 0;
+  while (!rig.req.done) {
+    const double before = rig.inst.stats().blocks_launched_total;
+    rig.Quantum();
+    ++quanta;
+    ASSERT_LT(quanta, 10000);
+    EXPECT_DOUBLE_EQ(rig.slot(0).granted, hi);
+    EXPECT_DOUBLE_EQ(rig.slot(1).granted, lo);
+    // Both attachments publish the one per-slot count, and the total
+    // gains it once per slot.
+    const double blocks = rig.slot(0).client->blocks_launched();
+    EXPECT_EQ(rig.slot(1).client->blocks_launched(), blocks);
+    EXPECT_DOUBLE_EQ(rig.inst.stats().blocks_launched_total - before,
+                     2.0 * blocks);
+    if (!rig.req.done) {
+      // A full quantum at the smaller grant on both shards.
+      EXPECT_DOUBLE_EQ(blocks, lo * models::kBlocksPerQuantum);
+    }
+  }
+  ASSERT_GT(quanta, 2);
+
+  // Progress runs at the smaller grant: the same completion as two
+  // shards at `lo`, later than two at `hi`.
+  PipelineRig both_lo(m, lo, lo);
+  PipelineRig both_hi(m, hi, hi);
+  EXPECT_EQ(both_lo.Finish(), rig.req.completed);
+  EXPECT_LT(both_hi.Finish(), rig.req.completed);
+
+  // A quantum in which one shard is granted 0 advances nothing: the
+  // batch completes exactly one quantum later.
+  PipelineRig stalled(m, hi, lo);
+  stalled.Quantum();
+  ASSERT_FALSE(stalled.req.done);
+  const double total = stalled.inst.stats().blocks_launched_total;
+  stalled.slot(1).quota.limit = 0.0;
+  stalled.Quantum();
+  EXPECT_EQ(stalled.slot(1).granted, 0.0);
+  EXPECT_EQ(stalled.slot(0).client->blocks_launched(), 0.0);
+  EXPECT_EQ(stalled.inst.stats().blocks_launched_total, total);
+  stalled.slot(1).quota.limit = lo;
+  EXPECT_EQ(stalled.Finish(), rig.req.completed + stalled.group.quantum());
+}
+
 TEST(TrainingJob, IteratesAndTracksThroughput)
 {
   Rig rig;
@@ -240,7 +339,6 @@ TEST(TrainingJob, LockstepWaitsForSlowestWorker)
   a.id = 2;
   a.type = TaskType::kTraining;
   a.quota = {0.3, 0.3};
-  a.static_share = 0.3;
   a.memory_gb = 8.0;
   rig.group.Attach(gpu2, a);
   rig.group.Start();
