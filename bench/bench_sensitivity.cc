@@ -42,21 +42,17 @@ void SweepGamma()
     Item it;
     const double roll = rng.Uniform();
     if (roll < 0.2) {
-      const char* pool[] = {"bert-base", "roberta-large", "gpt2-large",
-                            "vgg19", "resnet152"};
-      const auto& m = models::GetModel(pool[rng.UniformInt(0, 4)]);
+      const auto& m =
+          models::GetModel(bench::kSmallModelPool[rng.UniformInt(0, 4)]);
       it.quota = tprof.Profile(m).quota;
       it.mem = m.mem_gb_training;
       it.large = false;
       it.type = TaskType::kTraining;
     } else {
       const bool llm = roll < 0.4;
-      const char* llm_pool[] = {"llama2-7b", "chatglm3-6b"};
-      const char* pool[] = {"bert-base", "roberta-large", "gpt2-large",
-                            "vgg19", "resnet152"};
       const auto& m = models::GetModel(
-          llm ? llm_pool[rng.UniformInt(0, 1)]
-              : pool[rng.UniformInt(0, 4)]);
+          llm ? bench::kLlmModelPool[rng.UniformInt(0, 1)]
+              : bench::kSmallModelPool[rng.UniformInt(0, 4)]);
       it.quota = iprof.Profile(m).quota;
       it.mem = m.mem_gb_inference;
       it.large = llm;
@@ -66,10 +62,7 @@ void SweepGamma()
   }
 
   for (double gamma : {1.0, 1.25, 1.5, 2.0, 2.5}) {
-    scheduler::ClusterState state;
-    for (int n = 0; n < 1000; ++n) {
-      for (int g = 0; g < 4; ++g) state.AddGpu(n, 40.0);
-    }
+    scheduler::ClusterState state = bench::MakeFig17Cluster();
     scheduler::DiluSchedulerConfig cfg;
     cfg.gamma = gamma;
     scheduler::DiluScheduler sched(cfg);
@@ -105,7 +98,7 @@ void SweepMaxTokens()
               "inf p95(ms)", "train tokens/s");
   for (double max_tokens : {250.0, 500.0, 1000.0, 2000.0, 4000.0}) {
     cluster::ClusterConfig cfg;  // dilu
-    cfg.tokens.max_tokens = max_tokens;
+    cfg.max_tokens = max_tokens;
     cluster::ClusterRuntime rt(cfg);
     core::FunctionSpec ts;
     ts.model = "bert-base";

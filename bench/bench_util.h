@@ -92,6 +92,12 @@ EmitReport(const CliOptions& opts, WriteFn&& write)
   return 0;
 }
 
+/** The Fig 17 model pools: training and non-LLM inference draw from
+ *  the small-model pool, LLM inference from the LLM pool. */
+inline constexpr const char* kSmallModelPool[] = {
+    "bert-base", "roberta-large", "gpt2-large", "vgg19", "resnet152"};
+inline constexpr const char* kLlmModelPool[] = {"llama2-7b", "chatglm3-6b"};
+
 /** One instance drawn from the paper's 2:2:6 Fig 17 type mix. */
 struct MixInstance {
   scheduler::PlacementRequest request;
@@ -114,10 +120,6 @@ DrawMixInstance(Rng* rng, const std::string& quota_mode = "dilu")
   // statics (destroyed normally at exit — no leaked `new`).
   static std::map<std::string, profiler::InferenceProfile> inf_cache;
   static std::map<std::string, profiler::TrainingProfile> train_cache;
-  static const char* kSmallModelPool[] = {"bert-base", "roberta-large",
-                                          "gpt2-large", "vgg19",
-                                          "resnet152"};
-  static const char* kLlmModelPool[] = {"llama2-7b", "chatglm3-6b"};
 
   MixInstance def;
   const double roll = rng->Uniform();

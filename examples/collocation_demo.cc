@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "experiment/experiment.h"
+#include "rckm/token_manager.h"
 
 int
 main()

@@ -9,16 +9,21 @@
 #include "models/cost_model.h"
 #include "profiler/inference_profiler.h"
 #include "profiler/training_profiler.h"
+#include "rckm/token_manager.h"
+#include "scaling/coldstart.h"
 #include "scheduler/baseline_schedulers.h"
 
 namespace dilu::cluster {
 namespace {
 
+/** Base cadence of the deferred-recovery retry timer. */
+constexpr TimeUs kRecoveryRetry = Sec(1);
+
 /**
  * Deferred-recovery backoff ceiling: the retry delay doubles from
- * ClusterConfig::recovery_retry (1 s by default) up to base << 5, after
- * which the runtime logs a `recovery_starved` fault record instead of
- * escalating further.
+ * kRecoveryRetry up to kRecoveryRetry << 5 (32 s), after which the
+ * runtime logs a `recovery_starved` fault record, carrying that
+ * escalated cadence, instead of escalating further.
  */
 constexpr int kRecoveryBackoffMaxShift = 5;
 
@@ -50,12 +55,12 @@ Resolve(const std::string& name, std::initializer_list<const char*> names,
 }
 
 gpusim::ArbiterFactory
-MakeArbiterFactory(Sharing sharing, const rckm::TokenManagerConfig& tokens)
+MakeArbiterFactory(Sharing sharing, double max_tokens)
 {
   switch (sharing) {
     case Sharing::kDilu:
-      return [tokens](GpuId) {
-        return std::make_unique<rckm::DiluArbiter>(tokens);
+      return [max_tokens](GpuId) {
+        return std::make_unique<rckm::DiluArbiter>(max_tokens);
       };
     case Sharing::kStatic:
       return [](GpuId) { return std::make_unique<gpusim::StaticArbiter>(); };
@@ -110,7 +115,9 @@ PresetConfig(std::string_view name)
 }
 
 ClusterRuntime::ClusterRuntime(ClusterConfig config)
-    : config_(std::move(config)), rng_(config_.seed)
+    : config_(std::move(config)),
+      gateway_(&sim_, config_.seed),
+      rng_(config_.seed)
 {
   const auto sharing = Resolve<Sharing>(
       config_.sharing, {"dilu", "static", "tgs", "fastgs"}, "sharing mode");
@@ -123,7 +130,6 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
   if (sharing == Sharing::kFastGs) {
     inference_overhead_ = baselines::kFastGsIterationOverhead;
   }
-  DILU_CHECK(config_.recovery_retry > 0);
   if (config_.fabric.enabled) {
     // The fabric's posting-jitter stream derives from the cluster seed
     // so `--seed` re-keys it with everything else.
@@ -132,10 +138,9 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
         config_.seed * 0x9E3779B97F4A7C15ull + 0xFABull);
   }
   gpu_group_ = std::make_unique<gpusim::GpuGroup>(
-      &sim_, MakeArbiterFactory(sharing, config_.tokens));
+      &sim_, MakeArbiterFactory(sharing, config_.max_tokens));
   scheduler_ = MakeScheduler(scheduler, config_);
   gateway_.set_metrics(&metrics_);
-  gateway_.Bind(&sim_, config_.seed);
   // A dropped request is a closed-loop client's completion signal too:
   // without this, a fault that eats a request would wedge the client.
   // Only requests the closed loop itself issued continue the loop —
@@ -148,8 +153,8 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
     Node node;
     node.id = n;
     for (int g = 0; g < config_.gpus_per_node; ++g) {
-      const GpuId gpu = gpu_group_->AddGpu(config_.gpu_memory_gb);
-      const GpuId mirrored = state_.AddGpu(n, config_.gpu_memory_gb);
+      const GpuId gpu = gpu_group_->AddGpu(kGpuMemoryGb);
+      const GpuId mirrored = state_.AddGpu(n, kGpuMemoryGb);
       DILU_CHECK(gpu == mirrored);
       node.gpus.push_back(gpu);
     }
@@ -351,8 +356,8 @@ ClusterRuntime::Launch(FunctionId fn, Start start, std::vector<GpuId>* gpus)
     const bool cached = config_.warm_starts && !training;
     const TimeUs base = fabric_
         ? FabricColdStart(*f.model, NodeOfGpu((*gpus)[0]), cached)
-        : (cached ? config_.coldstart.WarmDuration(*f.model)
-                  : config_.coldstart.Duration(*f.model));
+        : (cached ? scaling::WarmDuration(*f.model)
+                  : scaling::ColdDuration(*f.model));
     cold = ScaledColdStart(base);
   }
   // Reserved GPU time: static modes hold their static partition; Dilu
@@ -718,7 +723,7 @@ ClusterRuntime::FabricColdStart(const models::ModelProfile& model,
   // Pulled (or node-cached) weights stream through node-local storage
   // before the runtime can map them.
   ready = fabric_->SubmitStorage(node, model.param_gb, ready).done;
-  return config_.coldstart.container_base + (ready - now);
+  return scaling::kContainerBase + (ready - now);
 }
 
 void
@@ -875,8 +880,8 @@ ClusterRuntime::LaunchRecovery(FunctionId fn)
 TimeUs
 ClusterRuntime::RecoveryRetryDelay()
 {
-  TimeUs delay = config_.recovery_retry << recovery_backoff_shift_;
-  // The first retry keeps the exact configured cadence; escalated
+  TimeUs delay = kRecoveryRetry << recovery_backoff_shift_;
+  // The first retry keeps the exact base cadence; escalated
   // retries add seeded jitter so simultaneous starved clusters in a
   // parameter sweep don't retry in lockstep.
   if (recovery_backoff_shift_ > 0) {
@@ -937,7 +942,7 @@ ClusterRuntime::RetryPendingRecoveries(bool timer_fired)
         sim_.now(), "recovery_starved",
         "pending=" + std::to_string(pending_recovery_.size()) + " retry_s="
             + std::to_string(
-                ToSec(config_.recovery_retry << recovery_backoff_shift_)));
+                ToSec(kRecoveryRetry << recovery_backoff_shift_)));
   }
   recovery_task_armed_ = true;
   const TimeUs delay = RecoveryRetryDelay();

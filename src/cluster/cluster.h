@@ -24,10 +24,9 @@
 #include "core/function_spec.h"
 #include "fabric/fabric.h"
 #include "gpusim/gpu_group.h"
-#include "rckm/token_manager.h"
+#include "models/cost_model.h"
 #include "runtime/inference_instance.h"
 #include "runtime/training_instance.h"
-#include "scaling/coldstart.h"
 #include "scaling/global_scaler.h"
 #include "scheduler/scheduler.h"
 #include "sim/simulation.h"
@@ -35,11 +34,13 @@
 
 namespace dilu::cluster {
 
+/** Memory of every GPU in the fleet (GB; the A100-40GB). */
+constexpr double kGpuMemoryGb = 40.0;
+
 /** Whole-cluster configuration. */
 struct ClusterConfig {
   int nodes = 1;
   int gpus_per_node = 4;
-  double gpu_memory_gb = 40.0;
 
   /** Sharing arbiter: "dilu" | "static" | "tgs" | "fastgs". */
   std::string sharing = "dilu";
@@ -53,9 +54,9 @@ struct ClusterConfig {
    */
   std::string quota_mode = "dilu";
 
-  rckm::TokenManagerConfig tokens;
+  /** RCKM MaxTokens per token period (the Fig 18(b) knob). */
+  double max_tokens = models::kBlocksPerQuantum;
   scheduler::DiluSchedulerConfig sched;
-  scaling::ColdStartModel coldstart;
 
   /** Use warm (cached) starts for scale-out launches. */
   bool warm_starts = false;
@@ -70,14 +71,6 @@ struct ClusterConfig {
    * back to the 1 s retry queue for the unplaceable remainder.
    */
   std::string recovery = "joint";
-
-  /**
-   * Base cadence of the deferred-recovery retry timer. The backoff
-   * doubles from here (shift 0..5, so 1 s grows to 32 s by default)
-   * before a `recovery_starved` fault record is logged; the configured
-   * base also appears in that record's detail.
-   */
-  TimeUs recovery_retry = Sec(1);
 
   /**
    * Contended storage + network tiers (docs/FABRIC.md). Disabled by
@@ -240,10 +233,9 @@ class ClusterRuntime {
    * (see ClusterConfig::recovery). Training jobs restart from their
    * last checkpoint (iteration zero without a checkpoint policy), with
    * the lost progress accounted in the metrics. Replacements that
-   * cannot be placed are retried on an exponential backoff (the
-   * ClusterConfig::recovery_retry base doubling five times, seeded
-   * jitter) until capacity returns; explicit recovery events
-   * short-circuit the backoff.
+   * cannot be placed are retried on an exponential backoff (a 1 s
+   * base doubling five times, seeded jitter) until capacity returns;
+   * explicit recovery events short-circuit the backoff.
    * @return the number of displaced instances.
    */
   int FailGpu(GpuId gpu);

@@ -49,19 +49,18 @@ BrownoutThreshold(ServiceClass c)
 
 }  // namespace
 
+// A gateway-private jitter stream derived from the cluster seed, so
+// retry jitter never perturbs the workload or chaos streams.
+Gateway::Gateway(sim::Simulation* sim, std::uint64_t seed)
+    : sim_(sim), rng_(seed * 0x9E3779B97F4A7C15ull + 0xB5297A4D3A2C0A5Full)
+{
+  DILU_CHECK(sim_ != nullptr);
+}
+
 void
 Gateway::RegisterFunction(FunctionId id)
 {
   functions_.Get(id);
-}
-
-void
-Gateway::Bind(sim::Simulation* sim, std::uint64_t seed)
-{
-  sim_ = sim;
-  // A gateway-private jitter stream derived from the cluster seed, so
-  // retry jitter never perturbs the workload or chaos streams.
-  rng_ = Rng(seed * 0x9E3779B97F4A7C15ull + 0xB5297A4D3A2C0A5Full);
 }
 
 void
@@ -183,8 +182,7 @@ Gateway::Dispatch(workload::Request* req)
     }
     return true;
   }
-  if (e != nullptr && sim_ != nullptr && e->adm.configured
-      && req->retries_left > 0) {
+  if (e != nullptr && e->adm.configured && req->retries_left > 0) {
     // No routable instance right now (e.g. every one died and the
     // replacement is deferred on a full cluster). The request passed
     // admission, so park it in the bounded queue as a backoff retry
@@ -211,13 +209,12 @@ Gateway::Redispatch(workload::Request* req)
 {
   DILU_CHECK(req != nullptr);
   Entry* e = functions_.Find(req->function);
-  if (e != nullptr && sim_ != nullptr && req->deadline > 0 &&
-      sim_->now() >= req->deadline) {
+  if (e != nullptr && req->deadline > 0 && sim_->now() >= req->deadline) {
     ShedRetry(e, req);
     return false;
   }
   if (DispatchInternal(e, req, /*count_arrival=*/false)) return true;
-  if (e != nullptr && sim_ != nullptr && req->retries_left > 0) {
+  if (e != nullptr && req->retries_left > 0) {
     // Park the request in a backoff timer instead of dropping: the
     // request stays live (caller keeps its record) and returns here
     // when the timer fires.
@@ -342,7 +339,7 @@ Gateway::AdmissionTick()
 void
 Gateway::EnsureTickArmed()
 {
-  if (tick_armed_ || sim_ == nullptr) return;
+  if (tick_armed_) return;
   tick_armed_ = true;
   sim_->SchedulePeriodic(sim_->now() + kAdmissionWindow, kAdmissionWindow,
                          [this] { AdmissionTick(); });

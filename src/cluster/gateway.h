@@ -70,6 +70,13 @@ struct GatewayCounters {
 /** Request router + workload monitor + admission controller. */
 class Gateway {
  public:
+  /**
+   * A gateway on `sim`'s event queue, which carries its retry backoff
+   * timers and the 1 s AIMD admission window; `seed` keys the
+   * retry-jitter stream.
+   */
+  Gateway(sim::Simulation* sim, std::uint64_t seed);
+
   /** Register a function (idempotent). */
   void RegisterFunction(FunctionId id);
 
@@ -88,14 +95,6 @@ class Gateway {
   {
     drop_hook_ = std::move(hook);
   }
-
-  /**
-   * Wire the event queue used for retry backoff timers and the 1 s
-   * AIMD admission window, plus the seed of the jitter stream. Without
-   * a simulation the gateway keeps the legacy immediate-drop semantics
-   * on failed re-dispatch (backoff needs a clock to park against).
-   */
-  void Bind(sim::Simulation* sim, std::uint64_t seed);
 
   /**
    * Install a function's overload policy (called at deploy). Admission
@@ -126,9 +125,9 @@ class Gateway {
    * admission gate refuses it (queue cap reached, AIMD admit-rate
    * window exhausted, or brownout for its service class). When the
    * function has no routable instance at all, a request with a retry
-   * budget (and a bound simulation) is admitted and parked in a
-   * backoff retry timer — the bounded queue rides out total-capacity
-   * blackouts — and Dispatch returns true (the request is live);
+   * budget is admitted and parked in a backoff retry timer — the
+   * bounded queue rides out total-capacity blackouts — and Dispatch
+   * returns true (the request is live);
    * without a budget the legacy semantics hold: counted as a drop,
    * returns false.
    */
@@ -137,12 +136,12 @@ class Gateway {
   /**
    * Re-dispatch a request surrendered by a removed or failed instance.
    * Does not count a new arrival (the scaler already saw this request).
-   * With a retry budget and a bound simulation, a failed attempt parks
-   * the request in an exponential-backoff timer (seeded jitter) and
-   * returns true (the request is still live); budget or deadline
-   * exhaustion sheds it as `shed_retry`. Without a budget the legacy
-   * semantics hold: the request is marked dropped + done and the drop
-   * is counted; returns false.
+   * With a retry budget, a failed attempt parks the request in an
+   * exponential-backoff timer (seeded jitter) and returns true (the
+   * request is still live); budget or deadline exhaustion sheds it as
+   * `shed_retry`. Without a budget the legacy semantics hold: the
+   * request is marked dropped + done and the drop is counted; returns
+   * false.
    */
   bool Redispatch(workload::Request* req);
 
@@ -242,8 +241,8 @@ class Gateway {
   FunctionTable<Entry> functions_;
   MetricsHub* metrics_ = nullptr;
   std::function<void(const workload::Request&)> drop_hook_;
-  sim::Simulation* sim_ = nullptr;
-  Rng rng_{0};          ///< retry-jitter stream (seeded via Bind)
+  sim::Simulation* sim_;
+  Rng rng_;             ///< retry-jitter stream
   bool tick_armed_ = false;
   double pressure_ = 0.0;
 };

@@ -929,12 +929,12 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
                         + std::to_string(fleet_gpus) + " GPUs");
       }
       double& used = pinned_gb[gpu];
-      if (used + mem_gb > fleet.gpu_memory_gb + 1e-9) {
+      if (used + mem_gb > cluster::kGpuMemoryGb + 1e-9) {
         return Fail(error, deploy_lines[i],
                     "on= overflows GPU " + std::to_string(gpu)
                         + "'s memory: " + FormatDouble(used) + " GB pinned + "
                         + FormatDouble(mem_gb) + " GB > "
-                        + FormatDouble(fleet.gpu_memory_gb) + " GB");
+                        + FormatDouble(cluster::kGpuMemoryGb) + " GB");
       }
       used += mem_gb;
     }

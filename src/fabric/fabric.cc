@@ -73,7 +73,6 @@ FabricPlane::FabricPlane(const FabricConfig& config, int nodes,
   config_.storage_devices = std::max(1, config_.storage_devices);
   config_.storage_gc_duty =
       std::clamp(config_.storage_gc_duty, 0.0, 0.9);
-  if (config_.storage_gc_period <= 0) config_.storage_gc_duty = 0.0;
   device_frontier_.assign(
       static_cast<std::size_t>(config_.storage_devices), 0);
   const std::size_t nics = static_cast<std::size_t>(nodes_) + 1;
@@ -87,10 +86,10 @@ TimeUs
 FabricPlane::GcAdjustedDone(TimeUs start, TimeUs need) const
 {
   if (need <= 0) return start;
-  const TimeUs period = config_.storage_gc_period;
+  constexpr TimeUs period = kStorageGcPeriod;
   const TimeUs gc = static_cast<TimeUs>(
       std::llround(config_.storage_gc_duty * static_cast<double>(period)));
-  if (gc <= 0 || period <= 0) return start + need;
+  if (gc <= 0) return start + need;
 
   // GC owns [k*period, k*period + gc); user writes get the rest.
   TimeUs t = start;
@@ -151,8 +150,8 @@ TransferResult
 FabricPlane::SubmitNetwork(NodeId src, NodeId dst, double gb, TimeUs at)
 {
   const TimeUs jitter = std::llround(
-      rng_.Uniform(0.0, 0.25 * static_cast<double>(config_.post_cost)));
-  const TimeUs base = at + config_.post_cost + jitter;
+      rng_.Uniform(0.0, 0.25 * static_cast<double>(kPostCost)));
+  const TimeUs base = at + kPostCost + jitter;
 
   TransferResult r;
   if (src == dst) {
@@ -172,7 +171,7 @@ FabricPlane::SubmitNetwork(NodeId src, NodeId dst, double gb, TimeUs at)
   t = nic_[s].Acquire(gb, t);
 
   const TimeUs hop = DurationUs(gb, config_.nic_rate_gbps);
-  const TimeUs core = DurationUs(gb, config_.core_gbps);
+  const TimeUs core = DurationUs(gb, kCoreGbps);
   const TimeUs up_start = std::max(t, uplink_frontier_[s]);
   uplink_frontier_[s] = up_start + hop;
   const TimeUs core_start = std::max(uplink_frontier_[s], core_frontier_);
@@ -304,7 +303,7 @@ FabricPlane::CapacityDelayGb(TimeUs now) const
     gb += config_.nic_rate_gbps
           * ToSec(std::max<TimeUs>(0, downlink_frontier_[n] - now));
   }
-  gb += config_.core_gbps
+  gb += kCoreGbps
         * ToSec(std::max<TimeUs>(0, core_frontier_ - now));
   return gb;
 }

@@ -36,6 +36,13 @@
 
 namespace dilu::fabric {
 
+/** GC duty-cycle period of every storage device. */
+constexpr TimeUs kStorageGcPeriod = Ms(200);
+/** Shared oversubscribed core bandwidth (GB/s). */
+constexpr double kCoreGbps = 40.0;
+/** Fixed per-message posting cost (plus up to 25% seeded jitter). */
+constexpr TimeUs kPostCost = Us(20);
+
 /**
  * Sizing of the two tiers. `enabled == false` (the default) keeps the
  * legacy constant-cost paths everywhere: checkpoint `save_cost`,
@@ -50,8 +57,6 @@ struct FabricConfig {
   double storage_bw_gbps = 2.0;
   /** Fraction of every GC period the device spends collecting. */
   double storage_gc_duty = 0.15;
-  /** GC duty-cycle period. */
-  TimeUs storage_gc_period = Ms(200);
   /** Device count; checkpoints from node N land on device N % count. */
   int storage_devices = 1;
 
@@ -60,10 +65,6 @@ struct FabricConfig {
   double nic_rate_gbps = 10.0;
   /** NIC token-bucket depth (GB). */
   double nic_burst_gb = 0.05;
-  /** Shared oversubscribed core bandwidth (GB/s). */
-  double core_gbps = 40.0;
-  /** Fixed per-message posting cost (plus up to 25% seeded jitter). */
-  TimeUs post_cost = Us(20);
 };
 
 /**

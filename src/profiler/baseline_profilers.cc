@@ -36,7 +36,7 @@ InferenceProfile FinishFromBest(InferenceProfile result, const Trial& best,
   if (have_best) {
     result.ibs = best.ibs;
     result.quota.request = best.smr;
-    result.quota.limit = std::min(1.0, best.smr * 2.0);
+    result.quota.limit = std::min(1.0, best.smr * kLimitFactor);
     result.te = best.te;
   } else {
     result.ibs = 1;

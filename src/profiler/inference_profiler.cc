@@ -7,12 +7,12 @@
 #include "models/cost_model.h"
 
 namespace dilu::profiler {
+namespace {
 
-InferenceProfiler::InferenceProfiler(InferenceProfilerConfig config)
-    : config_(config)
-{
-  DILU_CHECK(config_.smr_step > 0.0);
-}
+/** HGS linear SMR growth step (10 SM units); also the initial SMR. */
+constexpr SmRate kSmrStep = 0.1;
+
+}  // namespace
 
 Trial
 InferenceProfiler::Measure(const models::ModelProfile& model, int ibs,
@@ -38,7 +38,7 @@ InferenceProfiler::Profile(const models::ModelProfile& model) const
   bool have_best = false;
 
   int ibs = 1;
-  SmRate smr = config_.smr_start;
+  SmRate smr = kSmrStep;
   double last_fail_ms = -1.0;  // previous infeasible t_exec at this IBS
   while (ibs <= model.max_batch && smr <= 1.0 + 1e-9) {
     Trial t = Measure(model, ibs, std::min(1.0, smr));
@@ -61,10 +61,9 @@ InferenceProfiler::Profile(const models::ModelProfile& model) const
         break;
       }
       // Snap the repaired rate up to the SMR grid and retry same IBS.
-      smr = std::min(
-          1.0, std::ceil(required / config_.smr_step - 1e-9)
-                   * config_.smr_step);
-      if (smr <= t.smr + 1e-9) smr = t.smr + config_.smr_step;
+      smr = std::min(1.0,
+                     std::ceil(required / kSmrStep - 1e-9) * kSmrStep);
+      if (smr <= t.smr + 1e-9) smr = t.smr + kSmrStep;
       continue;
     }
 
@@ -91,8 +90,7 @@ InferenceProfiler::Profile(const models::ModelProfile& model) const
 
   result.ibs = best.ibs;
   result.quota.request = best.smr;
-  result.quota.limit =
-      std::min(1.0, best.smr * config_.limit_factor);
+  result.quota.limit = std::min(1.0, best.smr * kLimitFactor);
   result.te = best.te;
   return result;
 }

@@ -41,26 +41,19 @@ struct InferenceProfile {
   std::vector<Trial> path;  ///< every evaluated configuration, in order
 };
 
-/** HGS knobs. */
-struct InferenceProfilerConfig {
-  SmRate smr_step = 0.1;   ///< linear SMR growth (10 SM units)
-  SmRate smr_start = 0.1;  ///< initial SMR
-  double limit_factor = 2.0;  ///< limit = factor * request
-};
+/** limit = kLimitFactor * request (capped at 1.0), for HGS and the
+ *  baseline profilers alike. */
+constexpr double kLimitFactor = 2.0;
 
 /** Profiles inference functions with the Hybrid Growth Search. */
 class InferenceProfiler {
  public:
-  explicit InferenceProfiler(InferenceProfilerConfig config = {});
-
   InferenceProfile Profile(const models::ModelProfile& model) const;
 
  private:
   /** Evaluate one configuration (one pre-running trial). */
   Trial Measure(const models::ModelProfile& model, int ibs,
                 SmRate smr) const;
-
-  InferenceProfilerConfig config_;
 };
 
 }  // namespace dilu::profiler

@@ -9,20 +9,20 @@
 namespace dilu::profiler {
 namespace {
 
+// The binary search's constants.
+constexpr double kRequestFraction = 0.8;  ///< p for the request quota
+constexpr double kLimitFraction = 1.0;    ///< p for the limit quota
+constexpr double kTolerance = 0.02;       ///< +-2% acceptance band
+constexpr int kMaxIterations = 12;        ///< search safety bound
+constexpr SmRate kGrid = 0.05;            ///< SMR measurement granularity
+
 /** Snap a rate onto the measurement grid (rounded up). */
-SmRate SnapUp(SmRate s, SmRate grid)
+SmRate SnapUp(SmRate s)
 {
-  return std::min(1.0, std::ceil(s / grid - 1e-9) * grid);
+  return std::min(1.0, std::ceil(s / kGrid - 1e-9) * kGrid);
 }
 
 }  // namespace
-
-TrainingProfiler::TrainingProfiler(TrainingProfilerConfig config)
-    : config_(config)
-{
-  DILU_CHECK(config_.tolerance > 0.0);
-  DILU_CHECK(config_.grid > 0.0);
-}
 
 SmRate
 TrainingProfiler::SearchRate(const models::ModelProfile& model,
@@ -33,13 +33,13 @@ TrainingProfiler::SearchRate(const models::ModelProfile& model,
   const double t1 = models::TrainingThroughput(model, 1.0, 1);
   ++*trials;
   const double target = t1 * fraction;
-  const double band = t1 * config_.tolerance;
+  const double band = t1 * kTolerance;
 
   SmRate low = 0.0;
   SmRate high = 1.0;
   SmRate best = 1.0;
-  for (int i = 0; i < config_.max_iterations; ++i) {
-    const SmRate mid = SnapUp((low + high) / 2.0, config_.grid);
+  for (int i = 0; i < kMaxIterations; ++i) {
+    const SmRate mid = SnapUp((low + high) / 2.0);
     const double t = models::TrainingThroughput(model, mid, 1);
     ++*trials;
     if (std::abs(t - target) <= band) {
@@ -48,12 +48,12 @@ TrainingProfiler::SearchRate(const models::ModelProfile& model,
     }
     if (t < target) {
       low = mid;  // underprovisioned
-      best = std::min(1.0, mid + config_.grid);
+      best = std::min(1.0, mid + kGrid);
     } else {
       high = mid;
       best = mid;
     }
-    if (high - low <= config_.grid + 1e-9) break;
+    if (high - low <= kGrid + 1e-9) break;
   }
   return best;
 }
@@ -63,9 +63,9 @@ TrainingProfiler::Profile(const models::ModelProfile& model) const
 {
   TrainingProfile result;
   result.quota.request =
-      SearchRate(model, config_.request_fraction, &result.trials);
+      SearchRate(model, kRequestFraction, &result.trials);
   result.quota.limit =
-      SearchRate(model, config_.limit_fraction, &result.trials);
+      SearchRate(model, kLimitFraction, &result.trials);
   if (result.quota.limit < result.quota.request) {
     result.quota.limit = result.quota.request;
   }

@@ -24,20 +24,9 @@ struct TrainingProfile {
   int trials = 0;       ///< pre-running iterations consumed
 };
 
-/** Configuration for the binary search. */
-struct TrainingProfilerConfig {
-  double request_fraction = 0.8;  ///< p for the request quota
-  double limit_fraction = 1.0;    ///< p for the limit quota
-  double tolerance = 0.02;        ///< +-2% acceptance band
-  int max_iterations = 12;        ///< search safety bound
-  SmRate grid = 0.05;             ///< SMR measurement granularity
-};
-
 /** Profiles training functions via binary search over the SM rate. */
 class TrainingProfiler {
  public:
-  explicit TrainingProfiler(TrainingProfilerConfig config = {});
-
   /** Profile `model` (single-worker pre-run, as in the paper). */
   TrainingProfile Profile(const models::ModelProfile& model) const;
 
@@ -47,9 +36,6 @@ class TrainingProfiler {
    */
   SmRate SearchRate(const models::ModelProfile& model, double fraction,
                     int* trials) const;
-
- private:
-  TrainingProfilerConfig config_;
 };
 
 }  // namespace dilu::profiler

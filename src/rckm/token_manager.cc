@@ -74,14 +74,9 @@ struct AttachmentView {
 
 }  // namespace
 
-TokenManager::TokenManager(TokenManagerConfig config)
-    : config_(config)
+TokenManager::TokenManager(double max_tokens) : max_tokens_(max_tokens)
 {
-  DILU_CHECK(config_.max_tokens > 0.0);
-  DILU_CHECK(config_.rate_window > 0);
-  // The window lives in a 64-bit mask; 63 periods (315 ms) is far past
-  // any useful introspection horizon.
-  DILU_CHECK(config_.rate_window <= 63);
+  DILU_CHECK(max_tokens_ > 0.0);
 }
 
 TokenManager::PerInstance&
@@ -110,8 +105,7 @@ void
 TokenManager::Step(const View& view)
 {
   const std::size_t n = view.size();
-  const std::uint64_t window_mask_all =
-      (1ull << static_cast<unsigned>(config_.rate_window)) - 1;
+  constexpr std::uint64_t window_mask_all = (1ull << kRateWindow) - 1;
 
   // Shift rate windows with the latest kernel execution rates
   // (Algorithm 2 line 11). The window only ever answers "was anything
@@ -143,10 +137,10 @@ TokenManager::Step(const View& view)
     PerInstance& st = records_[i];
     const SmQuota& quota = view.quota(i);
     const double klc_inflation = view.inflation(i);
-    const double max_t = config_.max_tokens;
+    const double max_t = max_tokens_;
     double issue;
     ScalingState proposed;
-    if (klc_inflation > config_.eta_violation) {
+    if (klc_inflation > kEtaViolation) {
       // Trigger protective logic: fast scale-up to the limit quota
       // (lines 14-15).
       proposed = ScalingState::kEmergency;
@@ -160,16 +154,16 @@ TokenManager::Step(const View& view)
       // Co-runners idle: regrow toward the limit (lines 18-19).
       proposed = ScalingState::kRecovery;
       const double base = st.seen ? st.last_issue : max_t * quota.request;
-      issue = std::min(base * config_.eta_increase, max_t * quota.limit);
+      issue = std::min(base * kEtaIncrease, max_t * quota.limit);
     } else {
       // Steady contention: hold at the request quota (lines 20-21),
       // with hysteresis: while mild KLC inflation persists after an
       // emergency, keep the lifted budget instead of oscillating
       // request <-> limit on every iteration.
       proposed = ScalingState::kContention;
-      issue = std::min(max_t * quota.request * config_.slo_cushion,
+      issue = std::min(max_t * quota.request * kSloCushion,
                        max_t * quota.limit);
-      if (st.seen && klc_inflation > config_.eta_violation / 2.0) {
+      if (st.seen && klc_inflation > kEtaViolation / 2.0) {
         issue = std::max(
             issue, std::min(st.last_issue, max_t * quota.limit));
       }
@@ -215,12 +209,12 @@ TokenManager::Step(const View& view)
   // the residual capacity even during an EMERGENCY — slashing below
   // that would idle SMs without helping the victim.
   const double emergency_floor =
-      0.9 * std::max(0.0, config_.max_tokens - slo_blocks);
+      0.9 * std::max(0.0, max_tokens_ - slo_blocks);
   for (std::size_t i = 0; i < n; ++i) {
     if (view.slo_sensitive(i)) continue;
     PerInstance& st = records_[i];
     const SmQuota& quota = view.quota(i);
-    const double max_t = config_.max_tokens;
+    const double max_t = max_tokens_;
     double issue;
     if (solo || state_ == ScalingState::kNone) {
       issue = max_t * quota.limit;                          // line 25
@@ -228,7 +222,7 @@ TokenManager::Step(const View& view)
       if (OthersIdle(st)) {
         const double base =
             st.seen ? st.last_issue : max_t * quota.request;
-        issue = std::min(base * config_.eta_increase,
+        issue = std::min(base * kEtaIncrease,
                          max_t * quota.limit);
       } else {
         issue = max_t * quota.request;
@@ -246,7 +240,7 @@ TokenManager::Step(const View& view)
       st.suppressed = true;
     } else if (state_ == ScalingState::kRecovery) {
       const double base = st.seen ? st.last_issue : max_t * quota.request;
-      issue = std::min(base * config_.eta_increase,
+      issue = std::min(base * kEtaIncrease,
                        max_t * quota.limit);                 // line 29
       if (issue >= max_t * quota.request) st.suppressed = false;
     } else {  // CONTENTION
@@ -254,7 +248,7 @@ TokenManager::Step(const View& view)
       // whole point of the <request, limit> band), and decay a
       // temporary emergency resize-down back up to the request.
       if (st.suppressed && st.seen) {
-        issue = std::min(st.last_issue * config_.eta_increase,
+        issue = std::min(st.last_issue * kEtaIncrease,
                          max_t * quota.request);
         if (issue >= max_t * quota.request) st.suppressed = false;
       } else {
@@ -301,10 +295,7 @@ TokenManager::Forget(InstanceId id)
   }
 }
 
-DiluArbiter::DiluArbiter(TokenManagerConfig config)
-    : manager_(config)
-{
-}
+DiluArbiter::DiluArbiter(double max_tokens) : manager_(max_tokens) {}
 
 void
 DiluArbiter::Resolve(gpusim::Gpu& gpu, TimeUs now)

@@ -48,25 +48,23 @@ enum class ScalingState {
 
 const char* ToString(ScalingState s);
 
-/** Tunables for Algorithm 2 (paper defaults in parentheses). */
-struct TokenManagerConfig {
-  /** Max tokens issuable per period; the device executes
-   *  models::kBlocksPerQuantum blocks per period at full rate. The
-   *  Fig 18(b) sensitivity knob. */
-  double max_tokens = models::kBlocksPerQuantum;
-  /** KLC inflation threshold that triggers EMERGENCY (eta_violation). */
-  double eta_violation = 0.15;
-  /** Multiplicative regrowth factor in RECOVERY (eta_increase). */
-  double eta_increase = 1.25;
-  /** Rate-window length in token periods (8 * 5 ms = 40 ms). At most
-   *  63: the window is kept as a bitmask of launched-anything flags. */
-  int rate_window = 8;
-  /** Cushion over the request for SLO-sensitive instances under steady
-   *  contention: the profiled request sits exactly at the exec budget,
-   *  so a small margin absorbs arbitration jitter without giving up
-   *  the <request, limit> band. */
-  double slo_cushion = 1.15;
-};
+// Algorithm 2's constants (paper defaults). MaxTokens, the Fig 18(b)
+// sensitivity knob, is the one TokenManager parameter.
+
+/** KLC inflation threshold that triggers EMERGENCY (eta_violation). */
+constexpr double kEtaViolation = 0.15;
+/** Multiplicative regrowth factor in RECOVERY (eta_increase). */
+constexpr double kEtaIncrease = 1.25;
+/** Rate-window length in token periods (8 * 5 ms = 40 ms). The window
+ *  is kept as a 64-bit mask of launched-anything flags; 63 periods
+ *  (315 ms) is far past any useful introspection horizon. */
+constexpr int kRateWindow = 8;
+static_assert(kRateWindow > 0 && kRateWindow <= 63);
+/** Cushion over the request for SLO-sensitive instances under steady
+ *  contention: the profiled request sits exactly at the exec budget,
+ *  so a small margin absorbs arbitration jitter without giving up
+ *  the <request, limit> band. */
+constexpr double kSloCushion = 1.15;
 
 /** Per-instance inputs sampled each period. */
 struct InstanceSample {
@@ -94,7 +92,12 @@ struct TokenGrant {
  */
 class TokenManager {
  public:
-  explicit TokenManager(TokenManagerConfig config = {});
+  /**
+   * @param max_tokens  tokens issuable per period (MaxTokens); the
+   *   device executes models::kBlocksPerQuantum blocks per period at
+   *   full rate.
+   */
+  explicit TokenManager(double max_tokens = models::kBlocksPerQuantum);
 
   /**
    * Issue token budgets for all instances on the GPU for this period.
@@ -121,7 +124,6 @@ class TokenManager {
   void Forget(InstanceId id);
 
   ScalingState state() const { return state_; }
-  const TokenManagerConfig& config() const { return config_; }
 
   /** Total tokens issued since construction (Fig 14 accounting). */
   double total_tokens_issued() const { return total_issued_; }
@@ -130,7 +132,7 @@ class TokenManager {
   struct PerInstance {
     InstanceId id = kInvalidInstance;
     /** Bit i set = launched kernels i periods ago (bit ring, newest in
-     *  bit 0, masked to config_.rate_window bits). */
+     *  bit 0, masked to kRateWindow bits). */
     std::uint64_t window_mask = 0;
     double last_issue = 0.0;
     bool seen = false;
@@ -159,7 +161,7 @@ class TokenManager {
     return busy_instances_ - (WindowIdle(self) ? 0 : 1) == 0;
   }
 
-  TokenManagerConfig config_;
+  double max_tokens_;
   ScalingState state_ = ScalingState::kNone;
   InstanceId emergency_owner_ = kInvalidInstance;
   double emergency_inflation_ = 0.0;
@@ -183,7 +185,7 @@ class TokenManager {
  */
 class DiluArbiter : public gpusim::ShareArbiter {
  public:
-  explicit DiluArbiter(TokenManagerConfig config = {});
+  explicit DiluArbiter(double max_tokens = models::kBlocksPerQuantum);
 
   void Resolve(gpusim::Gpu& gpu, TimeUs now) override;
   void OnDetach(gpusim::Gpu& gpu, InstanceId id) override;

@@ -5,18 +5,18 @@
 namespace dilu::scaling {
 
 TimeUs
-ColdStartModel::Duration(const models::ModelProfile& model) const
+ColdDuration(const models::ModelProfile& model)
 {
-  return models::ColdStartDuration(model, container_base, load_gbps);
+  return models::ColdStartDuration(model, kContainerBase, kLoadGbps);
 }
 
 TimeUs
-ColdStartModel::WarmDuration(const models::ModelProfile& model) const
+WarmDuration(const models::ModelProfile& model)
 {
   // Host-memory cache: ~4x faster weight staging, half the container
   // bring-up (runtime image already resident).
-  return models::ColdStartDuration(model, container_base / 2,
-                                   load_gbps * 4.0);
+  return models::ColdStartDuration(model, kContainerBase / 2,
+                                   kLoadGbps * 4.0);
 }
 
 }  // namespace dilu::scaling

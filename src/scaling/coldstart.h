@@ -14,23 +14,21 @@
 
 namespace dilu::scaling {
 
-/** Cold-start environment parameters. */
-struct ColdStartModel {
-  /** DL function containers bundle PyTorch/transformers runtimes; the
-   *  paper calls their deployment "slow and bulky" — several seconds
-   *  of bring-up before weight loading even starts. */
-  TimeUs container_base = Ms(6000);
-  double load_gbps = 0.8;            ///< weight loading bandwidth
+/** Container bring-up before weight loading starts: DL function
+ *  containers bundle PyTorch/transformers runtimes; the paper calls
+ *  their deployment "slow and bulky" — several seconds of it. */
+constexpr TimeUs kContainerBase = Ms(6000);
+/** Weight loading bandwidth (GB/s). */
+constexpr double kLoadGbps = 0.8;
 
-  /** Total cold-start duration for `model`. */
-  TimeUs Duration(const models::ModelProfile& model) const;
+/** Total cold-start duration for `model`. */
+TimeUs ColdDuration(const models::ModelProfile& model);
 
-  /**
-   * Duration for a pre-warmed launch (weights cached in host memory):
-   * INFless-style layered caches cut the load phase substantially.
-   */
-  TimeUs WarmDuration(const models::ModelProfile& model) const;
-};
+/**
+ * Duration for a pre-warmed launch (weights cached in host memory):
+ * INFless-style layered caches cut the load phase substantially.
+ */
+TimeUs WarmDuration(const models::ModelProfile& model);
 
 }  // namespace dilu::scaling
 

@@ -7,13 +7,6 @@
 
 namespace dilu::scaling {
 
-DiluLazyScaler::DiluLazyScaler() : DiluLazyScaler(Config()) {}
-
-DiluLazyScaler::DiluLazyScaler(Config config)
-    : config_(config), window_(config.window)
-{
-}
-
 int
 DiluLazyScaler::Decide(double rps_sample, int current,
                        double per_instance_rps)
@@ -21,7 +14,7 @@ DiluLazyScaler::Decide(double rps_sample, int current,
   window_.Push(rps_sample);
   DILU_CHECK(per_instance_rps > 0.0);
   const double capacity = current * per_instance_rps;
-  if (window_.CountAbove(capacity) >= config_.phi_out) {
+  if (window_.CountAbove(capacity) >= kPhiOut) {
     // Reset the window after a decision so one sustained surge scales
     // one step at a time rather than cascading on stale samples.
     window_.Clear();
@@ -33,9 +26,9 @@ DiluLazyScaler::Decide(double rps_sample, int current,
     --holdoff_remaining_;
     return current;
   }
-  if (current > config_.min_instances) {
+  if (current > kMinInstances) {
     const double reduced = (current - 1) * per_instance_rps;
-    if (window_.CountBelow(reduced) >= config_.phi_in) {
+    if (window_.CountBelow(reduced) >= kPhiIn) {
       window_.Clear();
       return current - 1;
     }
@@ -46,14 +39,7 @@ DiluLazyScaler::Decide(double rps_sample, int current,
 void
 DiluLazyScaler::OnRecoveryLaunch()
 {
-  holdoff_remaining_ = config_.recovery_holdoff_s;
-}
-
-EagerScaler::EagerScaler() : EagerScaler(Config()) {}
-
-EagerScaler::EagerScaler(Config config)
-    : config_(config), window_(config.window)
-{
+  holdoff_remaining_ = kRecoveryHoldoffS;
 }
 
 int
@@ -63,27 +49,20 @@ EagerScaler::Decide(double rps_sample, int current,
   window_.Push(rps_sample);
   DILU_CHECK(per_instance_rps > 0.0);
   const double capacity = current * per_instance_rps;
-  if (window_.CountAbove(capacity) >= config_.out_votes) {
+  if (window_.CountAbove(capacity) >= kOutVotes) {
     // Reactive burst response: jump straight to the rate the latest
     // sample implies (FaST-GS launches instances eagerly).
     const int needed = static_cast<int>(
         std::max(1.0, std::ceil(window_.latest() / per_instance_rps)));
     return std::max(current + 1, needed);
   }
-  if (current > config_.min_instances) {
+  if (current > kMinInstances) {
     const double reduced = (current - 1) * per_instance_rps;
-    if (window_.CountBelow(reduced) >= config_.in_votes) {
+    if (window_.CountBelow(reduced) >= kInVotes) {
       return current - 1;
     }
   }
   return current;
-}
-
-KeepAliveScaler::KeepAliveScaler() : KeepAliveScaler(Config()) {}
-
-KeepAliveScaler::KeepAliveScaler(Config config)
-    : config_(config), window_(config.window)
-{
 }
 
 int
@@ -93,14 +72,14 @@ KeepAliveScaler::Decide(double rps_sample, int current,
   window_.Push(rps_sample);
   DILU_CHECK(per_instance_rps > 0.0);
   const double capacity = current * per_instance_rps;
-  if (window_.CountAbove(capacity) >= config_.out_votes) {
+  if (window_.CountAbove(capacity) >= kOutVotes) {
     idle_seconds_ = 0;
     return current + 1;
   }
   const double reduced = (current - 1) * per_instance_rps;
-  if (current > config_.min_instances && rps_sample < reduced) {
+  if (current > kMinInstances && rps_sample < reduced) {
     ++idle_seconds_;
-    if (idle_seconds_ >= config_.keep_alive_s) {
+    if (idle_seconds_ >= kKeepAliveS) {
       idle_seconds_ = 0;
       return current - 1;
     }

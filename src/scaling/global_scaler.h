@@ -56,76 +56,63 @@ class HorizontalPolicy {
   virtual std::string name() const = 0;
 };
 
+/** Instance floor of every policy: none scales in below it. */
+constexpr int kMinInstances = 1;
+
 /** Dilu's lazy 2D-co-scaling horizontal half. */
 class DiluLazyScaler : public HorizontalPolicy {
  public:
-  struct Config {
-    std::size_t window = 40;  ///< sliding window (seconds)
-    int phi_out = 20;         ///< samples above capacity to scale out
-    int phi_in = 30;          ///< samples below (n-1)-capacity to scale in
-    int min_instances = 1;
-    /**
-     * Seconds after a recovery launch during which scale-in is
-     * suppressed. A replacement cold-starts for seconds while the
-     * arrival window still reflects degraded service; scaling in on
-     * that stale signal would undo the healing. Scale-out stays live.
-     */
-    int recovery_holdoff_s = 40;
-  };
+  static constexpr std::size_t kWindow = 40;  ///< sliding window (s)
+  /** phi_out: samples above capacity to scale out. */
+  static constexpr int kPhiOut = 20;
+  /** phi_in: samples below (n-1)-capacity to scale in. */
+  static constexpr int kPhiIn = 30;
+  /**
+   * Seconds after a recovery launch during which scale-in is
+   * suppressed. A replacement cold-starts for seconds while the
+   * arrival window still reflects degraded service; scaling in on
+   * that stale signal would undo the healing. Scale-out stays live.
+   */
+  static constexpr int kRecoveryHoldoffS = 40;
 
-  DiluLazyScaler();
-  explicit DiluLazyScaler(Config config);
   int Decide(double rps_sample, int current,
              double per_instance_rps) override;
   void OnRecoveryLaunch() override;
   std::string name() const override { return "dilu-lazy"; }
 
  private:
-  Config config_;
-  SlidingWindow window_;
+  SlidingWindow window_{kWindow};
   int holdoff_remaining_ = 0;  ///< scale-in-suppressed samples left
 };
 
 /** Reactive short-window scaling (FaST-GS+ analogue). */
 class EagerScaler : public HorizontalPolicy {
  public:
-  struct Config {
-    std::size_t window = 3;
-    int out_votes = 2;  ///< samples above capacity to scale out
-    int in_votes = 3;   ///< samples below to scale in
-    int min_instances = 1;
-  };
+  static constexpr std::size_t kWindow = 3;  ///< sliding window (s)
+  static constexpr int kOutVotes = 2;  ///< samples above, to scale out
+  static constexpr int kInVotes = 3;   ///< samples below, to scale in
 
-  EagerScaler();
-  explicit EagerScaler(Config config);
   int Decide(double rps_sample, int current,
              double per_instance_rps) override;
   std::string name() const override { return "eager"; }
 
  private:
-  Config config_;
-  SlidingWindow window_;
+  SlidingWindow window_{kWindow};
 };
 
 /** Prediction + keep-alive scaling (INFless+ analogue). */
 class KeepAliveScaler : public HorizontalPolicy {
  public:
-  struct Config {
-    std::size_t window = 10;
-    int out_votes = 5;
-    int keep_alive_s = 60;  ///< idle seconds before scale-in
-    int min_instances = 1;  ///< keep-alive floor
-  };
+  static constexpr std::size_t kWindow = 10;  ///< sliding window (s)
+  static constexpr int kOutVotes = 5;  ///< samples above, to scale out
+  static constexpr int kKeepAliveS = 60;  ///< idle s before scale-in
 
-  KeepAliveScaler();
-  explicit KeepAliveScaler(Config config);
   int Decide(double rps_sample, int current,
              double per_instance_rps) override;
   std::string name() const override { return "keep-alive"; }
 
  private:
-  Config config_;
-  SlidingWindow window_;
+  SlidingWindow window_{kWindow};
   int idle_seconds_ = 0;
 };
 

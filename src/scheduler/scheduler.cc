@@ -16,18 +16,18 @@ namespace {
  * Incremental best-fit pick: one Consider body shared by the list scan
  * (SelectOptGpu) and the bucket walk (SelectActive), so the two paths
  * cannot drift apart in scoring or tie-breaking. Higher "fullness
- * contribution" alpha*req_sum + beta*mem_ratio wins (equivalent to the
- * lowest Algorithm 1 line 25 score); exact ties go to the lowest id.
+ * contribution" kAlpha*req_sum + kBeta*mem_ratio wins (equivalent to
+ * the lowest Algorithm 1 line 25 score); exact ties go to the lowest
+ * id.
  */
 struct BestFitPick {
   double best_contrib = -std::numeric_limits<double>::infinity();
   GpuId best = kInvalidGpu;
 
-  void Consider(GpuId id, const GpuInfo& g, double alpha, double beta,
-                double mem)
+  void Consider(GpuId id, const GpuInfo& g, double mem)
   {
-    const double contrib = alpha * g.req_sum
-        + beta * ((g.mem_used + mem) / g.mem_total_gb);
+    const double contrib = kAlpha * g.req_sum
+        + kBeta * ((g.mem_used + mem) / g.mem_total_gb);
     if (contrib > best_contrib
         || (contrib == best_contrib && best != kInvalidGpu && id < best)) {
       best_contrib = contrib;
@@ -60,8 +60,7 @@ struct WorstFitPick {
 DiluScheduler::DiluScheduler(DiluSchedulerConfig config)
     : config_(config)
 {
-  DILU_CHECK(config_.omega > 0.0);
-  DILU_CHECK(config_.gamma >= config_.omega);
+  DILU_CHECK(config_.gamma >= kOmega);
 }
 
 DiluScheduler::RequestContext
@@ -70,13 +69,9 @@ DiluScheduler::MakeContext(const PlacementRequest& req) const
   RequestContext ctx;
   // The epsilon keeps exact-boundary placements (req_sum hitting omega)
   // feasible despite floating-point noise, as in the unhoisted form.
-  ctx.req_cap = config_.omega + 1e-9 - req.quota.request;
+  ctx.req_cap = kOmega + 1e-9 - req.quota.request;
   ctx.lim_cap = config_.gamma + 1e-9 - req.quota.limit;
   ctx.mem = req.mem_gb;
-  ctx.alpha = config_.alpha;
-  ctx.beta = config_.beta;
-  ctx.omega = config_.omega;
-  ctx.gamma = config_.gamma;
   // Algorithm 1 line 25 minimizes the residual-fragmentation score
   // alpha*(1 - new_req) + beta*(1 - new_mem_ratio); its request-only
   // terms are constant per call, so selection equivalently maximizes
@@ -104,8 +99,8 @@ DiluScheduler::Feasible(const GpuInfo& g, const RequestContext& ctx) const
   // cap, which is strictly looser, so it can never wrongly skip a
   // bucket containing a feasible degraded GPU.
   const double lost = 1.0 - g.capacity;
-  return g.req_sum <= ctx.req_cap - ctx.omega * lost
-      && g.lim_sum <= ctx.lim_cap - ctx.gamma * lost;
+  return g.req_sum <= ctx.req_cap - kOmega * lost
+      && g.lim_sum <= ctx.lim_cap - config_.gamma * lost;
 }
 
 GpuId
@@ -120,7 +115,7 @@ DiluScheduler::SelectOptGpu(const std::vector<GpuId>& candidates,
     if (Excluded(id, exclude)) continue;
     const GpuInfo& g = gpus[static_cast<std::size_t>(id)];
     if (!Feasible(g, ctx)) continue;
-    pick.Consider(id, g, ctx.alpha, ctx.beta, ctx.mem);
+    pick.Consider(id, g, ctx.mem);
   }
   return pick.best;
 }
@@ -164,7 +159,7 @@ DiluScheduler::SelectActive(const ClusterState& state,
       // full scan also resolves by contribution first).
       const double upper =
           std::min(lower + ClusterState::kLoadBucketWidth, ctx.req_cap);
-      if (ctx.alpha * upper + ctx.beta < best_fit.best_contrib) break;
+      if (kAlpha * upper + kBeta < best_fit.best_contrib) break;
     }
     for (GpuId id : state.active_bucket(b)) {
       if (Excluded(id, exclude)) continue;
@@ -173,7 +168,7 @@ DiluScheduler::SelectActive(const ClusterState& state,
       if (worst_fit) {
         worst.Consider(id, g);
       } else {
-        best_fit.Consider(id, g, ctx.alpha, ctx.beta, ctx.mem);
+        best_fit.Consider(id, g, ctx.mem);
       }
     }
   }

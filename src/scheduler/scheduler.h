@@ -66,12 +66,18 @@ class Scheduler {
   virtual std::string name() const = 0;
 };
 
+// Algorithm 1's constants (paper defaults).
+
+/** Max sum of request quotas per GPU (Omega). */
+constexpr double kOmega = 1.0;
+/** SM-fragmentation weight in the placement score (alpha). */
+constexpr double kAlpha = 0.5;
+/** Memory-fragmentation weight in the placement score (beta). */
+constexpr double kBeta = 0.5;
+
 /** Algorithm 1 knobs (paper defaults; Fig 18a sweeps gamma). */
 struct DiluSchedulerConfig {
-  double omega = 1.0;   ///< max sum of request quotas per GPU
   double gamma = 1.5;   ///< max sum of limit quotas per GPU
-  double alpha = 0.5;   ///< SM-fragmentation weight in the score
-  double beta = 0.5;    ///< memory-fragmentation weight
   bool workload_affinity = true;         ///< -WA ablation switch
   bool resource_complementarity = true;  ///< -RC ablation switch
 };
@@ -97,17 +103,6 @@ class DiluScheduler : public Scheduler {
     double req_cap = 0.0;  ///< feasible iff req_sum <= req_cap (whole GPU)
     double lim_cap = 0.0;  ///< feasible iff lim_sum <= lim_cap (whole GPU)
     double mem = 0.0;      ///< per-shard memory to add
-    double alpha = 0.0;
-    double beta = 0.0;
-    /**
-     * Cap slack lost per unit of missing capacity: a GPU degraded to
-     * capacity c tightens the caps to req_cap - omega*(1-c) and
-     * lim_cap - gamma*(1-c) (i.e. the oversubscription budget scales
-     * with the surviving SMs). Whole devices skip the subtraction, so
-     * the fault-free path stays two compares per candidate.
-     */
-    double omega = 0.0;
-    double gamma = 0.0;
   };
 
   RequestContext MakeContext(const PlacementRequest& req) const;

@@ -364,4 +364,14 @@ SweepSpec::Parse(const std::string& text, SweepSpec* out,
   return true;
 }
 
+std::string
+ResolveBase(const std::string& base, const std::string& exp_dir)
+{
+  const bool is_path = base.find('/') != std::string::npos
+      || (base.size() > 4
+          && base.compare(base.size() - 4, 4, ".exp") == 0);
+  if (is_path) return base;
+  return exp_dir + "/" + base + ".exp";
+}
+
 }  // namespace dilu::sweep

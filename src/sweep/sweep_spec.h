@@ -172,6 +172,13 @@ class SweepSpec {
   std::vector<Threshold> thresholds_;
 };
 
+/**
+ * Path of a sweep's base experiment: a `base` that names a path (holds
+ * a '/' or ends in `.exp`) passes through verbatim; a gallery stem
+ * resolves to `<exp_dir>/<base>.exp`.
+ */
+std::string ResolveBase(const std::string& base, const std::string& exp_dir);
+
 }  // namespace dilu::sweep
 
 #endif  // DILU_SWEEP_SWEEP_SPEC_H_

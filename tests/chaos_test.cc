@@ -14,6 +14,7 @@
 #include "chaos/chaos_engine.h"
 #include "cluster/trace_export.h"
 #include "invariant_audit.h"
+#include "scaling/coldstart.h"
 #include "scaling/global_scaler.h"
 #include "scheduler/baseline_schedulers.h"
 #include "workload/arrival.h"
@@ -565,7 +566,7 @@ TEST(ChaosEngine, TrainingTtrIncludesRestartColdStart)
   ASSERT_GE(o.recovered_at, 0);
   // Healing spans the restarted workers' cold start, not just the
   // control-plane re-placement.
-  const TimeUs cold = cfg.coldstart.Duration(models::GetModel("bert-base"));
+  const TimeUs cold = scaling::ColdDuration(models::GetModel("bert-base"));
   EXPECT_GE(o.TimeToRecover(), cold);
 }
 
@@ -641,7 +642,7 @@ TEST(ChaosEngine, MeasuresTimeToRecover)
   EXPECT_EQ(o.displaced, 1);
   ASSERT_GE(o.recovered_at, 0);
   // Recovery must at least span the replacement's cold start.
-  const TimeUs cold = cfg.coldstart.Duration(models::GetModel("bert-base"));
+  const TimeUs cold = scaling::ColdDuration(models::GetModel("bert-base"));
   EXPECT_GE(o.TimeToRecover(), cold);
   EXPECT_LE(o.TimeToRecover(), cold + Sec(2));
 
@@ -747,23 +748,23 @@ TEST(ChaosEngine, NodeFailureDuringBurstIsDeterministic)
 
 TEST(RecoveryScaling, LazyScalerSuppressesScaleInDuringHoldoff)
 {
-  scaling::DiluLazyScaler::Config cfg;
-  cfg.window = 10;
-  cfg.phi_in = 3;
-  cfg.phi_out = 5;
-  cfg.recovery_holdoff_s = 20;
-  scaling::DiluLazyScaler scaler(cfg);
+  using scaling::DiluLazyScaler;
+  DiluLazyScaler scaler;
   // Two instances, load far below one instance's capacity: scale-in
-  // fires quickly without a holdoff...
-  for (int i = 0; i < 2; ++i) scaler.Decide(1.0, 2, 100.0);
+  // fires after phi_in samples without a holdoff...
+  for (int i = 0; i < DiluLazyScaler::kPhiIn - 1; ++i) {
+    scaler.Decide(1.0, 2, 100.0);
+  }
   EXPECT_EQ(scaler.Decide(1.0, 2, 100.0), 1);
   // ... but not while a recovery launch is warming up.
   scaler.OnRecoveryLaunch();
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < DiluLazyScaler::kRecoveryHoldoffS; ++i) {
     EXPECT_EQ(scaler.Decide(1.0, 2, 100.0), 2) << "sample " << i;
   }
   // Holdoff over: the stale-window suppression ends.
-  for (int i = 0; i < 3; ++i) scaler.Decide(1.0, 2, 100.0);
+  for (int i = 0; i < DiluLazyScaler::kPhiIn; ++i) {
+    scaler.Decide(1.0, 2, 100.0);
+  }
   EXPECT_EQ(scaler.Decide(1.0, 2, 100.0), 1);
 }
 

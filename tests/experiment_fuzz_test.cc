@@ -161,7 +161,7 @@ RandomSpec(Rng& rng)
     }
     for (const GpuId gpu : on) {
       if (pinned_gb[static_cast<std::size_t>(gpu)] + mem_gb
-          > pin_fleet.gpu_memory_gb) {
+          > cluster::kGpuMemoryGb) {
         return;
       }
     }

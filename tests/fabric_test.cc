@@ -3,8 +3,8 @@
  * Fabric-layer tests (docs/FABRIC.md): token-bucket conformance, GC
  * duty-cycle accounting, FIFO frontier queueing, brownout and link-
  * failure semantics, two-run byte-identical determinism, checkpoint-
- * pause monotonicity under growing contention, the recovery_retry
- * audit-log knob, and the end-to-end golden run of
+ * pause monotonicity under growing contention, the recovery retry
+ * cadence in the audit log, and the end-to-end golden run of
  * experiments/fabric_contention.exp.
  *
  * The golden comparison regenerates with:
@@ -81,19 +81,18 @@ TEST(TokenBucket, RandomAcquiresNeverBeatTheEnvelope)
 // --- storage tier: GC accounting, FIFO, brownout ---------------------
 
 FabricConfig
-StorageConfig(double bw, double duty, TimeUs period)
+StorageConfig(double bw, double duty)
 {
   FabricConfig cfg;
   cfg.enabled = true;
   cfg.storage_bw_gbps = bw;
   cfg.storage_gc_duty = duty;
-  cfg.storage_gc_period = period;
   return cfg;
 }
 
 TEST(Storage, NoGcServiceIsExactlyBandwidthLimited)
 {
-  FabricPlane fp(StorageConfig(2.0, 0.0, Ms(200)), 2, 1);
+  FabricPlane fp(StorageConfig(2.0, 0.0), 2, 1);
   const TransferResult r = fp.SubmitStorage(0, 1.0, Us(500));
   EXPECT_EQ(r.start, Us(500));
   EXPECT_EQ(r.done - r.start, Sec(1) / 2);  // 1 GB at 2 GB/s
@@ -106,7 +105,7 @@ TEST(Storage, FractionalServiceRoundsUpSoNoWriteBeatsTheRate)
   // 1 GB at 3 GB/s is 333333.3 us of service: the write occupies the
   // device for 333334 us, never the 333333 that would move 1 GB faster
   // than 3 GB/s.
-  FabricPlane fp(StorageConfig(3.0, 0.0, Ms(200)), 1, 1);
+  FabricPlane fp(StorageConfig(3.0, 0.0), 1, 1);
   const TransferResult r = fp.SubmitStorage(0, 1.0, 0);
   EXPECT_EQ(r.done - r.start, 333334);
   EXPECT_GE(3.0 * ToSec(r.done - r.start), 1.0);
@@ -115,11 +114,13 @@ TEST(Storage, FractionalServiceRoundsUpSoNoWriteBeatsTheRate)
 
 TEST(Storage, GcDutyCycleAccountingIsClosedForm)
 {
-  // 1 GB at 1 GB/s needs 1000 ms of service. GC owns the first 25 ms
-  // of every 100 ms period, so service starts at 25 ms and proceeds in
-  // 75 ms regions: 75 + 12*75 + 25 = 1000 ms of service spread over
-  // GC windows lands the write at exactly 1350 ms.
-  FabricPlane fp(StorageConfig(1.0, 0.25, Ms(100)), 1, 1);
+  // 1 GB at 1 GB/s needs 1000 ms of service. GC owns the first 50 ms
+  // of every 200 ms period (fabric::kStorageGcPeriod), so service
+  // starts at 50 ms and proceeds in 150 ms regions:
+  // 150 + 5*150 + 100 = 1000 ms of service spread over GC windows
+  // lands the write at exactly 1350 ms.
+  static_assert(fabric::kStorageGcPeriod == Ms(200));
+  FabricPlane fp(StorageConfig(1.0, 0.25), 1, 1);
   const TransferResult r = fp.SubmitStorage(0, 1.0, 0);
   EXPECT_EQ(r.start, 0);
   EXPECT_EQ(r.done, Ms(1350));
@@ -128,7 +129,7 @@ TEST(Storage, GcDutyCycleAccountingIsClosedForm)
 
 TEST(Storage, FifoQueueStretchesConcurrentWrites)
 {
-  FabricPlane fp(StorageConfig(2.0, 0.0, Ms(200)), 2, 1);
+  FabricPlane fp(StorageConfig(2.0, 0.0), 2, 1);
   const TimeUs svc = Sec(1) / 2;  // 1 GB at 2 GB/s
   TimeUs prev_done = 0;
   for (int k = 0; k < 8; ++k) {
@@ -146,7 +147,7 @@ TEST(Storage, FifoQueueStretchesConcurrentWrites)
 
 TEST(Storage, BrownoutStretchesOnlyWindowedSubmissions)
 {
-  FabricPlane fp(StorageConfig(2.0, 0.0, Ms(200)), 1, 1);
+  FabricPlane fp(StorageConfig(2.0, 0.0), 1, 1);
   fp.SetStorageBrownout(3.0);
   const TransferResult slow = fp.SubmitStorage(0, 1.0, 0);
   EXPECT_EQ(slow.done - slow.start, 3 * (Sec(1) / 2));
@@ -166,8 +167,8 @@ TEST(Network, LoopbackPaysOnlyThePostingCost)
   cfg.enabled = true;
   FabricPlane fp(cfg, 2, 1);
   const TransferResult r = fp.SubmitNetwork(0, 0, 4.0, Us(100));
-  EXPECT_GE(r.done, Us(100) + cfg.post_cost);
-  EXPECT_LE(r.done, Us(100) + cfg.post_cost + cfg.post_cost / 4);
+  EXPECT_GE(r.done, Us(100) + fabric::kPostCost);
+  EXPECT_LE(r.done, Us(100) + fabric::kPostCost + fabric::kPostCost / 4);
   EXPECT_EQ(r.stall, 0);
 }
 
@@ -177,11 +178,11 @@ TEST(Network, StoreAndForwardRespectsTheBandwidthLowerBound)
   cfg.enabled = true;
   FabricPlane fp(cfg, 2, 1);
   const TimeUs hop = static_cast<TimeUs>(1.0 / cfg.nic_rate_gbps * 1e6);
-  const TimeUs core = static_cast<TimeUs>(1.0 / cfg.core_gbps * 1e6);
+  const TimeUs core = static_cast<TimeUs>(1.0 / fabric::kCoreGbps * 1e6);
   const TransferResult r = fp.SubmitNetwork(0, 1, 1.0, Us(1000));
   // Uplink + core + downlink serialization is the floor; the token
   // bucket and posting cost only push completion later.
-  EXPECT_GE(r.done, Us(1000) + cfg.post_cost + 2 * hop + core);
+  EXPECT_GE(r.done, Us(1000) + fabric::kPostCost + 2 * hop + core);
   EXPECT_FALSE(fp.lower_bound_violated());
   EXPECT_EQ(fp.totals().network_transfers, 1);
   EXPECT_DOUBLE_EQ(fp.totals().network_gb, 1.0);
@@ -298,14 +299,13 @@ TEST(FabricContention, CheckpointPauseGrowsWithConcurrentCheckpointers)
                              "stretch the worst pause";
 }
 
-// --- the recovery_retry knob (fault audit log) -----------------------
+// --- the recovery retry cadence (fault audit log) --------------------
 
-TEST(RecoveryRetry, KnobAppearsInTheStarvedAuditRecord)
+TEST(RecoveryRetry, CadenceAppearsInTheStarvedAuditRecord)
 {
   cluster::ClusterConfig cfg;
   cfg.nodes = 1;
   cfg.gpus_per_node = 1;
-  cfg.recovery_retry = Ms(100);
   cluster::ClusterRuntime rt(cfg);
   core::FunctionSpec spec;
   spec.model = "bert-base";
@@ -313,18 +313,19 @@ TEST(RecoveryRetry, KnobAppearsInTheStarvedAuditRecord)
   ASSERT_NE(rt.LaunchInference(fn, /*cold=*/false), kInvalidInstance);
 
   // The only GPU dies and never heals: recovery has nowhere to go, the
-  // backoff escalates from the configured 100 ms base and saturates at
-  // base << 5, and the starvation record pins the escalated cadence.
+  // backoff escalates from its 1 s base and saturates at base << 5
+  // (within 1 + 1.25 * (2 + 4 + 8 + 16 + 32) = 78.5 s), and the
+  // starvation record pins the escalated cadence.
   rt.FailGpu(0);
-  rt.RunFor(Sec(30));
+  rt.RunFor(Sec(120));
 
   bool starved = false;
   for (const cluster::FaultRecord& f : rt.metrics().faults()) {
     if (f.kind != "recovery_starved") continue;
     starved = true;
-    EXPECT_NE(f.detail.find("retry_s=3.2"), std::string::npos)
-        << "starved record must carry the escalated recovery_retry "
-           "cadence, got: " << f.detail;
+    EXPECT_NE(f.detail.find("retry_s=32.0"), std::string::npos)
+        << "starved record must carry the escalated retry cadence, "
+           "got: " << f.detail;
   }
   EXPECT_TRUE(starved) << "backoff saturation never reported";
 }

@@ -28,7 +28,7 @@ struct Rig {
   const models::ModelProfile& model = models::GetModel("bert-base");
   runtime::InferenceInstance a{1, 0, &model, 4, &sim};
   runtime::InferenceInstance b{2, 0, &model, 4, &sim};
-  Gateway gateway;
+  Gateway gateway{&sim, 7};
 
   Rig() {
     gateway.RegisterFunction(0);
@@ -44,7 +44,8 @@ struct Rig {
 
 TEST(Gateway, DispatchFailsWithoutInstances)
 {
-  Gateway gw;
+  sim::Simulation sim;
+  Gateway gw(&sim, 7);
   gw.RegisterFunction(0);
   workload::Request r;
   r.function = 0;
@@ -128,7 +129,8 @@ TEST(Gateway, RunningCountTracksState)
 
 TEST(Gateway, UnknownFunctionHasNoInstances)
 {
-  Gateway gw;
+  sim::Simulation sim;
+  Gateway gw(&sim, 7);
   EXPECT_TRUE(gw.instances(42).empty());
   EXPECT_EQ(gw.RunningCount(42), 0);
   EXPECT_DOUBLE_EQ(gw.PollArrivals(42), 0.0);
@@ -136,7 +138,8 @@ TEST(Gateway, UnknownFunctionHasNoInstances)
 
 TEST(Gateway, FailedDispatchCountsDropInMetrics)
 {
-  Gateway gw;
+  sim::Simulation sim;
+  Gateway gw(&sim, 7);
   MetricsHub metrics;
   metrics.RegisterFunction(0, "f", 100.0);
   gw.set_metrics(&metrics);

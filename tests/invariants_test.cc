@@ -185,11 +185,7 @@ TEST(DegradedRuntime, ScalerSeesDeratedCapacity)
   const FunctionId fn = rt.Deploy(InferenceSpec("bert-base"));
   ASSERT_NE(rt.LaunchInference(fn, false), kInvalidInstance);
   const double rps = rt.function(fn).spec.per_instance_rps * 0.6;
-  scaling::DiluLazyScaler::Config scfg;
-  scfg.window = 10;
-  scfg.phi_out = 5;
-  rt.EnableAutoscaler(fn,
-                      std::make_unique<scaling::DiluLazyScaler>(scfg));
+  rt.EnableAutoscaler(fn, std::make_unique<scaling::DiluLazyScaler>());
   rt.AttachArrivals(
       fn, std::make_unique<workload::PoissonArrivals>(rps, Rng(7)),
       Sec(60));
@@ -197,7 +193,8 @@ TEST(DegradedRuntime, ScalerSeesDeratedCapacity)
   ASSERT_EQ(rt.DeployedInstanceCount(fn), 1)
       << "whole device should absorb 60% load without scaling";
   rt.StraggleGpu(0, 4.0);  // effective capacity 0.25 < offered 0.6
-  rt.RunFor(Sec(20));
+  // phi_out overloaded samples, plus slack for the 1 Hz sampling.
+  rt.RunFor(Sec(scaling::DiluLazyScaler::kPhiOut + 10));
   EXPECT_GT(rt.DeployedInstanceCount(fn), 1)
       << "scaler ignored the degraded capacity signal";
   AuditFleet(rt.state(), rt);

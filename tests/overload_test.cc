@@ -45,13 +45,11 @@ namespace {
 struct OverloadRig {
   sim::Simulation sim;
   const models::ModelProfile& model = models::GetModel("bert-base");
-  cluster::Gateway gateway;
+  cluster::Gateway gateway{&sim, 7};
   std::vector<std::unique_ptr<runtime::InferenceInstance>> owned;
   std::map<FunctionId, std::vector<runtime::InferenceInstance*>> by_fn;
   std::vector<std::unique_ptr<workload::Request>> requests;
   int next_id = 1;
-
-  OverloadRig() { gateway.Bind(&sim, 7); }
 
   void AddFunction(FunctionId fn, const cluster::AdmissionConfig& cfg)
   {

@@ -93,7 +93,7 @@ TEST_P(SchedulerInvariantTest, CapsHoldForRandomWorkloads)
                  {{placement.gpus[0], req.quota, req.mem_gb}});
   }
   for (const auto& g : state.gpus()) {
-    EXPECT_LE(g.req_sum, cfg.omega + 1e-9) << "gpu " << g.id;
+    EXPECT_LE(g.req_sum, scheduler::kOmega + 1e-9) << "gpu " << g.id;
     EXPECT_LE(g.lim_sum, cfg.gamma + 1e-9) << "gpu " << g.id;
     EXPECT_LE(g.mem_used, g.mem_total_gb + 1e-9) << "gpu " << g.id;
   }
@@ -110,9 +110,7 @@ class TokenBoundsTest : public ::testing::TestWithParam<double> {};
 TEST_P(TokenBoundsTest, IssuesBounded)
 {
   const double max_tokens = GetParam();
-  rckm::TokenManagerConfig cfg;
-  cfg.max_tokens = max_tokens;
-  rckm::TokenManager tm(cfg);
+  rckm::TokenManager tm(max_tokens);
   Rng rng(17);
   for (int step = 0; step < 200; ++step) {
     std::vector<rckm::InstanceSample> samples;

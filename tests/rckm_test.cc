@@ -180,16 +180,13 @@ TEST(TokenManager, ContentionHoldsAtRequest)
   }
   EXPECT_EQ(tm.state(), ScalingState::kContention);
   // Request quota plus the contention cushion, capped at the limit.
-  const double cushion = tm.config().slo_cushion;
-  EXPECT_DOUBLE_EQ(Tokens(grants, 1), std::min(500.0 * cushion, 1000.0));
-  EXPECT_DOUBLE_EQ(Tokens(grants, 2), std::min(300.0 * cushion, 600.0));
+  EXPECT_DOUBLE_EQ(Tokens(grants, 1), std::min(500.0 * kSloCushion, 1000.0));
+  EXPECT_DOUBLE_EQ(Tokens(grants, 2), std::min(300.0 * kSloCushion, 600.0));
 }
 
 TEST(TokenManager, MaxTokensScalesBudgets)
 {
-  TokenManagerConfig cfg;
-  cfg.max_tokens = 500.0;  // conservative (Fig 18b left side)
-  TokenManager tm(cfg);
+  TokenManager tm(500.0);  // conservative (Fig 18b left side)
   auto grants = tm.Tick({MakeSample(1, false, 0.4, 0.8, 10.0)});
   EXPECT_DOUBLE_EQ(Tokens(grants, 1), 500.0 * 0.8);
 }

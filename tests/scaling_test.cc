@@ -33,12 +33,11 @@ TEST(SlidingWindow, CountsAboveAndBelow)
 
 TEST(ColdStart, LargeModelsAreSlower)
 {
-  ColdStartModel cs;
-  const TimeUs bert = cs.Duration(models::GetModel("bert-base"));
-  const TimeUs llama = cs.Duration(models::GetModel("llama2-7b"));
+  const TimeUs bert = ColdDuration(models::GetModel("bert-base"));
+  const TimeUs llama = ColdDuration(models::GetModel("llama2-7b"));
   EXPECT_LT(bert, Sec(8));
   EXPECT_GT(llama, Sec(15));
-  EXPECT_LT(cs.WarmDuration(models::GetModel("llama2-7b")), llama / 2);
+  EXPECT_LT(WarmDuration(models::GetModel("llama2-7b")), llama / 2);
 }
 
 TEST(DiluLazyScaler, IgnoresShortBursts)
@@ -119,12 +118,10 @@ TEST(EagerScaler, JumpsToImpliedCount)
 
 TEST(KeepAliveScaler, HoldsIdleInstances)
 {
-  KeepAliveScaler::Config cfg;
-  cfg.keep_alive_s = 10;
-  KeepAliveScaler s(cfg);
+  KeepAliveScaler s;
   int current = 3;
   int decisions_before_scale_in = 0;
-  for (int t = 0; t < 30; ++t) {
+  for (int t = 0; t < 3 * KeepAliveScaler::kKeepAliveS; ++t) {
     const int next = s.Decide(0.0, current, 20.0);
     ++decisions_before_scale_in;
     if (next < current) {
@@ -133,7 +130,8 @@ TEST(KeepAliveScaler, HoldsIdleInstances)
     }
   }
   EXPECT_EQ(current, 2);
-  EXPECT_GE(decisions_before_scale_in, 10);  // held for keep-alive period
+  // Held for the keep-alive period.
+  EXPECT_GE(decisions_before_scale_in, KeepAliveScaler::kKeepAliveS);
 }
 
 TEST(MakeHorizontalPolicy, Factory)

@@ -860,7 +860,7 @@ LoadMiniSweep()
       std::string(DILU_EXPERIMENTS_DIR) + "/sweeps/mini.sweep");
   EXPECT_TRUE(SweepSpec::Parse(sweep_text, &m.sweep, &error)) << error;
   const std::string base_text = ReadFileOrEmpty(
-      std::string(DILU_EXPERIMENTS_DIR) + "/" + m.sweep.base() + ".exp");
+      sweep::ResolveBase(m.sweep.base(), DILU_EXPERIMENTS_DIR));
   EXPECT_TRUE(ExperimentSpec::Parse(base_text, &m.base, &error)) << error;
   return m;
 }
@@ -974,11 +974,9 @@ TEST(PaperSweeps, EveryClauseHoldsAndEachIsFalsifiable)
     ASSERT_TRUE(SweepSpec::Parse(ReadFileOrEmpty(entry.path), &spec, &error))
         << error;
     // A paper sweep names its base by root-relative path, a gallery
-    // sweep by its stem (dilu_sweep --exp-dir).
+    // sweep by its stem: resolved as dilu_sweep run from the root does.
     const std::string base_path =
-        spec.base().find('/') != std::string::npos
-        ? root + "/" + spec.base()
-        : experiments + "/" + spec.base() + ".exp";
+        root + "/" + sweep::ResolveBase(spec.base(), "experiments");
     ASSERT_TRUE(ExperimentSpec::Parse(ReadFileOrEmpty(base_path), &base,
                                       &error))
         << error;

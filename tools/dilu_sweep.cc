@@ -72,17 +72,6 @@ ListGalleryDir(const std::string& dir)
   return 0;
 }
 
-/** `base` resolved against --exp-dir (paths pass through verbatim). */
-std::string
-ResolveBase(const std::string& base, const std::string& exp_dir)
-{
-  const bool is_path = base.find('/') != std::string::npos
-      || (base.size() > 4
-          && base.compare(base.size() - 4, 4, ".exp") == 0);
-  if (is_path) return base;
-  return exp_dir + "/" + base + ".exp";
-}
-
 bool
 ReadFile(const std::string& path, std::string* out)
 {
@@ -172,7 +161,7 @@ main(int argc, char** argv)
     return 0;
   }
 
-  const std::string base_path = ResolveBase(spec.base(), exp_dir);
+  const std::string base_path = sweep::ResolveBase(spec.base(), exp_dir);
   std::string base_text;
   if (!ReadFile(base_path, &base_text)) {
     std::fprintf(stderr, "%s: cannot read base experiment %s\n",
