@@ -22,13 +22,12 @@ main()
               "c", "d");
 
   int trav[4], infl[4], gpl[4], dilu_n[4];
-  profiler::InferenceProfiler dilu_prof;
   for (int i = 0; i < 4; ++i) {
     const auto& m = models::GetModel(names[i]);
     trav[i] = profiler::ProfileTraversal(m).trials;
     infl[i] = profiler::ProfileInflessPredictive(m, 0.15, Rng(7)).trials;
     gpl[i] = profiler::ProfileGpulet(m).trials;
-    dilu_n[i] = dilu_prof.Profile(m).trials;
+    dilu_n[i] = profiler::ProfileInference(m).trials;
   }
   std::printf("%-12s %6d %6d %6d %6d  pre-running\n", "Traversal",
               trav[0], trav[1], trav[2], trav[3]);
@@ -41,7 +40,7 @@ main()
 
   std::printf("\nchosen configurations (Dilu):\n");
   for (const char* n : names) {
-    const auto p = dilu_prof.Profile(models::GetModel(n));
+    const auto p = profiler::ProfileInference(models::GetModel(n));
     std::printf("  %-14s star <IBS=%d, SMR=%.0f%%> TE=%.0f req/s per "
                 "GPU\n", n, p.ibs, p.quota.request * 100, p.te);
   }

@@ -17,11 +17,10 @@ int
 main()
 {
   using namespace dilu;
-  profiler::InferenceProfiler prof;
   for (const char* name : {"resnet152", "roberta-large", "gpt2-large",
                            "llama2-7b"}) {
     const auto& m = models::GetModel(name);
-    const auto p = prof.Profile(m);
+    const auto p = profiler::ProfileInference(m);
     std::printf("=== Fig 4: %s (SLO %.0f ms, exec budget %.0f ms) ===\n",
                 name, m.slo_ms, m.slo_ms / 2);
     std::printf("%6s", "IBS\\SMR");

@@ -13,8 +13,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "profiler/inference_profiler.h"
-#include "profiler/training_profiler.h"
+#include "profiler/profile_cache.h"
 #include "scheduler/scheduler.h"
 
 namespace {
@@ -28,8 +27,7 @@ void SweepGamma()
   std::printf("%8s %12s %12s %12s\n", "gamma", "GPUs used", "SM frag",
               "mem frag");
   // Shared profiled quotas.
-  profiler::InferenceProfiler iprof;
-  profiler::TrainingProfiler tprof;
+  profiler::ProfileCache profiles;
   struct Item {
     SmQuota quota;
     double mem;
@@ -44,7 +42,7 @@ void SweepGamma()
     if (roll < 0.2) {
       const auto& m =
           models::GetModel(bench::kSmallModelPool[rng.UniformInt(0, 4)]);
-      it.quota = tprof.Profile(m).quota;
+      it.quota = profiles.Training(m).quota;
       it.mem = m.mem_gb_training;
       it.large = false;
       it.type = TaskType::kTraining;
@@ -53,7 +51,7 @@ void SweepGamma()
       const auto& m = models::GetModel(
           llm ? bench::kLlmModelPool[rng.UniformInt(0, 1)]
               : bench::kSmallModelPool[rng.UniformInt(0, 4)]);
-      it.quota = iprof.Profile(m).quota;
+      it.quota = profiles.Inference(m).quota;
       it.mem = m.mem_gb_inference;
       it.large = llm;
       it.type = TaskType::kInference;

@@ -13,15 +13,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/spec_text.h"
 #include "experiment/experiment.h"
-#include "profiler/inference_profiler.h"
-#include "profiler/training_profiler.h"
+#include "profiler/profile_cache.h"
 #include "scheduler/scheduler.h"
 #include "workload/azure_traces.h"
 
@@ -116,10 +114,9 @@ struct MixInstance {
 inline MixInstance
 DrawMixInstance(Rng* rng, const std::string& quota_mode = "dilu")
 {
-  // Profiles are deterministic per model: cache them in function-local
-  // statics (destroyed normally at exit — no leaked `new`).
-  static std::map<std::string, profiler::InferenceProfile> inf_cache;
-  static std::map<std::string, profiler::TrainingProfile> train_cache;
+  // Profiles are deterministic per model: cache them in a function-local
+  // static (destroyed normally at exit — no leaked `new`).
+  static profiler::ProfileCache profiles;
 
   MixInstance def;
   const double roll = rng->Uniform();
@@ -128,22 +125,16 @@ DrawMixInstance(Rng* rng, const std::string& quota_mode = "dilu")
     // Training worker.
     model = kSmallModelPool[rng->UniformInt(0, 4)];
     const auto& m = models::GetModel(model);
-    if (!train_cache.count(model)) {
-      train_cache[model] = profiler::TrainingProfiler().Profile(m);
-    }
     def.request.type = TaskType::kTraining;
-    def.request.quota = train_cache[model].quota;
+    def.request.quota = profiles.Training(m).quota;
     def.request.mem_gb = m.mem_gb_training;
   } else {
     const bool llm = roll < 0.4;
     model = llm ? kLlmModelPool[rng->UniformInt(0, 1)]
                 : kSmallModelPool[rng->UniformInt(0, 4)];
     const auto& m = models::GetModel(model);
-    if (!inf_cache.count(model)) {
-      inf_cache[model] = profiler::InferenceProfiler().Profile(m);
-    }
     def.request.type = TaskType::kInference;
-    def.request.quota = inf_cache[model].quota;
+    def.request.quota = profiles.Inference(m).quota;
     def.request.mem_gb = m.mem_gb_inference;
     def.request.large_model = llm;
     if (llm && rng->Uniform() < 0.5) {

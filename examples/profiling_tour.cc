@@ -17,14 +17,11 @@ int
 main()
 {
   using namespace dilu;
-  profiler::InferenceProfiler iprof;
-  profiler::TrainingProfiler tprof;
-
   std::printf("=== inference profiling (Hybrid Growth Search) ===\n");
   std::printf("%-14s %5s %9s %7s %8s %7s  path\n", "model", "IBS",
               "request", "limit", "TE", "trials");
   for (const auto& m : models::AllModels()) {
-    const auto p = iprof.Profile(m);
+    const auto p = profiler::ProfileInference(m);
     std::printf("%-14s %5d %8.0f%% %6.0f%% %8.0f %7d  ", m.name.c_str(),
                 p.ibs, p.quota.request * 100, p.quota.limit * 100, p.te,
                 p.trials);
@@ -40,7 +37,7 @@ main()
   std::printf("%-14s %9s %7s %7s %18s\n", "model", "request", "limit",
               "trials", "tput@request");
   for (const auto& m : models::AllModels()) {
-    const auto p = tprof.Profile(m);
+    const auto p = profiler::ProfileTraining(m);
     std::printf("%-14s %8.0f%% %6.0f%% %7d %12.0f %s\n", m.name.c_str(),
                 p.quota.request * 100, p.quota.limit * 100, p.trials,
                 models::TrainingThroughputUnits(m, p.quota.request, 1),

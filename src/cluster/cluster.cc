@@ -7,8 +7,6 @@
 #include "baselines/arbiters.h"
 #include "common/logging.h"
 #include "models/cost_model.h"
-#include "profiler/inference_profiler.h"
-#include "profiler/training_profiler.h"
 #include "rckm/token_manager.h"
 #include "scaling/coldstart.h"
 #include "scheduler/baseline_schedulers.h"
@@ -178,13 +176,12 @@ ClusterRuntime::~ClusterRuntime()
 }
 
 void
-ClusterRuntime::ProfileSpec(core::FunctionSpec* spec) const
+ClusterRuntime::ProfileSpec(core::FunctionSpec* spec)
 {
   const models::ModelProfile& m = models::GetModel(spec->model);
   if (spec->type == TaskType::kInference) {
     if (spec->ibs <= 0 || spec->quota.request <= 0.0) {
-      profiler::InferenceProfiler prof;
-      const profiler::InferenceProfile p = prof.Profile(m);
+      const profiler::InferenceProfile& p = profiles_.Inference(m);
       if (spec->ibs <= 0) spec->ibs = p.ibs;
       if (spec->quota.request <= 0.0) spec->quota = p.quota;
     }
@@ -194,8 +191,7 @@ ClusterRuntime::ProfileSpec(core::FunctionSpec* spec) const
     }
   } else {
     if (spec->quota.request <= 0.0) {
-      profiler::TrainingProfiler prof;
-      spec->quota = prof.Profile(m).quota;
+      spec->quota = profiles_.Training(m).quota;
     }
   }
 }

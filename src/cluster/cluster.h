@@ -25,6 +25,7 @@
 #include "fabric/fabric.h"
 #include "gpusim/gpu_group.h"
 #include "models/cost_model.h"
+#include "profiler/profile_cache.h"
 #include "runtime/inference_instance.h"
 #include "runtime/training_instance.h"
 #include "scaling/global_scaler.h"
@@ -474,7 +475,9 @@ class ClusterRuntime {
   /** Install the fabric-emergent checkpoint/comm providers on a job. */
   void WireJobFabric(DeployedFunction& f, const std::vector<GpuId>& gpus);
   SmQuota QuotaForMode(const SmQuota& profiled) const;
-  void ProfileSpec(core::FunctionSpec* spec) const;
+  /** Fill what `spec` leaves unset (IBS, quota, per-instance rps) from
+   *  the model's profile. */
+  void ProfileSpec(core::FunctionSpec* spec);
   void ReleaseInstance(InstanceId id);
   void PruneCompletedRequests();
   void AutoscaleTick(FunctionId fn);
@@ -504,6 +507,9 @@ class ClusterRuntime {
   MetricsHub metrics_;
   std::vector<Node> nodes_;
   std::unique_ptr<fabric::FabricPlane> fabric_;
+  /** Per runtime, not per process: each run pays for its own profiling,
+   *  as a deployment would (PERFORMANCE.md "Set-up"). */
+  profiler::ProfileCache profiles_;
 
   std::map<FunctionId, DeployedFunction> functions_;
   std::map<InstanceId, InstanceRecord> instances_;

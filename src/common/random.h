@@ -40,6 +40,15 @@ class Rng {
   double Exponential(double mean)
   {
     if (mean <= 0.0) return 0.0;
+    return ExponentialRate(1.0 / mean);
+  }
+
+  /**
+   * Exponential(mean) for a caller that keeps the rate 1.0 / mean:
+   * the same bits, without the division per draw.
+   */
+  double ExponentialRate(double rate)
+  {
     // double(x) for a 64-bit x, rounded once in the final add, as the
     // direct conversion rounds; split in halves so it compiles without
     // the direct conversion's branch on the sign bit.
@@ -49,7 +58,7 @@ class Rng {
                 + static_cast<double>(static_cast<std::uint32_t>(x)))
         * 0x1p-64;
     if (u >= 1.0) u = 0x1.fffffffffffffp-1;  // nextafter(1, 0)
-    return -std::log(1.0 - u) / (1.0 / mean);
+    return -std::log(1.0 - u) / rate;
   }
 
   /**

@@ -19,7 +19,7 @@ GpuGroup::AddGpu(double memory_gb)
 {
   const GpuId id = static_cast<GpuId>(gpus_.size());
   gpus_.push_back(std::make_unique<Gpu>(id, memory_gb));
-  arbiters_.push_back(factory_(id));
+  arbiters_.emplace_back();
   return id;
 }
 
@@ -41,7 +41,9 @@ ShareArbiter&
 GpuGroup::arbiter(GpuId id)
 {
   DILU_CHECK(id >= 0 && static_cast<std::size_t>(id) < arbiters_.size());
-  return *arbiters_[id];
+  std::unique_ptr<ShareArbiter>& a = arbiters_[id];
+  if (a == nullptr) a = factory_(id);
+  return *a;
 }
 
 void
@@ -50,7 +52,12 @@ GpuGroup::Attach(GpuId id, const Attachment& att)
   Gpu& g = gpu(id);
   g.Attach(att);
   const auto at = std::lower_bound(live_.begin(), live_.end(), id);
-  if (at == live_.end() || *at != id) live_.insert(at, id);
+  if (at == live_.end() || *at != id) {
+    // The quantum engine reads arbiters_ only for live GPUs, and a GPU
+    // becomes live only here: building the arbiter now is in time.
+    arbiter(id);
+    live_.insert(at, id);
+  }
 }
 
 void

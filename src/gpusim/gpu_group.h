@@ -20,7 +20,7 @@
 
 namespace dilu::gpusim {
 
-/** Creates the sharing policy for a newly added GPU. */
+/** Creates a GPU's sharing policy, on the GPU's first attach. */
 using ArbiterFactory = std::function<std::unique_ptr<ShareArbiter>(GpuId)>;
 
 /**
@@ -38,19 +38,24 @@ class GpuGroup {
  public:
   /**
    * @param sim        simulation driver providing the periodic tick
-   * @param factory    builds one arbiter per GPU
+   * @param factory    builds a GPU's arbiter when it is first needed
    * @param quantum    token period (defaults to the paper's 5 ms)
    */
   GpuGroup(sim::Simulation* sim, ArbiterFactory factory,
            TimeUs quantum = kTokenPeriodUs);
 
-  /** Add a GPU; returns its id (dense, starting at 0). */
+  /**
+   * Add a GPU; returns its id (dense, starting at 0). Its arbiter is
+   * built on its first Attach or arbiter() call, so a fleet's set-up
+   * costs no factory call per idle GPU.
+   */
   GpuId AddGpu(double memory_gb);
 
   Gpu& gpu(GpuId id);
   const Gpu& gpu(GpuId id) const;
   std::size_t gpu_count() const { return gpus_.size(); }
 
+  /** The GPU's arbiter, built by the factory if not yet built. */
   ShareArbiter& arbiter(GpuId id);
 
   /**
@@ -86,6 +91,7 @@ class GpuGroup {
   ArbiterFactory factory_;
   TimeUs quantum_;
   std::vector<std::unique_ptr<Gpu>> gpus_;
+  /** Null until the GPU's first Attach or arbiter() call. */
   std::vector<std::unique_ptr<ShareArbiter>> arbiters_;
   std::vector<GpuId> live_;             ///< sorted ascending
   std::vector<GpuClient*> finishing_;   ///< phase-4 scratch, reused

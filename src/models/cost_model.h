@@ -85,9 +85,8 @@ double TrainingThroughputUnits(const ModelProfile& m, SmRate s, int workers);
  * Cold-start duration for launching an instance of `m`: container
  * startup plus loading param_gb of weights at `load_gbps`.
  */
-TimeUs ColdStartDuration(const ModelProfile& m,
-                         TimeUs container_base = Ms(6000),
-                         double load_gbps = 0.8);
+TimeUs ColdStartDuration(const ModelProfile& m, TimeUs container_base,
+                         double load_gbps);
 
 /**
  * Kernel blocks launched by one full batch-B iteration, used for token

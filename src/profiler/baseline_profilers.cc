@@ -9,17 +9,6 @@
 namespace dilu::profiler {
 namespace {
 
-Trial MeasureConfig(const models::ModelProfile& model, int ibs, SmRate smr)
-{
-  Trial t;
-  t.ibs = ibs;
-  t.smr = smr;
-  t.t_exec_ms = ToMs(models::InferenceIteration(model, ibs, smr));
-  t.te = models::ThroughputEfficacy(model, ibs, smr);
-  t.meets_slo = models::MeetsSlo(model, ibs, smr);
-  return t;
-}
-
 std::vector<int> BatchGrid(const models::ModelProfile& model)
 {
   std::vector<int> batches;
@@ -56,7 +45,7 @@ ProfileTraversal(const models::ModelProfile& model)
   bool have_best = false;
   for (int b : BatchGrid(model)) {
     for (int s = 1; s <= 10; ++s) {
-      Trial t = MeasureConfig(model, b, s * 0.1);
+      Trial t = Measure(model, b, s * 0.1);
       ++result.trials;
       result.path.push_back(t);
       if (t.meets_slo && (!have_best || t.te > best.te)) {
@@ -86,7 +75,7 @@ ProfileInflessPredictive(const models::ModelProfile& model,
       // Predicted infeasible: INFless still validates the prediction
       // with a handful of pre-runs around the boundary.
       for (int k = 0; k < 4; ++k) {
-        Trial t = MeasureConfig(model, b, std::min(1.0, 0.7 + 0.1 * k));
+        Trial t = Measure(model, b, std::min(1.0, 0.7 + 0.1 * k));
         ++result.trials;
         result.path.push_back(t);
         if (t.meets_slo && (!have_best || t.te > best.te)) {
@@ -101,7 +90,7 @@ ProfileInflessPredictive(const models::ModelProfile& model,
     // Validate the predicted rate and its neighborhood.
     for (int k = -2; k <= 2; ++k) {
       const SmRate s = std::clamp(predicted + k * 0.1, 0.1, 1.0);
-      Trial t = MeasureConfig(model, b, s);
+      Trial t = Measure(model, b, s);
       ++result.trials;
       result.path.push_back(t);
       if (t.meets_slo && (!have_best || t.te > best.te)) {
@@ -124,7 +113,7 @@ ProfileGpulet(const models::ModelProfile& model)
   for (int b : batches) {
     if (b > model.max_batch) continue;
     for (double s : rates) {
-      Trial t = MeasureConfig(model, b, s);
+      Trial t = Measure(model, b, s);
       ++result.trials;
       result.path.push_back(t);
       if (t.meets_slo && (!have_best || t.te > best.te)) {
@@ -136,7 +125,7 @@ ProfileGpulet(const models::ModelProfile& model)
   // Pad to the full 16 when max_batch pruned columns (GPUlet samples a
   // fixed grid regardless).
   while (result.trials < 16) {
-    Trial t = MeasureConfig(model, model.max_batch, 1.0);
+    Trial t = Measure(model, model.max_batch, 1.0);
     ++result.trials;
     result.path.push_back(t);
     if (t.meets_slo && (!have_best || t.te > best.te)) {

@@ -15,8 +15,7 @@ constexpr SmRate kSmrStep = 0.1;
 }  // namespace
 
 Trial
-InferenceProfiler::Measure(const models::ModelProfile& model, int ibs,
-                           SmRate smr) const
+Measure(const models::ModelProfile& model, int ibs, SmRate smr)
 {
   Trial t;
   t.ibs = ibs;
@@ -28,7 +27,7 @@ InferenceProfiler::Measure(const models::ModelProfile& model, int ibs,
 }
 
 InferenceProfile
-InferenceProfiler::Profile(const models::ModelProfile& model) const
+ProfileInference(const models::ModelProfile& model)
 {
   InferenceProfile result;
   const double budget_ms = ToMs(models::ExecBudget(model));

@@ -45,16 +45,12 @@ struct InferenceProfile {
  *  baseline profilers alike. */
 constexpr double kLimitFactor = 2.0;
 
-/** Profiles inference functions with the Hybrid Growth Search. */
-class InferenceProfiler {
- public:
-  InferenceProfile Profile(const models::ModelProfile& model) const;
+/** Profile `model` with the Hybrid Growth Search. */
+InferenceProfile ProfileInference(const models::ModelProfile& model);
 
- private:
-  /** Evaluate one configuration (one pre-running trial). */
-  Trial Measure(const models::ModelProfile& model, int ibs,
-                SmRate smr) const;
-};
+/** Evaluate one configuration (one pre-running trial); the baseline
+ *  profilers' trials too. */
+Trial Measure(const models::ModelProfile& model, int ibs, SmRate smr);
 
 }  // namespace dilu::profiler
 

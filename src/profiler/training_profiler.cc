@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
 #include "models/cost_model.h"
 
 namespace dilu::profiler {
@@ -22,13 +21,13 @@ SmRate SnapUp(SmRate s)
   return std::min(1.0, std::ceil(s / kGrid - 1e-9) * kGrid);
 }
 
-}  // namespace
-
+/**
+ * One binary search for the SMR reaching `fraction` of exclusive
+ * throughput; `trials` accumulates the pre-run count.
+ */
 SmRate
-TrainingProfiler::SearchRate(const models::ModelProfile& model,
-                             double fraction, int* trials) const
+SearchRate(const models::ModelProfile& model, double fraction, int* trials)
 {
-  DILU_CHECK(trials != nullptr);
   // Trial 1: exclusive throughput at high = 100% SMR.
   const double t1 = models::TrainingThroughput(model, 1.0, 1);
   ++*trials;
@@ -58,8 +57,10 @@ TrainingProfiler::SearchRate(const models::ModelProfile& model,
   return best;
 }
 
+}  // namespace
+
 TrainingProfile
-TrainingProfiler::Profile(const models::ModelProfile& model) const
+ProfileTraining(const models::ModelProfile& model)
 {
   TrainingProfile result;
   result.quota.request =

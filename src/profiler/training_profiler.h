@@ -24,19 +24,11 @@ struct TrainingProfile {
   int trials = 0;       ///< pre-running iterations consumed
 };
 
-/** Profiles training functions via binary search over the SM rate. */
-class TrainingProfiler {
- public:
-  /** Profile `model` (single-worker pre-run, as in the paper). */
-  TrainingProfile Profile(const models::ModelProfile& model) const;
-
-  /**
-   * One binary search for the SMR reaching `fraction` of exclusive
-   * throughput; `trials` accumulates pre-run count.
-   */
-  SmRate SearchRate(const models::ModelProfile& model, double fraction,
-                    int* trials) const;
-};
+/**
+ * Profile `model` (single-worker pre-run, as in the paper): one binary
+ * search for each of the request and limit quotas.
+ */
+TrainingProfile ProfileTraining(const models::ModelProfile& model);
 
 }  // namespace dilu::profiler
 

@@ -19,7 +19,7 @@ ConstantArrivals::NextGap()
 }
 
 PoissonArrivals::PoissonArrivals(double rps, Rng rng)
-    : rps_(rps), rng_(rng)
+    : rate_(1.0 / (1e6 / rps)), rng_(rng)
 {
   DILU_CHECK(rps > 0.0);
 }
@@ -27,7 +27,7 @@ PoissonArrivals::PoissonArrivals(double rps, Rng rng)
 TimeUs
 PoissonArrivals::NextGap()
 {
-  return static_cast<TimeUs>(rng_.Exponential(1e6 / rps_));
+  return static_cast<TimeUs>(rng_.ExponentialRate(rate_));
 }
 
 GammaArrivals::GammaArrivals(double rps, double cv, Rng rng)

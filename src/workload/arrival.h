@@ -46,7 +46,7 @@ class PoissonArrivals : public ArrivalProcess {
   TimeUs NextGap() override;
 
  private:
-  double rps_;
+  double rate_;  ///< arrivals per µs: 1 / (1e6 / rps), as Exponential
   Rng rng_;
 };
 

@@ -8,6 +8,8 @@
 #include "cluster/cluster.h"
 #include "common/logging.h"
 #include "invariant_audit.h"
+#include "profiler/inference_profiler.h"
+#include "profiler/training_profiler.h"
 
 namespace dilu::cluster {
 namespace {
@@ -153,6 +155,46 @@ TEST(ClusterRuntime, DeployProfilesSpec)
   EXPECT_EQ(f.spec.ibs, 4);
   EXPECT_GT(f.spec.quota.request, 0.0);
   EXPECT_GT(f.spec.per_instance_rps, 0.0);
+}
+
+// The runtime profiles each model once, but a deploy's own IBS and quota
+// are its own: later deploys of the model get the profiler's output.
+TEST(ClusterRuntime, RepeatedDeploysGetTheProfilersOutput)
+{
+  ClusterConfig cfg;
+  ClusterRuntime rt(cfg);
+  const models::ModelProfile& bert = models::GetModel("bert-base");
+  const profiler::InferenceProfile inf = profiler::ProfileInference(bert);
+  core::FunctionSpec pinned = InferenceSpec("bert-base");
+  pinned.ibs = inf.ibs + 3;
+  pinned.quota = {0.9, 1.0};
+  const FunctionId first = rt.Deploy(pinned);
+  EXPECT_EQ(rt.function(first).spec.ibs, inf.ibs + 3);
+  EXPECT_EQ(rt.function(first).spec.quota.request, 0.9);
+  const double profiled_rps =
+      models::InferenceThroughput(bert, inf.ibs, inf.quota.request);
+  for (int k = 0; k < 2; ++k) {
+    const FunctionId fn = rt.Deploy(InferenceSpec("bert-base"));
+    const core::FunctionSpec& spec = rt.function(fn).spec;
+    EXPECT_EQ(spec.ibs, inf.ibs);
+    EXPECT_EQ(spec.quota.request, inf.quota.request);
+    EXPECT_EQ(spec.quota.limit, inf.quota.limit);
+    EXPECT_EQ(spec.per_instance_rps, profiled_rps);
+  }
+
+  const models::ModelProfile& resnet = models::GetModel("resnet152");
+  const SmQuota trained = profiler::ProfileTraining(resnet).quota;
+  core::FunctionSpec job;
+  job.model = "resnet152";
+  job.type = TaskType::kTraining;
+  job.quota = {0.7, 0.8};
+  EXPECT_EQ(rt.function(rt.Deploy(job)).spec.quota.request, 0.7);
+  job.quota = {0.0, 0.0};
+  for (int k = 0; k < 2; ++k) {
+    const core::FunctionSpec& spec = rt.function(rt.Deploy(job)).spec;
+    EXPECT_EQ(spec.quota.request, trained.request);
+    EXPECT_EQ(spec.quota.limit, trained.limit);
+  }
 }
 
 TEST(ClusterRuntime, LaunchAttachesAndServes)

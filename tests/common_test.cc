@@ -328,27 +328,34 @@ TEST(Rng, ExponentialMeanMatches)
 #if defined(__GLIBCXX__)
 // The in-tree exponential replicates libstdc++'s
 // std::exponential_distribution bit for bit, and consumes the engine
-// exactly as it does. (Other standard libraries may draw differently;
-// there the in-tree draw is the definition.)
+// exactly as it does, whether it is given the mean or the rate 1 / mean.
+// (Other standard libraries may draw differently; there the in-tree
+// draw is the definition.)
 TEST(Rng, ExponentialIsBitIdenticalToLibstdcxx)
 {
+  const auto bits = [](double x) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+  };
   for (const double mean : {1.0, 0.37, 1e6 / 7.0, 12345.678, 3e-4}) {
     Rng mine(97);
+    Rng by_rate(97);
     std::mt19937_64 theirs(97);
+    const double rate = 1.0 / mean;
     std::uint64_t mismatches = 0;
+    std::uint64_t rate_mismatches = 0;
     for (int i = 0; i < 2'000'000; ++i) {
       // dilu-lint: allow(std-distribution the reference this test matches)
       std::exponential_distribution<double> ref(1.0 / mean);
-      const double want = ref(theirs);
-      const double got = mine.Exponential(mean);
-      std::uint64_t a = 0;
-      std::uint64_t b = 0;
-      std::memcpy(&a, &got, sizeof a);
-      std::memcpy(&b, &want, sizeof b);
-      if (a != b) ++mismatches;
+      const std::uint64_t want = bits(ref(theirs));
+      if (bits(mine.Exponential(mean)) != want) ++mismatches;
+      if (bits(by_rate.ExponentialRate(rate)) != want) ++rate_mismatches;
     }
     EXPECT_EQ(mismatches, 0u) << "mean " << mean;
+    EXPECT_EQ(rate_mismatches, 0u) << "rate " << rate;
     EXPECT_TRUE(mine.engine() == theirs) << "mean " << mean;
+    EXPECT_TRUE(by_rate.engine() == theirs) << "rate " << rate;
   }
 }
 

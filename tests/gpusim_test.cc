@@ -200,6 +200,39 @@ TEST(GpuGroup, PeriodicTickRunsOnSimulation)
   EXPECT_EQ(c.quanta(), 10);  // 50 ms / 5 ms
 }
 
+// AddGpu calls no factory: a GPU's arbiter is built on its first
+// Attach, or on the first arbiter() call for an idle GPU, and only once.
+TEST(GpuGroup, ArbiterIsBuiltOnFirstAttach)
+{
+  sim::Simulation sim;
+  int built = 0;
+  GpuGroup group(&sim, [&built](GpuId) {
+    ++built;
+    return std::make_unique<StaticArbiter>();
+  });
+  for (int g = 0; g < 64; ++g) group.AddGpu(40.0);
+  EXPECT_EQ(built, 0);
+
+  FakeClient a(1, 0.25);
+  FakeClient b(2, 0.25);
+  group.Attach(3, MakeAttachment(&a, 0.5, 4.0, 0, /*slot=*/0));
+  group.Attach(40, MakeAttachment(&a, 0.5, 4.0, 0, /*slot=*/1));
+  group.Attach(3, MakeAttachment(&b, 0.5));
+  EXPECT_EQ(built, 2);
+  group.TickOnce();
+  EXPECT_DOUBLE_EQ(a.grant(1), 0.25);
+  // Emptied, ticked off the live list, then re-attached: same arbiter.
+  group.DetachEverywhere(1);
+  group.TickOnce();
+  group.Attach(40, MakeAttachment(&a, 0.5));
+  EXPECT_EQ(built, 2);
+
+  ShareArbiter& idle = group.arbiter(7);
+  EXPECT_EQ(built, 3);
+  EXPECT_EQ(&group.arbiter(7), &idle);
+  EXPECT_EQ(built, 3);
+}
+
 /** A StaticArbiter that counts its Resolve calls. */
 class CountingArbiter : public StaticArbiter {
  public:

@@ -5,6 +5,7 @@
 
 #include "models/cost_model.h"
 #include "models/model_catalog.h"
+#include "scaling/coldstart.h"
 
 namespace dilu::models {
 namespace {
@@ -134,8 +135,12 @@ TEST(CostModel, LlamaPipelineBubbleAround20Percent)
 
 TEST(CostModel, ColdStartScalesWithModelSize)
 {
-  const TimeUs small = ColdStartDuration(GetModel("bert-base"));
-  const TimeUs large = ColdStartDuration(GetModel("llama2-7b"));
+  using scaling::kContainerBase;
+  using scaling::kLoadGbps;
+  const TimeUs small =
+      ColdStartDuration(GetModel("bert-base"), kContainerBase, kLoadGbps);
+  const TimeUs large =
+      ColdStartDuration(GetModel("llama2-7b"), kContainerBase, kLoadGbps);
   EXPECT_GT(large, small + Sec(12));  // 12.4 GB more at 0.8 GB/s
   EXPECT_GT(small, Sec(6));           // container base alone
 }

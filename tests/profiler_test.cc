@@ -4,6 +4,7 @@
 #include "models/cost_model.h"
 #include "profiler/baseline_profilers.h"
 #include "profiler/inference_profiler.h"
+#include "profiler/profile_cache.h"
 #include "profiler/training_profiler.h"
 
 namespace dilu::profiler {
@@ -14,8 +15,7 @@ using models::GetModel;
 TEST(InferenceProfiler, RobertaStarMatchesPaperAnchor)
 {
   // Fig 4(b): the star for RoBERTa-large sits near <IBS=4, SMR=50%>.
-  InferenceProfiler prof;
-  const auto p = prof.Profile(GetModel("roberta-large"));
+  const auto p = ProfileInference(GetModel("roberta-large"));
   EXPECT_EQ(p.ibs, 4);
   EXPECT_NEAR(p.quota.request, 0.5, 0.11);
   EXPECT_NEAR(p.quota.limit, 2.0 * p.quota.request, 1e-9);
@@ -23,9 +23,8 @@ TEST(InferenceProfiler, RobertaStarMatchesPaperAnchor)
 
 TEST(InferenceProfiler, ChosenConfigMeetsSlo)
 {
-  InferenceProfiler prof;
   for (const auto& m : models::AllModels()) {
-    const auto p = prof.Profile(m);
+    const auto p = ProfileInference(m);
     EXPECT_TRUE(models::MeetsSlo(m, p.ibs, p.quota.request)) << m.name;
     EXPECT_GT(p.te, 0.0) << m.name;
   }
@@ -34,10 +33,9 @@ TEST(InferenceProfiler, ChosenConfigMeetsSlo)
 TEST(InferenceProfiler, TrialCountsInPaperBand)
 {
   // Table 2: Dilu profiles the four Fig 4 models in 6-9 trials.
-  InferenceProfiler prof;
   for (const char* name : {"resnet152", "roberta-large", "gpt2-large",
                            "llama2-7b"}) {
-    const auto p = prof.Profile(GetModel(name));
+    const auto p = ProfileInference(GetModel(name));
     EXPECT_GE(p.trials, 2) << name;
     EXPECT_LE(p.trials, 12) << name;
   }
@@ -46,8 +44,7 @@ TEST(InferenceProfiler, TrialCountsInPaperBand)
 TEST(InferenceProfiler, BeatsBaselineTrialCounts)
 {
   for (const auto& m : models::AllModels()) {
-    InferenceProfiler prof;
-    const int dilu_trials = prof.Profile(m).trials;
+    const int dilu_trials = ProfileInference(m).trials;
     EXPECT_LT(dilu_trials, ProfileTraversal(m).trials) << m.name;
     EXPECT_LT(dilu_trials, ProfileGpulet(m).trials) << m.name;
   }
@@ -55,16 +52,14 @@ TEST(InferenceProfiler, BeatsBaselineTrialCounts)
 
 TEST(InferenceProfiler, PathRecordsEveryTrial)
 {
-  InferenceProfiler prof;
-  const auto p = prof.Profile(GetModel("resnet152"));
+  const auto p = ProfileInference(GetModel("resnet152"));
   EXPECT_EQ(static_cast<int>(p.path.size()), p.trials);
 }
 
 TEST(InferenceProfiler, LimitCappedAtWholeGpu)
 {
-  InferenceProfiler prof;
   for (const auto& m : models::AllModels()) {
-    const auto p = prof.Profile(m);
+    const auto p = ProfileInference(m);
     EXPECT_LE(p.quota.limit, 1.0) << m.name;
     EXPECT_GE(p.quota.limit, p.quota.request) << m.name;
   }
@@ -72,9 +67,8 @@ TEST(InferenceProfiler, LimitCappedAtWholeGpu)
 
 TEST(TrainingProfiler, RequestBelowLimit)
 {
-  TrainingProfiler prof;
   for (const auto& m : models::AllModels()) {
-    const auto p = prof.Profile(m);
+    const auto p = ProfileTraining(m);
     EXPECT_GT(p.quota.request, 0.0) << m.name;
     EXPECT_LE(p.quota.request, p.quota.limit) << m.name;
     EXPECT_LE(p.quota.limit, 1.0) << m.name;
@@ -83,9 +77,8 @@ TEST(TrainingProfiler, RequestBelowLimit)
 
 TEST(TrainingProfiler, RequestDelivers80PercentThroughput)
 {
-  TrainingProfiler prof;
   for (const auto& m : models::AllModels()) {
-    const auto p = prof.Profile(m);
+    const auto p = ProfileTraining(m);
     const double exclusive = models::TrainingThroughput(m, 1.0, 1);
     const double at_request =
         models::TrainingThroughput(m, p.quota.request, 1);
@@ -95,11 +88,28 @@ TEST(TrainingProfiler, RequestDelivers80PercentThroughput)
 
 TEST(TrainingProfiler, TrialCountBounded)
 {
-  TrainingProfiler prof;
   for (const auto& m : models::AllModels()) {
-    const auto p = prof.Profile(m);
+    const auto p = ProfileTraining(m);
     EXPECT_LE(p.trials, 2 * (12 + 1)) << m.name;  // two binary searches
     EXPECT_GE(p.trials, 4) << m.name;
+  }
+}
+
+TEST(ProfileCache, HoldsEachProfilersOutputOnce)
+{
+  ProfileCache cache;
+  for (const auto& m : models::AllModels()) {
+    const InferenceProfile& inf = cache.Inference(m);
+    const InferenceProfile fresh = ProfileInference(m);
+    EXPECT_EQ(inf.ibs, fresh.ibs) << m.name;
+    EXPECT_EQ(inf.quota.request, fresh.quota.request) << m.name;
+    EXPECT_EQ(inf.quota.limit, fresh.quota.limit) << m.name;
+    EXPECT_EQ(inf.trials, fresh.trials) << m.name;
+    EXPECT_EQ(&cache.Inference(m), &inf) << m.name;
+    const TrainingProfile& train = cache.Training(m);
+    EXPECT_EQ(train.quota.request, ProfileTraining(m).quota.request);
+    EXPECT_EQ(train.quota.limit, ProfileTraining(m).quota.limit);
+    EXPECT_EQ(&cache.Training(m), &train) << m.name;
   }
 }
 
@@ -129,9 +139,8 @@ TEST(BaselineProfilers, InflessTrialsBetweenGpuletAndTraversal)
 TEST(BaselineProfilers, TraversalFindsAtLeastDiluQuality)
 {
   // Exhaustive search is the quality upper bound on the same grid.
-  InferenceProfiler prof;
   for (const auto& m : models::AllModels()) {
-    const auto dilu = prof.Profile(m);
+    const auto dilu = ProfileInference(m);
     const auto trav = ProfileTraversal(m);
     EXPECT_GE(trav.te, dilu.te * 0.95) << m.name;
   }

@@ -14,10 +14,11 @@ BEFORE first, even pairs AFTER first), so a host that drifts during
 the series penalises both sides alike. It prints one
 `dilu-perfbench-trajectory/1` JSON object (PERFORMANCE.md): for every
 end-to-end metric of BENCHMARK.json that varied, each run's value,
-linear-interpolated quartiles per side and the pairs AFTER won; the
-metrics every run reproduced exactly (the simulated ones, for a
-perf-only change) are listed under `identical` with their value.
-Exits 1 if any run fails or reports failed checks.
+linear-interpolated quartiles per side, the pairs AFTER won and the
+verdict of the acceptance rule (see verdict()); the metrics every run
+reproduced exactly (the simulated ones, for a perf-only change) are
+listed under `identical` with their value. Exits 1 if any run fails or
+reports failed checks.
 """
 
 import argparse
@@ -33,7 +34,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def end_to_end_metrics():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         declared = json.load(f)["end_to_end"]
-    return [(m["name"], m["better"]) for m in declared]
+    return [(m["name"], m["better"], m["bound"]) for m in declared]
 
 
 def run_once(binary, args):
@@ -59,35 +60,71 @@ def sig(x):
     return float("%.6g" % x)
 
 
-def quartiles(values):
+def quantile(values, q):
     """Linear interpolation at (n - 1) * q over the sorted values."""
     xs = sorted(values)
-    out = []
-    for q in (0.25, 0.5, 0.75):
-        pos = q * (len(xs) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(xs) - 1)
-        frac = pos - lo
-        out.append(sig(xs[lo] * (1 - frac) + xs[hi] * frac))
-    return out
+    pos = q * (len(xs) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(xs) - 1)
+    frac = pos - lo
+    return xs[lo] * (1 - frac) + xs[hi] * frac
+
+
+def quartiles(values):
+    return [sig(quantile(values, q)) for q in (0.25, 0.5, 0.75)]
+
+
+def improves(x, y, better):
+    """True if y is better than x."""
+    return y > x if better == "higher" else y < x
+
+
+def verdict(before, after, better, bound):
+    """The acceptance rule's reading of paired runs of one metric.
+
+    `bound` is the metric's relative BENCHMARK.json bound. In order:
+    - gain: AFTER wins at least 9 of 10 pairs and its median is better
+      than BEFORE's by more than BEFORE's interquartile range;
+    - worse: AFTER's median is worse than BEFORE's by more than the
+      bound (relative to BEFORE's median);
+    - unresolved: BEFORE's interquartile range is wider than the bound
+      (relative to its median), unless every AFTER run is better than
+      every BEFORE run;
+    - within_bound: anything else.
+    """
+    wins = sum(1 for x, y in zip(before, after) if improves(x, y, better))
+    med_b = quantile(before, 0.5)
+    med_a = quantile(after, 0.5)
+    iqr_b = quantile(before, 0.75) - quantile(before, 0.25)
+    if (10 * wins >= 9 * len(before) and improves(med_b, med_a, better)
+            and abs(med_a - med_b) > iqr_b):
+        return "gain"
+    scale = abs(med_b)
+    if (improves(med_a, med_b, better)
+            and abs(med_a - med_b) > bound * scale):
+        return "worse"
+    separated = all(improves(x, y, better) for x in before for y in after)
+    if iqr_b > bound * scale and not separated:
+        return "unresolved"
+    return "within_bound"
 
 
 def compare(before, after, metrics):
     result = {}
     identical = {}
-    for name, better in metrics:
+    for name, better, bound in metrics:
         b = [r[name] for r in before]
         a = [r[name] for r in after]
         if len(set(b + a)) == 1:
             identical[name] = b[0]
             continue
-        wins = sum(1 for x, y in zip(b, a)
-                   if (y > x if better == "higher" else y < x))
+        wins = sum(1 for x, y in zip(b, a) if improves(x, y, better))
         result[name] = {
             "better": better,
             "before_quartiles": quartiles(b),
             "after_quartiles": quartiles(a),
             "after_wins": "%d/%d" % (wins, len(b)),
+            "verdict": verdict(b, a, better, bound),
             "before_runs": [sig(x) for x in b],
             "after_runs": [sig(x) for x in a],
         }
