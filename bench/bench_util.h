@@ -3,9 +3,11 @@
  * Shared helpers for the benches: the report-emitting CLI, the Fig 17
  * instance mix and fleet, and the arrival-stream seed. The paper
  * figures that a spec can express are sweeps under experiments/paper/
- * (docs/EXPERIMENTS.md); the benches that remain print what a spec
- * cannot (placement-only passes, profiler surfaces, kernel traces) or
- * time the simulator itself (PERFORMANCE.md).
+ * (docs/EXPERIMENTS.md), Table 2's search counts are profiler_test
+ * assertions, and the benches that remain print what a spec cannot
+ * (Fig 17 and Fig 18(a)'s placement-only passes, Fig 2's toys, Fig 4's
+ * profiler surfaces, Fig 12's series and the kernel traces) or time the
+ * simulator itself (PERFORMANCE.md).
  */
 #ifndef DILU_BENCH_BENCH_UTIL_H_
 #define DILU_BENCH_BENCH_UTIL_H_
@@ -90,12 +92,6 @@ EmitReport(const CliOptions& opts, WriteFn&& write)
   return 0;
 }
 
-/** The Fig 17 model pools: training and non-LLM inference draw from
- *  the small-model pool, LLM inference from the LLM pool. */
-inline constexpr const char* kSmallModelPool[] = {
-    "bert-base", "roberta-large", "gpt2-large", "vgg19", "resnet152"};
-inline constexpr const char* kLlmModelPool[] = {"llama2-7b", "chatglm3-6b"};
-
 /** One instance drawn from the paper's 2:2:6 Fig 17 type mix. */
 struct MixInstance {
   scheduler::PlacementRequest request;
@@ -117,6 +113,10 @@ DrawMixInstance(Rng* rng, const std::string& quota_mode = "dilu")
   // Profiles are deterministic per model: cache them in a function-local
   // static (destroyed normally at exit — no leaked `new`).
   static profiler::ProfileCache profiles;
+  static constexpr const char* kSmallModelPool[] = {
+      "bert-base", "roberta-large", "gpt2-large", "vgg19", "resnet152"};
+  static constexpr const char* kLlmModelPool[] = {"llama2-7b",
+                                                  "chatglm3-6b"};
 
   MixInstance def;
   const double roll = rng->Uniform();
@@ -170,7 +170,7 @@ inline scheduler::ClusterState MakeFig17Cluster()
 {
   scheduler::ClusterState state;
   for (int n = 0; n < 1000; ++n) {
-    for (int g = 0; g < 4; ++g) state.AddGpu(n, 40.0);
+    for (int g = 0; g < 4; ++g) state.AddGpu(n);
   }
   return state;
 }

@@ -74,8 +74,12 @@ std::unique_ptr<scheduler::Scheduler>
 MakeScheduler(SchedulerKind kind, const ClusterConfig& config)
 {
   switch (kind) {
-    case SchedulerKind::kDilu:
-      return std::make_unique<scheduler::DiluScheduler>(config.sched);
+    case SchedulerKind::kDilu: {
+      scheduler::DiluSchedulerConfig dilu;  // the paper's gamma, 1.5
+      dilu.workload_affinity = config.workload_affinity;
+      dilu.resource_complementarity = config.resource_complementarity;
+      return std::make_unique<scheduler::DiluScheduler>(dilu);
+    }
     case SchedulerKind::kExclusive:
       return std::make_unique<scheduler::ExclusiveScheduler>();
     case SchedulerKind::kStatic:
@@ -152,7 +156,7 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
     node.id = n;
     for (int g = 0; g < config_.gpus_per_node; ++g) {
       const GpuId gpu = gpu_group_->AddGpu(kGpuMemoryGb);
-      const GpuId mirrored = state_.AddGpu(n, kGpuMemoryGb);
+      const GpuId mirrored = state_.AddGpu(n);
       DILU_CHECK(gpu == mirrored);
       node.gpus.push_back(gpu);
     }

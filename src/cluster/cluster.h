@@ -36,7 +36,7 @@
 namespace dilu::cluster {
 
 /** Memory of every GPU in the fleet (GB; the A100-40GB). */
-constexpr double kGpuMemoryGb = 40.0;
+using scheduler::kGpuMemoryGb;
 
 /** Whole-cluster configuration. */
 struct ClusterConfig {
@@ -57,7 +57,9 @@ struct ClusterConfig {
 
   /** RCKM MaxTokens per token period (the Fig 18(b) knob). */
   double max_tokens = models::kBlocksPerQuantum;
-  scheduler::DiluSchedulerConfig sched;
+  /** The Dilu scheduler's -WA / -RC ablation switches. */
+  bool workload_affinity = true;
+  bool resource_complementarity = true;
 
   /** Use warm (cached) starts for scale-out launches. */
   bool warm_starts = false;

@@ -151,11 +151,10 @@ BuildClusterConfig(const ClusterSection& c, const FabricSection& fab)
   if (c.recovery) cl.recovery = *c.recovery;
   if (c.warm_starts) cl.warm_starts = *c.warm_starts;
   if (c.resource_complementarity) {
-    cl.sched.resource_complementarity = *c.resource_complementarity;
+    cl.resource_complementarity = *c.resource_complementarity;
   }
-  if (c.workload_affinity) {
-    cl.sched.workload_affinity = *c.workload_affinity;
-  }
+  if (c.workload_affinity) cl.workload_affinity = *c.workload_affinity;
+  if (c.max_tokens) cl.max_tokens = *c.max_tokens;
   if (c.seed) cl.seed = *c.seed;
   cl.fabric.enabled = fab.enabled();
   if (fab.storage_bw) cl.fabric.storage_bw_gbps = *fab.storage_bw;
@@ -346,6 +345,8 @@ const Key<ClusterSection> kClusterKeys[] = {
      Field<&ClusterSection::resource_complementarity>(), "rc wants on|off"},
     {"wa", Type::kOnOff, Field<&ClusterSection::workload_affinity>(),
      "wa wants on|off"},
+    {"max_tokens", Type::kDouble, Field<&ClusterSection::max_tokens>(),
+     "max_tokens must be > 0", kPositive},
     {"seed", Type::kSeed, Field<&ClusterSection::seed>(),
      "seed must be a non-negative int"},
 };

@@ -55,6 +55,8 @@ struct ClusterSection {
   /** Ablations: DiluSchedulerConfig::resource_complementarity / _affinity. */
   std::optional<bool> resource_complementarity;
   std::optional<bool> workload_affinity;
+  /** RCKM MaxTokens per token period (Fig 18(b)). */
+  std::optional<double> max_tokens;
   std::optional<std::uint64_t> seed;
 };
 

@@ -11,8 +11,9 @@
  * - GPUlet: fixed coarse sampling grid (4 x 4 = 16 pre-runs) followed
  *   by interpolation.
  *
- * All return the same InferenceProfile shape as the HGS profiler so the
- * bench can compare trial counts and chosen configurations directly.
+ * All return the same InferenceProfile shape as the HGS profiler so
+ * trial counts and chosen configurations compare directly
+ * (tests/profiler_test.cc gates Table 2's counts).
  */
 #ifndef DILU_PROFILER_BASELINE_PROFILERS_H_
 #define DILU_PROFILER_BASELINE_PROFILERS_H_

@@ -8,7 +8,8 @@
  * by a fixed step (10 SM units = 0.1); infeasible points are repaired by
  * jumping the SMR directly to the (linearly extrapolated) requirement,
  * and a whole batch column is pruned when even 100% SMR cannot meet the
- * budget — the pruning that yields Table 2's 6-9 trial counts.
+ * budget — the pruning behind Table 2's trial counts (5-8 here; the
+ * paper reports 6-9).
  *
  * The star configuration's SMR becomes the `request` quota; the `limit`
  * is empirically set to twice the request (capped at 1.0).

@@ -21,7 +21,7 @@ ExclusiveScheduler::Place(const PlacementRequest& req, ClusterState& state)
           // Exclusive hands out whole devices; a degraded GPU no longer
           // has a whole device to give, so it is skipped until healed.
           return g.schedulable() && g.capacity >= 1.0
-              && req.mem_gb <= g.mem_total_gb;
+              && req.mem_gb <= kGpuMemoryGb;
         },
         result.gpus);
     if (chosen == kInvalidGpu) {
@@ -59,7 +59,7 @@ StaticQuotaScheduler::Place(const PlacementRequest& req,
       // capacity (g.capacity < 1 on degraded GPUs).
       return g.schedulable()
           && g.req_sum + req.quota.request <= capacity_ * g.capacity + 1e-9
-          && g.mem_used + req.mem_gb <= g.mem_total_gb + 1e-9;
+          && g.mem_used + req.mem_gb <= kGpuMemoryGb + 1e-9;
     };
 
     GpuId chosen = kInvalidGpu;

@@ -8,15 +8,11 @@
 namespace dilu::scheduler {
 
 GpuId
-ClusterState::AddGpu(NodeId node, double mem_gb)
+ClusterState::AddGpu(NodeId node)
 {
   GpuInfo info;
   info.id = static_cast<GpuId>(gpus_.size());
   info.node = node;
-  info.mem_total_gb = mem_gb;
-  if (!gpus_.empty() && gpus_.front().mem_total_gb != mem_gb) {
-    uniform_mem_ = false;
-  }
   gpus_.push_back(info);
   active_pos_.push_back(-1);
   idle_pos_.push_back(static_cast<std::int32_t>(idle_.size()));
@@ -318,7 +314,7 @@ ClusterState::MemoryFragmentation() const
   double frag = 0.0;
   for (GpuId id : active_) {
     const GpuInfo& g = gpus_[static_cast<std::size_t>(id)];
-    frag += std::max(0.0, g.mem_free() / g.mem_total_gb);
+    frag += std::max(0.0, g.mem_free() / kGpuMemoryGb);
   }
   return frag / static_cast<double>(active_.size());
 }

@@ -15,9 +15,10 @@
  *  - Active GPUs are additionally bucketed by committed request sum, so
  *    feasibility (req_sum <= cap) prunes whole buckets and best-fit
  *    scans only plausibly-winning candidates.
- *  - The lowest-id idle GPU is answered from a lazy min-heap; on
- *    uniform-memory clusters schedulers open new devices without
- *    touching the idle list at all.
+ *  - The lowest-id idle GPU is answered from a lazy min-heap, so
+ *    schedulers open new devices without touching the idle list
+ *    (every GPU has the same memory, so idle whole devices are
+ *    interchangeable).
  *  - `ActiveGpuCount` is O(1); fragmentation snapshots iterate active
  *    GPUs only.
  */
@@ -32,11 +33,13 @@
 
 namespace dilu::scheduler {
 
+/** Memory of every GPU in the fleet (GB; the A100-40GB). */
+constexpr double kGpuMemoryGb = 40.0;
+
 /** Resource bookkeeping for one GPU. */
 struct GpuInfo {
   GpuId id = kInvalidGpu;
   NodeId node = 0;
-  double mem_total_gb = 40.0;
   double req_sum = 0.0;   ///< committed sum of request quotas
   double lim_sum = 0.0;   ///< committed sum of limit quotas
   double mem_used = 0.0;  ///< committed memory (GB)
@@ -52,7 +55,7 @@ struct GpuInfo {
   SmRate capacity = 1.0;
 
   bool active() const { return !functions.empty(); }
-  double mem_free() const { return mem_total_gb - mem_used; }
+  double mem_free() const { return kGpuMemoryGb - mem_used; }
   /** Up and degraded devices accept new placements. */
   bool schedulable() const
   {
@@ -85,7 +88,7 @@ class ClusterState {
   }
 
   /** Register a GPU (dense ids expected, matching gpusim). */
-  GpuId AddGpu(NodeId node, double mem_gb);
+  GpuId AddGpu(NodeId node);
 
   GpuInfo& gpu(GpuId id);
   const GpuInfo& gpu(GpuId id) const;
@@ -188,9 +191,6 @@ class ClusterState {
    */
   GpuId MinIdleGpu() const;
 
-  /** True while every registered GPU has the same memory capacity. */
-  bool uniform_gpu_memory() const { return uniform_mem_; }
-
   /** Number of GPUs with at least one resident function. O(1). */
   int ActiveGpuCount() const { return static_cast<int>(active_.size()); }
 
@@ -249,7 +249,6 @@ class ClusterState {
    */
   mutable std::vector<GpuId> idle_heap_;
   mutable std::vector<char> in_idle_heap_;
-  bool uniform_mem_ = true;
   int schedulable_count_ = 0;
   int degraded_count_ = 0;
   /** Sum of capacity over schedulable GPUs (see EffectiveCapacity). */

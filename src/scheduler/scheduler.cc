@@ -27,7 +27,7 @@ struct BestFitPick {
   void Consider(GpuId id, const GpuInfo& g, double mem)
   {
     const double contrib = kAlpha * g.req_sum
-        + kBeta * ((g.mem_used + mem) / g.mem_total_gb);
+        + kBeta * ((g.mem_used + mem) / kGpuMemoryGb);
     if (contrib > best_contrib
         || (contrib == best_contrib && best != kInvalidGpu && id < best)) {
       best_contrib = contrib;
@@ -88,7 +88,7 @@ DiluScheduler::Feasible(const GpuInfo& g, const RequestContext& ctx) const
   // through the residency (affinity) index, which still lists draining
   // or failed GPUs hosting not-yet-evacuated instances.
   if (!g.schedulable()
-      || g.mem_used + ctx.mem > g.mem_total_gb + 1e-9) {
+      || g.mem_used + ctx.mem > kGpuMemoryGb + 1e-9) {
     return false;
   }
   if (g.capacity >= 1.0) {  // whole device: the common, pre-hoisted path
@@ -180,16 +180,10 @@ DiluScheduler::SelectIdle(const ClusterState& state,
                           const RequestContext& ctx,
                           const std::vector<GpuId>& exclude) const
 {
-  if (state.uniform_gpu_memory()) {
-    // All idle GPUs score identically (zero committed load, equal
-    // capacity), so the best-fit winner is simply the lowest id.
-    return LowestIdleGpu(
-        state, [&](const GpuInfo& g) { return Feasible(g, ctx); },
-        exclude);
-  }
-  // Heterogeneous capacities: scores differ per device; keep the exact
-  // best-fit semantics over the idle list.
-  return SelectOptGpu(state.idle_gpus(), ctx, state, exclude);
+  // All idle GPUs score identically (zero committed load, equal
+  // memory), so the best-fit winner is simply the lowest id.
+  return LowestIdleGpu(
+      state, [&](const GpuInfo& g) { return Feasible(g, ctx); }, exclude);
 }
 
 Placement

@@ -75,7 +75,10 @@ constexpr double kAlpha = 0.5;
 /** Memory-fragmentation weight in the placement score (beta). */
 constexpr double kBeta = 0.5;
 
-/** Algorithm 1 knobs (paper defaults; Fig 18a sweeps gamma). */
+/**
+ * Algorithm 1 knobs (paper defaults). A cluster's scheduler keeps
+ * gamma = 1.5; only a standalone DiluScheduler sets it (Fig 18(a)).
+ */
 struct DiluSchedulerConfig {
   double gamma = 1.5;   ///< max sum of limit quotas per GPU
   bool workload_affinity = true;         ///< -WA ablation switch
@@ -138,10 +141,10 @@ class DiluScheduler : public Scheduler {
                      bool worst_fit) const;
 
   /**
-   * Open a new device: lowest-id feasible idle GPU. On uniform-memory
-   * clusters idle GPUs are interchangeable, so this is O(log idle) via
-   * ClusterState::MinIdleGpu; otherwise it falls back to best-fit over
-   * the idle list (capacity differences make scores differ).
+   * Open a new device: lowest-id feasible idle GPU. Idle whole
+   * devices are interchangeable, so this is O(log idle) via
+   * ClusterState::MinIdleGpu (LowestIdleGpu's scan covers excluded
+   * and degraded minima).
    */
   GpuId SelectIdle(const ClusterState& state, const RequestContext& ctx,
                    const std::vector<GpuId>& exclude) const;

@@ -20,29 +20,28 @@ inline bool Excluded(GpuId id, const std::vector<GpuId>& exclude)
 }
 
 /**
- * Lowest-id idle GPU passing `feasible`, skipping `exclude`. Uses the
- * O(log) min-idle index when capacities are uniform (feasibility is
- * then identical across idle devices); scans the idle list otherwise.
+ * Lowest-id idle GPU passing `feasible`, skipping `exclude`. Every GPU
+ * has the same memory, so feasibility is identical across idle whole
+ * devices and the O(log) min-idle index answers; the idle list is
+ * scanned only when the minimum is excluded or degraded.
  */
 template <typename Feasible>
 GpuId LowestIdleGpu(const ClusterState& state, const Feasible& feasible,
                     const std::vector<GpuId>& exclude)
 {
-  if (state.uniform_gpu_memory()) {
-    const GpuId min_idle = state.MinIdleGpu();
-    if (min_idle == kInvalidGpu) return kInvalidGpu;
-    if (!feasible(state.gpus()[static_cast<std::size_t>(min_idle)])) {
-      // With whole devices only, idle GPUs are interchangeable and an
-      // infeasible minimum means all are infeasible. A degraded idle
-      // device breaks that symmetry (its caps are tighter), so fall
-      // through to the scan instead of giving up.
-      if (state.DegradedGpuCount() == 0) return kInvalidGpu;
-    } else if (!Excluded(min_idle, exclude)) {
-      return min_idle;
-    }
-    // A previous shard took the minimum (or the minimum is degraded):
-    // scan for the lowest-id feasible idle device.
+  const GpuId min_idle = state.MinIdleGpu();
+  if (min_idle == kInvalidGpu) return kInvalidGpu;
+  if (!feasible(state.gpus()[static_cast<std::size_t>(min_idle)])) {
+    // With whole devices only, idle GPUs are interchangeable and an
+    // infeasible minimum means all are infeasible. A degraded idle
+    // device breaks that symmetry (its caps are tighter), so fall
+    // through to the scan instead of giving up.
+    if (state.DegradedGpuCount() == 0) return kInvalidGpu;
+  } else if (!Excluded(min_idle, exclude)) {
+    return min_idle;
   }
+  // A previous shard took the minimum (or the minimum is degraded):
+  // scan for the lowest-id feasible idle device.
   GpuId best = kInvalidGpu;
   for (GpuId id : state.idle_gpus()) {
     if (Excluded(id, exclude)) continue;

@@ -37,7 +37,7 @@ InferenceSpec(const std::string& model)
 TEST(ClusterStateHealth, MinIdleGpuSkipsUnhealthyDevices)
 {
   scheduler::ClusterState cs;
-  for (int i = 0; i < 4; ++i) cs.AddGpu(0, 40.0);
+  for (int i = 0; i < 4; ++i) cs.AddGpu(0);
   EXPECT_EQ(cs.MinIdleGpu(), 0);
   cs.SetHealth(0, GpuHealth::kDown);
   EXPECT_EQ(cs.MinIdleGpu(), 1);
@@ -52,7 +52,7 @@ TEST(ClusterStateHealth, MinIdleGpuSkipsUnhealthyDevices)
 TEST(ClusterStateHealth, UnhealthyActiveGpuLeavesLoadBuckets)
 {
   scheduler::ClusterState cs;
-  for (int i = 0; i < 2; ++i) cs.AddGpu(0, 40.0);
+  for (int i = 0; i < 2; ++i) cs.AddGpu(0);
   cs.Commit(1, /*function=*/0, {{0, {0.4, 0.8}, 10.0}});
   const int bucket = scheduler::ClusterState::LoadBucketFor(0.4);
   ASSERT_EQ(cs.active_bucket(bucket).size(), 1u);
@@ -67,7 +67,7 @@ TEST(ClusterStateHealth, UnhealthyActiveGpuLeavesLoadBuckets)
 TEST(ClusterStateHealth, ReleaseOnUnhealthyGpuKeepsIndexesConsistent)
 {
   scheduler::ClusterState cs;
-  for (int i = 0; i < 2; ++i) cs.AddGpu(0, 40.0);
+  for (int i = 0; i < 2; ++i) cs.AddGpu(0);
   cs.Commit(1, 0, {{0, {0.4, 0.8}, 10.0}});
   cs.SetHealth(0, GpuHealth::kDown);
   cs.Release(1);  // going idle while down: must not rejoin the heap
@@ -79,7 +79,7 @@ TEST(ClusterStateHealth, ReleaseOnUnhealthyGpuKeepsIndexesConsistent)
 TEST(SchedulerHealth, DiluNeverPlacesOnUnhealthyGpu)
 {
   scheduler::ClusterState cs;
-  for (int i = 0; i < 4; ++i) cs.AddGpu(0, 40.0);
+  for (int i = 0; i < 4; ++i) cs.AddGpu(0);
   cs.SetHealth(0, GpuHealth::kDown);
   cs.SetHealth(1, GpuHealth::kDraining);
   scheduler::DiluScheduler sched;
@@ -102,7 +102,7 @@ TEST(SchedulerHealth, DiluNeverPlacesOnUnhealthyGpu)
 TEST(SchedulerHealth, ExclusiveAndStaticSkipUnhealthyGpus)
 {
   scheduler::ClusterState cs;
-  for (int i = 0; i < 3; ++i) cs.AddGpu(0, 40.0);
+  for (int i = 0; i < 3; ++i) cs.AddGpu(0);
   cs.SetHealth(0, GpuHealth::kDown);
   scheduler::PlacementRequest req;
   req.function = 0;

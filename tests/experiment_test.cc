@@ -211,6 +211,28 @@ TEST(ExperimentSpecText, RejectsBadLinesWithLineNumbers)
   }
 }
 
+TEST(ExperimentSpecText, MaxTokensIsAPositiveClusterKey)
+{
+  // RCKM MaxTokens (Fig 18(b)): anything but a positive number is the
+  // key row's message, and a set value reaches ClusterConfig.
+  for (const char* value : {"0", "-5", "abc"}) {
+    std::string error;
+    EXPECT_FALSE(ExperimentSpec::Parse(
+        std::string("cluster max_tokens=") + value, nullptr, &error))
+        << value;
+    EXPECT_EQ(error, "line 1: max_tokens must be > 0") << value;
+  }
+  ExperimentSpec spec;
+  std::string error;
+  ASSERT_TRUE(ExperimentSpec::Parse("cluster max_tokens=2000\n", &spec,
+                                    &error))
+      << error;
+  EXPECT_EQ(
+      experiment::BuildClusterConfig(spec.cluster(), spec.fabric())
+          .max_tokens,
+      2000.0);
+}
+
 TEST(ExperimentSpecText, ChaosTargetsAreBoundedByThePresetFleet)
 {
   // The fleet is the preset plus the cluster overrides, the same size

@@ -87,8 +87,8 @@ TEST(HashOrder, ClusterStateQueriesSurviveRehash)
   scheduler::ClusterState b;
   for (NodeId n = 0; n < 2; ++n) {
     for (int g = 0; g < 4; ++g) {
-      a.AddGpu(n, 40.0);
-      b.AddGpu(n, 40.0);
+      a.AddGpu(n);
+      b.AddGpu(n);
     }
   }
 

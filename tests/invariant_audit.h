@@ -75,7 +75,7 @@ AuditState(const scheduler::ClusterState& cs)
     EXPECT_GE(g.req_sum, -1e-9);
     EXPECT_GE(g.lim_sum, -1e-9);
     EXPECT_GE(g.mem_used, -1e-9);
-    EXPECT_LE(g.mem_used, g.mem_total_gb + 1e-6);
+    EXPECT_LE(g.mem_used, scheduler::kGpuMemoryGb + 1e-6);
     EXPECT_GE(g.lim_sum, g.req_sum - 1e-6)
         << "limit sum below request sum";
 

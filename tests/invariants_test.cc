@@ -51,7 +51,7 @@ QuotaSpec(const std::string& model, double request, double limit)
 TEST(DegradedState, StaysSchedulableWithTightenedCaps)
 {
   scheduler::ClusterState cs;
-  for (int i = 0; i < 2; ++i) cs.AddGpu(0, 40.0);
+  for (int i = 0; i < 2; ++i) cs.AddGpu(0);
   cs.SetDegraded(0, 0.5);
   AuditState(cs);
   EXPECT_EQ(cs.SchedulableGpuCount(), 2);
@@ -92,7 +92,7 @@ TEST(DegradedState, StaysSchedulableWithTightenedCaps)
 TEST(DegradedState, EscalatesToDownAndHealsWhole)
 {
   scheduler::ClusterState cs;
-  for (int i = 0; i < 2; ++i) cs.AddGpu(0, 40.0);
+  for (int i = 0; i < 2; ++i) cs.AddGpu(0);
   cs.Commit(1, 0, {{0, {0.3, 0.5}, 4.0}});
   cs.SetDegraded(0, 0.6);
   AuditState(cs);
@@ -112,7 +112,7 @@ TEST(DegradedState, EscalatesToDownAndHealsWhole)
 TEST(DegradedState, InstanceCapacityFactorIsTheSlowestShard)
 {
   scheduler::ClusterState cs;
-  for (int i = 0; i < 3; ++i) cs.AddGpu(0, 40.0);
+  for (int i = 0; i < 3; ++i) cs.AddGpu(0);
   cs.Commit(7, 0, {{0, {0.2, 0.4}, 4.0}, {1, {0.2, 0.4}, 4.0}});
   EXPECT_DOUBLE_EQ(cs.InstanceCapacityFactor(7), 1.0);
   cs.SetDegraded(1, 0.4);
@@ -427,7 +427,7 @@ TEST(InvariantStorm, RandomCommitReleaseHealthChurnKeepsIndexesSound)
   Rng rng(0xD11u);
   scheduler::ClusterState cs;
   const int kGpus = 24;
-  for (int i = 0; i < kGpus; ++i) cs.AddGpu(i / 4, 40.0);
+  for (int i = 0; i < kGpus; ++i) cs.AddGpu(i / 4);
   std::vector<InstanceId> live;
   InstanceId next = 0;
   for (int step = 0; step < 2000; ++step) {

@@ -71,8 +71,7 @@ foreach(sweep IN LISTS paper_sweeps)
 endforeach()
 
 foreach(bin bench/bench_coscaling_trace bench/bench_kernel_traces
-    bench/bench_motivation bench/bench_sensitivity
-    examples/cluster_tour examples/collocation_demo)
+    bench/bench_motivation examples/cluster_tour examples/collocation_demo)
   get_filename_component(name ${bin} NAME)
   run(stdout/${name}.txt ${BIN_DIR}/${bin})
 endforeach()

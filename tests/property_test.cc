@@ -74,7 +74,7 @@ TEST_P(SchedulerInvariantTest, CapsHoldForRandomWorkloads)
   const auto [gamma, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed));
   scheduler::ClusterState state;
-  for (int g = 0; g < 16; ++g) state.AddGpu(g / 4, 40.0);
+  for (int g = 0; g < 16; ++g) state.AddGpu(g / 4);
   scheduler::DiluSchedulerConfig cfg;
   cfg.gamma = gamma;
   scheduler::DiluScheduler sched(cfg);
@@ -95,7 +95,7 @@ TEST_P(SchedulerInvariantTest, CapsHoldForRandomWorkloads)
   for (const auto& g : state.gpus()) {
     EXPECT_LE(g.req_sum, scheduler::kOmega + 1e-9) << "gpu " << g.id;
     EXPECT_LE(g.lim_sum, cfg.gamma + 1e-9) << "gpu " << g.id;
-    EXPECT_LE(g.mem_used, g.mem_total_gb + 1e-9) << "gpu " << g.id;
+    EXPECT_LE(g.mem_used, scheduler::kGpuMemoryGb + 1e-9) << "gpu " << g.id;
   }
 }
 

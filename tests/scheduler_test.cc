@@ -1,7 +1,10 @@
 /** @file Unit tests for Algorithm 1 and the baseline schedulers. */
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "invariant_audit.h"
+#include "models/model_catalog.h"
+#include "profiler/profile_cache.h"
 #include "scheduler/baseline_schedulers.h"
 #include "scheduler/gpu_state.h"
 #include "scheduler/scheduler.h"
@@ -9,10 +12,10 @@
 namespace dilu::scheduler {
 namespace {
 
-ClusterState MakeCluster(int gpus, double mem = 40.0)
+ClusterState MakeCluster(int gpus)
 {
   ClusterState state;
-  for (int i = 0; i < gpus; ++i) state.AddGpu(i / 4, mem);
+  for (int i = 0; i < gpus; ++i) state.AddGpu(i / 4);
   return state;
 }
 
@@ -212,6 +215,67 @@ TEST(DiluScheduler, MultiShardOnDistinctGpus)
       EXPECT_NE(p.gpus[i], p.gpus[j]);
     }
   }
+}
+
+// Fig 18(a)'s shape on a seeded 2:2:6 train:LLM-inf:inf stream with
+// profiled quotas: raising gamma never opens more GPUs or leaves more
+// SM fragments, and gamma 2 already binds nothing. Every profiled
+// limit is at most kLimitFactor (2) x its request and Omega = 1 caps
+// the request sum, so the limit sum never exceeds 2.
+TEST(DiluScheduler, GammaNeverAddsGpusAndStopsBindingAtTwo)
+{
+  profiler::ProfileCache profiles;
+  const char* small[] = {"bert-base", "roberta-large", "gpt2-large",
+                         "vgg19", "resnet152"};
+  const char* llms[] = {"llama2-7b", "chatglm3-6b"};
+  constexpr int kInstances = 600;  // one GPU each suffices at any gamma
+  std::vector<PlacementRequest> stream;
+  Rng rng(42);
+  for (int i = 0; i < kInstances; ++i) {
+    PlacementRequest r;
+    r.function = static_cast<FunctionId>(rng.UniformInt(0, 59));
+    r.affinity.push_back(r.function);
+    const double roll = rng.Uniform();
+    if (roll < 0.2) {
+      const auto& m = models::GetModel(small[rng.UniformInt(0, 4)]);
+      r.type = TaskType::kTraining;
+      r.quota = profiles.Training(m).quota;
+      r.mem_gb = m.mem_gb_training;
+    } else {
+      r.large_model = roll < 0.4;
+      const auto& m = models::GetModel(r.large_model
+                                           ? llms[rng.UniformInt(0, 1)]
+                                           : small[rng.UniformInt(0, 4)]);
+      r.quota = profiles.Inference(m).quota;
+      r.mem_gb = m.mem_gb_inference;
+    }
+    stream.push_back(r);
+  }
+
+  std::vector<int> gpus;
+  std::vector<double> frag;
+  for (const double gamma : {1.0, 1.25, 1.5, 2.0, 2.5}) {
+    DiluSchedulerConfig cfg;
+    cfg.gamma = gamma;
+    DiluScheduler sched(cfg);
+    ClusterState state = MakeCluster(kInstances);
+    for (std::size_t id = 0; id < stream.size(); ++id) {
+      const PlacementRequest& r = stream[id];
+      const Placement p = sched.Place(r, state);
+      ASSERT_TRUE(p.ok) << "gamma " << gamma << " instance " << id;
+      state.Commit(static_cast<InstanceId>(id), r.function,
+                   {{p.gpus[0], r.quota, r.mem_gb}});
+    }
+    gpus.push_back(state.ActiveGpuCount());
+    frag.push_back(state.SmFragmentation());
+  }
+  for (std::size_t i = 1; i < gpus.size(); ++i) {
+    EXPECT_LE(gpus[i], gpus[i - 1]) << i;
+    EXPECT_LE(frag[i], frag[i - 1]) << i;
+  }
+  EXPECT_LT(gpus[3], gpus[0]);  // gamma does bind below 2
+  EXPECT_EQ(gpus[4], gpus[3]);
+  EXPECT_EQ(frag[4], frag[3]);
 }
 
 TEST(ExclusiveScheduler, OneGpuPerShard)

@@ -964,7 +964,7 @@ TEST(PaperSweeps, EveryClauseHoldsAndEachIsFalsifiable)
   ASSERT_GE(sweeps.size(), 6u);
   const auto paper =
       experiment::ListGallery(experiments + "/paper", ".sweep");
-  ASSERT_GE(paper.size(), 15u);
+  ASSERT_GE(paper.size(), 17u);
   sweeps.insert(sweeps.end(), paper.begin(), paper.end());
   for (const experiment::GalleryEntry& entry : sweeps) {
     SCOPED_TRACE(entry.path);
