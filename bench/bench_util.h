@@ -168,11 +168,7 @@ constexpr std::uint64_t kStreamSeed = 0x57F00D;
  *  diverge between suites. */
 inline scheduler::ClusterState MakeFig17Cluster()
 {
-  scheduler::ClusterState state;
-  for (int n = 0; n < 1000; ++n) {
-    for (int g = 0; g < 4; ++g) state.AddGpu(n);
-  }
-  return state;
+  return scheduler::ClusterState(1000, 4);
 }
 
 /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <initializer_list>
 #include <limits>
+#include <numeric>
 
 #include "baselines/arbiters.h"
 #include "common/logging.h"
@@ -118,7 +119,9 @@ PresetConfig(std::string_view name)
 
 ClusterRuntime::ClusterRuntime(ClusterConfig config)
     : config_(std::move(config)),
+      state_(config_.nodes, config_.gpus_per_node),
       gateway_(&sim_, config_.seed),
+      node_health_(static_cast<std::size_t>(config_.nodes), GpuHealth::kUp),
       rng_(config_.seed)
 {
   const auto sharing = Resolve<Sharing>(
@@ -151,17 +154,8 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
   gateway_.set_drop_hook([this](const workload::Request& r) {
     if (r.closed_loop) ScheduleClosedLoopIssue(r.function);
   });
-  for (int n = 0; n < config_.nodes; ++n) {
-    Node node;
-    node.id = n;
-    for (int g = 0; g < config_.gpus_per_node; ++g) {
-      const GpuId gpu = gpu_group_->AddGpu(kGpuMemoryGb);
-      const GpuId mirrored = state_.AddGpu(n);
-      DILU_CHECK(gpu == mirrored);
-      node.gpus.push_back(gpu);
-    }
-    nodes_.push_back(node);
-  }
+  // The device fleet mirrors state_'s, id for id.
+  gpu_group_->AddGpus(static_cast<int>(state_.gpu_count()), kGpuMemoryGb);
   gpu_group_->Start();
   // 1 Hz cluster snapshots (fragmentation / occupancy time series).
   sim_.SchedulePeriodic(Sec(1), Sec(1), [this] { SampleCluster(); });
@@ -784,18 +778,27 @@ ClusterRuntime::gpu_health(GpuId gpu) const
   return state_.health(gpu);
 }
 
-const Node&
-ClusterRuntime::node(NodeId id) const
+GpuHealth
+ClusterRuntime::node_health(NodeId id) const
 {
-  DILU_CHECK(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
-  return nodes_[static_cast<std::size_t>(id)];
+  DILU_CHECK(id >= 0 && static_cast<std::size_t>(id) < node_health_.size());
+  return node_health_[static_cast<std::size_t>(id)];
 }
 
-Node&
-ClusterRuntime::NodeAt(NodeId id)
+GpuHealth&
+ClusterRuntime::NodeHealth(NodeId id)
 {
-  DILU_CHECK(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
-  return nodes_[static_cast<std::size_t>(id)];
+  DILU_CHECK(id >= 0 && static_cast<std::size_t>(id) < node_health_.size());
+  return node_health_[static_cast<std::size_t>(id)];
+}
+
+std::vector<GpuId>
+ClusterRuntime::node_gpus(NodeId id) const
+{
+  DILU_CHECK(id >= 0 && id < config_.nodes);
+  std::vector<GpuId> gpus(static_cast<std::size_t>(config_.gpus_per_node));
+  std::iota(gpus.begin(), gpus.end(), id * config_.gpus_per_node);
+  return gpus;
 }
 
 void
@@ -1071,21 +1074,19 @@ ClusterRuntime::SetCheckpointPolicy(FunctionId fn, TimeUs every,
 int
 ClusterRuntime::FailNode(NodeId node_id)
 {
-  Node& n = NodeAt(node_id);
-  n.health = GpuHealth::kDown;
-  return FailGpus(n.gpus, "node_fail",
+  NodeHealth(node_id) = GpuHealth::kDown;
+  return FailGpus(node_gpus(node_id), "node_fail",
                   "node=" + std::to_string(node_id));
 }
 
 void
 ClusterRuntime::RecoverNode(NodeId node_id)
 {
-  Node& n = NodeAt(node_id);
-  n.health = GpuHealth::kUp;
+  NodeHealth(node_id) = GpuHealth::kUp;
   // Heal by device health, not by the node's: per-GPU faults (and
   // degradations) leave the node itself marked up.
   bool healed = false;
-  for (GpuId g : n.gpus) {
+  for (GpuId g : node_gpus(node_id)) {
     if (state_.health(g) == GpuHealth::kUp) continue;
     HealGpu(g);
     healed = true;
@@ -1099,17 +1100,17 @@ ClusterRuntime::RecoverNode(NodeId node_id)
 int
 ClusterRuntime::DrainNode(NodeId node_id)
 {
-  Node& n = NodeAt(node_id);
-  for (GpuId g : n.gpus) {
+  const std::vector<GpuId> gpus = node_gpus(node_id);
+  for (GpuId g : gpus) {
     const GpuHealth h = state_.health(g);
     if (h == GpuHealth::kUp || h == GpuHealth::kDegraded) {
       state_.SetHealth(g, GpuHealth::kDraining);
     }
   }
-  n.health = GpuHealth::kDraining;
+  NodeHealth(node_id) = GpuHealth::kDraining;
 
   int migrated = 0;
-  for (InstanceId id : ResidentInstances(n.gpus)) {
+  for (InstanceId id : ResidentInstances(gpus)) {
     const InstanceRecord* rec = LiveRecord(id);
     if (rec == nullptr) continue;
     const DeployedFunction& f = function(rec->function);
@@ -1145,10 +1146,10 @@ ClusterRuntime::DrainNode(NodeId node_id)
 void
 ClusterRuntime::UndrainNode(NodeId node_id)
 {
-  Node& n = NodeAt(node_id);
-  if (n.health != GpuHealth::kDraining) return;
-  n.health = GpuHealth::kUp;
-  for (GpuId g : n.gpus) {
+  GpuHealth& health = NodeHealth(node_id);
+  if (health != GpuHealth::kDraining) return;
+  health = GpuHealth::kUp;
+  for (GpuId g : node_gpus(node_id)) {
     // Undrain returns the device whole: a degradation that preceded
     // the drain is considered repaired by the maintenance.
     if (state_.health(g) == GpuHealth::kDraining) HealGpu(g);

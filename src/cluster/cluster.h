@@ -20,7 +20,6 @@
 
 #include "cluster/gateway.h"
 #include "cluster/metrics.h"
-#include "cluster/node.h"
 #include "core/function_spec.h"
 #include "fabric/fabric.h"
 #include "gpusim/gpu_group.h"
@@ -306,7 +305,10 @@ class ClusterRuntime {
   void UndrainNode(NodeId node);
 
   GpuHealth gpu_health(GpuId gpu) const;
-  const Node& node(NodeId id) const;
+  /** Node `id`'s last node-level action (see node_health_). */
+  GpuHealth node_health(NodeId id) const;
+  /** Node `id`'s GPUs, ascending (ids are assigned node-contiguously). */
+  std::vector<GpuId> node_gpus(NodeId id) const;
 
   /**
    * Scale factor applied to cold-start durations (chaos cold-start
@@ -414,7 +416,7 @@ class ClusterRuntime {
   /** Instances with a shard on any of `gpus`, ascending, no repeats. */
   std::vector<InstanceId> ResidentInstances(
       const std::vector<GpuId>& gpus) const;
-  Node& NodeAt(NodeId id);
+  GpuHealth& NodeHealth(NodeId id);
   /** Shared body of FailGpu / FailNode: fail a batch of devices. */
   int FailGpus(const std::vector<GpuId>& gpus, const char* kind,
                const std::string& target);
@@ -507,7 +509,15 @@ class ClusterRuntime {
   std::unique_ptr<scheduler::Scheduler> scheduler_;
   Gateway gateway_;
   MetricsHub metrics_;
-  std::vector<Node> nodes_;
+  /**
+   * Per node, the last node-level action (fail, recover, drain,
+   * undrain). A node verb applies the same transition to every device
+   * it hosts, and the authoritative per-GPU health lives in state_;
+   * this gates UndrainNode, which lifts only a drain. RecoverNode heals
+   * by per-GPU health instead, so it also repairs per-GPU faults on a
+   * node marked up.
+   */
+  std::vector<GpuHealth> node_health_;
   std::unique_ptr<fabric::FabricPlane> fabric_;
   /** Per runtime, not per process: each run pays for its own profiling,
    *  as a deployment would (PERFORMANCE.md "Set-up"). */

@@ -1,10 +1,12 @@
 #include "common/spec_text.h"
 
-#include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <system_error>
 
 namespace dilu::spec_text {
 
@@ -31,23 +33,87 @@ FormatDouble(double v)
   return buf;
 }
 
+namespace {
+
+/** The blanks `std::istream >> std::string` skips in the C locale (and
+ *  strtoll/strtod skip before a number). */
+bool
+IsBlank(char c)
+{
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+bool
+IsDigit(char c)
+{
+  return c >= '0' && c <= '9';
+}
+
+/**
+ * Where strtoll/strtod would start reading digits in [p, end): past
+ * leading blanks and a '+' sign (from_chars takes neither); null when
+ * the '+' is followed by another sign, which they reject.
+ */
+const char*
+SkipBlanksAndPlus(const char* p, const char* end)
+{
+  while (p != end && IsBlank(*p)) ++p;
+  if (p != end && *p == '+') {
+    ++p;
+    if (p != end && (*p == '+' || *p == '-')) return nullptr;
+  }
+  return p;
+}
+
+/** The whole of [p, end) as one T: a base-10 integer, or a double in
+ *  from_chars' general (plain decimal) format. */
+template <typename T>
+bool
+ReadWhole(const char* p, const char* end, T* out)
+{
+  const std::from_chars_result r = std::from_chars(p, end, *out);
+  return r.ec == std::errc() && r.ptr == end;
+}
+
+/**
+ * strtod's reading of `tok`, with stod's checks: the whole token, no
+ * range error (glibc reports overflow, underflow to zero and inexact
+ * subnormals), finite. strtod needs a terminated string: the token is
+ * copied to the stack, or to the heap past 63 characters.
+ */
+bool
+StrtodWhole(std::string_view tok, double* out)
+{
+  char small[64];
+  std::string large;
+  const char* s = small;
+  if (tok.size() < sizeof small) {
+    *std::copy(tok.begin(), tok.end(), small) = '\0';
+  } else {
+    large.assign(tok);
+    s = large.c_str();
+  }
+  char* stop = nullptr;
+  errno = 0;
+  const double v = std::strtod(s, &stop);
+  if (stop == s || errno == ERANGE) return false;
+  if (static_cast<std::size_t>(stop - s) != tok.size()) return false;
+  if (!std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
 bool
 ParseTime(std::string_view tok, TimeUs* out)
 {
   std::size_t i = 0;
-  while (i < tok.size()
-         && (std::isdigit(static_cast<unsigned char>(tok[i])) != 0)) {
-    ++i;
-  }
+  while (i < tok.size() && IsDigit(tok[i])) ++i;
   if (i == 0 || i == tok.size()) return false;
-  const std::string digits(tok.substr(0, i));
   const std::string_view suffix = tok.substr(i);
   TimeUs value = 0;
-  try {
-    value = static_cast<TimeUs>(std::stoll(digits));
-  } catch (...) {
-    return false;
-  }
+  if (!ReadWhole(tok.data(), tok.data() + i, &value)) return false;
   // Cap parsed times at kTimeCapUs (~31 years). This both rejects
   // values whose unit scaling would overflow TimeUs (a mutated
   // "99999999999999s" must be a parse error, not signed-overflow UB)
@@ -72,55 +138,49 @@ ParseTime(std::string_view tok, TimeUs* out)
 bool
 ParseInt(std::string_view tok, std::int32_t* out)
 {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(std::string(tok), &used);
-    if (used != tok.size()) return false;
-    // Out-of-range values must error, not silently truncate: a
-    // mutated "fn=4294967296" is a parse failure, not fn=0.
-    if (v < std::numeric_limits<std::int32_t>::min()
-        || v > std::numeric_limits<std::int32_t>::max()) {
-      return false;
-    }
-    *out = static_cast<std::int32_t>(v);
-  } catch (...) {
-    return false;
-  }
+  // Out-of-range values must error, not silently truncate: a mutated
+  // "fn=4294967296" is a parse failure, not fn=0.
+  const char* end = tok.data() + tok.size();
+  const char* p = SkipBlanksAndPlus(tok.data(), end);
+  std::int32_t v = 0;
+  if (p == nullptr || !ReadWhole(p, end, &v)) return false;
+  *out = v;
   return true;
 }
 
 bool
 ParseUint64(std::string_view tok, std::uint64_t* out)
 {
-  // stoull skips leading blanks and negates a '-' sign, so " -5" would
-  // wrap to 2^64 - 5: insist the token starts with a digit.
-  if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0]))) {
+  // A leading digit, so no blank, sign or "-5" wrapping to 2^64 - 5.
+  std::uint64_t v = 0;
+  if (tok.empty() || !IsDigit(tok[0])
+      || !ReadWhole(tok.data(), tok.data() + tok.size(), &v)) {
     return false;
   }
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(std::string(tok), &used);
-    if (used != tok.size()) return false;
-    *out = static_cast<std::uint64_t>(v);
-  } catch (...) {
-    return false;
-  }
+  *out = v;
   return true;
 }
 
 bool
 ParseDouble(std::string_view tok, double* out)
 {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(tok), &used);
-    // nan/inf slip past every `x <= 0.0`-style range check.
-    if (used != tok.size() || !std::isfinite(v)) return false;
+  // from_chars reads the plain decimal forms strtod reads, correctly
+  // rounded as strtod is, so a finite result above the smallest normal
+  // is strtod's. Everything else (hex, zero, values at or below the
+  // normal range's lower edge, where glibc may report underflow,
+  // out-of-range values, inf/nan, partial reads) is decided by strtod
+  // itself, so the accepted set stays strtod's exactly. nan/inf slip
+  // past every `x <= 0.0`-style range check, so both paths reject them.
+  const char* end = tok.data() + tok.size();
+  const char* p = SkipBlanksAndPlus(tok.data(), end);
+  if (p == nullptr) return false;
+  double v = 0.0;
+  if (ReadWhole(p, end, &v) && std::isfinite(v)
+      && std::fabs(v) > std::numeric_limits<double>::min()) {
     *out = v;
-  } catch (...) {
-    return false;
+    return true;
   }
-  return true;
+  return StrtodWhole(tok, out);
 }
 
 std::string_view
@@ -135,17 +195,17 @@ StripPrefix(std::string_view tok, std::string_view prefix)
 bool
 Tokens::Next(std::string_view* tok)
 {
-  // The blanks `std::istream >> std::string` skips in the C locale.
-  constexpr std::string_view kBlanks = " \t\n\v\f\r";
-  const std::size_t begin = rest_.find_first_not_of(kBlanks);
-  if (begin == std::string_view::npos) {
+  const char* p = rest_.data();
+  const char* const end = p + rest_.size();
+  while (p != end && IsBlank(*p)) ++p;
+  if (p == end) {
     rest_ = {};
     return false;
   }
-  const std::size_t end = std::min(rest_.find_first_of(kBlanks, begin),
-                                    rest_.size());
-  *tok = rest_.substr(begin, end - begin);
-  rest_ = rest_.substr(end);
+  const char* const begin = p;
+  while (p != end && !IsBlank(*p)) ++p;
+  *tok = std::string_view(begin, static_cast<std::size_t>(p - begin));
+  rest_ = std::string_view(p, static_cast<std::size_t>(end - p));
   return true;
 }
 

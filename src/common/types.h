@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace dilu {
 
@@ -127,7 +128,7 @@ inline const char* ToString(ServiceClass c) {
 }
 
 /** Parse a service-class keyword; false on unknown input. */
-inline bool ParseServiceClass(const std::string& s, ServiceClass* out) {
+inline bool ParseServiceClass(std::string_view s, ServiceClass* out) {
   if (s == "critical") {
     *out = ServiceClass::kCritical;
     return true;

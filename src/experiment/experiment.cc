@@ -166,8 +166,23 @@ SplitIntoShards(const ExperimentSpec& spec, std::uint64_t seed, int n,
     sh.chaos().set_name(spec.chaos().name());
     first_node.push_back(first_node.back() + nodes);
   }
-  for (std::size_t i = 0; i < spec.deploys().size(); ++i) {
-    shards[i % shards_n].deploys().push_back(spec.deploys()[i]);
+  // Every per-shard list is sized before it is filled: deploy i and
+  // workloads of function f go to shard i % n and f % n, chaos events
+  // to the shard owning their target (fleet-wide ones to every shard).
+  const std::vector<DeploySpec>& deploys = spec.deploys();
+  for (std::size_t s = 0; s < shards_n; ++s) {
+    shards[s].deploys().reserve((deploys.size() + shards_n - 1 - s)
+                                / shards_n);
+  }
+  for (std::size_t i = 0; i < deploys.size(); ++i) {
+    shards[i % shards_n].deploys().push_back(deploys[i]);
+  }
+  std::vector<std::size_t> per_shard(shards_n, 0);
+  for (const WorkloadSpec& w : spec.workloads()) {
+    ++per_shard[static_cast<std::size_t>(w.fn % n)];
+  }
+  for (std::size_t s = 0; s < shards_n; ++s) {
+    shards[s].workloads().reserve(per_shard[s]);
   }
   for (std::size_t i = 0; i < spec.workloads().size(); ++i) {
     WorkloadSpec w = spec.workloads()[i];
@@ -183,8 +198,14 @@ SplitIntoShards(const ExperimentSpec& spec, std::uint64_t seed, int n,
                                              first_node.end(), node)
                             - first_node.begin() - 1);
   };
-  if (owners != nullptr) owners->clear();
-  for (chaos::ScenarioEvent e : spec.chaos().Sorted()) {
+  std::vector<chaos::ScenarioEvent> events = spec.chaos().Sorted();
+  std::vector<int> local_owners;
+  std::vector<int>& owner = owners != nullptr ? *owners : local_owners;
+  owner.assign(events.size(), -1);
+  std::fill(per_shard.begin(), per_shard.end(), 0);
+  std::size_t fleet_wide = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    chaos::ScenarioEvent& e = events[i];
     int s = -1;
     switch (chaos::OperandOf(e.kind)) {
       case chaos::Operand::kFleet: break;
@@ -203,11 +224,21 @@ SplitIntoShards(const ExperimentSpec& spec, std::uint64_t seed, int n,
         e.function /= n;
         break;
     }
-    if (owners != nullptr) owners->push_back(s);
+    owner[i] = s;
     if (s >= 0) {
-      shards[static_cast<std::size_t>(s)].chaos().Add(e);
+      ++per_shard[static_cast<std::size_t>(s)];
     } else {
-      for (ExperimentSpec& sh : shards) sh.chaos().Add(e);
+      ++fleet_wide;
+    }
+  }
+  for (std::size_t s = 0; s < shards_n; ++s) {
+    shards[s].chaos().Reserve(per_shard[s] + fleet_wide);
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (owner[i] >= 0) {
+      shards[static_cast<std::size_t>(owner[i])].chaos().Add(events[i]);
+    } else {
+      for (ExperimentSpec& sh : shards) sh.chaos().Add(events[i]);
     }
   }
   return shards;

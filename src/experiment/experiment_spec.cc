@@ -221,7 +221,7 @@ void
 Load(T* field, const Value& v)
 {
   if constexpr (std::is_same_v<T, std::string>) {
-    *field = std::string(v.s);
+    field->assign(v.s);
   } else if constexpr (std::is_same_v<T, std::vector<GpuId>>) {
     *field = v.gpus;
   } else if constexpr (std::is_same_v<T, double>) {
@@ -566,12 +566,12 @@ Set(const Key<S>& k, std::string_view value, S* s, int line_no,
       v.s = value;
       break;
     case Type::kModel:
-      ok = models::HasModel(std::string(value));
+      ok = models::HasModel(value);
       v.s = value;
       break;
     case Type::kClass: {
       ServiceClass c = ServiceClass::kStandard;
-      ok = ParseServiceClass(std::string(value), &c);
+      ok = ParseServiceClass(value, &c);
       v.i = static_cast<std::int64_t>(c);
       break;
     }
@@ -811,10 +811,29 @@ bool
 ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
                       std::string* error)
 {
+  // A first pass counts the listed directives, so each list and its
+  // line numbers (kept for end-of-parse validation) grow once.
+  std::size_t deploys = 0;
+  std::size_t workloads = 0;
+  std::size_t chaos = 0;
+  spec_text::ForEachLine(text, nullptr, [&](int, Tokens& toks) {
+    std::string_view directive;
+    toks.Next(&directive);
+    deploys += directive == "deploy" ? 1 : 0;
+    workloads += directive == "workload" ? 1 : 0;
+    chaos += directive == "chaos" ? 1 : 0;
+    return true;
+  });
   ExperimentSpec spec;
-  std::vector<int> deploy_lines;  // for end-of-parse validation
+  std::vector<int> deploy_lines;
   std::vector<int> workload_lines;
   std::vector<int> chaos_lines;
+  spec.deploys_.reserve(deploys);
+  deploy_lines.reserve(deploys);
+  spec.workloads_.reserve(workloads);
+  workload_lines.reserve(workloads);
+  spec.chaos_.Reserve(chaos);
+  chaos_lines.reserve(chaos);
   const bool ok = spec_text::ForEachLine(
       text, nullptr, [&](int line_no, Tokens& toks) {
         std::string_view directive;

@@ -18,23 +18,36 @@ GpuId
 GpuGroup::AddGpu(double memory_gb)
 {
   const GpuId id = static_cast<GpuId>(gpus_.size());
-  gpus_.push_back(std::make_unique<Gpu>(id, memory_gb));
+  gpus_.emplace_back(id, memory_gb);
   arbiters_.emplace_back();
   return id;
+}
+
+GpuId
+GpuGroup::AddGpus(int count, double memory_gb)
+{
+  DILU_CHECK(count >= 0);
+  const GpuId first = static_cast<GpuId>(gpus_.size());
+  gpus_.reserve(gpus_.size() + static_cast<std::size_t>(count));
+  for (GpuId id = first; id < first + count; ++id) {
+    gpus_.emplace_back(id, memory_gb);
+  }
+  arbiters_.resize(gpus_.size());
+  return first;
 }
 
 Gpu&
 GpuGroup::gpu(GpuId id)
 {
   DILU_CHECK(id >= 0 && static_cast<std::size_t>(id) < gpus_.size());
-  return *gpus_[id];
+  return gpus_[id];
 }
 
 const Gpu&
 GpuGroup::gpu(GpuId id) const
 {
   DILU_CHECK(id >= 0 && static_cast<std::size_t>(id) < gpus_.size());
-  return *gpus_[id];
+  return gpus_[id];
 }
 
 ShareArbiter&
@@ -66,7 +79,7 @@ GpuGroup::DetachEverywhere(InstanceId instance)
   // Every GPU holding an attachment is live; the emptied ones stay
   // listed until the next quantum's phase 5.
   for (const GpuId id : live_) {
-    Gpu& g = *gpus_[id];
+    Gpu& g = gpus_[id];
     if (g.Has(instance)) {
       arbiters_[id]->OnDetach(g, instance);
       g.Detach(instance);
@@ -94,7 +107,7 @@ GpuGroup::Tick()
 {
   // Phase 1: demands.
   for (const GpuId id : live_) {
-    for (Attachment& a : gpus_[id]->attachments()) {
+    for (Attachment& a : gpus_[id].attachments()) {
       a.demand = std::clamp(a.client->ComputeDemand(a.slot), 0.0, 1.0);
       a.granted = 0.0;
     }
@@ -105,7 +118,7 @@ GpuGroup::Tick()
   // ComputeDemand may start the batch another GPU's arbiter inspects.
   const TimeUs now = sim_->now();
   for (const GpuId id : live_) {
-    Gpu& g = *gpus_[id];
+    Gpu& g = gpus_[id];
     if (!g.occupied()) continue;
     arbiters_[id]->Resolve(g, now);
     for (Attachment& a : g.attachments()) {
@@ -117,7 +130,7 @@ GpuGroup::Tick()
   // detach.
   finishing_.clear();
   for (const GpuId id : live_) {
-    for (Attachment& a : gpus_[id]->attachments()) {
+    for (Attachment& a : gpus_[id].attachments()) {
       if (!a.client->finish_queued_) {
         a.client->finish_queued_ = true;
         finishing_.push_back(a.client);
@@ -134,8 +147,8 @@ GpuGroup::Tick()
   // integral is exact without further samples.
   std::size_t kept = 0;
   for (const GpuId id : live_) {
-    gpus_[id]->RecordQuantum(now);
-    if (gpus_[id]->occupied()) live_[kept++] = id;
+    gpus_[id].RecordQuantum(now);
+    if (gpus_[id].occupied()) live_[kept++] = id;
   }
   live_.resize(kept);
 }

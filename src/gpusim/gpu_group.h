@@ -47,9 +47,17 @@ class GpuGroup {
   /**
    * Add a GPU; returns its id (dense, starting at 0). Its arbiter is
    * built on its first Attach or arbiter() call, so a fleet's set-up
-   * costs no factory call per idle GPU.
+   * costs no factory call per idle GPU. GPUs are held by value:
+   * growing the fleet invalidates every `Gpu&` taken before, so hold
+   * ids, not references, across an AddGpu or AddGpus.
    */
   GpuId AddGpu(double memory_gb);
+
+  /**
+   * Add `count` GPUs in one sized pass (a fleet's construction: no
+   * allocation per GPU); returns the first new id.
+   */
+  GpuId AddGpus(int count, double memory_gb);
 
   Gpu& gpu(GpuId id);
   const Gpu& gpu(GpuId id) const;
@@ -90,7 +98,7 @@ class GpuGroup {
   sim::Simulation* sim_;
   ArbiterFactory factory_;
   TimeUs quantum_;
-  std::vector<std::unique_ptr<Gpu>> gpus_;
+  std::vector<Gpu> gpus_;
   /** Null until the GPU's first Attach or arbiter() call. */
   std::vector<std::unique_ptr<ShareArbiter>> arbiters_;
   std::vector<GpuId> live_;             ///< sorted ascending

@@ -203,7 +203,7 @@ GetModel(const std::string& name)
 }
 
 bool
-HasModel(const std::string& name)
+HasModel(std::string_view name)
 {
   for (const ModelProfile& m : Catalog()) {
     if (m.name == name) return true;

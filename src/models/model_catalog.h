@@ -15,6 +15,7 @@
 #define DILU_MODELS_MODEL_CATALOG_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -78,7 +79,7 @@ struct ModelProfile {
 const ModelProfile& GetModel(const std::string& name);
 
 /** True iff `name` is in the catalog. */
-bool HasModel(const std::string& name);
+bool HasModel(std::string_view name);
 
 /** All catalog entries (stable order, as listed in the paper). */
 const std::vector<ModelProfile>& AllModels();

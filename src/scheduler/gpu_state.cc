@@ -7,6 +7,28 @@
 
 namespace dilu::scheduler {
 
+ClusterState::ClusterState(int nodes, int gpus_per_node)
+{
+  DILU_CHECK(nodes >= 0 && gpus_per_node >= 0);
+  const int n = nodes * gpus_per_node;
+  const auto size = static_cast<std::size_t>(n);
+  gpus_.resize(size);
+  slots_.resize(size);
+  idle_.resize(size);
+  for (GpuId id = 0; id < n; ++id) {
+    const auto u = static_cast<std::size_t>(id);
+    gpus_[u].id = id;
+    gpus_[u].node = id / gpus_per_node;
+    slots_[u].idle_pos = id;
+    slots_[u].in_idle_heap = true;
+    idle_[u] = id;
+  }
+  // Ascending ids already satisfy the min-heap order.
+  idle_heap_ = idle_;
+  schedulable_count_ = n;
+  effective_capacity_ = static_cast<double>(n);
+}
+
 GpuId
 ClusterState::AddGpu(NodeId node)
 {
@@ -14,12 +36,11 @@ ClusterState::AddGpu(NodeId node)
   info.id = static_cast<GpuId>(gpus_.size());
   info.node = node;
   gpus_.push_back(info);
-  active_pos_.push_back(-1);
-  idle_pos_.push_back(static_cast<std::int32_t>(idle_.size()));
+  Slot slot;
+  slot.idle_pos = static_cast<std::int32_t>(idle_.size());
+  slot.in_idle_heap = true;
+  slots_.push_back(slot);
   idle_.push_back(info.id);
-  bucket_pos_.push_back(-1);
-  bucket_of_.push_back(-1);
-  in_idle_heap_.push_back(1);
   idle_heap_.push_back(info.id);
   std::push_heap(idle_heap_.begin(), idle_heap_.end(),
                  std::greater<GpuId>());
@@ -47,8 +68,8 @@ ClusterState::BucketInsert(GpuId id)
 {
   const std::size_t u = static_cast<std::size_t>(id);
   const int b = LoadBucketFor(gpus_[u].req_sum);
-  bucket_of_[u] = static_cast<std::int8_t>(b);
-  bucket_pos_[u] =
+  slots_[u].bucket = static_cast<std::int8_t>(b);
+  slots_[u].bucket_pos =
       static_cast<std::int32_t>(buckets_[static_cast<std::size_t>(b)].size());
   buckets_[static_cast<std::size_t>(b)].push_back(id);
 }
@@ -56,25 +77,23 @@ ClusterState::BucketInsert(GpuId id)
 void
 ClusterState::BucketRemove(GpuId id)
 {
-  const std::size_t u = static_cast<std::size_t>(id);
-  const int b = bucket_of_[u];
-  DILU_CHECK(b >= 0);
-  std::vector<GpuId>& bucket = buckets_[static_cast<std::size_t>(b)];
-  const std::int32_t pos = bucket_pos_[u];
+  Slot& slot = slots_[static_cast<std::size_t>(id)];
+  DILU_CHECK(slot.bucket >= 0);
+  std::vector<GpuId>& bucket = buckets_[static_cast<std::size_t>(slot.bucket)];
   const GpuId moved = bucket.back();
-  bucket[static_cast<std::size_t>(pos)] = moved;
-  bucket_pos_[static_cast<std::size_t>(moved)] = pos;
+  bucket[static_cast<std::size_t>(slot.bucket_pos)] = moved;
+  slots_[static_cast<std::size_t>(moved)].bucket_pos = slot.bucket_pos;
   bucket.pop_back();
-  bucket_of_[u] = -1;
-  bucket_pos_[u] = -1;
+  slot.bucket = -1;
+  slot.bucket_pos = -1;
 }
 
 void
 ClusterState::BucketUpdate(GpuId id)
 {
   const std::size_t u = static_cast<std::size_t>(id);
-  if (bucket_of_[u] < 0) return;  // not active: nothing to re-bucket
-  if (bucket_of_[u] == LoadBucketFor(gpus_[u].req_sum)) return;
+  if (slots_[u].bucket < 0) return;  // not active: nothing to re-bucket
+  if (slots_[u].bucket == LoadBucketFor(gpus_[u].req_sum)) return;
   BucketRemove(id);
   BucketInsert(id);
 }
@@ -83,20 +102,23 @@ void
 ClusterState::SetActive(GpuId id, bool active)
 {
   std::vector<GpuId>& from = active ? idle_ : active_;
-  std::vector<std::int32_t>& from_pos = active ? idle_pos_ : active_pos_;
   std::vector<GpuId>& to = active ? active_ : idle_;
-  std::vector<std::int32_t>& to_pos = active ? active_pos_ : idle_pos_;
+  std::int32_t Slot::*const from_pos =
+      active ? &Slot::idle_pos : &Slot::active_pos;
+  std::int32_t Slot::*const to_pos =
+      active ? &Slot::active_pos : &Slot::idle_pos;
 
   const std::size_t u = static_cast<std::size_t>(id);
-  const std::int32_t pos = from_pos[u];
+  Slot& slot = slots_[u];
+  const std::int32_t pos = slot.*from_pos;
   DILU_CHECK(pos >= 0);
   const GpuId moved = from.back();
   from[static_cast<std::size_t>(pos)] = moved;
-  from_pos[static_cast<std::size_t>(moved)] = pos;
+  slots_[static_cast<std::size_t>(moved)].*from_pos = pos;
   from.pop_back();
-  from_pos[u] = -1;
+  slot.*from_pos = -1;
 
-  to_pos[u] = static_cast<std::int32_t>(to.size());
+  slot.*to_pos = static_cast<std::int32_t>(to.size());
   to.push_back(id);
 
   if (active) {
@@ -106,9 +128,9 @@ ClusterState::SetActive(GpuId id, bool active)
     // Any idle-heap entry goes stale; MinIdleGpu reclaims it lazily
     // (and it revalidates in place if the GPU goes idle again first).
   } else {
-    if (bucket_of_[u] >= 0) BucketRemove(id);
-    if (gpus_[u].schedulable() && !in_idle_heap_[u]) {
-      in_idle_heap_[u] = 1;
+    if (slot.bucket >= 0) BucketRemove(id);
+    if (gpus_[u].schedulable() && !slot.in_idle_heap) {
+      slot.in_idle_heap = true;
       idle_heap_.push_back(id);
       std::push_heap(idle_heap_.begin(), idle_heap_.end(),
                      std::greater<GpuId>());
@@ -136,17 +158,17 @@ ClusterState::SetHealth(GpuId id, GpuHealth health)
     g.capacity = 1.0;
   }
   if (g.schedulable()) effective_capacity_ += g.capacity;
-  const std::size_t u = static_cast<std::size_t>(id);
+  Slot& slot = slots_[static_cast<std::size_t>(id)];
   if (was_up && !g.schedulable()) {
     --schedulable_count_;
-    if (bucket_of_[u] >= 0) BucketRemove(id);
+    if (slot.bucket >= 0) BucketRemove(id);
     // An idle-heap entry goes stale; MinIdleGpu skips unhealthy tops.
   } else if (!was_up && g.schedulable()) {
     ++schedulable_count_;
     if (g.active()) {
-      if (bucket_of_[u] < 0) BucketInsert(id);
-    } else if (idle_pos_[u] >= 0 && !in_idle_heap_[u]) {
-      in_idle_heap_[u] = 1;
+      if (slot.bucket < 0) BucketInsert(id);
+    } else if (slot.idle_pos >= 0 && !slot.in_idle_heap) {
+      slot.in_idle_heap = true;
       idle_heap_.push_back(id);
       std::push_heap(idle_heap_.begin(), idle_heap_.end(),
                      std::greater<GpuId>());
@@ -188,14 +210,12 @@ ClusterState::MinIdleGpu() const
 {
   while (!idle_heap_.empty()) {
     const GpuId top = idle_heap_.front();
-    if (idle_pos_[static_cast<std::size_t>(top)] >= 0
-        && gpus_[static_cast<std::size_t>(top)].schedulable()) {
-      return top;
-    }
+    const std::size_t u = static_cast<std::size_t>(top);
+    if (slots_[u].idle_pos >= 0 && gpus_[u].schedulable()) return top;
     std::pop_heap(idle_heap_.begin(), idle_heap_.end(),
                   std::greater<GpuId>());
     idle_heap_.pop_back();
-    in_idle_heap_[static_cast<std::size_t>(top)] = 0;
+    slots_[u].in_idle_heap = false;
   }
   return kInvalidGpu;
 }

@@ -87,6 +87,15 @@ class ClusterState {
     return b < 0 ? 0 : (b >= kLoadBuckets ? kLoadBuckets - 1 : b);
   }
 
+  ClusterState() = default;
+
+  /**
+   * A fleet of `nodes` x `gpus_per_node` idle, up GPUs, node n holding
+   * ids [n * gpus_per_node, (n + 1) * gpus_per_node), built in one
+   * sized pass: the same state as AddGpu called in id order.
+   */
+  ClusterState(int nodes, int gpus_per_node);
+
   /** Register a GPU (dense ids expected, matching gpusim). */
   GpuId AddGpu(NodeId node);
 
@@ -232,23 +241,28 @@ class ClusterState {
   /** function -> (gpu -> resident shard count). */
   std::unordered_map<FunctionId, std::unordered_map<GpuId, int>>
       residency_;
+  /** One GPU's positions in the placement indexes. */
+  struct Slot {
+    std::int32_t active_pos = -1;  ///< in active_; -1 when idle
+    std::int32_t idle_pos = -1;    ///< in idle_; -1 when active
+    std::int32_t bucket_pos = -1;  ///< in buckets_[bucket]
+    std::int8_t bucket = -1;       ///< load bucket; -1 when not bucketed
+    bool in_idle_heap = false;     ///< has an idle_heap_ entry
+  };
+
   std::vector<GpuId> active_;
   std::vector<GpuId> idle_;
-  /** Per GPU: position in active_ / idle_ (-1 when not a member). */
-  std::vector<std::int32_t> active_pos_;
-  std::vector<std::int32_t> idle_pos_;
-  /** Load-bucket membership (active GPUs only; bucket_of_ = -1 idle). */
+  /** Load-bucket membership (active schedulable GPUs only). */
   std::array<std::vector<GpuId>, kLoadBuckets> buckets_;
-  std::vector<std::int32_t> bucket_pos_;
-  std::vector<std::int8_t> bucket_of_;
+  /** Per GPU, by id. Mutable: MinIdleGpu clears in_idle_heap on pop. */
+  mutable std::vector<Slot> slots_;
   /**
    * Lazy min-heap of idle candidates: at most one entry per GPU
-   * (in_idle_heap_ dedups pushes), stale entries skipped on pop — so
-   * the heap is bounded by the fleet size no matter how often GPUs
+   * (Slot::in_idle_heap dedups pushes), stale entries skipped on pop —
+   * so the heap is bounded by the fleet size no matter how often GPUs
    * churn between active and idle.
    */
   mutable std::vector<GpuId> idle_heap_;
-  mutable std::vector<char> in_idle_heap_;
   int schedulable_count_ = 0;
   int degraded_count_ = 0;
   /** Sum of capacity over schedulable GPUs (see EffectiveCapacity). */

@@ -323,15 +323,15 @@ TEST(FaultInjection, NodeFailureKillsEveryResidentGpu)
   const int displaced = rt.FailNode(0);
   testing::AuditFleet(rt.state(), rt);
   EXPECT_EQ(displaced, 2);
-  EXPECT_EQ(rt.node(0).health, GpuHealth::kDown);
-  for (GpuId g : rt.node(0).gpus) {
+  EXPECT_EQ(rt.node_health(0), GpuHealth::kDown);
+  for (GpuId g : rt.node_gpus(0)) {
     EXPECT_EQ(rt.gpu_health(g), GpuHealth::kDown);
   }
   // Replacements land on node 1.
   rt.RunFor(Sec(30));
   EXPECT_EQ(rt.gateway().RunningCount(a), 1);
   EXPECT_EQ(rt.gateway().RunningCount(b), 1);
-  for (GpuId g : rt.node(0).gpus) {
+  for (GpuId g : rt.node_gpus(0)) {
     EXPECT_FALSE(rt.state().gpu(g).active());
   }
   testing::AuditFleet(rt.state(), rt);
@@ -371,17 +371,17 @@ TEST(FaultInjection, DrainMigratesInstancesOffTheNode)
   const int migrated = rt.DrainNode(0);
   testing::AuditFleet(rt.state(), rt);
   EXPECT_EQ(migrated, 1);
-  EXPECT_EQ(rt.node(0).health, GpuHealth::kDraining);
+  EXPECT_EQ(rt.node_health(0), GpuHealth::kDraining);
   // The replacement pays a recovery cold start on node 1.
   EXPECT_EQ(rt.metrics().function(fn).recovery_cold_starts, 1);
-  for (GpuId g : rt.node(0).gpus) {
+  for (GpuId g : rt.node_gpus(0)) {
     EXPECT_FALSE(rt.state().gpu(g).active());
   }
   rt.RunFor(Sec(30));
   EXPECT_EQ(rt.gateway().RunningCount(fn), 1);
   // Undrain restores placement eligibility.
   rt.UndrainNode(0);
-  EXPECT_EQ(rt.node(0).health, GpuHealth::kUp);
+  EXPECT_EQ(rt.node_health(0), GpuHealth::kUp);
   EXPECT_EQ(rt.state().SchedulableGpuCount(),
             static_cast<int>(rt.state().gpu_count()));
   testing::AuditFleet(rt.state(), rt);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Steady-state allocation tests for the event core and the GPU quantum
- * engine.
+ * engine, and the set-up bar: building a fleet allocates no more for
+ * 4,096 GPUs than for four.
  *
  * The acceptance bar for the hot-path overhaul: EventQueue::ScheduleAt,
  * Cancel and RunOne perform ZERO heap allocations in steady state for
@@ -19,6 +20,7 @@
 #include <new>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "gpusim/gpu_group.h"
 #include "models/model_catalog.h"
 #include "rckm/token_manager.h"
@@ -283,3 +285,57 @@ TEST(GpuGroupAlloc, InferenceQuantaWithAttachChurnAreAllocationFree)
 
 }  // namespace
 }  // namespace dilu::gpusim
+
+namespace dilu::cluster {
+namespace {
+
+/** Heap allocations made while constructing a nodes x gpus fleet. */
+std::size_t
+ConstructionAllocations(int nodes, int gpus_per_node)
+{
+  ClusterConfig cfg;
+  cfg.nodes = nodes;
+  cfg.gpus_per_node = gpus_per_node;
+  const std::size_t before = g_allocations;
+  const ClusterRuntime rt(cfg);
+  return g_allocations - before;
+}
+
+// Fleet construction sizes each per-GPU array once: 512 x 8 GPUs cost
+// the allocations of 1 x 4, give or take a vector that the larger
+// fleet happens to grow once more.
+TEST(FleetAlloc, ConstructionAllocationsDoNotGrowWithTheFleet)
+{
+  ConstructionAllocations(1, 4);  // warm any lazily built statics
+  const std::size_t small = ConstructionAllocations(1, 4);
+  const std::size_t large = ConstructionAllocations(512, 8);
+  EXPECT_LE(large, small + 4)
+      << "a 4,096-GPU fleet allocated " << large << " times, a 4-GPU one "
+      << small;
+}
+
+// Set-up builds no arbiter: the first arbiter() call on each of the
+// 4,096 idle GPUs has to build (allocate) it.
+TEST(FleetAlloc, ConstructionBuildsNoArbiter)
+{
+  ClusterConfig cfg;
+  cfg.nodes = 512;
+  cfg.gpus_per_node = 8;
+  ClusterRuntime rt(cfg);
+  const auto gpus = static_cast<GpuId>(rt.gpus().gpu_count());
+  ASSERT_EQ(gpus, 4096);
+  std::size_t building = 0;
+  for (GpuId g = 0; g < gpus; ++g) {
+    const std::size_t before = g_allocations;
+    rt.gpus().arbiter(g);
+    building += g_allocations > before ? 1 : 0;
+  }
+  EXPECT_EQ(building, 4096u) << "set-up built some arbiters";
+  // Built now, so a second call allocates nothing.
+  const std::size_t before = g_allocations;
+  for (GpuId g = 0; g < gpus; ++g) rt.gpus().arbiter(g);
+  EXPECT_EQ(g_allocations, before);
+}
+
+}  // namespace
+}  // namespace dilu::cluster

@@ -233,6 +233,77 @@ TEST(GpuGroup, ArbiterIsBuiltOnFirstAttach)
   EXPECT_EQ(built, 3);
 }
 
+// GPUs are held by value, so AddGpu may move every Gpu. A fleet grown
+// between attaches (as a pipeline rig builds one) must behave exactly
+// like one built before its first attach: same attachments, grants and
+// utilization on every GPU.
+TEST(GpuGroup, GrowingTheFleetKeepsAttachments)
+{
+  constexpr int kGpus = 40;
+  struct Fleet {
+    sim::Simulation sim;
+    GpuGroup group{&sim, [](GpuId) {
+      return std::make_unique<StaticArbiter>();
+    }};
+    std::vector<std::unique_ptr<FakeClient>> clients;
+
+    /** Client k on GPU k (slot 0) and on GPU k / 2 (slot 1). */
+    void AttachClient(int k)
+    {
+      clients.push_back(
+          std::make_unique<FakeClient>(k, 0.1 + 0.02 * (k % 7)));
+      FakeClient* c = clients.back().get();
+      group.Attach(k, MakeAttachment(c, 0.3, 2.0, 0, /*slot=*/0));
+      group.Attach(k / 2, MakeAttachment(c, 0.2, 1.0, 0, /*slot=*/1));
+    }
+  };
+  Fleet grown;
+  Fleet built;
+  for (int g = 0; g < kGpus; ++g) built.group.AddGpu(40.0);
+  for (int k = 0; k < kGpus; ++k) {
+    ASSERT_EQ(grown.group.AddGpu(40.0), k);
+    grown.AttachClient(k);
+    built.AttachClient(k);
+  }
+  grown.group.Start();
+  built.group.Start();
+  grown.sim.RunUntil(Ms(100));
+  built.sim.RunUntil(Ms(100));
+
+  ASSERT_EQ(grown.group.gpu_count(), built.group.gpu_count());
+  EXPECT_EQ(grown.group.live_gpus(), built.group.live_gpus());
+  for (GpuId g = 0; g < kGpus; ++g) {
+    SCOPED_TRACE(::testing::Message() << "gpu " << g);
+    const Gpu& a = grown.group.gpu(g);
+    const Gpu& b = built.group.gpu(g);
+    EXPECT_EQ(a.id(), g);
+    ASSERT_EQ(a.attachments().size(), b.attachments().size());
+    for (std::size_t i = 0; i < a.attachments().size(); ++i) {
+      const Attachment& x = a.attachments()[i];
+      const Attachment& y = b.attachments()[i];
+      EXPECT_EQ(x.id, y.id);
+      EXPECT_EQ(x.slot, y.slot);
+      EXPECT_EQ(x.quota.limit, y.quota.limit);
+      EXPECT_EQ(x.memory_gb, y.memory_gb);
+      EXPECT_EQ(x.demand, y.demand);
+      EXPECT_EQ(x.granted, y.granted);
+      EXPECT_GT(x.granted, 0.0);
+    }
+    EXPECT_EQ(a.used_share(), b.used_share());
+    EXPECT_EQ(a.UtilizationIntegral(Ms(100)),
+              b.UtilizationIntegral(Ms(100)));
+    EXPECT_GT(a.UtilizationIntegral(Ms(100)), 0.0);
+  }
+  for (int k = 0; k < kGpus; ++k) {
+    const FakeClient& x = *grown.clients[static_cast<std::size_t>(k)];
+    const FakeClient& y = *built.clients[static_cast<std::size_t>(k)];
+    EXPECT_EQ(x.quanta(), 20);
+    EXPECT_EQ(x.quanta(), y.quanta());
+    EXPECT_EQ(x.grant(0), y.grant(0));
+    EXPECT_EQ(x.grant(1), y.grant(1));
+  }
+}
+
 /** A StaticArbiter that counts its Resolve calls. */
 class CountingArbiter : public StaticArbiter {
  public:

@@ -114,6 +114,44 @@ TEST(DiluScheduler, PacksOntoActiveGpuFirst)
   EXPECT_EQ(p2.gpus[0], p1.gpus[0]);
 }
 
+// The sized constructor builds, in one pass, the state AddGpu builds
+// GPU by GPU: the same devices and idle order, and the same answers
+// through a commit/release/health sequence that churns the min-idle
+// heap.
+TEST(ClusterState, SizedConstructorMatchesAddGpu)
+{
+  ClusterState sized(3, 4);
+  ClusterState added = MakeCluster(12);
+  const auto expect_same = [&] {
+    ASSERT_EQ(sized.gpu_count(), added.gpu_count());
+    for (GpuId g = 0; g < 12; ++g) {
+      EXPECT_EQ(sized.gpu(g).id, added.gpu(g).id);
+      EXPECT_EQ(sized.gpu(g).node, added.gpu(g).node);
+      EXPECT_EQ(sized.gpu(g).active(), added.gpu(g).active());
+    }
+    EXPECT_EQ(sized.idle_gpus(), added.idle_gpus());
+    EXPECT_EQ(sized.active_gpus(), added.active_gpus());
+    EXPECT_EQ(sized.MinIdleGpu(), added.MinIdleGpu());
+    EXPECT_EQ(sized.SchedulableGpuCount(), added.SchedulableGpuCount());
+    EXPECT_EQ(sized.EffectiveCapacity(), added.EffectiveCapacity());
+    testing::AuditState(sized);
+  };
+  expect_same();
+  for (ClusterState* s : {&sized, &added}) {
+    s->Commit(1, 7, {{0, {0.2, 0.4}, 4.0}, {5, {0.2, 0.4}, 4.0}});
+    s->Commit(2, 8, {{1, {0.5, 0.5}, 4.0}});
+    s->SetHealth(2, GpuHealth::kDown);
+  }
+  expect_same();
+  EXPECT_EQ(sized.MinIdleGpu(), 3);
+  for (ClusterState* s : {&sized, &added}) {
+    s->Release(1);
+    s->SetHealth(2, GpuHealth::kUp);
+  }
+  expect_same();
+  EXPECT_EQ(sized.MinIdleGpu(), 0);
+}
+
 TEST(DiluScheduler, RespectsOmegaCap)
 {
   ClusterState state = MakeCluster(2);
