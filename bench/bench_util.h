@@ -168,7 +168,7 @@ constexpr std::uint64_t kStreamSeed = 0x57F00D;
  *  diverge between suites. */
 inline scheduler::ClusterState MakeFig17Cluster()
 {
-  return scheduler::ClusterState(1000, 4);
+  return scheduler::ClusterState(1000 * 4);
 }
 
 /**

@@ -173,9 +173,6 @@ class ScenarioSpec {
     return *this;
   }
 
-  /** Room for `events` events, so Add does not regrow the list. */
-  void Reserve(std::size_t events) { events_.reserve(events); }
-
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
   const std::vector<ScenarioEvent>& events() const { return events_; }

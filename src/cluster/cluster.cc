@@ -119,7 +119,7 @@ PresetConfig(std::string_view name)
 
 ClusterRuntime::ClusterRuntime(ClusterConfig config)
     : config_(std::move(config)),
-      state_(config_.nodes, config_.gpus_per_node),
+      state_(config_.nodes * config_.gpus_per_node),
       gateway_(&sim_, config_.seed),
       node_health_(static_cast<std::size_t>(config_.nodes), GpuHealth::kUp),
       rng_(config_.seed)

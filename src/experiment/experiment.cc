@@ -166,9 +166,9 @@ SplitIntoShards(const ExperimentSpec& spec, std::uint64_t seed, int n,
     sh.chaos().set_name(spec.chaos().name());
     first_node.push_back(first_node.back() + nodes);
   }
-  // Every per-shard list is sized before it is filled: deploy i and
-  // workloads of function f go to shard i % n and f % n, chaos events
-  // to the shard owning their target (fleet-wide ones to every shard).
+  // Each shard's deploy and workload lists are sized before they are
+  // filled: deploy i goes to shard i % n, function f's workloads to
+  // shard f % n.
   const std::vector<DeploySpec>& deploys = spec.deploys();
   for (std::size_t s = 0; s < shards_n; ++s) {
     shards[s].deploys().reserve((deploys.size() + shards_n - 1 - s)
@@ -198,14 +198,8 @@ SplitIntoShards(const ExperimentSpec& spec, std::uint64_t seed, int n,
                                              first_node.end(), node)
                             - first_node.begin() - 1);
   };
-  std::vector<chaos::ScenarioEvent> events = spec.chaos().Sorted();
-  std::vector<int> local_owners;
-  std::vector<int>& owner = owners != nullptr ? *owners : local_owners;
-  owner.assign(events.size(), -1);
-  std::fill(per_shard.begin(), per_shard.end(), 0);
-  std::size_t fleet_wide = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    chaos::ScenarioEvent& e = events[i];
+  if (owners != nullptr) owners->clear();
+  for (chaos::ScenarioEvent e : spec.chaos().Sorted()) {
     int s = -1;
     switch (chaos::OperandOf(e.kind)) {
       case chaos::Operand::kFleet: break;
@@ -224,21 +218,11 @@ SplitIntoShards(const ExperimentSpec& spec, std::uint64_t seed, int n,
         e.function /= n;
         break;
     }
-    owner[i] = s;
+    if (owners != nullptr) owners->push_back(s);
     if (s >= 0) {
-      ++per_shard[static_cast<std::size_t>(s)];
+      shards[static_cast<std::size_t>(s)].chaos().Add(e);
     } else {
-      ++fleet_wide;
-    }
-  }
-  for (std::size_t s = 0; s < shards_n; ++s) {
-    shards[s].chaos().Reserve(per_shard[s] + fleet_wide);
-  }
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (owner[i] >= 0) {
-      shards[static_cast<std::size_t>(owner[i])].chaos().Add(events[i]);
-    } else {
-      for (ExperimentSpec& sh : shards) sh.chaos().Add(events[i]);
+      for (ExperimentSpec& sh : shards) sh.chaos().Add(e);
     }
   }
   return shards;

@@ -811,29 +811,10 @@ bool
 ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
                       std::string* error)
 {
-  // A first pass counts the listed directives, so each list and its
-  // line numbers (kept for end-of-parse validation) grow once.
-  std::size_t deploys = 0;
-  std::size_t workloads = 0;
-  std::size_t chaos = 0;
-  spec_text::ForEachLine(text, nullptr, [&](int, Tokens& toks) {
-    std::string_view directive;
-    toks.Next(&directive);
-    deploys += directive == "deploy" ? 1 : 0;
-    workloads += directive == "workload" ? 1 : 0;
-    chaos += directive == "chaos" ? 1 : 0;
-    return true;
-  });
   ExperimentSpec spec;
-  std::vector<int> deploy_lines;
+  std::vector<int> deploy_lines;  // for end-of-parse validation
   std::vector<int> workload_lines;
   std::vector<int> chaos_lines;
-  spec.deploys_.reserve(deploys);
-  deploy_lines.reserve(deploys);
-  spec.workloads_.reserve(workloads);
-  workload_lines.reserve(workloads);
-  spec.chaos_.Reserve(chaos);
-  chaos_lines.reserve(chaos);
   const bool ok = spec_text::ForEachLine(
       text, nullptr, [&](int line_no, Tokens& toks) {
         std::string_view directive;

@@ -7,46 +7,24 @@
 
 namespace dilu::scheduler {
 
-ClusterState::ClusterState(int nodes, int gpus_per_node)
+ClusterState::ClusterState(int gpus)
 {
-  DILU_CHECK(nodes >= 0 && gpus_per_node >= 0);
-  const int n = nodes * gpus_per_node;
-  const auto size = static_cast<std::size_t>(n);
+  DILU_CHECK(gpus >= 0);
+  const auto size = static_cast<std::size_t>(gpus);
   gpus_.resize(size);
   slots_.resize(size);
   idle_.resize(size);
-  for (GpuId id = 0; id < n; ++id) {
+  for (GpuId id = 0; id < gpus; ++id) {
     const auto u = static_cast<std::size_t>(id);
     gpus_[u].id = id;
-    gpus_[u].node = id / gpus_per_node;
     slots_[u].idle_pos = id;
     slots_[u].in_idle_heap = true;
     idle_[u] = id;
   }
   // Ascending ids already satisfy the min-heap order.
   idle_heap_ = idle_;
-  schedulable_count_ = n;
-  effective_capacity_ = static_cast<double>(n);
-}
-
-GpuId
-ClusterState::AddGpu(NodeId node)
-{
-  GpuInfo info;
-  info.id = static_cast<GpuId>(gpus_.size());
-  info.node = node;
-  gpus_.push_back(info);
-  Slot slot;
-  slot.idle_pos = static_cast<std::int32_t>(idle_.size());
-  slot.in_idle_heap = true;
-  slots_.push_back(slot);
-  idle_.push_back(info.id);
-  idle_heap_.push_back(info.id);
-  std::push_heap(idle_heap_.begin(), idle_heap_.end(),
-                 std::greater<GpuId>());
-  ++schedulable_count_;
-  effective_capacity_ += info.capacity;
-  return info.id;
+  schedulable_count_ = gpus;
+  effective_capacity_ = static_cast<double>(gpus);
 }
 
 GpuInfo&

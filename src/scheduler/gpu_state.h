@@ -39,7 +39,6 @@ constexpr double kGpuMemoryGb = 40.0;
 /** Resource bookkeeping for one GPU. */
 struct GpuInfo {
   GpuId id = kInvalidGpu;
-  NodeId node = 0;
   double req_sum = 0.0;   ///< committed sum of request quotas
   double lim_sum = 0.0;   ///< committed sum of limit quotas
   double mem_used = 0.0;  ///< committed memory (GB)
@@ -90,14 +89,10 @@ class ClusterState {
   ClusterState() = default;
 
   /**
-   * A fleet of `nodes` x `gpus_per_node` idle, up GPUs, node n holding
-   * ids [n * gpus_per_node, (n + 1) * gpus_per_node), built in one
-   * sized pass: the same state as AddGpu called in id order.
+   * A fleet of `gpus` idle, up GPUs with dense ids [0, gpus), matching
+   * gpusim, built in one sized pass.
    */
-  ClusterState(int nodes, int gpus_per_node);
-
-  /** Register a GPU (dense ids expected, matching gpusim). */
-  GpuId AddGpu(NodeId node);
+  explicit ClusterState(int gpus);
 
   GpuInfo& gpu(GpuId id);
   const GpuInfo& gpu(GpuId id) const;

@@ -36,8 +36,7 @@ InferenceSpec(const std::string& model)
 
 TEST(ClusterStateHealth, MinIdleGpuSkipsUnhealthyDevices)
 {
-  scheduler::ClusterState cs;
-  for (int i = 0; i < 4; ++i) cs.AddGpu(0);
+  scheduler::ClusterState cs(4);
   EXPECT_EQ(cs.MinIdleGpu(), 0);
   cs.SetHealth(0, GpuHealth::kDown);
   EXPECT_EQ(cs.MinIdleGpu(), 1);
@@ -51,8 +50,7 @@ TEST(ClusterStateHealth, MinIdleGpuSkipsUnhealthyDevices)
 
 TEST(ClusterStateHealth, UnhealthyActiveGpuLeavesLoadBuckets)
 {
-  scheduler::ClusterState cs;
-  for (int i = 0; i < 2; ++i) cs.AddGpu(0);
+  scheduler::ClusterState cs(2);
   cs.Commit(1, /*function=*/0, {{0, {0.4, 0.8}, 10.0}});
   const int bucket = scheduler::ClusterState::LoadBucketFor(0.4);
   ASSERT_EQ(cs.active_bucket(bucket).size(), 1u);
@@ -66,8 +64,7 @@ TEST(ClusterStateHealth, UnhealthyActiveGpuLeavesLoadBuckets)
 
 TEST(ClusterStateHealth, ReleaseOnUnhealthyGpuKeepsIndexesConsistent)
 {
-  scheduler::ClusterState cs;
-  for (int i = 0; i < 2; ++i) cs.AddGpu(0);
+  scheduler::ClusterState cs(2);
   cs.Commit(1, 0, {{0, {0.4, 0.8}, 10.0}});
   cs.SetHealth(0, GpuHealth::kDown);
   cs.Release(1);  // going idle while down: must not rejoin the heap
@@ -78,8 +75,7 @@ TEST(ClusterStateHealth, ReleaseOnUnhealthyGpuKeepsIndexesConsistent)
 
 TEST(SchedulerHealth, DiluNeverPlacesOnUnhealthyGpu)
 {
-  scheduler::ClusterState cs;
-  for (int i = 0; i < 4; ++i) cs.AddGpu(0);
+  scheduler::ClusterState cs(4);
   cs.SetHealth(0, GpuHealth::kDown);
   cs.SetHealth(1, GpuHealth::kDraining);
   scheduler::DiluScheduler sched;
@@ -101,8 +97,7 @@ TEST(SchedulerHealth, DiluNeverPlacesOnUnhealthyGpu)
 
 TEST(SchedulerHealth, ExclusiveAndStaticSkipUnhealthyGpus)
 {
-  scheduler::ClusterState cs;
-  for (int i = 0; i < 3; ++i) cs.AddGpu(0);
+  scheduler::ClusterState cs(3);
   cs.SetHealth(0, GpuHealth::kDown);
   scheduler::PlacementRequest req;
   req.function = 0;

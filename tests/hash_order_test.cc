@@ -83,14 +83,8 @@ Snapshot(const scheduler::ClusterState& state)
 
 TEST(HashOrder, ClusterStateQueriesSurviveRehash)
 {
-  scheduler::ClusterState a;
-  scheduler::ClusterState b;
-  for (NodeId n = 0; n < 2; ++n) {
-    for (int g = 0; g < 4; ++g) {
-      a.AddGpu(n);
-      b.AddGpu(n);
-    }
-  }
+  scheduler::ClusterState a(8);
+  scheduler::ClusterState b(8);
 
   // Interleaved commits/releases across functions and GPUs; after every
   // mutation B's indexes are rehashed to a different bucket count, so

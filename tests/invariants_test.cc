@@ -50,8 +50,7 @@ QuotaSpec(const std::string& model, double request, double limit)
 
 TEST(DegradedState, StaysSchedulableWithTightenedCaps)
 {
-  scheduler::ClusterState cs;
-  for (int i = 0; i < 2; ++i) cs.AddGpu(0);
+  scheduler::ClusterState cs(2);
   cs.SetDegraded(0, 0.5);
   AuditState(cs);
   EXPECT_EQ(cs.SchedulableGpuCount(), 2);
@@ -91,8 +90,7 @@ TEST(DegradedState, StaysSchedulableWithTightenedCaps)
 
 TEST(DegradedState, EscalatesToDownAndHealsWhole)
 {
-  scheduler::ClusterState cs;
-  for (int i = 0; i < 2; ++i) cs.AddGpu(0);
+  scheduler::ClusterState cs(2);
   cs.Commit(1, 0, {{0, {0.3, 0.5}, 4.0}});
   cs.SetDegraded(0, 0.6);
   AuditState(cs);
@@ -111,8 +109,7 @@ TEST(DegradedState, EscalatesToDownAndHealsWhole)
 
 TEST(DegradedState, InstanceCapacityFactorIsTheSlowestShard)
 {
-  scheduler::ClusterState cs;
-  for (int i = 0; i < 3; ++i) cs.AddGpu(0);
+  scheduler::ClusterState cs(3);
   cs.Commit(7, 0, {{0, {0.2, 0.4}, 4.0}, {1, {0.2, 0.4}, 4.0}});
   EXPECT_DOUBLE_EQ(cs.InstanceCapacityFactor(7), 1.0);
   cs.SetDegraded(1, 0.4);
@@ -425,9 +422,8 @@ TEST(JointRecovery, TtrNotWorseThanGreedyOnNodeFailureBurst)
 TEST(InvariantStorm, RandomCommitReleaseHealthChurnKeepsIndexesSound)
 {
   Rng rng(0xD11u);
-  scheduler::ClusterState cs;
   const int kGpus = 24;
-  for (int i = 0; i < kGpus; ++i) cs.AddGpu(i / 4);
+  scheduler::ClusterState cs(kGpus);
   std::vector<InstanceId> live;
   InstanceId next = 0;
   for (int step = 0; step < 2000; ++step) {

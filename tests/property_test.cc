@@ -73,8 +73,7 @@ TEST_P(SchedulerInvariantTest, CapsHoldForRandomWorkloads)
 {
   const auto [gamma, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed));
-  scheduler::ClusterState state;
-  for (int g = 0; g < 16; ++g) state.AddGpu(g / 4);
+  scheduler::ClusterState state(16);
   scheduler::DiluSchedulerConfig cfg;
   cfg.gamma = gamma;
   scheduler::DiluScheduler sched(cfg);

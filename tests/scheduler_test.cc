@@ -12,13 +12,6 @@
 namespace dilu::scheduler {
 namespace {
 
-ClusterState MakeCluster(int gpus)
-{
-  ClusterState state;
-  for (int i = 0; i < gpus; ++i) state.AddGpu(i / 4);
-  return state;
-}
-
 PlacementRequest MakeRequest(FunctionId fn, double req, double lim,
                              double mem, int gpus = 1)
 {
@@ -32,7 +25,7 @@ PlacementRequest MakeRequest(FunctionId fn, double req, double lim,
 
 TEST(ClusterState, CommitAndRelease)
 {
-  ClusterState state = MakeCluster(2);
+  ClusterState state(2);
   state.Commit(1, 7, {{0, {0.3, 0.6}, 10.0}});
   EXPECT_DOUBLE_EQ(state.gpu(0).req_sum, 0.3);
   EXPECT_DOUBLE_EQ(state.gpu(0).lim_sum, 0.6);
@@ -45,7 +38,7 @@ TEST(ClusterState, CommitAndRelease)
 
 TEST(ClusterState, FragmentationMetrics)
 {
-  ClusterState state = MakeCluster(2);
+  ClusterState state(2);
   state.Commit(1, 7, {{0, {0.4, 0.8}, 10.0}});
   // Only GPU 0 active: SM frag = 0.6, mem frag = 30/40.
   EXPECT_NEAR(state.SmFragmentation(), 0.6, 1e-9);
@@ -54,7 +47,7 @@ TEST(ClusterState, FragmentationMetrics)
 
 TEST(ClusterState, ResidencyIndexTracksCommitAndRelease)
 {
-  ClusterState state = MakeCluster(4);
+  ClusterState state(4);
   // fn 7: instance 1 on GPU 0, instance 2 spanning GPUs 1+2.
   state.Commit(1, 7, {{0, {0.2, 0.4}, 4.0}});
   state.Commit(2, 7, {{1, {0.1, 0.2}, 4.0}, {2, {0.1, 0.2}, 4.0}});
@@ -72,7 +65,7 @@ TEST(ClusterState, ResidencyIndexTracksCommitAndRelease)
 
 TEST(ClusterState, ResidencyIndexCountsPerGpuInstances)
 {
-  ClusterState state = MakeCluster(2);
+  ClusterState state(2);
   // Two instances of the same function on the same GPU: releasing one
   // must keep the GPU listed until the second leaves too.
   state.Commit(1, 7, {{0, {0.2, 0.4}, 4.0}});
@@ -86,7 +79,7 @@ TEST(ClusterState, ResidencyIndexCountsPerGpuInstances)
 
 TEST(ClusterState, ActiveIdleListsAndMinIdleStayConsistent)
 {
-  ClusterState state = MakeCluster(6);
+  ClusterState state(6);
   EXPECT_EQ(state.MinIdleGpu(), 0);
   state.Commit(1, 7, {{0, {0.2, 0.4}, 4.0}});
   state.Commit(2, 8, {{3, {0.2, 0.4}, 4.0}});
@@ -103,7 +96,7 @@ TEST(ClusterState, ActiveIdleListsAndMinIdleStayConsistent)
 
 TEST(DiluScheduler, PacksOntoActiveGpuFirst)
 {
-  ClusterState state = MakeCluster(4);
+  ClusterState state(4);
   DiluScheduler sched;
   auto p1 = sched.Place(MakeRequest(1, 0.4, 0.8, 10.0), state);
   ASSERT_TRUE(p1.ok);
@@ -114,47 +107,9 @@ TEST(DiluScheduler, PacksOntoActiveGpuFirst)
   EXPECT_EQ(p2.gpus[0], p1.gpus[0]);
 }
 
-// The sized constructor builds, in one pass, the state AddGpu builds
-// GPU by GPU: the same devices and idle order, and the same answers
-// through a commit/release/health sequence that churns the min-idle
-// heap.
-TEST(ClusterState, SizedConstructorMatchesAddGpu)
-{
-  ClusterState sized(3, 4);
-  ClusterState added = MakeCluster(12);
-  const auto expect_same = [&] {
-    ASSERT_EQ(sized.gpu_count(), added.gpu_count());
-    for (GpuId g = 0; g < 12; ++g) {
-      EXPECT_EQ(sized.gpu(g).id, added.gpu(g).id);
-      EXPECT_EQ(sized.gpu(g).node, added.gpu(g).node);
-      EXPECT_EQ(sized.gpu(g).active(), added.gpu(g).active());
-    }
-    EXPECT_EQ(sized.idle_gpus(), added.idle_gpus());
-    EXPECT_EQ(sized.active_gpus(), added.active_gpus());
-    EXPECT_EQ(sized.MinIdleGpu(), added.MinIdleGpu());
-    EXPECT_EQ(sized.SchedulableGpuCount(), added.SchedulableGpuCount());
-    EXPECT_EQ(sized.EffectiveCapacity(), added.EffectiveCapacity());
-    testing::AuditState(sized);
-  };
-  expect_same();
-  for (ClusterState* s : {&sized, &added}) {
-    s->Commit(1, 7, {{0, {0.2, 0.4}, 4.0}, {5, {0.2, 0.4}, 4.0}});
-    s->Commit(2, 8, {{1, {0.5, 0.5}, 4.0}});
-    s->SetHealth(2, GpuHealth::kDown);
-  }
-  expect_same();
-  EXPECT_EQ(sized.MinIdleGpu(), 3);
-  for (ClusterState* s : {&sized, &added}) {
-    s->Release(1);
-    s->SetHealth(2, GpuHealth::kUp);
-  }
-  expect_same();
-  EXPECT_EQ(sized.MinIdleGpu(), 0);
-}
-
 TEST(DiluScheduler, RespectsOmegaCap)
 {
-  ClusterState state = MakeCluster(2);
+  ClusterState state(2);
   DiluScheduler sched;  // omega = 1.0
   state.Commit(100, 1, {{0, {0.7, 0.9}, 10.0}});
   // request 0.4 would push req_sum to 1.1 > omega: must pick GPU 1.
@@ -165,7 +120,7 @@ TEST(DiluScheduler, RespectsOmegaCap)
 
 TEST(DiluScheduler, RespectsGammaCap)
 {
-  ClusterState state = MakeCluster(2);
+  ClusterState state(2);
   DiluSchedulerConfig cfg;
   cfg.gamma = 1.5;
   DiluScheduler sched(cfg);
@@ -178,7 +133,7 @@ TEST(DiluScheduler, RespectsGammaCap)
 
 TEST(DiluScheduler, RespectsMemoryCapacity)
 {
-  ClusterState state = MakeCluster(2);
+  ClusterState state(2);
   DiluScheduler sched;
   state.Commit(100, 1, {{0, {0.2, 0.4}, 30.0}});
   auto p = sched.Place(MakeRequest(2, 0.2, 0.4, 16.0), state);
@@ -188,7 +143,7 @@ TEST(DiluScheduler, RespectsMemoryCapacity)
 
 TEST(DiluScheduler, WorkloadAffinityPreferred)
 {
-  ClusterState state = MakeCluster(3);
+  ClusterState state(3);
   DiluScheduler sched;
   // Function 1 resident on GPU 1 (more loaded); function 9 on GPU 0.
   state.Commit(100, 9, {{0, {0.2, 0.4}, 8.0}});
@@ -202,7 +157,7 @@ TEST(DiluScheduler, WorkloadAffinityPreferred)
 
 TEST(DiluScheduler, DisableAffinityFallsBackToBestFit)
 {
-  ClusterState state = MakeCluster(3);
+  ClusterState state(3);
   DiluSchedulerConfig cfg;
   cfg.workload_affinity = false;
   DiluScheduler sched(cfg);
@@ -218,7 +173,7 @@ TEST(DiluScheduler, DisableAffinityFallsBackToBestFit)
 
 TEST(DiluScheduler, LargeModelUsesWorstFitAcrossGpus)
 {
-  ClusterState state = MakeCluster(4);
+  ClusterState state(4);
   DiluScheduler sched;
   state.Commit(100, 1, {{0, {0.3, 0.5}, 30.0}});  // little memory left
   state.Commit(101, 2, {{1, {0.3, 0.5}, 5.0}});   // lots of memory left
@@ -234,7 +189,7 @@ TEST(DiluScheduler, LargeModelUsesWorstFitAcrossGpus)
 
 TEST(DiluScheduler, FailsWhenClusterFull)
 {
-  ClusterState state = MakeCluster(1);
+  ClusterState state(1);
   DiluScheduler sched;
   state.Commit(100, 1, {{0, {0.9, 1.0}, 38.0}});
   auto p = sched.Place(MakeRequest(2, 0.5, 0.8, 8.0), state);
@@ -243,7 +198,7 @@ TEST(DiluScheduler, FailsWhenClusterFull)
 
 TEST(DiluScheduler, MultiShardOnDistinctGpus)
 {
-  ClusterState state = MakeCluster(4);
+  ClusterState state(4);
   DiluScheduler sched;
   auto p = sched.Place(MakeRequest(1, 0.1, 0.2, 4.0, /*gpus=*/4), state);
   ASSERT_TRUE(p.ok);
@@ -296,7 +251,7 @@ TEST(DiluScheduler, GammaNeverAddsGpusAndStopsBindingAtTwo)
     DiluSchedulerConfig cfg;
     cfg.gamma = gamma;
     DiluScheduler sched(cfg);
-    ClusterState state = MakeCluster(kInstances);
+    ClusterState state(kInstances);
     for (std::size_t id = 0; id < stream.size(); ++id) {
       const PlacementRequest& r = stream[id];
       const Placement p = sched.Place(r, state);
@@ -318,7 +273,7 @@ TEST(DiluScheduler, GammaNeverAddsGpusAndStopsBindingAtTwo)
 
 TEST(ExclusiveScheduler, OneGpuPerShard)
 {
-  ClusterState state = MakeCluster(3);
+  ClusterState state(3);
   ExclusiveScheduler sched;
   auto p1 = sched.Place(MakeRequest(1, 1.0, 1.0, 8.0), state);
   ASSERT_TRUE(p1.ok);
@@ -330,7 +285,7 @@ TEST(ExclusiveScheduler, OneGpuPerShard)
 
 TEST(ExclusiveScheduler, FailsWithoutIdleGpu)
 {
-  ClusterState state = MakeCluster(1);
+  ClusterState state(1);
   ExclusiveScheduler sched;
   state.Commit(100, 1, {{0, {1.0, 1.0}, 8.0}});
   auto p = sched.Place(MakeRequest(2, 1.0, 1.0, 8.0), state);
@@ -339,7 +294,7 @@ TEST(ExclusiveScheduler, FailsWithoutIdleGpu)
 
 TEST(ExclusiveScheduler, SkipsDegradedDevices)
 {
-  ClusterState state = MakeCluster(2);
+  ClusterState state(2);
   state.SetDegraded(0, 0.9);
   ExclusiveScheduler sched;
   // Exclusive hands out whole devices; a 90%-device is not whole.
@@ -351,7 +306,7 @@ TEST(ExclusiveScheduler, SkipsDegradedDevices)
 
 TEST(StaticQuotaScheduler, DegradedCapacityScalesTheBudget)
 {
-  ClusterState state = MakeCluster(2);
+  ClusterState state(2);
   state.SetDegraded(0, 0.5);
   StaticQuotaScheduler sched("static-test", 1.0);
   // 0.4 fits the half-device budget (1.0 * 0.5)...
@@ -368,7 +323,7 @@ TEST(StaticQuotaScheduler, DegradedCapacityScalesTheBudget)
 
 TEST(StaticQuotaScheduler, PacksWithinCapacity)
 {
-  ClusterState state = MakeCluster(2);
+  ClusterState state(2);
   StaticQuotaScheduler sched("static-test", 1.0);
   state.Commit(100, 1, {{0, {0.6, 0.6}, 10.0}});
   auto p1 = sched.Place(MakeRequest(2, 0.4, 0.4, 8.0), state);

@@ -3,8 +3,7 @@
 
 Usage:
 
-    python3 tools/prof/report.py dilu_sampler.<pid>.txt [--frames N]
-        [--top K]
+    python3 tools/prof/report.py dilu_sampler.<pid>.txt
 
 Each sample is a list of PCs, innermost first. A PC is charged to the
 symbol that encloses it (`nm -n -C` over the mapped file; a return
@@ -14,10 +13,11 @@ libm) is charged to the file by name: `nm -D` lists only exported
 symbols, so it would name an exported neighbour for glibc's internal
 malloc. Inlined code counts to its caller.
 
-The report prints two tables: `self`, the share of samples whose
-innermost PC lies in the symbol, and `within N`, the share of samples
-with the symbol anywhere in their N innermost frames (counted once per
-sample). Exit status 1 when the file holds no samples.
+The report prints the TOP (25) largest shares in two tables: `self`,
+the share of samples whose innermost PC lies in the symbol, and
+`within FRAMES (8) frames`, the share of samples with the symbol
+anywhere in their FRAMES innermost frames (counted once per sample).
+Exit status 1 when the file holds no samples.
 """
 
 import argparse
@@ -25,6 +25,9 @@ import bisect
 import os
 import subprocess
 import sys
+
+FRAMES = 8  # stack depth of the `within` table
+TOP = 25  # rows per table
 
 
 def load(path):
@@ -90,10 +93,6 @@ class Symbols:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("profile")
-    ap.add_argument("--frames", type=int, default=8,
-                    help="stack depth of the `within` table (default 8)")
-    ap.add_argument("--top", type=int, default=25,
-                    help="rows per table (default 25)")
     args = ap.parse_args()
 
     maps, samples = load(args.profile)
@@ -126,16 +125,16 @@ def main():
     for pcs in samples:
         frames = [name_of(pc, i > 0) for i, pc in enumerate(pcs)]
         self_count[frames[0]] = self_count.get(frames[0], 0) + 1
-        for name in set(frames[:args.frames]):
+        for name in set(frames[:FRAMES]):
             within_count[name] = within_count.get(name, 0) + 1
 
     total = len(samples)
     print(f"# {total} samples from {args.profile}")
     for title, counts in (("self", self_count),
-                          (f"within {args.frames} frames", within_count)):
+                          (f"within {FRAMES} frames", within_count)):
         print(f"\n{title:>24}  symbol")
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        for name, n in ranked[:args.top]:
+        for name, n in ranked[:TOP]:
             shown = name if len(name) <= 110 else name[:107] + "..."
             print(f"{100.0 * n / total:23.1f}%  {shown}")
     return 0
