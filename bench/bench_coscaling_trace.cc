@@ -14,6 +14,8 @@
 
 #include "bench_util.h"
 #include "cluster/trace_export.h"
+#include "experiment/experiment.h"
+#include "workload/azure_traces.h"
 
 int
 main()

@@ -15,7 +15,10 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "cluster/cluster.h"
+#include "common/random.h"
 #include "runtime/inference_instance.h"
+#include "workload/arrival.h"
 
 namespace {
 

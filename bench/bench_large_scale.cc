@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/random.h"
+#include "profiler/profile_cache.h"
 #include "scheduler/baseline_schedulers.h"
 #include "scheduler/scheduler.h"
 
@@ -45,6 +45,70 @@ std::string QuotaModeFor(const std::string& kind)
   return "dilu";
 }
 
+/** One instance drawn from the paper's 2:2:6 Fig 17 type mix. */
+struct MixInstance {
+  scheduler::PlacementRequest request;
+  int shards = 1;
+};
+
+/**
+ * Draw an instance from the 2:2:6 train:LLM-inf:inf mix. Training and
+ * non-LLM inference draw from the same small-model pool. `quota_mode`
+ * mirrors ClusterConfig::quota_mode: "dilu" keeps <request, limit> as
+ * profiled, "limit" pins the request to the limit, "full" pins both
+ * to 1.0.
+ */
+MixInstance
+DrawMixInstance(Rng* rng, const std::string& quota_mode)
+{
+  // Profiles are deterministic per model: cache them in a function-local
+  // static (destroyed normally at exit — no leaked `new`).
+  static profiler::ProfileCache profiles;
+  static constexpr const char* kSmallModelPool[] = {
+      "bert-base", "roberta-large", "gpt2-large", "vgg19", "resnet152"};
+  static constexpr const char* kLlmModelPool[] = {"llama2-7b",
+                                                  "chatglm3-6b"};
+
+  MixInstance def;
+  const double roll = rng->Uniform();
+  std::string model;
+  if (roll < 0.2) {
+    // Training worker.
+    model = kSmallModelPool[rng->UniformInt(0, 4)];
+    const auto& m = models::GetModel(model);
+    def.request.type = TaskType::kTraining;
+    def.request.quota = profiles.Training(m).quota;
+    def.request.mem_gb = m.mem_gb_training;
+  } else {
+    const bool llm = roll < 0.4;
+    model = llm ? kLlmModelPool[rng->UniformInt(0, 1)]
+                : kSmallModelPool[rng->UniformInt(0, 4)];
+    const auto& m = models::GetModel(model);
+    def.request.type = TaskType::kInference;
+    def.request.quota = profiles.Inference(m).quota;
+    def.request.mem_gb = m.mem_gb_inference;
+    def.request.large_model = llm;
+    if (llm && rng->Uniform() < 0.5) {
+      def.shards = 2;  // half the LLM instances span two fragments
+      def.request.quota.request /= 2;
+      def.request.quota.limit /= 2;
+      def.request.mem_gb /= 2;
+    }
+  }
+  def.request.gpus_needed = def.shards;
+  def.request.function = static_cast<FunctionId>(rng->UniformInt(0, 199));
+  def.request.affinity = {def.request.function};
+  if (quota_mode == "limit") {
+    def.request.quota.request = def.request.quota.limit;
+  } else if (quota_mode == "full") {
+    def.request.quota = {1.0, 1.0};
+  }
+  return def;
+}
+
+/** The Fig 17 fleet: 1,000 nodes x 4 GPUs x 40 GB. */
+constexpr int kFig17Gpus = 1000 * 4;
+
 /**
  * Place Fig 17's 3,200-instance stream (Rng(42), the same for every
  * system) with `sched`; when `label` is set, print a row every 800
@@ -55,11 +119,11 @@ PlaceStream(scheduler::Scheduler* sched, const std::string& quota_mode,
             const char* label)
 {
   Rng rng(42);
-  scheduler::ClusterState state = bench::MakeFig17Cluster();
+  scheduler::ClusterState state(kFig17Gpus);
   int placed = 0;
   int failed = 0;
   for (InstanceId id = 0; id < 3200; ++id) {
-    bench::MixInstance def = bench::DrawMixInstance(&rng, quota_mode);
+    MixInstance def = DrawMixInstance(&rng, quota_mode);
     const auto placement = sched->Place(def.request, state);
     if (!placement.ok) {
       ++failed;
@@ -144,19 +208,21 @@ main()
   };
   Churn churn[3];
   for (int s = 0; s < 3; ++s) {
-    churn[s].state = bench::MakeFig17Cluster();
+    churn[s].state = scheduler::ClusterState(kFig17Gpus);
     churn[s].sched = MakeSched(systems[s]);
   }
   for (int step = 0; step <= 20; ++step) {
     std::printf("%8d", step);
     for (int s = 0; s < 3; ++s) {
       Churn& c = churn[s];
-      // Ramp up for 10 steps, then churn (arrivals ~ departures).
-      const int arrivals = bench::Fig17ChurnArrivals(step);
-      const int departures = bench::Fig17ChurnDepartures(step);
+      // Ramp up for 10 steps of net growth, then churn: arrivals ~
+      // departures with a 3-step sawtooth.
+      const int arrivals = step < 10 ? 200 : 120;
+      const int departures =
+          step < 10 ? 40 : 120 + (step % 3 == 0 ? 30 : -10);
       for (int a = 0; a < arrivals; ++a) {
-        bench::MixInstance def =
-            bench::DrawMixInstance(&c.rng, QuotaModeFor(systems[s]));
+        MixInstance def =
+            DrawMixInstance(&c.rng, QuotaModeFor(systems[s]));
         const auto placement = c.sched->Place(def.request, c.state);
         if (!placement.ok) continue;
         std::vector<scheduler::ShardCommit> commits;

@@ -13,7 +13,9 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiment/experiment.h"
 #include "models/cost_model.h"
+#include "workload/azure_traces.h"
 
 namespace {
 
@@ -52,9 +54,8 @@ void ObservationCommIdling()
     const double comm = static_cast<double>(models::TrainingCommPhase(m));
     const double comp =
         static_cast<double>(models::TrainingComputePhase(m, 1.0));
-    std::printf("  %-12s %d-worker: %.0f%% of each iteration is "
+    std::printf("  %-12s 4-worker: %.0f%% of each iteration is "
                 "comm/bubble (GPU idle)\n", model,
-                std::string(model) == "gpt2-large" ? 4 : 4,
                 comm / (comm + comp) * 100);
   }
   std::printf("\n");

@@ -307,14 +307,6 @@ FormatEventLine(const ScenarioEvent& e)
   return out;
 }
 
-std::string
-ScenarioSpec::ToText() const
-{
-  std::string out = "scenario " + (name_.empty() ? "unnamed" : name_) + "\n";
-  for (const ScenarioEvent& e : events_) out += FormatEventLine(e) + "\n";
-  return out;
-}
-
 bool
 ScenarioSpec::ParseEventLine(std::string_view line, int line_no,
                              ScenarioSpec* spec, std::string* error)
@@ -392,27 +384,6 @@ ScenarioSpec::ParseEventLine(std::string_view line, int line_no,
   }
   if (!spec_text::AtEnd(toks, line_no, error)) return false;
   spec->Add(e);
-  return true;
-}
-
-bool
-ScenarioSpec::Parse(const std::string& text, ScenarioSpec* out,
-                    std::string* error)
-{
-  ScenarioSpec spec;
-  const bool ok = spec_text::ForEachLine(
-      text, nullptr, [&](int line_no, spec_text::Tokens& toks) {
-        const std::string_view line = toks.rest();
-        std::string_view first;
-        toks.Next(&first);
-        if (first != "scenario") {
-          return ParseEventLine(line, line_no, &spec, error);
-        }
-        return spec_text::OneWord(toks, line_no, "scenario needs a name",
-                                  &spec.name_, error);
-      });
-  if (!ok) return false;
-  if (out != nullptr) *out = std::move(spec);
   return true;
 }
 

@@ -3,10 +3,11 @@
  * Declarative chaos scenarios: what goes wrong, and when.
  *
  * A ScenarioSpec is an ordered list of timed fault / recovery / load
- * events built either through the fluent builder API or parsed from the
- * scenario text format (one event per line — see Parse). The spec is
- * pure data: arming it against a running cluster is the ChaosEngine's
- * job, which keeps scenarios serializable, diffable and replayable.
+ * events built either through the fluent builder API or parsed one
+ * event line at a time (ParseEventLine; an experiment spec carries them
+ * as `chaos` lines). The spec is pure data: arming it against a
+ * running cluster is the ChaosEngine's job, which keeps scenarios
+ * serializable, diffable and replayable.
  *
  * Determinism: a spec carries no randomness. Every stochastic element
  * of a chaos run (surge arrival gaps) draws from Rngs seeded from the
@@ -113,12 +114,9 @@ struct ScenarioEvent {
 /** Canonical text for one event ("at 10s fail_node 1", no newline). */
 std::string FormatEventLine(const ScenarioEvent& e);
 
-/** A named, ordered chaos scenario. */
+/** An ordered chaos scenario. */
 class ScenarioSpec {
  public:
-  ScenarioSpec() = default;
-  explicit ScenarioSpec(std::string name) : name_(std::move(name)) {}
-
   // --- builder API (chainable) ----------------------------------------
   ScenarioSpec& FailGpu(TimeUs at, GpuId gpu);
   ScenarioSpec& RecoverGpu(TimeUs at, GpuId gpu);
@@ -173,8 +171,6 @@ class ScenarioSpec {
     return *this;
   }
 
-  const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
   const std::vector<ScenarioEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
 
@@ -185,43 +181,23 @@ class ScenarioSpec {
   std::vector<ScenarioEvent> Sorted() const;
 
   /**
-   * Serialize to the scenario text format:
+   * Parse one comment-stripped event line and append it to `*spec`:
    *
-   *   # comments (whole-line or trailing) and blank lines are skipped
-   *   scenario <name>
-   *   at 10s fail_node 1        # node zero dies
+   *   at 10s fail_node 1
    *   at 12s surge fn=0 rps=80 for 20s
-   *   at 15s degrade_gpu 3 x0.6
-   *   at 20s straggle 5 x2.5
    *   at 0s checkpoint_every fn=1 every=30s save=500ms
-   *   at 30s inflate_coldstart x2.5 for 60s
-   *   at 40s recover_node 1
    *
-   * Times take a us / ms / s suffix. ToText/Parse round-trip.
-   */
-  std::string ToText() const;
-
-  /**
-   * Parse the text format. On failure returns false and leaves a
-   * line-numbered message in `*error` (when non-null); `*out` is only
-   * written on success.
-   */
-  static bool Parse(const std::string& text, ScenarioSpec* out,
-                    std::string* error);
-
-  /**
-   * Parse one comment-stripped event line ("at 10s fail_node 1") and
-   * append it to `*spec`. The experiment loader embeds scenario lines
-   * under its own `chaos` directive and reuses the grammar through
-   * this; `line_no` is the caller's line number, so errors point at the
-   * real file location. On failure returns false with a line-numbered
-   * `*error` and leaves `*spec` as it was.
+   * Times take a us / ms / s suffix; FormatEventLine prints the
+   * canonical form back. The experiment loader reads the grammar
+   * through this under its `chaos` directive; `line_no` is the
+   * caller's line number, so errors point at the real file location.
+   * On failure returns false with a line-numbered `*error` and leaves
+   * `*spec` as it was.
    */
   static bool ParseEventLine(std::string_view line, int line_no,
                              ScenarioSpec* spec, std::string* error);
 
  private:
-  std::string name_;
   std::vector<ScenarioEvent> events_;
 };
 

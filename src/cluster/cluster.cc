@@ -120,7 +120,7 @@ PresetConfig(std::string_view name)
 ClusterRuntime::ClusterRuntime(ClusterConfig config)
     : config_(std::move(config)),
       state_(config_.nodes * config_.gpus_per_node),
-      gateway_(&sim_, config_.seed),
+      gateway_(&sim_, &metrics_, config_.seed),
       node_health_(static_cast<std::size_t>(config_.nodes), GpuHealth::kUp),
       rng_(config_.seed)
 {
@@ -145,7 +145,6 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
   gpu_group_ = std::make_unique<gpusim::GpuGroup>(
       &sim_, MakeArbiterFactory(sharing, config_.max_tokens));
   scheduler_ = MakeScheduler(scheduler, config_);
-  gateway_.set_metrics(&metrics_);
   // A dropped request is a closed-loop client's completion signal too:
   // without this, a fault that eats a request would wedge the client.
   // Only requests the closed loop itself issued continue the loop —

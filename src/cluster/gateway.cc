@@ -51,10 +51,14 @@ BrownoutThreshold(ServiceClass c)
 
 // A gateway-private jitter stream derived from the cluster seed, so
 // retry jitter never perturbs the workload or chaos streams.
-Gateway::Gateway(sim::Simulation* sim, std::uint64_t seed)
-    : sim_(sim), rng_(seed * 0x9E3779B97F4A7C15ull + 0xB5297A4D3A2C0A5Full)
+Gateway::Gateway(sim::Simulation* sim, MetricsHub* metrics,
+                 std::uint64_t seed)
+    : metrics_(metrics),
+      sim_(sim),
+      rng_(seed * 0x9E3779B97F4A7C15ull + 0xB5297A4D3A2C0A5Full)
 {
   DILU_CHECK(sim_ != nullptr);
+  DILU_CHECK(metrics_ != nullptr);
 }
 
 void
@@ -177,9 +181,7 @@ Gateway::Dispatch(workload::Request* req)
     ++e->c.outstanding;
     e->c.peak_outstanding =
         std::max(e->c.peak_outstanding, e->c.outstanding);
-    if (metrics_ != nullptr) {
-      metrics_->RecordAdmit(req->function, req->arrival);
-    }
+    metrics_->RecordAdmit(req->function, req->arrival);
     return true;
   }
   if (e != nullptr && e->adm.configured && req->retries_left > 0) {
@@ -194,9 +196,7 @@ Gateway::Dispatch(workload::Request* req)
     e->c.peak_outstanding =
         std::max(e->c.peak_outstanding, e->c.outstanding);
     e->arrivals_since_poll += 1.0;
-    if (metrics_ != nullptr) {
-      metrics_->RecordAdmit(req->function, req->arrival);
-    }
+    metrics_->RecordAdmit(req->function, req->arrival);
     ScheduleRetry(e, req);
     return true;
   }
@@ -250,9 +250,7 @@ Gateway::ShedAtAdmission(Entry* e, workload::Request* req,
   // rate gate's own refusals would cut again every window the offered
   // load exceeds the (already cut) rate — a spiral to the floor.
   if (cause == ShedCause::kCongestion) ++e->adm.window_sheds;
-  if (metrics_ != nullptr) {
-    metrics_->RecordShedAdmission(req->function, req->arrival);
-  }
+  metrics_->RecordShedAdmission(req->function, req->arrival);
   if (drop_hook_) drop_hook_(*req);
 }
 
@@ -263,9 +261,7 @@ Gateway::ShedRetry(Entry* e, workload::Request* req)
   req->done = true;
   ++e->c.shed_retry;
   --e->c.outstanding;
-  if (metrics_ != nullptr) {
-    metrics_->RecordShedRetry(req->function, req->arrival);
-  }
+  metrics_->RecordShedRetry(req->function, req->arrival);
   if (drop_hook_) drop_hook_(*req);
 }
 
@@ -278,7 +274,7 @@ Gateway::DropTerminal(Entry* e, workload::Request* req, bool redispatch)
     ++e->c.dropped;
     if (redispatch) --e->c.outstanding;
   }
-  if (metrics_ != nullptr && req->function != kInvalidFunction) {
+  if (req->function != kInvalidFunction) {
     metrics_->RecordDrop(req->function, req->arrival);
   }
   if (drop_hook_ && req->function != kInvalidFunction) {

@@ -72,16 +72,15 @@ class Gateway {
  public:
   /**
    * A gateway on `sim`'s event queue, which carries its retry backoff
-   * timers and the 1 s AIMD admission window; `seed` keys the
-   * retry-jitter stream.
+   * timers and the 1 s AIMD admission window, recording admissions,
+   * sheds and drops into `metrics`. The constructor only stores the
+   * pointer: ClusterRuntime's hub is constructed after its gateway.
+   * `seed` keys the retry-jitter stream.
    */
-  Gateway(sim::Simulation* sim, std::uint64_t seed);
+  Gateway(sim::Simulation* sim, MetricsHub* metrics, std::uint64_t seed);
 
   /** Register a function (idempotent). */
   void RegisterFunction(FunctionId id);
-
-  /** Wire the metrics hub used for drop accounting (may be null). */
-  void set_metrics(MetricsHub* metrics) { metrics_ = metrics; }
 
   /**
    * Observer fired whenever a request is dropped (unroutable dispatch
@@ -239,7 +238,7 @@ class Gateway {
   void EnsureTickArmed();
 
   FunctionTable<Entry> functions_;
-  MetricsHub* metrics_ = nullptr;
+  MetricsHub* metrics_;
   std::function<void(const workload::Request&)> drop_hook_;
   sim::Simulation* sim_;
   Rng rng_;             ///< retry-jitter stream

@@ -163,7 +163,6 @@ SplitIntoShards(const ExperimentSpec& spec, std::uint64_t seed, int n,
     sh.cluster().seed = ShardSeed(seed, s);
     sh.fabric() = spec.fabric();
     sh.RunFor(spec.EffectiveRunFor());
-    sh.chaos().set_name(spec.chaos().name());
     first_node.push_back(first_node.back() + nodes);
   }
   // Each shard's deploy and workload lists are sized before they are

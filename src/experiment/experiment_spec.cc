@@ -979,7 +979,6 @@ ExperimentSpec::Parse(const std::string& text, ExperimentSpec* out,
     }
   }
 
-  spec.chaos_.set_name(spec.name_);
   if (out != nullptr) *out = std::move(spec);
   return true;
 }

@@ -143,7 +143,7 @@ ApplyChaosIntensity(ExperimentSpec* spec, const std::string& path,
   if (!spec_text::ParseDouble(value, &intensity) || intensity <= 0.0) {
     return FailPath(error, path, "wants a double > 0");
   }
-  chaos::ScenarioSpec scaled(spec->chaos().name());
+  chaos::ScenarioSpec scaled;
   for (chaos::ScenarioEvent e : spec->chaos().events()) {
     e.magnitude = chaos::ScaleMagnitude(e.kind, e.magnitude, intensity);
     scaled.Add(e);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fault-injection subsystem tests: health-aware placement indexes,
- * failure/drain/recovery semantics, the scenario format, the chaos
+ * failure/drain/recovery semantics, the chaos event grammar, the chaos
  * engine's time-to-recover accounting, and — the acceptance anchor —
  * byte-identical determinism of a node-failure-during-burst run.
  */
@@ -13,6 +13,7 @@
 
 #include "chaos/chaos_engine.h"
 #include "cluster/trace_export.h"
+#include "experiment/experiment_spec.h"
 #include "invariant_audit.h"
 #include "scaling/coldstart.h"
 #include "scaling/global_scaler.h"
@@ -119,7 +120,7 @@ TEST(SchedulerHealth, ExclusiveAndStaticSkipUnhealthyGpus)
 
 TEST(Scenario, BuilderOrdersEventsByTime)
 {
-  chaos::ScenarioSpec spec("s");
+  chaos::ScenarioSpec spec;
   spec.RecoverNode(Sec(30), 1).FailNode(Sec(10), 1).FailGpu(Sec(10), 2);
   const auto sorted = spec.Sorted();
   ASSERT_EQ(sorted.size(), 3u);
@@ -146,7 +147,7 @@ TEST(Scenario, VerdictPredicatesOfEveryKind)
 
 TEST(Scenario, TextRoundTrip)
 {
-  chaos::ScenarioSpec spec("tour");
+  chaos::ScenarioSpec spec;
   spec.FailNode(Sec(10), 1)
       .Surge(Ms(12500), 0, 80.0, Sec(20))
       .InflateColdStarts(Sec(5), 2.5, Sec(30))
@@ -159,12 +160,14 @@ TEST(Scenario, TextRoundTrip)
       .CheckpointEvery(Sec(86), 1, Sec(30))
       .CheckpointEvery(Sec(88), 2, Sec(20), Ms(500))
       .RecoverNode(Sec(90), 1);
-  const std::string text = spec.ToText();
 
   chaos::ScenarioSpec parsed;
   std::string error;
-  ASSERT_TRUE(chaos::ScenarioSpec::Parse(text, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.name(), "tour");
+  for (const chaos::ScenarioEvent& e : spec.events()) {
+    ASSERT_TRUE(chaos::ScenarioSpec::ParseEventLine(
+        chaos::FormatEventLine(e), 1, &parsed, &error))
+        << error;
+  }
   ASSERT_EQ(parsed.events().size(), spec.events().size());
   for (std::size_t i = 0; i < parsed.events().size(); ++i) {
     EXPECT_EQ(parsed.events()[i].at, spec.events()[i].at);
@@ -175,9 +178,10 @@ TEST(Scenario, TextRoundTrip)
                      spec.events()[i].magnitude);
     EXPECT_EQ(parsed.events()[i].duration, spec.events()[i].duration);
     EXPECT_EQ(parsed.events()[i].save_cost, spec.events()[i].save_cost);
+    // Formatting is canonical: a second round-trip is identical text.
+    EXPECT_EQ(chaos::FormatEventLine(parsed.events()[i]),
+              chaos::FormatEventLine(spec.events()[i]));
   }
-  // Serialization is canonical: a second round-trip is identical text.
-  EXPECT_EQ(parsed.ToText(), text);
 }
 
 TEST(Scenario, ParseAcceptsCommentsAndBlanks)
@@ -185,12 +189,11 @@ TEST(Scenario, ParseAcceptsCommentsAndBlanks)
   const std::string text =
       "# a comment\n"
       "\n"
-      "scenario smoke\n"
-      "at 1500ms fail_gpu 0\n";
-  chaos::ScenarioSpec spec;
-  ASSERT_TRUE(chaos::ScenarioSpec::Parse(text, &spec, nullptr));
-  ASSERT_EQ(spec.events().size(), 1u);
-  EXPECT_EQ(spec.events()[0].at, Ms(1500));
+      "chaos at 1500ms fail_gpu 0\n";
+  experiment::ExperimentSpec spec;
+  ASSERT_TRUE(experiment::ExperimentSpec::Parse(text, &spec, nullptr));
+  ASSERT_EQ(spec.chaos().events().size(), 1u);
+  EXPECT_EQ(spec.chaos().events()[0].at, Ms(1500));
 }
 
 TEST(Scenario, ParseAcceptsTrailingComments)
@@ -199,34 +202,39 @@ TEST(Scenario, ParseAcceptsTrailingComments)
   // ("unexpected trailing '#'"); now everything from '#' is stripped,
   // whole-line or mid-line alike.
   const std::string text =
-      "scenario smoke   # the name line takes comments too\n"
-      "at 10s fail_node 1  # node zero's neighbour dies\n"
-      "at 12s surge fn=0 rps=80 for 20s ## emphatic comment\n"
+      "experiment smoke   # the name line takes comments too\n"
+      "cluster nodes=2\n"
+      "deploy model=bert-base\n"
+      "chaos at 10s fail_node 1  # node zero's neighbour dies\n"
+      "chaos at 12s surge fn=0 rps=80 for 20s ## emphatic comment\n"
       "   # indented whole-line comment\n";
-  chaos::ScenarioSpec spec;
+  experiment::ExperimentSpec spec;
   std::string error;
-  ASSERT_TRUE(chaos::ScenarioSpec::Parse(text, &spec, &error)) << error;
+  ASSERT_TRUE(experiment::ExperimentSpec::Parse(text, &spec, &error))
+      << error;
   EXPECT_EQ(spec.name(), "smoke");
-  ASSERT_EQ(spec.events().size(), 2u);
-  EXPECT_EQ(spec.events()[0].kind, chaos::FaultKind::kNodeFail);
-  EXPECT_EQ(spec.events()[1].kind, chaos::FaultKind::kTrafficSurge);
+  ASSERT_EQ(spec.chaos().events().size(), 2u);
+  EXPECT_EQ(spec.chaos().events()[0].kind, chaos::FaultKind::kNodeFail);
+  EXPECT_EQ(spec.chaos().events()[1].kind,
+            chaos::FaultKind::kTrafficSurge);
 }
 
 TEST(Scenario, CheckpointSaveCostRoundTrips)
 {
-  chaos::ScenarioSpec spec("ckpt");
+  chaos::ScenarioSpec spec;
   spec.CheckpointEvery(Sec(1), 0, Sec(30), Ms(500));
-  const std::string text = spec.ToText();
+  const std::string text = chaos::FormatEventLine(spec.events()[0]);
   EXPECT_NE(text.find("save=500ms"), std::string::npos) << text;
   chaos::ScenarioSpec parsed;
   std::string error;
-  ASSERT_TRUE(chaos::ScenarioSpec::Parse(text, &parsed, &error)) << error;
+  ASSERT_TRUE(chaos::ScenarioSpec::ParseEventLine(text, 1, &parsed, &error))
+      << error;
   ASSERT_EQ(parsed.events().size(), 1u);
   EXPECT_EQ(parsed.events()[0].save_cost, Ms(500));
-  EXPECT_EQ(parsed.ToText(), text);
+  EXPECT_EQ(chaos::FormatEventLine(parsed.events()[0]), text);
   // Operand validation: a non-positive save cost is rejected.
-  EXPECT_FALSE(chaos::ScenarioSpec::Parse(
-      "at 1s checkpoint_every fn=0 every=5s save=0s", nullptr, &error));
+  EXPECT_FALSE(chaos::ScenarioSpec::ParseEventLine(
+      "at 1s checkpoint_every fn=0 every=5s save=0s", 1, &parsed, &error));
   EXPECT_NE(error.find("line 1"), std::string::npos) << error;
 }
 
@@ -249,8 +257,9 @@ TEST(Scenario, ParseRejectsMalformedLines)
       "at 10s surge fn=0 rps=10 for 99999999999999s",
   };
   for (const char* text : bad) {
+    chaos::ScenarioSpec spec;
     std::string error;
-    EXPECT_FALSE(chaos::ScenarioSpec::Parse(text, nullptr, &error))
+    EXPECT_FALSE(chaos::ScenarioSpec::ParseEventLine(text, 1, &spec, &error))
         << "accepted: " << text;
     EXPECT_NE(error.find("line 1"), std::string::npos) << error;
   }
@@ -432,7 +441,7 @@ TEST(FaultInjection, CheckpointSaveCostPausesTrainingAndIsAccounted)
     s.target_iterations = 2000000;  // effectively unbounded
     const FunctionId fn = rt.Deploy(s);
     EXPECT_TRUE(rt.StartTraining(fn, /*cold=*/false));
-    chaos::ScenarioSpec spec("save_cost");
+    chaos::ScenarioSpec spec;
     spec.CheckpointEvery(Sec(1), fn, Sec(2), save_cost);
     chaos::ChaosEngine engine(&rt, spec);
     engine.Arm();
@@ -523,7 +532,7 @@ TEST(ChaosEngine, OverlappingInflationWindowsDoNotResetEarly)
   cluster::ClusterRuntime rt(cfg);
   const FunctionId fn = rt.Deploy(InferenceSpec("bert-base"));
 
-  chaos::ScenarioSpec spec("overlap");
+  chaos::ScenarioSpec spec;
   spec.InflateColdStarts(Sec(1), 3.0, Sec(10))   // ends at 11 s
       .InflateColdStarts(Sec(5), 5.0, Sec(20));  // ends at 25 s
   chaos::ChaosEngine engine(&rt, spec);
@@ -550,7 +559,7 @@ TEST(ChaosEngine, TrainingTtrIncludesRestartColdStart)
   const FunctionId fn = rt.Deploy(s);
   ASSERT_TRUE(rt.StartTraining(fn, /*cold=*/false));
 
-  chaos::ScenarioSpec spec("train-fault");
+  chaos::ScenarioSpec spec;
   spec.FailGpu(Sec(5), 0);
   chaos::ChaosEngine engine(&rt, spec);
   engine.Arm();
@@ -585,7 +594,7 @@ TEST(ChaosEngine, UnrelatedScaleInDoesNotBlockHealDetection)
   ASSERT_NE(rt.LaunchInference(bystander, false), kInvalidInstance);
 
   // The victim's instance lands on GPU 0 (first placement).
-  chaos::ScenarioSpec spec("victim-only");
+  chaos::ScenarioSpec spec;
   spec.FailGpu(Sec(5), 0);
   chaos::ChaosEngine engine(&rt, spec);
   engine.Arm();
@@ -625,7 +634,7 @@ TEST(ChaosEngine, MeasuresTimeToRecover)
       fn, std::make_unique<workload::PoissonArrivals>(20.0, Rng(3)),
       Sec(60));
 
-  chaos::ScenarioSpec spec("ttr");
+  chaos::ScenarioSpec spec;
   spec.FailGpu(Sec(10), 0);
   chaos::ChaosEngine engine(&rt, spec);
   engine.Arm();
@@ -655,7 +664,7 @@ TEST(ChaosEngine, NonDisruptiveEventsNeedNoRecovery)
   const FunctionId fn = rt.Deploy(InferenceSpec("bert-base"));
   ASSERT_NE(rt.LaunchInference(fn, false), kInvalidInstance);
 
-  chaos::ScenarioSpec spec("surge-only");
+  chaos::ScenarioSpec spec;
   spec.Surge(Sec(5), fn, 30.0, Sec(10));
   chaos::ChaosEngine engine(&rt, spec);
   engine.Arm();
@@ -701,7 +710,7 @@ NodeFailureBurstTrace(std::uint64_t seed)
                         Rng(seed + 2)),
                     Sec(90));
 
-  chaos::ScenarioSpec spec("node_failure_burst");
+  chaos::ScenarioSpec spec;
   spec.CheckpointEvery(Sec(5), job, Sec(10))
       .DegradeGpu(Sec(20), 8, 0.5)
       .StraggleGpu(Sec(25), 9, 2.0)

@@ -28,7 +28,8 @@ struct Rig {
   const models::ModelProfile& model = models::GetModel("bert-base");
   runtime::InferenceInstance a{1, 0, &model, 4, &sim};
   runtime::InferenceInstance b{2, 0, &model, 4, &sim};
-  Gateway gateway{&sim, 7};
+  MetricsHub metrics;
+  Gateway gateway{&sim, &metrics, 7};
 
   Rig() {
     gateway.RegisterFunction(0);
@@ -45,7 +46,8 @@ struct Rig {
 TEST(Gateway, DispatchFailsWithoutInstances)
 {
   sim::Simulation sim;
-  Gateway gw(&sim, 7);
+  MetricsHub metrics;
+  Gateway gw(&sim, &metrics, 7);
   gw.RegisterFunction(0);
   workload::Request r;
   r.function = 0;
@@ -130,7 +132,8 @@ TEST(Gateway, RunningCountTracksState)
 TEST(Gateway, UnknownFunctionHasNoInstances)
 {
   sim::Simulation sim;
-  Gateway gw(&sim, 7);
+  MetricsHub metrics;
+  Gateway gw(&sim, &metrics, 7);
   EXPECT_TRUE(gw.instances(42).empty());
   EXPECT_EQ(gw.RunningCount(42), 0);
   EXPECT_DOUBLE_EQ(gw.PollArrivals(42), 0.0);
@@ -139,10 +142,9 @@ TEST(Gateway, UnknownFunctionHasNoInstances)
 TEST(Gateway, FailedDispatchCountsDropInMetrics)
 {
   sim::Simulation sim;
-  Gateway gw(&sim, 7);
   MetricsHub metrics;
   metrics.RegisterFunction(0, "f", 100.0);
-  gw.set_metrics(&metrics);
+  Gateway gw(&sim, &metrics, 7);
   gw.RegisterFunction(0);
   workload::Request r;
   r.function = 0;
@@ -177,9 +179,7 @@ TEST(Gateway, RemoveInstanceRedispatchesQueuedRequests)
 TEST(Gateway, RemoveLastInstanceDropsQueuedRequests)
 {
   Rig rig;
-  MetricsHub metrics;
-  metrics.RegisterFunction(0, "f", 100.0);
-  rig.gateway.set_metrics(&metrics);
+  rig.metrics.RegisterFunction(0, "f", 100.0);
   rig.a.BeginColdStart(0);
   rig.gateway.AddInstance(0, &rig.a);
   std::vector<workload::Request*> sent;
@@ -191,7 +191,7 @@ TEST(Gateway, RemoveLastInstanceDropsQueuedRequests)
   rig.gateway.RemoveInstance(0, rig.a.client_id());
   // No survivors: every queued request is dropped — and marked done so
   // its record owner can reclaim it — never stranded.
-  EXPECT_EQ(metrics.function(0).dropped, 4);
+  EXPECT_EQ(rig.metrics.function(0).dropped, 4);
   for (workload::Request* r : sent) {
     EXPECT_TRUE(r->dropped);
     EXPECT_TRUE(r->done);
@@ -248,8 +248,6 @@ TEST(Gateway, UnregisteredDispatchDrops)
 {
   Rig rig;
   rig.AddBoth();
-  MetricsHub metrics;
-  rig.gateway.set_metrics(&metrics);
   int hook_calls = 0;
   rig.gateway.set_drop_hook([&](const workload::Request&) {
     ++hook_calls;
@@ -263,7 +261,7 @@ TEST(Gateway, UnregisteredDispatchDrops)
   // Nothing is counted against the unknown function in the gateway;
   // the metrics hub books the drop under the request's id.
   EXPECT_EQ(rig.gateway.counters(5).arrivals, 0);
-  EXPECT_EQ(metrics.function(5).dropped, 1);
+  EXPECT_EQ(rig.metrics.function(5).dropped, 1);
   // Registered traffic is unaffected.
   EXPECT_EQ(rig.gateway.counters(0).arrivals, 0);
   EXPECT_EQ(rig.a.queue_depth() + rig.b.queue_depth(), 0u);

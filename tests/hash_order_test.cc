@@ -160,7 +160,7 @@ struct ScenarioRun {
     const FunctionId job = rt->Deploy(train);
     EXPECT_TRUE(rt->StartTraining(job, /*cold=*/false));
 
-    chaos::ScenarioSpec spec("golden");
+    chaos::ScenarioSpec spec;
     spec.CheckpointEvery(Sec(1), job, Sec(5))
         .DegradeGpu(Sec(10), 8, 0.5)
         .StraggleGpu(Sec(15), 9, 2.5)

@@ -398,7 +398,7 @@ NodeFailureBurstMeanTtr(const std::string& recovery)
   rt.AttachArrivals(
       light, std::make_unique<workload::PoissonArrivals>(40.0, Rng(13)),
       Sec(80));
-  chaos::ScenarioSpec spec("node_failure_burst");
+  chaos::ScenarioSpec spec;
   spec.FailNode(Sec(20), 0).RecoverNode(Sec(50), 0);
   chaos::ChaosEngine engine(&rt, spec);
   engine.Arm();

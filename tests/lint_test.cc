@@ -233,8 +233,7 @@ TEST(LintRules, SeedZeroSentinelScopedByExceptionList)
   EXPECT_TRUE(
       Lint("bad_seed_zero.cc", "src/experiment/experiment.cc").empty());
   EXPECT_TRUE(Lint("bad_seed_zero.cc", "tools/dilu_run.cc").empty());
-  // bench_harness.cc left the exception list when it dropped its
-  // `--seed 0` sentinel (no --seed now means the historical seeds):
+  // Any other path is outside the list, a bench's included:
   EXPECT_EQ(RuleLines(Lint("bad_seed_zero.cc", "bench/bench_harness.cc")),
             (std::set<P>{{"seed-zero", 6}, {"seed-zero", 7}}));
 }

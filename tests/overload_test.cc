@@ -45,7 +45,8 @@ namespace {
 struct OverloadRig {
   sim::Simulation sim;
   const models::ModelProfile& model = models::GetModel("bert-base");
-  cluster::Gateway gateway{&sim, 7};
+  cluster::MetricsHub metrics;
+  cluster::Gateway gateway{&sim, &metrics, 7};
   std::vector<std::unique_ptr<runtime::InferenceInstance>> owned;
   std::map<FunctionId, std::vector<runtime::InferenceInstance*>> by_fn;
   std::vector<std::unique_ptr<workload::Request>> requests;

@@ -1,21 +1,26 @@
 /**
  * @file
- * Fuzz-style tests for the chaos scenario text loader: randomly
- * generated valid specs (drawing all fifteen verbs, each with its
- * operand, magnitude and window) must round-trip parse -> print -> parse
- * byte-identically, and randomly mutated lines must fail with a
- * line-numbered error — never crash, never be silently mis-parsed.
+ * Fuzz-style tests for the chaos event grammar, read the way the
+ * experiment loader reads `chaos` lines (comments stripped, one
+ * ParseEventLine per line): randomly generated valid scenarios (drawing
+ * all fifteen verbs, each with its operand, magnitude and window) must
+ * round-trip parse -> print -> parse byte-identically, and randomly
+ * mutated lines must fail with a line-numbered error — never crash,
+ * never be silently mis-parsed.
  *
  * Everything draws from a fixed-seed Rng, so a failure reproduces
  * exactly; crank kRounds locally for a longer soak.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/scenario.h"
 #include "common/random.h"
+#include "common/spec_text.h"
 
 namespace dilu {
 namespace {
@@ -48,7 +53,7 @@ RandomFactor(Rng& rng, double lo, double hi)
 chaos::ScenarioSpec
 RandomSpec(Rng& rng)
 {
-  chaos::ScenarioSpec spec("fuzz" + std::to_string(rng.UniformInt(0, 999)));
+  chaos::ScenarioSpec spec;
   const int events = static_cast<int>(rng.UniformInt(1, 12));
   for (int i = 0; i < events; ++i) {
     const TimeUs at = RandomTime(rng);
@@ -103,20 +108,51 @@ RandomSpec(Rng& rng)
   return spec;
 }
 
+/** `spec`'s events in canonical text, one FormatEventLine per line. */
+std::string
+EventLines(const chaos::ScenarioSpec& spec)
+{
+  std::string text;
+  for (const chaos::ScenarioEvent& e : spec.events()) {
+    text += chaos::FormatEventLine(e) + "\n";
+  }
+  return text;
+}
+
+/**
+ * Read `text` as the experiment loader reads its `chaos` lines:
+ * comments and blank lines skipped, every other line one
+ * ParseEventLine. `*out` is only written on success.
+ */
+bool
+ParseEventLines(const std::string& text, chaos::ScenarioSpec* out,
+                std::string* error)
+{
+  chaos::ScenarioSpec spec;
+  const bool ok = spec_text::ForEachLine(
+      text, nullptr, [&](int line_no, spec_text::Tokens& toks) {
+        return chaos::ScenarioSpec::ParseEventLine(toks.rest(), line_no,
+                                                   &spec, error);
+      });
+  if (!ok) return false;
+  if (out != nullptr) *out = std::move(spec);
+  return true;
+}
+
 TEST(ScenarioFuzz, RandomValidSpecsRoundTripByteIdentically)
 {
   Rng rng(0xF0221u);
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE(::testing::Message() << "round " << round);
     const chaos::ScenarioSpec spec = RandomSpec(rng);
-    const std::string text = spec.ToText();
+    const std::string text = EventLines(spec);
 
     chaos::ScenarioSpec parsed;
     std::string error;
-    ASSERT_TRUE(chaos::ScenarioSpec::Parse(text, &parsed, &error))
+    ASSERT_TRUE(ParseEventLines(text, &parsed, &error))
         << error << "\n" << text;
     // Canonical print: a second round-trip is byte-identical.
-    EXPECT_EQ(parsed.ToText(), text);
+    EXPECT_EQ(EventLines(parsed), text);
     // And the parsed events are the authored events, value for value.
     ASSERT_EQ(parsed.events().size(), spec.events().size());
     for (std::size_t i = 0; i < parsed.events().size(); ++i) {
@@ -140,7 +176,7 @@ TEST(ScenarioFuzz, RandomByteMutationsNeverCrashTheParser)
       "abcdefghijklmnopqrstuvwxyz0123456789 =_.-x#\t";
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE(::testing::Message() << "round " << round);
-    std::string text = RandomSpec(rng).ToText();
+    std::string text = EventLines(RandomSpec(rng));
     const int mutations = static_cast<int>(rng.UniformInt(1, 6));
     for (int m = 0; m < mutations && !text.empty(); ++m) {
       const std::size_t pos = static_cast<std::size_t>(rng.UniformInt(
@@ -155,19 +191,25 @@ TEST(ScenarioFuzz, RandomByteMutationsNeverCrashTheParser)
     }
     // The contract under mutation: parse either succeeds (the mutation
     // kept the line grammatical) or fails with a line-numbered message
-    // and leaves `out` untouched. It must never crash or throw.
-    chaos::ScenarioSpec out("sentinel");
-    out.FailGpu(Sec(1), 0);
+    // and leaves `out` untouched. It must never crash or throw. The
+    // sentinel's negative GPU id is one no event line can spell.
+    chaos::ScenarioSpec out;
+    out.FailGpu(Sec(1), -7);
+    const auto is_sentinel = [](const chaos::ScenarioEvent& e) {
+      return e.kind == chaos::FaultKind::kGpuFail && e.target == -7;
+    };
     std::string error;
-    const bool ok = chaos::ScenarioSpec::Parse(text, &out, &error);
+    const bool ok = ParseEventLines(text, &out, &error);
     if (ok) {
-      EXPECT_NE(out.name(), "sentinel") << "out not written on success";
+      EXPECT_TRUE(std::none_of(out.events().begin(), out.events().end(),
+                               is_sentinel))
+          << "out not written on success";
     } else {
       EXPECT_NE(error.find("line "), std::string::npos)
           << "error lacks a line number: " << error;
       ASSERT_EQ(out.events().size(), 1u)
           << "out must be untouched on failure";
-      EXPECT_EQ(out.name(), "sentinel");
+      EXPECT_TRUE(is_sentinel(out.events()[0]));
     }
   }
 }
@@ -178,7 +220,7 @@ TEST(ScenarioFuzz, TargetedCorruptionsAlwaysError)
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE(::testing::Message() << "round " << round);
     chaos::ScenarioSpec spec = RandomSpec(rng);
-    std::string text = spec.ToText();
+    std::string text = EventLines(spec);
 
     // Corrupt the last event line in a way that is never grammatical.
     const std::size_t line_start = text.rfind("at ");
@@ -200,7 +242,7 @@ TEST(ScenarioFuzz, TargetedCorruptionsAlwaysError)
         break;
     }
     std::string error;
-    EXPECT_FALSE(chaos::ScenarioSpec::Parse(corrupted, nullptr, &error))
+    EXPECT_FALSE(ParseEventLines(corrupted, nullptr, &error))
         << corrupted;
     EXPECT_NE(error.find("line "), std::string::npos) << error;
   }
@@ -233,7 +275,7 @@ TEST(ScenarioFuzz, NewVerbOperandValidation)
   };
   for (const char* text : bad) {
     std::string error;
-    EXPECT_FALSE(chaos::ScenarioSpec::Parse(text, nullptr, &error))
+    EXPECT_FALSE(ParseEventLines(text, nullptr, &error))
         << "accepted: " << text;
     EXPECT_NE(error.find("line 1"), std::string::npos) << error;
   }
